@@ -40,7 +40,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"POLYLCM_{name} must be an integer, got {raw!r}") from None
 
 
 def _poly_arg(text: str) -> IntPoly:
@@ -246,9 +246,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,11 +42,6 @@ def lcm_bigint(f: ShiftedPoly, N: int) -> int:
             raise ZeroValueError(n)
         L = math.lcm(L, abs(v))
     return L
-
-
-def lcm_ledger(f: ShiftedPoly, N: int, B: int | None = None, **kw) -> ValuationLedger:
-    """Full-range beta ledger; its product equals lcm_bigint exactly."""
-    return build_ledgers(f, N, B, **kw)[1]
 
 
 class BadSplit(NamedTuple):
@@ -94,23 +88,44 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
     return total
 
 
+def _family_table(f0: IntPoly, root_table: RootTable | None, seed: int) -> RootTable:
+    # The caller's table when it belongs to f0, else a fresh one.
+    if root_table is not None and root_table.f0 == f0:
+        return root_table
+    return RootTable(f0, seed)
+
+
+def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, float, float]:
+    # (C_N, E_N, D_N) in one ascending pass over the primes p <= N.
+    cn = en = dn = 0.0
+    if N >= 2:
+        for p in ntkernel.sieve_primes(N):
+            log_p = math.log(p)
+            if D % p == 0:
+                en += log_p / p
+                continue
+            r = table.rho(a, p)
+            if r:
+                cn += r * log_p / (p - 1)
+            if r != 1:
+                dn += (r - 1) * log_p / p
+    return cn, en, dn
+
+
+def _density_sums_for(
+    f0: IntPoly, a: int, N: int, root_table: RootTable | None, seed: int
+) -> tuple[float, float, float]:
+    D = discriminant(ShiftedPoly(f0, a).to_poly())
+    if D == 0:
+        raise ValueError("discriminant is zero")
+    return _density_sums(_family_table(f0, root_table, seed), a, N, D)
+
+
 def c_N(
     f0: IntPoly, a: int, N: int, root_table: RootTable | None = None, seed: int = DEFAULT_SEED
 ) -> float:
     """C_N(a) = sum over p <= N, p not dividing D(a), of rho(a;p) log p/(p-1)."""
-    D = discriminant(ShiftedPoly(f0, a).to_poly())
-    if D == 0:
-        raise ValueError("discriminant is zero")
-    table = root_table if root_table is not None and root_table.f0 == f0 else RootTable(f0, seed)
-    total = 0.0
-    if N >= 2:
-        for p in ntkernel.sieve_primes(N):
-            if D % p == 0:
-                continue
-            r = table.rho(a, p)
-            if r:
-                total += r * math.log(p) / (p - 1)
-    return total
+    return _density_sums_for(f0, a, N, root_table, seed)[0]
 
 
 def e_N_d_N(
@@ -118,20 +133,7 @@ def e_N_d_N(
 ) -> tuple[float, float]:
     """E_N = sum over discriminant primes <= N of log p/p;
     D_N = sum over the other primes <= N of sigma(a;p) log p/p."""
-    D = discriminant(ShiftedPoly(f0, a).to_poly())
-    if D == 0:
-        raise ValueError("discriminant is zero")
-    table = root_table if root_table is not None and root_table.f0 == f0 else RootTable(f0, seed)
-    e_sum = d_sum = 0.0
-    if N >= 2:
-        for p in ntkernel.sieve_primes(N):
-            if D % p == 0:
-                e_sum += math.log(p) / p
-            else:
-                s = table.sigma(a, p)
-                if s:
-                    d_sum += s * math.log(p) / p
-    return e_sum, d_sum
+    return _density_sums_for(f0, a, N, root_table, seed)[1:]
 
 
 @dataclass
@@ -152,7 +154,6 @@ class DecompositionReport:
     alpha_small_nondisc_logsum: float
     residual: float
     irreducible: bool
-    engine_timings: dict[str, float]
 
     def identity_gap(self) -> float:
         rhs = (
@@ -185,7 +186,6 @@ class DecompositionReport:
             "alpha_small_nondisc_logsum": self.alpha_small_nondisc_logsum,
             "residual": self.residual,
             "irreducible": self.irreducible,
-            "engine_timings": self.engine_timings,
         }
 
     def to_json(self) -> str:
@@ -231,16 +231,12 @@ def decomposition_report(
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
-    t0 = time.perf_counter()
-    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=root_table, seed=seed)
-    ledger_time = time.perf_counter() - t0
+    table = _family_table(f0, root_table, seed)
+    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed)
     log_L = beta.logsum()
-    timings = {"ledger": ledger_time}
 
     if N <= cross_check_limit:
-        t0 = time.perf_counter()
         L = lcm_bigint(f, N)
-        timings["bigint"] = time.perf_counter() - t0
         if beta.product() != L:
             raise InternalConsistencyError("ledger product != gcd-chain lcm")
         log_L = math.log(L)
@@ -264,9 +260,7 @@ def decomposition_report(
         if p <= N and p not in disc_primes
     )
 
-    table = root_table if root_table is not None and root_table.f0 == f0 else RootTable(f0, seed)
-    cn = c_N(f0, a, N, table, seed)
-    en, dn = e_N_d_N(f0, a, N, table, seed)
+    cn, en, dn = _density_sums(table, a, N, D)
 
     d = f0.degree
     residual = log_L - (d * N * math.log(N) - bad - delta - N * cn) if N >= 2 else log_L
@@ -288,7 +282,6 @@ def decomposition_report(
         alpha_small_nondisc_logsum=alpha_small_nondisc,
         residual=residual,
         irreducible=irreducible,
-        engine_timings=timings,
     )
     if not report.identity_ok():
         raise InternalConsistencyError(

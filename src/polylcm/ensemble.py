@@ -9,6 +9,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -130,34 +131,49 @@ def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
 
 
 def _eval_statistic(
-    f0: IntPoly,
-    a: int,
-    N: int,
-    statistic: str,
-    root_table: RootTable | None,
-    seed: int,
+    f0: IntPoly, a: int, N: int, table: RootTable, seed: int, statistic: str
 ) -> float:
     if statistic == "bad":
         return decomp.bad_N(f0, a, N, seed).total
     if statistic == "b2":
         return decomp.bad_N(f0, a, N, seed).b2
     if statistic == "delta":
-        return decomp.delta_N(f0, a, N, seed=seed, root_table=root_table)
+        return decomp.delta_N(f0, a, N, seed=seed, root_table=table)
     if statistic == "cn":
-        return decomp.c_N(f0, a, N, root_table, seed)
+        return decomp.c_N(f0, a, N, table, seed)
     if statistic == "dn":
-        return decomp.e_N_d_N(f0, a, N, root_table, seed)[1]
+        return decomp.e_N_d_N(f0, a, N, table, seed)[1]
     if statistic == "loglratio":
-        rep = decomp.decomposition_report(f0, a, N, root_table=root_table, seed=seed)
+        rep = decomp.decomposition_report(f0, a, N, root_table=table, seed=seed)
         return rep.log_L / ((f0.degree - 1) * N * math.log(N))
     raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
 
-def _eval_chunk(args) -> list[tuple[int, float]]:
-    f0_coeffs, shifts, N, statistic, seed = args
+def _theorem_row(
+    f0: IntPoly, a: int, N: int, table: RootTable, seed: int
+) -> tuple[float, float, float, float]:
+    rep = decomp.decomposition_report(f0, a, N, root_table=table, seed=seed)
+    return (rep.log_L, rep.c_N, rep.bad, rep.delta)
+
+
+def _eval_chunk(args) -> list[tuple[int, object]]:
+    per_shift, f0_coeffs, shifts, N, seed = args
     f0 = IntPoly(f0_coeffs)
     table = RootTable(f0, seed)
-    return [(a, _eval_statistic(f0, a, N, statistic, table, seed)) for a in shifts]
+    return [(a, per_shift(f0, a, N, table, seed)) for a in shifts]
+
+
+def _map_shifts(per_shift, f0: IntPoly, ordered: list[int], N: int, seed: int, threads: int):
+    """[(a, per_shift(f0, a, N, table, seed))] in ascending a, with one
+    RootTable per process.  per_shift must be picklable (module-level)."""
+    if threads <= 1 or len(ordered) <= 1:
+        return _eval_chunk((per_shift, f0.coeffs, ordered, N, seed))
+    chunks = [ordered[i::threads] for i in range(threads)]
+    args = [(per_shift, f0.coeffs, chunk, N, seed) for chunk in chunks if chunk]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        pairs = [pair for chunk_out in pool.map(_eval_chunk, args) for pair in chunk_out]
+    pairs.sort(key=lambda t: t[0])
+    return pairs
 
 
 def ensemble_average(
@@ -169,7 +185,6 @@ def ensemble_average(
     seed: int = DEFAULT_SEED,
     n_samples: int = DEFAULT_N_SAMPLES,
     threads: int = 1,
-    root_table: RootTable | None = None,
     return_values: bool = False,
 ):
     """Mean/variance/quantiles of a per-shift statistic over irreducible
@@ -198,16 +213,8 @@ def ensemble_average(
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
 
-    ordered = sorted(shifts)
-    if threads > 1 and len(ordered) > 1:
-        chunks = [ordered[i::threads] for i in range(threads)]
-        args = [(f0.coeffs, chunk, N, statistic, seed) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            pairs = [pair for chunk_out in pool.map(_eval_chunk, args) for pair in chunk_out]
-        pairs.sort(key=lambda t: t[0])
-    else:
-        table = root_table if root_table is not None and root_table.f0 == f0 else RootTable(f0, seed)
-        pairs = [(a, _eval_statistic(f0, a, N, statistic, table, seed)) for a in ordered]
+    per_shift = functools.partial(_eval_statistic, statistic=statistic)
+    pairs = _map_shifts(per_shift, f0, sorted(shifts), N, seed, threads)
 
     values = [v for _, v in pairs]
     n = len(values)
@@ -354,28 +361,18 @@ def theorem_check(
             shifts = rng.sample(shifts, n_samples)
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
-    ordered = sorted(shifts)
-
-    if threads > 1 and len(ordered) > 1:
-        chunks = [ordered[i::threads] for i in range(threads)]
-        args = [(f0.coeffs, chunk, N, seed) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = [r for chunk_out in pool.map(_theorem_chunk, args) for r in chunk_out]
-        rows.sort(key=lambda t: t[0])
-    else:
-        table = RootTable(f0, seed)
-        rows = [_theorem_row(f0, a, N, table, seed) for a in ordered]
+    rows = [row for _, row in _map_shifts(_theorem_row, f0, sorted(shifts), N, seed, threads)]
 
     n = len(rows)
     denom = (d - 1) * N * math.log(N)
     lnln = math.log(math.log(N))
-    ratios = sorted(r[1] / denom for r in rows)
+    ratios = sorted(r[0] / denom for r in rows)
     frac_ratio = sum(1 for v in ratios if abs(v - 1) < epsilon) / n
     frac_cn = (
-        sum(1 for r in rows if abs(r[2] - math.log(N)) <= constants.THEOREM_CN_BAND * lnln) / n
+        sum(1 for r in rows if abs(r[1] - math.log(N)) <= constants.THEOREM_CN_BAND * lnln) / n
     )
-    frac_bad = sum(1 for r in rows if r[3] <= constants.THEOREM_BAD_BAND * N * lnln) / n
-    frac_delta = sum(1 for r in rows if r[4] <= constants.THEOREM_DELTA_BAND * N * lnln) / n
+    frac_bad = sum(1 for r in rows if r[2] <= constants.THEOREM_BAD_BAND * N * lnln) / n
+    frac_delta = sum(1 for r in rows if r[3] <= constants.THEOREM_DELTA_BAND * N * lnln) / n
     mid = (n - 1) / 2
     median = (ratios[int(math.floor(mid))] + ratios[int(math.ceil(mid))]) / 2
     return TheoremReport(
@@ -396,17 +393,3 @@ def theorem_check(
         median_ratio=median,
         mean_ratio=sum(ratios) / n,
     )
-
-
-def _theorem_row(
-    f0: IntPoly, a: int, N: int, table: RootTable, seed: int
-) -> tuple[int, float, float, float, float]:
-    rep = decomp.decomposition_report(f0, a, N, root_table=table, seed=seed)
-    return (a, rep.log_L, rep.c_N, rep.bad, rep.delta)
-
-
-def _theorem_chunk(args) -> list[tuple[int, float, float, float, float]]:
-    f0_coeffs, shifts, N, seed = args
-    f0 = IntPoly(f0_coeffs)
-    table = RootTable(f0, seed)
-    return [_theorem_row(f0, a, N, table, seed) for a in shifts]

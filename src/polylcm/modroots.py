@@ -10,6 +10,7 @@ per prime instead of O(p).  Identical seeds give identical transcripts.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -17,7 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReductionError, InternalConsistencyError, SingularRootError
-from .polyring import IntPoly, PolyLike, ShiftedPoly, as_poly, discriminant
+from .polyring import (
+    IntPoly,
+    PolyLike,
+    ShiftedPoly,
+    _pm_gcd,
+    _pm_monic,
+    _pm_powmod,
+    _pm_quo,
+    _pm_trim,
+    as_poly,
+    discriminant,
+)
 
 BRUTE_FORCE_LIMIT = 1 << 14
 
@@ -69,101 +81,38 @@ def _mix64(*parts: int) -> int:
     return h
 
 
+def _values_mod_p(coeffs: list[int], p: int) -> list[int]:
+    # f(x) mod p for x = 0 .. p-1 by Horner's rule; coeffs already reduced mod p.
+    # numpy's fixed per-call cost outweighs the Python loop at small p.
+    if _NUMPY_CUTOFF < p < BRUTE_FORCE_LIMIT:
+        xs = np.arange(p, dtype=np.int64)
+        acc = np.zeros(p, dtype=np.int64)
+        for c in reversed(coeffs):
+            acc = (acc * xs + c) % p
+        return acc.tolist()
+    rev = coeffs[::-1]
+    out = []
+    for x in range(p):
+        acc = 0
+        for c in rev:
+            acc = (acc * x + c) % p
+        out.append(acc)
+    return out
+
+
 def _brute_roots(coeffs: list[int], p: int) -> list[int]:
-    if p <= _NUMPY_CUTOFF:
-        out = []
-        for x in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                out.append(x)
-        return out
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % p
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
-
-
-def _fq_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fq_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fq_trim(out)
-
-
-def _fq_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    # b monic
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - db
-            for j, y in enumerate(b):
-                a[off + j] = (a[off + j] - c * y) % p
-        a.pop()
-    return _fq_trim(a)
-
-
-def _fq_quo(a: list[int], b: list[int], p: int) -> list[int]:
-    # exact quotient by monic b
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + db]
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _fq_trim(q)
-
-
-def _fq_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _fq_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fq_trim(list(a)), _fq_trim(list(b))
-    while b:
-        r = _fq_rem(a, _fq_monic(b, p), p)
-        a, b = b, r
-    return _fq_monic(a, p) if a else a
-
-
-def _fq_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fq_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _fq_rem(_fq_mul(result, base, p), mod, p)
-        e >>= 1
-        if e:
-            base = _fq_rem(_fq_mul(base, base, p), mod, p)
-    return result
+    return [x for x, v in enumerate(_values_mod_p(coeffs, p)) if v == 0]
 
 
 def _cz_roots(coeffs: list[int], p: int, seed: int) -> list[int]:
     # p odd prime; coeffs mod p, not all zero.
-    f = _fq_trim(list(coeffs))
+    f = _pm_trim(list(coeffs))
     if len(f) <= 1:
         return []
-    f = _fq_monic(f, p)
-    xp = _fq_powmod([0, 1], p, f, p)
-    lin = _fq_gcd(_fq_trim([(x - y) % p for x, y in _zip_pad(xp, [0, 1])]), f, p)
+    f = _pm_monic(f, p)
+    xp = _pm_powmod([0, 1], p, f, p)
+    x_diff = [(x - y) % p for x, y in itertools.zip_longest(xp, [0, 1], fillvalue=0)]
+    lin = _pm_gcd(_pm_trim(x_diff), f, p)
     if not lin or len(lin) == 1:
         return []
     rng = random.Random(_mix64(seed, p, *coeffs))
@@ -179,19 +128,14 @@ def _cz_roots(coeffs: list[int], p: int, seed: int) -> list[int]:
             continue
         while True:
             delta = rng.randrange(p)
-            w = _fq_powmod([delta, 1], (p - 1) // 2, h, p)
-            w = _fq_trim([(w[0] - 1) % p] + w[1:]) if w else [p - 1]
-            u = _fq_gcd(w, h, p)
+            w = _pm_powmod([delta, 1], (p - 1) // 2, h, p)
+            w = _pm_trim([(w[0] - 1) % p] + w[1:]) if w else [p - 1]
+            u = _pm_gcd(w, h, p)
             if 0 < len(u) - 1 < deg:
                 stack.append(u)
-                stack.append(_fq_quo(h, u, p))
+                stack.append(_pm_quo(h, u, p))
                 break
     return roots
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def roots_mod_p(f: PolyLike, p: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
@@ -249,10 +193,6 @@ def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootS
     return RootSetModPk(p, k, tuple(sorted(level)))
 
 
-def count_roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> int:
-    return roots_mod_pk(f, p, k, seed).count
-
-
 def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
     """Unique lift of each mod-p root to mod p**k; requires p to not divide
     the discriminant (all roots simple)."""
@@ -260,7 +200,7 @@ def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> Roo
         raise ValueError(f"k must be >= 1, got {k}")
     poly = as_poly(f)
     if poly.degree >= 2 and discriminant(poly) % p == 0:
-        raise SingularRootError(f"p = {p} divides disc; use count_roots_mod_pk")
+        raise SingularRootError(f"p = {p} divides disc; use roots_mod_pk")
     base = roots_mod_p(poly, p, seed)
     deriv = poly.derivative()
     lifted = []
@@ -282,23 +222,6 @@ def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> Roo
 # ---------------------------------------------------------------------------
 
 
-def _values_mod_p(f0: IntPoly, p: int) -> list[int]:
-    coeffs = [c % p for c in f0.coeffs]
-    if p < BRUTE_FORCE_LIMIT and p > _NUMPY_CUTOFF:
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = (acc * xs + c) % p
-        return acc.tolist()
-    out = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        out.append(acc)
-    return out
-
-
 def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
     """S(b, p) = sum over x mod p of exp(2 pi i b f0(x) / p)."""
     if not f0.is_monic:
@@ -307,7 +230,7 @@ def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
         raise ValueError(f"need 0 <= b < p, got b={b}")
     table = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
     total = 0j
-    for v in _values_mod_p(f0, p):
+    for v in _values_mod_p(_coeffs_mod(f0, p), p):
         total += table[b * v % p]
     return total
 
@@ -322,7 +245,8 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
     (1/p) * sum_{t != 0} e(-at/p) * S(t, p); the imaginary part must vanish."""
     if f0.lc % p == 0:
         raise ValueError("p must not divide the leading coefficient")
-    counts = np.bincount(np.array(_values_mod_p(f0, p), dtype=np.int64), minlength=p)
+    values = _values_mod_p(_coeffs_mod(f0, p), p)
+    counts = np.bincount(np.array(values, dtype=np.int64), minlength=p)
     omega = np.exp(2j * np.pi * np.arange(p) / p)
     ts = np.arange(1, p, dtype=np.int64)
     cs = np.arange(p, dtype=np.int64)
@@ -353,7 +277,7 @@ class RootTable:
         tab = self._tables.get(p)
         if tab is None:
             grouped: dict[int, list[int]] = {}
-            for x, v in enumerate(_values_mod_p(self.f0, p)):
+            for x, v in enumerate(_values_mod_p(_coeffs_mod(self.f0, p), p)):
                 grouped.setdefault(v, []).append(x)
             tab = {v: tuple(xs) for v, xs in grouped.items()}
             self._tables[p] = tab

@@ -315,13 +315,6 @@ def _has_rational_root(f: IntPoly) -> bool:
     return False
 
 
-def _poly_mod_p(coeffs: tuple[int, ...], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _pm_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -382,7 +375,7 @@ def _pm_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _degree_pattern_mod_p(f: IntPoly, p: int) -> list[int] | None:
     """Multiset of irreducible-factor degrees of f mod p, or None when the
     reduction is unusable (degree drop or non-squarefree image)."""
-    fb = _poly_mod_p(f.coeffs, p)
+    fb = _pm_trim([c % p for c in f.coeffs])
     if len(fb) - 1 != f.degree:
         return None
     fb = _pm_monic(fb, p)

@@ -67,11 +67,16 @@ class ValuationLedger:
 
 def _value_extent(f: ShiftedPoly, N: int) -> int:
     """Exact max |f(n)| on [1, N]; raises ZeroValueError on a vanishing value."""
-    return _extent_cached(f.base.coeffs, f.shift, N)
+    max_abs, zero_at = _extent_cached(f.base.coeffs, f.shift, N)
+    if zero_at:
+        raise ZeroValueError(zero_at)
+    return max_abs
 
 
 @lru_cache(maxsize=64)
-def _extent_cached(f0_coeffs: tuple[int, ...], shift: int, N: int) -> int:
+def _extent_cached(f0_coeffs: tuple[int, ...], shift: int, N: int) -> tuple[int, int]:
+    # (max |f(n)|, first n with f(n) = 0 or 0).  The zero is returned rather
+    # than raised because lru_cache does not keep exceptions.
     from .polyring import IntPoly
 
     f = ShiftedPoly(IntPoly(f0_coeffs), shift)
@@ -79,10 +84,10 @@ def _extent_cached(f0_coeffs: tuple[int, ...], shift: int, N: int) -> int:
     for n in range(1, N + 1):
         v = f(n)
         if v == 0:
-            raise ZeroValueError(n)
+            return 0, n
         if abs(v) > max_abs:
             max_abs = abs(v)
-    return max_abs
+    return max_abs, 0
 
 
 def _count_in_class(N: int, r: int, m: int) -> int:
@@ -195,17 +200,6 @@ def build_ledgers(
         ValuationLedger(KIND_BETA, *meta, beta),
         cofactors,
     )
-
-
-def alpha_ledger(
-    f: ShiftedPoly, N: int, B: int | None = None, **kw
-) -> tuple[ValuationLedger, list[int]]:
-    led, _, cof = build_ledgers(f, N, B, **kw)
-    return led, cof
-
-
-def beta_ledger(f: ShiftedPoly, N: int, B: int | None = None, **kw) -> ValuationLedger:
-    return build_ledgers(f, N, B, **kw)[1]
 
 
 def log_P(f: ShiftedPoly, N: int) -> float:

@@ -86,6 +86,13 @@ class TestDecompose:
         assert code == 0
         assert json.loads(path.read_text())["a"] == 2
 
+    def test_json_byte_identical_across_runs(self, capsys):
+        argv = ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "300"]
+        first = run_cli(argv, capsys)
+        second = run_cli(argv, capsys)
+        assert first[0] == 0
+        assert first == second
+
     def test_bad_poly_text_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["decompose", "--f0", "1,zz,1", "--a", "0", "--N", "3"], capsys)
@@ -105,6 +112,21 @@ class TestDecompose:
             .read_text()
         )
         jsonschema.validate(json.loads(out), schema)
+
+
+class TestEnvDefaults:
+    @pytest.mark.parametrize("name", ["SEED", "THREADS", "SAMPLES"])
+    def test_malformed_value_is_usage_error(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(f"POLYLCM_{name}", "seven")
+        code, out, err = run_cli(["primes", "--limit", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"POLYLCM_{name}" in err
+
+    def test_wellformed_value_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("POLYLCM_SEED", "7")
+        args = cli.build_parser().parse_args(["roots", "--f0", "0,0,1", "--a", "1", "--p", "7"])
+        assert args.seed == 7
 
 
 class TestEnsembleCmd:

@@ -13,7 +13,6 @@ from polylcm.decomp import (
     delta_N,
     e_N_d_N,
     lcm_bigint,
-    lcm_ledger,
 )
 from polylcm.errors import IrreducibilityRequiredError, ZeroValueError
 from polylcm.modroots import RootTable
@@ -42,10 +41,10 @@ class TestLcmEngines:
         assert lcm_bigint(ShiftedPoly(x3, -1), 1) == 2
 
     def test_ledger_examples(self, x3):
-        led = lcm_ledger(ShiftedPoly(x3, -1), 3)
+        led = build_ledgers(ShiftedPoly(x3, -1), 3)[1]
         assert led.entries == {2: 2, 3: 2, 7: 1}
         assert led.product() == 252
-        led6 = lcm_ledger(ShiftedPoly(x3, -1), 6)
+        led6 = build_ledgers(ShiftedPoly(x3, -1), 6)[1]
         assert led6.entries[7] == 1
 
     def test_engine_equivalence_random(self):
@@ -53,7 +52,7 @@ class TestLcmEngines:
         for _ in range(10):
             f = _random_irreducible_shift(rng)
             N = rng.randint(5, 400)
-            led = lcm_ledger(f, N)
+            led = build_ledgers(f, N)[1]
             L = lcm_bigint(f, N)
             assert led.product() == L
             assert L == lcm_chain([f(n) for n in range(1, N + 1)])
@@ -62,7 +61,7 @@ class TestLcmEngines:
         f = ShiftedPoly(x3, 5)
         prev = {}
         for N in range(1, 40):
-            led = lcm_ledger(f, N)
+            led = build_ledgers(f, N)[1]
             for p, e in prev.items():
                 assert led.entries.get(p, 0) >= e
             prev = led.entries

@@ -224,3 +224,8 @@ class TestWindowAndTheorem:
         r1 = theorem_check(x3, 400, 25, n_samples=8, seed=11)
         r2 = theorem_check(x3, 400, 25, n_samples=8, seed=11)
         assert r1.to_json() == r2.to_json()
+
+    def test_threads_agree_with_serial(self, x3):
+        serial = theorem_check(x3, 400, 25, n_samples=8, seed=11, threads=1)
+        parallel = theorem_check(x3, 400, 25, n_samples=8, seed=11, threads=2)
+        assert parallel.to_json() == serial.to_json()

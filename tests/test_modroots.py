@@ -7,7 +7,6 @@ from polylcm.errors import DegenerateReductionError, SingularRootError
 from polylcm.modroots import (
     BRUTE_FORCE_LIMIT,
     RootTable,
-    count_roots_mod_pk,
     hensel_lift,
     roots_mod_p,
     roots_mod_pk,
@@ -127,9 +126,9 @@ class TestHensel:
 
 class TestCountRootsModPk:
     def test_examples(self, x3):
-        assert count_roots_mod_pk(IntPoly((0, 0, 1)), 2, 2) == 2
-        assert count_roots_mod_pk(ShiftedPoly(x3, 1), 7, 2) == 3
-        assert count_roots_mod_pk(x3, 3, 2) == 3
+        assert roots_mod_pk(IntPoly((0, 0, 1)), 2, 2).count == 2
+        assert roots_mod_pk(ShiftedPoly(x3, 1), 7, 2).count == 3
+        assert roots_mod_pk(x3, 3, 2).count == 3
 
     def test_against_enumeration(self):
         rng = random.Random(404)
@@ -156,7 +155,7 @@ class TestCountRootsModPk:
                 continue
             rho = roots_mod_p(fa, p).count
             for k in range(1, 6):
-                assert count_roots_mod_pk(fa, p, k) == rho
+                assert roots_mod_pk(fa, p, k).count == rho
             done += 1
 
     def test_degenerate(self):

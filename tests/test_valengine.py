@@ -9,10 +9,10 @@ from polylcm.modroots import RootTable
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
 from polylcm.valengine import (
+    _extent_cached,
+    _value_extent,
     alpha_approx_residual,
-    alpha_ledger,
     alpha_p,
-    beta_ledger,
     beta_p,
     build_ledgers,
     count_k1,
@@ -75,25 +75,25 @@ class TestAlphaBetaSinglePrime:
 
 class TestLedgers:
     def test_alpha_example_all_small(self, x3):
-        led, cof = alpha_ledger(ShiftedPoly(x3, -1), 3, 10)
+        led, _, cof = build_ledgers(ShiftedPoly(x3, -1), 3, 10)
         assert led.entries == {2: 3, 3: 2, 7: 1}
         assert cof == [1, 1, 1]
 
     def test_alpha_example_cofactor_path(self, x3):
-        led, _ = alpha_ledger(ShiftedPoly(x3, -1), 6, 6)
+        led = build_ledgers(ShiftedPoly(x3, -1), 6, 6)[0]
         assert led.entries[7] == 3  # 7 | 28, 126, 217 found by factoring
 
     def test_beta_examples(self, x3, x2_plus_1):
-        assert beta_ledger(ShiftedPoly(x3, -1), 6, 6).entries[7] == 1
-        led = beta_ledger(ShiftedPoly(x2_plus_1, 0), 10, 3)
+        assert build_ledgers(ShiftedPoly(x3, -1), 6, 6)[1].entries[7] == 1
+        led = build_ledgers(ShiftedPoly(x2_plus_1, 0), 10, 3)[1]
         assert led.entries[5] == 2
         assert led.entries[13] == 1
 
     def test_N_equals_1(self, x3):
         f = ShiftedPoly(x3, -1)
-        led, _ = alpha_ledger(f, 1)
+        led = build_ledgers(f, 1)[0]
         assert led.entries == {2: 1}
-        assert beta_ledger(f, 1).entries == led.entries
+        assert build_ledgers(f, 1)[1].entries == led.entries
 
     def test_completeness_alpha_logsum_is_log_P(self):
         rng = random.Random(31415)
@@ -139,7 +139,7 @@ class TestLedgers:
         assert a1.entries == a2.entries
 
     def test_json_export_shape(self, x3):
-        led, _ = alpha_ledger(ShiftedPoly(x3, -1), 3, 10)
+        led = build_ledgers(ShiftedPoly(x3, -1), 3, 10)[0]
         payload = json.loads(led.to_json())
         assert payload["kind"] == "alpha"
         assert payload["f0"] == [0, 0, 0, 1]
@@ -168,6 +168,18 @@ class TestLogP:
     def test_zero_value(self, x3):
         with pytest.raises(ZeroValueError):
             log_P(ShiftedPoly(x3, 27), 5)
+
+
+class TestValueExtent:
+    def test_zero_value_outcome_is_cached(self, x3):
+        f = ShiftedPoly(x3, 1)  # f_1(1) = 0
+        with pytest.raises(ZeroValueError) as first:
+            _value_extent(f, 37)
+        hits = _extent_cached.cache_info().hits
+        with pytest.raises(ZeroValueError) as second:
+            _value_extent(f, 37)
+        assert _extent_cached.cache_info().hits == hits + 1
+        assert first.value.n == second.value.n == 1
 
 
 class TestAlphaApproxResidual:
