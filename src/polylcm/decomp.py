@@ -7,9 +7,12 @@ log L splits exactly (an identity of the prime ledgers) as
 
 with Bad_N the discriminant-prime contribution, Delta_N the large-prime
 overcount, and C_N the Hensel-predicted density sum.  Every report checks
-the identity to 1e-6 relative; below CROSS_CHECK_LIMIT the big-integer
-gcd-chain engine is also run and compared bit-for-bit against the ledger
-product.
+the identity to 1e-6 relative; up to CROSS_CHECK_LIMIT the big-integer
+lcm engine (a balanced pairwise math.lcm tree over the values) is also run
+and compared bit-for-bit against the ledger product.  Where the prime-keyed
+part of the ledgers holds every prime a term needs, the report reads only
+that part, so the unshared large cofactors are not factored.  Discriminant
+primes <= N are found by divisibility tests, not by factoring D.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from .modroots import DEFAULT_SEED, RootTable
 from .polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from .valengine import ValuationLedger, build_ledgers, count_k1
 
-# Above this N only the ledger engine runs (the gcd chain grows quadratically).
+# Up to this N the lcm tree also runs and must equal the ledger product;
+# above it only the ledger engine runs, and log L is read from the complete
+# beta ledger.  The value may be raised, never lowered.
 CROSS_CHECK_LIMIT = 2000
 
 IDENTITY_RTOL = 1e-6
@@ -34,14 +39,16 @@ CSV_HEADER = "a,N,log_L,log_P,bad,b1,b2,delta,c_N,e_N,d_N,residual,irreducible"
 
 
 def lcm_bigint(f: ShiftedPoly, N: int) -> int:
-    """Exact L_a(N) by the incremental gcd chain; the oracle engine."""
-    L = 1
+    """Exact L_a(N) by a balanced pairwise lcm tree; the oracle engine."""
+    layer = []
     for n in range(1, N + 1):
         v = f(n)
         if v == 0:
             raise ZeroValueError(n)
-        L = math.lcm(L, abs(v))
-    return L
+        layer.append(abs(v))
+    while len(layer) > 1:
+        layer = [math.lcm(*layer[i : i + 2]) for i in range(0, len(layer), 2)]
+    return layer[0] if layer else 1
 
 
 class BadSplit(NamedTuple):
@@ -53,9 +60,9 @@ class BadSplit(NamedTuple):
 def _disc_primes(D: int, N: int) -> list[int]:
     if D == 0:
         raise ValueError("discriminant is zero (multiple root); Bad/C/E/D undefined")
-    if abs(D) == 1:
+    if abs(D) == 1 or N < 2:
         return []
-    return [p for p in ntkernel.factor(D).primes() if p <= N]
+    return [p for p in ntkernel.sieve_primes(N) if D % p == 0]
 
 
 def bad_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED) -> BadSplit:
@@ -79,10 +86,12 @@ def delta_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED, **kw) -> floa
 
 
 def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -> float:
+    # A prime with alpha_p != beta_p divides two values, so it lies in a
+    # shared cofactor and is in the prime-keyed part.
     total = 0.0
-    for p in sorted(alpha.entries):
+    for p in sorted(alpha.factored):
         if p > N:
-            diff = alpha.entries[p] - beta.entries.get(p, 0)
+            diff = alpha.factored[p] - beta.factored.get(p, 0)
             if diff:
                 total += diff * math.log(p)
     return total
@@ -233,20 +242,21 @@ def decomposition_report(
 
     table = _family_table(f0, root_table, seed)
     alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed)
-    log_L = beta.logsum()
-
     if N <= cross_check_limit:
         L = lcm_bigint(f, N)
         if beta.product() != L:
-            raise InternalConsistencyError("ledger product != gcd-chain lcm")
+            raise InternalConsistencyError("ledger product != lcm tree")
         log_L = math.log(L)
+    else:
+        log_L = beta.logsum()
 
     log_p = valengine.log_P(f, N)
     disc_primes = set(_disc_primes(D, N))
 
+    alpha_small = alpha.upto(N)
     bad = b1 = 0.0
     for p in sorted(disc_primes):
-        ap = alpha.entries.get(p, 0)
+        ap = alpha_small.get(p, 0)
         if ap:
             bad += ap * math.log(p)
             b1 += count_k1(f, N, p, seed) * math.log(p)
@@ -255,9 +265,7 @@ def decomposition_report(
     delta = _delta_from_ledgers(alpha, beta, N)
     beta_small = beta.logsum(hi=N)
     alpha_small_nondisc = sum(
-        alpha.entries[p] * math.log(p)
-        for p in sorted(alpha.entries)
-        if p <= N and p not in disc_primes
+        e * math.log(p) for p, e in alpha_small.items() if p not in disc_primes
     )
 
     cn, en, dn = _density_sums(table, a, N, D)

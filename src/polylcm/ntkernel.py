@@ -5,8 +5,10 @@ log-sums, which accumulate in ascending prime order (error budget ~1e-9
 relative per 1e6 terms, so far below the 1e-4 tolerances used by tests).
 
 Factoring strategy: trial division by primes <= 1e5, then Brent-cycle
-Pollard rho with deterministic Miller-Rabin certification.  Inputs are
-capped at |m| < 2**128; sequence values at desk scale stay well below.
+Pollard rho, with each factor's primality decided by Miller-Rabin
+(deterministic below 3.317e24) or, above that bound, by the BPSW
+probable-prime test, which is not a proof.  Inputs are capped at
+|m| < 2**128; sequence values at desk scale stay well below.
 """
 
 from __future__ import annotations
@@ -209,8 +211,9 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below 3.3e24 (fixed Miller-Rabin bases); above that a
-    strong BPSW certificate (MR base set + strong Lucas) up to 2**128."""
+    """Deterministic below 3.317e24 (fixed Miller-Rabin bases, a proof).
+    Above that bound it is the BPSW probable-prime test (MR base set +
+    strong Lucas): no counterexample is known, but it is not a proof."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -262,7 +265,9 @@ def _rho_brent(n: int, rng: random.Random) -> int:
 
 
 def factor(m: int) -> Factorization:
-    """Complete factorization of |m| with certified prime factors."""
+    """Complete factorization of |m|.  A prime factor below 3.317e24 is
+    proven prime; above that bound it passed the BPSW probable-prime test,
+    which is not a proof (see is_prime)."""
     if m == 0:
         raise ValueError("cannot factor 0")
     if abs(m) >= FACTOR_INPUT_MAX:

@@ -6,22 +6,26 @@ beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 Small primes (p <= B, default B = N) are handled by root-sieving: the n
 with p | f_a(n) lie in the residue classes of the roots of f_a mod p, so
 only those positions are ever divided.  Whatever is left of each value
-afterwards is a cofactor with all prime factors > B and is finished off by
-exact factoring.  Any vanishing value f_a(n) = 0 is a hard error: every
-quantity here is undefined at such n.
+afterwards is a cofactor with all prime factors > B.  One batch GCD over
+these cofactors (Bernstein's product and remainder trees) finds the few
+that share a prime with another value; only those are factored.  Every
+prime of an unshared cofactor has alpha_p = beta_p, so the ledgers keep
+such cofactors unfactored and factor them only when the complete prime map
+is read.  Any vanishing value f_a(n) = 0 is a hard error: every quantity
+here is undefined at such n.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import ntkernel
 from .errors import ZeroValueError
 from .modroots import DEFAULT_SEED, RootTable, roots_mod_p, roots_mod_pk
-from .polyring import ShiftedPoly, discriminant
+from .polyring import IntPoly, ShiftedPoly, discriminant
 
 KIND_ALPHA = "alpha"
 KIND_BETA = "beta"
@@ -29,30 +33,54 @@ KIND_BETA = "beta"
 
 @dataclass
 class ValuationLedger:
-    """Map prime -> positive exponent, plus the defining metadata."""
+    """Map prime -> positive exponent, plus the defining metadata.
+
+    ``factored`` is the prime-keyed part.  ``rest`` holds the cofactors that
+    share no prime with any other value, unfactored; each of their primes
+    exceeds B and has exponent alpha_p = beta_p = its exponent there.  The
+    first read of ``entries`` factors ``rest``; the alpha and beta ledgers of
+    one build share that work through ``_rest_factors``.
+    """
 
     kind: str
     f0_coeffs: tuple[int, ...]
     shift: int
     N: int
-    entries: dict[int, int]
+    factored: dict[int, int]
+    rest: tuple[int, ...] = ()
+    B: int = 0
+    _rest_factors: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    _entries: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def entries(self) -> dict[int, int]:
+        """The complete map prime -> exponent."""
+        if self._entries is None:
+            if self.rest and not self._rest_factors:
+                for c in self.rest:
+                    self._rest_factors.update(ntkernel.factor(c).factors)
+            self._entries = {**self.factored, **self._rest_factors}
+        return self._entries
+
+    def upto(self, hi: int | None = None) -> dict[int, int]:
+        """Entries with p <= hi (all when hi is None), ascending.  ``rest`` is
+        left unfactored when hi <= B, as none of its primes can be <= hi."""
+        src = self.factored if hi is not None and hi <= self.B else self.entries
+        return {p: src[p] for p in sorted(src) if hi is None or p <= hi}
 
     def logsum(self, lo: int | None = None, hi: int | None = None) -> float:
         """sum of e_p * ln p over primes in (lo, hi], ascending."""
         total = 0.0
-        for p in sorted(self.entries):
-            if lo is not None and p <= lo:
-                continue
-            if hi is not None and p > hi:
-                continue
-            total += self.entries[p] * math.log(p)
+        for p, e in self.upto(hi).items():
+            if lo is None or p > lo:
+                total += e * math.log(p)
         return total
 
     def product(self) -> int:
         out = 1
-        for p in sorted(self.entries):
-            out *= p ** self.entries[p]
-        return out
+        for p in sorted(self.factored):
+            out *= p ** self.factored[p]
+        return out * math.prod(self.rest)
 
     def to_json(self) -> str:
         payload = {
@@ -77,8 +105,6 @@ def _value_extent(f: ShiftedPoly, N: int) -> int:
 def _extent_cached(f0_coeffs: tuple[int, ...], shift: int, N: int) -> tuple[int, int]:
     # (max |f(n)|, first n with f(n) = 0 or 0).  The zero is returned rather
     # than raised because lru_cache does not keep exceptions.
-    from .polyring import IntPoly
-
     f = ShiftedPoly(IntPoly(f0_coeffs), shift)
     max_abs = 0
     for n in range(1, N + 1):
@@ -188,18 +214,41 @@ def build_ledgers(
                 alpha[p] = tot
                 beta[p] = mx
     cofactors = list(values)
-    for v in cofactors:
-        if v > 1:
-            for q, e in ntkernel.factor(v).factors:
-                alpha[q] = alpha.get(q, 0) + e
-                if e > beta.get(q, 0):
-                    beta[q] = e
+    big = [v for v in cofactors if v > 1]
+    rest = []
+    for v, shared in zip(big, _shares_a_prime(big)):
+        if not shared:
+            rest.append(v)
+            continue
+        for q, e in ntkernel.factor(v).factors:
+            alpha[q] = alpha.get(q, 0) + e
+            if e > beta.get(q, 0):
+                beta[q] = e
     meta = (f.base.coeffs, f.shift, N)
+    # One rest, and one cache of its factors, for both ledgers.
+    unshared = (tuple(rest), B, {})
     return (
-        ValuationLedger(KIND_ALPHA, *meta, alpha),
-        ValuationLedger(KIND_BETA, *meta, beta),
+        ValuationLedger(KIND_ALPHA, *meta, alpha, *unshared),
+        ValuationLedger(KIND_BETA, *meta, beta, *unshared),
         cofactors,
     )
+
+
+def _shares_a_prime(cs: list[int]) -> list[bool]:
+    """For each c_i: does it share a prime with some c_j, j != i?
+
+    Batch GCD: with P the product of all c_j, (P mod c_i^2) // c_i equals
+    (P / c_i) mod c_i, so g_i = gcd(c_i, that) is gcd(c_i, P / c_i).  P mod
+    c_i^2 comes down a remainder tree over the product tree of the c_i.
+    """
+    tree = [cs]
+    while len(tree[-1]) > 1:
+        layer = tree[-1]
+        tree.append([math.prod(layer[i : i + 2]) for i in range(0, len(layer), 2)])
+    rems = tree[-1]
+    for layer in reversed(tree[:-1]):
+        rems = [rems[i // 2] % (c * c) for i, c in enumerate(layer)]
+    return [math.gcd(c, r // c) > 1 for c, r in zip(cs, rems)]
 
 
 def log_P(f: ShiftedPoly, N: int) -> float:
@@ -216,7 +265,12 @@ def log_P(f: ShiftedPoly, N: int) -> float:
 def alpha_approx_residual(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> float:
     """alpha_p(N) - N * rho(a; p) / (p - 1); small when Hensel lifting is
     clean, i.e. requires p to not divide disc(f_a)."""
-    if discriminant(f.to_poly()) % p == 0:
+    if _disc_cached(f.base.coeffs, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
     r = roots_mod_p(f, p, seed).count
     return alpha_p(f, N, p, seed) - N * r / (p - 1)
+
+
+@lru_cache(maxsize=64)
+def _disc_cached(f0_coeffs: tuple[int, ...], shift: int) -> int:
+    return discriminant(ShiftedPoly(IntPoly(f0_coeffs), shift).to_poly())

@@ -225,3 +225,12 @@ def lcm_chain(values: list[int]) -> int:
     for v in values:
         L = math.lcm(L, abs(v))
     return L
+
+
+def shared_cofactors(values: list[int]) -> list[bool]:
+    """For each value: does it share a factor > 1 with another entry of the
+    list?  Pairwise gcds, O(n^2)."""
+    return [
+        any(math.gcd(v, w) > 1 for j, w in enumerate(values) if j != i)
+        for i, v in enumerate(values)
+    ]

@@ -110,7 +110,7 @@ def test_criterion_01_engine_equivalence():
         done += 1
     elapsed = time.perf_counter() - t0
     check("criterion 1 (engine equivalence)", True,
-          "30 random ledger products == gcd-chain lcm bit-for-bit",
+          "30 random ledger products == lcm tree bit-for-bit",
           elapsed, 120)
 
 

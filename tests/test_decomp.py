@@ -1,12 +1,15 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from polylcm import ntkernel
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
     CSV_HEADER,
+    _disc_primes,
     bad_N,
     c_N,
     decomposition_report,
@@ -20,7 +23,7 @@ from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from polylcm.valengine import build_ledgers
 
-from oracles import lcm_chain
+from oracles import lcm_chain, shared_cofactors
 
 
 def _random_irreducible_shift(rng, dmin=3, dmax=5, span=9, amax=100):
@@ -69,6 +72,40 @@ class TestLcmEngines:
     def test_zero_value(self, x3):
         with pytest.raises(ZeroValueError):
             lcm_bigint(ShiftedPoly(x3, 27), 5)
+
+    def test_tree_equals_chain_oracle(self, x3, x3_plus_2x):
+        # N = 3, 7 and 300 leave an odd element over on some tree layer
+        for f in (ShiftedPoly(x3, 2), ShiftedPoly(x3, -17), ShiftedPoly(x3_plus_2x, 9)):
+            for N in (1, 2, 3, 7, 300):
+                assert lcm_bigint(f, N) == lcm_chain([f(n) for n in range(1, N + 1)]), (f, N)
+
+
+class TestHotPath:
+    def test_report_factors_only_shared_cofactors(self, x3, monkeypatch):
+        N = 600
+        for a in (2, -7, 12345):
+            big = [c for c in build_ledgers(ShiftedPoly(x3, a), N)[2] if c > 1]
+            shared = [c for c, s in zip(big, shared_cofactors(big)) if s]
+            calls = []
+            factor = ntkernel.factor
+            monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
+            decomposition_report(x3, a, N)
+            monkeypatch.undo()
+            # the binomial irreducibility test factors the degree, d = 3
+            assert Counter(calls) <= Counter(shared) + Counter({3: 1}), a
+            assert len(shared) < len(big) // 4
+
+    def test_disc_primes_equal_factored_primes(self):
+        rng = random.Random(5150)
+        cases = [(1, 50), (-1, 50), (-27 * 4, 1), (2 * 3 * 5 * 7 * 2003, 2003), (-(2**61 - 1), 100)]
+        for _ in range(200):
+            D = rng.choice((1, -1)) * rng.randint(2, 10**12)
+            cases.append((D, rng.randint(1, 3000)))
+        for D, N in cases:
+            expected = [p for p in ntkernel.factor(D).primes() if p <= N]
+            assert _disc_primes(D, N) == expected, (D, N)
+        with pytest.raises(ValueError):
+            _disc_primes(0, 10)
 
 
 class TestBadN:

@@ -8,8 +8,11 @@ from polylcm.errors import ZeroValueError
 from polylcm.modroots import RootTable
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
+from polylcm import valengine
 from polylcm.valengine import (
+    _disc_cached,
     _extent_cached,
+    _shares_a_prime,
     _value_extent,
     alpha_approx_residual,
     alpha_p,
@@ -19,7 +22,7 @@ from polylcm.valengine import (
     log_P,
 )
 
-from oracles import alpha_direct, beta_direct
+from oracles import alpha_direct, beta_direct, shared_cofactors, trial_factor, trial_primes
 
 
 def _values(f, N):
@@ -148,6 +151,79 @@ class TestLedgers:
         assert payload["entries"] == {"2": 3, "3": 2, "7": 1}
 
 
+class TestBatchGcd:
+    POOL = trial_primes(3000)[300:]  # primes in (1987, 3000]
+
+    def _random_list(self, rng):
+        # products of one to three pool primes; a small pool makes sharing common
+        pool = rng.sample(self.POOL, rng.randint(3, 40))
+        return [math.prod(rng.choices(pool, k=rng.randint(1, 3))) for _ in range(rng.randint(1, 30))]
+
+    def test_matches_pairwise_oracle_on_random_lists(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            cs = self._random_list(rng)
+            if rng.random() < 0.3:
+                cs.append(rng.choice(cs))  # a duplicate
+            rng.shuffle(cs)
+            assert _shares_a_prime(cs) == shared_cofactors(cs), cs
+
+    def test_edge_lists(self):
+        p, q, r, s, t = 2003, 2011, 2017, 2027, 2029
+        cases = [
+            [p],  # a single element
+            [p * p],
+            [p, p],  # duplicates
+            [p * q, r, q * s],
+            [p * p * q, r, s],  # p^2 inside one cofactor and nowhere else
+            [p * q, p * r, p * s, t],  # p shared by three cofactors
+            [p, q, r * s, t],  # all coprime
+            [p**3, q * r, p * t],
+            [],
+        ]
+        for cs in cases:
+            assert _shares_a_prime(cs) == shared_cofactors(cs), cs
+        assert _shares_a_prime([p * p * q, r, s]) == [False] * 3
+        assert _shares_a_prime([p * q, p * r, p * s, t]) == [True, True, True, False]
+
+    def test_forced_entries_equal_trial_division(self):
+        rng = random.Random(2718)
+        done = 0
+        while done < 12:
+            f = _random_shift(rng, dmin=3, dmax=4, span=5, amax=50)
+            N = rng.randint(20, 120)
+            values = _values(f, N)
+            if any(v == 0 for v in values):
+                continue
+            alpha_ref: dict[int, int] = {}
+            beta_ref: dict[int, int] = {}
+            for v in values:
+                for p, e in trial_factor(v):
+                    alpha_ref[p] = alpha_ref.get(p, 0) + e
+                    beta_ref[p] = max(beta_ref.get(p, 0), e)
+            B = rng.choice((None, 1, N // 3, 2 * N))
+            alpha, beta, _ = build_ledgers(f, N, B)
+            before = (alpha.product(), beta.product())
+            if done % 2:
+                alpha_map, beta_map = dict(alpha.entries), dict(beta.entries)
+            else:
+                beta_map, alpha_map = dict(beta.entries), dict(alpha.entries)
+            assert alpha_map == alpha_ref, (f, N, B)
+            assert beta_map == beta_ref, (f, N, B)
+            assert (alpha.product(), beta.product()) == before
+            done += 1
+
+    def test_force_order_does_not_matter(self, x3):
+        f = ShiftedPoly(x3, 123)
+        alpha1, beta1, _ = build_ledgers(f, 400)
+        alpha2, beta2, _ = build_ledgers(f, 400)
+        assert alpha1.rest and alpha1.rest == beta1.rest
+        first = (alpha1.entries, beta1.entries)
+        second = (beta2.entries, alpha2.entries)[::-1]
+        assert first == second
+        assert not set(alpha1.factored) & {p for c in alpha1.rest for p, _ in trial_factor(c)}
+
+
 class TestLogP:
     def test_examples(self, x3):
         got = log_P(ShiftedPoly(x3, 2), 3)
@@ -193,6 +269,20 @@ class TestAlphaApproxResidual:
     def test_disc_prime_rejected(self, x3):
         with pytest.raises(ValueError):
             alpha_approx_residual(ShiftedPoly(x3, 1), 100, 3)
+
+    def test_one_discriminant_per_polynomial(self, x3, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            valengine, "discriminant", lambda g: calls.append(g) or discriminant(g)
+        )
+        _disc_cached.cache_clear()
+        for a in (2, 5):
+            f = ShiftedPoly(x3, a)
+            D = discriminant(f.to_poly())
+            for p in sieve_primes(300):
+                if D % p:
+                    alpha_approx_residual(f, 300, p)
+        assert len(calls) == 2
 
     def test_residual_bound_nondisc_primes(self, x3):
         # |residual| <= d * (log_p max|f| + 2) for all p <= N, p not | D
