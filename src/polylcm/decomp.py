@@ -227,7 +227,6 @@ def decomposition_report(
     B: int | None = None,
     root_table: RootTable | None = None,
     seed: int = DEFAULT_SEED,
-    cross_check_limit: int = CROSS_CHECK_LIMIT,
 ) -> DecompositionReport:
     """All decomposition terms for one (f0, a, N), each by its own path,
     with the exact ledger identity enforced."""
@@ -242,7 +241,7 @@ def decomposition_report(
 
     table = _family_table(f0, root_table, seed)
     alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed)
-    if N <= cross_check_limit:
+    if N <= CROSS_CHECK_LIMIT:
         L = lcm_bigint(f, N)
         if beta.product() != L:
             raise InternalConsistencyError("ledger product != lcm tree")

@@ -1,15 +1,18 @@
 """Averaging over shifts |a| <= T with irreducibility filtering.
 
 The averaging operator normalizes by the exact count of irreducible
-shifts.  Exhaustive mode walks every a in [-T, T]; random mode samples
-uniformly with a fixed seed and rejects reducible shifts.  Aggregation is
-an ordered reduction (values sorted by a), so identical inputs and seed
-produce byte-identical reports.
+shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
+are irreducible from one cached mask per (f0, T), shared by every count,
+average and covariance over that range; random mode samples uniformly with
+a fixed seed and rejects reducible shifts.  Aggregation is an ordered
+reduction (values sorted by a), so identical inputs and seed produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -90,19 +93,14 @@ def reducible_count(f0: IntPoly, T: int) -> int:
     """Exact number of a in [-T, T] with f0 - a reducible over Q."""
     if not f0.is_monic or f0.degree < 2:
         raise ValueError("reducible_count requires a monic polynomial of degree >= 2")
-    return sum(
-        0 if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) else 1
-        for a in range(-T, T + 1)
-    )
+    return _irreducible_mask(f0.coeffs, T).count(0)
 
 
-def _irreducible(f0: IntPoly, a: int) -> bool:
-    return is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())
-
-
-def _exhaustive_shifts(f0: IntPoly, T: int) -> tuple[list[int], int]:
-    shifts = [a for a in range(-T, T + 1) if _irreducible(f0, a)]
-    return shifts, 2 * T + 1
+@functools.lru_cache(maxsize=8)
+def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
+    # mask[a + T] == 1 iff f0 - a is irreducible, for a in [-T, T].
+    f0 = IntPoly(f0_coeffs)
+    return bytes(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) for a in range(-T, T + 1))
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:
@@ -113,7 +111,7 @@ def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list
     while len(shifts) < n_samples and draws < cap:
         a = rng.randint(-T, T)
         draws += 1
-        if _irreducible(f0, a):
+        if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()):
             shifts.append(a)
     return shifts, draws
 
@@ -207,7 +205,8 @@ def ensemble_average(
                 stacklevel=2,
             )
     if sampling == "exhaustive":
-        shifts, count_total = _exhaustive_shifts(f0, T)
+        shifts = list(itertools.compress(range(-T, T + 1), _irreducible_mask(f0.coeffs, T)))
+        count_total = 2 * T + 1
     else:
         shifts, count_total = _sample_shifts(f0, T, n_samples, seed)
     if not shifts:
@@ -260,15 +259,12 @@ def covariance_sigma(
         raise ValueError("covariance caching expects p, q below the brute-force limit")
     sig_p = _sigma_cache(f0, p, seed)
     sig_q = _sigma_cache(f0, q, seed)
-    total = 0
-    count = 0
-    for a in range(-T, T + 1):
-        if include_reducible or _irreducible(f0, a):
-            total += sig_p[a % p] * sig_q[a % q]
-            count += 1
-    if count == 0:
+    admitted = range(-T, T + 1)
+    if not include_reducible:
+        admitted = list(itertools.compress(admitted, _irreducible_mask(f0.coeffs, T)))
+    if not admitted:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")
-    return total / count
+    return sum(sig_p[a % p] * sig_q[a % q] for a in admitted) / len(admitted)
 
 
 def _sigma_cache(f0: IntPoly, p: int, seed: int) -> list[int]:
@@ -355,7 +351,7 @@ def theorem_check(
     if T > RANDOM_SAMPLING_CUTOFF:
         shifts, _ = _sample_shifts(f0, T, n_samples, seed)
     else:
-        shifts, _ = _exhaustive_shifts(f0, T)
+        shifts = list(itertools.compress(range(-T, T + 1), _irreducible_mask(f0.coeffs, T)))
         if len(shifts) > n_samples:
             rng = random.Random(seed)
             shifts = rng.sample(shifts, n_samples)

@@ -13,6 +13,7 @@ import cmath
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,19 +167,15 @@ def sigma(f0: IntPoly, a: int, p: int, seed: int = DEFAULT_SEED) -> SigmaValue:
     return SigmaValue(a, p, s)
 
 
-def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
-    """Roots of f mod p**k by level lifting; singular roots (p | disc) are
-    handled by branching, so this works at discriminant primes too."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    poly = as_poly(f)
-    pk = p**k
-    if not any(c % pk for c in poly.coeffs):
-        raise DegenerateReductionError(p, rho=pk, message=f"polynomial vanishes mod {p}**{k}")
+def _lifted_levels(poly: IntPoly, p: int, seed: int) -> Iterator[list[int]]:
+    """The roots of poly mod p, p**2, p**3, ..., one level per step.  A
+    simple root has one lift; a singular root lifts to all p classes above
+    it when it survives to the next level, and to none otherwise."""
     level = list(roots_mod_p(poly, p, seed).roots)
     deriv = poly.derivative()
     pj = p
-    for _ in range(1, k):
+    while True:
+        yield level
         nxt = []
         for r in level:
             fr = poly(r)
@@ -190,6 +187,18 @@ def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootS
                 nxt.extend(r + pj * t for t in range(p))
         level = nxt
         pj *= p
+
+
+def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
+    """Roots of f mod p**k by level lifting; singular roots (p | disc) are
+    handled by branching, so this works at discriminant primes too."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    poly = as_poly(f)
+    pk = p**k
+    if not any(c % pk for c in poly.coeffs):
+        raise DegenerateReductionError(p, rho=pk, message=f"polynomial vanishes mod {p}**{k}")
+    level = next(itertools.islice(_lifted_levels(poly, p, seed), k - 1, None))
     return RootSetModPk(p, k, tuple(sorted(level)))
 
 
@@ -201,20 +210,10 @@ def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> Roo
     poly = as_poly(f)
     if poly.degree >= 2 and discriminant(poly) % p == 0:
         raise SingularRootError(f"p = {p} divides disc; use roots_mod_pk")
-    base = roots_mod_p(poly, p, seed)
-    deriv = poly.derivative()
-    lifted = []
-    for r in base.roots:
-        fpr_inv = pow(deriv(r) % p, p - 2, p)
-        pj = p
-        for _ in range(1, k):
-            t = (-(poly(r) // pj) * fpr_inv) % p
-            r += pj * t
-            pj *= p
-        lifted.append(r)
-    if len(lifted) != base.count:
+    levels = list(itertools.islice(_lifted_levels(poly, p, seed), k))
+    if len(levels[-1]) != len(levels[0]):
         raise InternalConsistencyError("Hensel lift changed the root count")
-    return RootSetModPk(p, k, tuple(sorted(lifted)))
+    return RootSetModPk(p, k, tuple(sorted(levels[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +246,11 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
         raise ValueError("p must not divide the leading coefficient")
     values = _values_mod_p(_coeffs_mod(f0, p), p)
     counts = np.bincount(np.array(values, dtype=np.int64), minlength=p)
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
+    # S(t) = sum_c counts[c] e(tc/p) for every t at once, in O(p) memory.
+    s_t = np.fft.ifft(counts) * p
     ts = np.arange(1, p, dtype=np.int64)
-    cs = np.arange(p, dtype=np.int64)
-    s_t = omega[(ts[:, None] * cs[None, :]) % p] @ counts.astype(np.float64)
-    val = complex(np.dot(omega[(-(a % p) * ts) % p], s_t)) / p
+    omega = np.exp(-2j * np.pi * ((a % p) * ts % p) / p)
+    val = complex(np.dot(omega, s_t[1:])) / p
     if abs(val.imag) > 1e-6:
         raise InternalConsistencyError(f"imaginary part {val.imag} too large")
     return val.real

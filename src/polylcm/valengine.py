@@ -17,14 +17,16 @@ here is undefined at such n.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import ntkernel
 from .errors import ZeroValueError
-from .modroots import DEFAULT_SEED, RootTable, roots_mod_p, roots_mod_pk
+from .modroots import DEFAULT_SEED, RootTable, _lifted_levels, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, discriminant
 
 KIND_ALPHA = "alpha"
@@ -125,38 +127,29 @@ def _count_in_class(N: int, r: int, m: int) -> int:
     return (N - r) // m + 1
 
 
+def _level_hits(f: ShiftedPoly, N: int, p: int, levels: Iterator[list[int]]) -> Iterator[int]:
+    # |{n <= N : p**k | f(n)}| for k = 1, 2, ..., reading the roots mod p**k
+    # from levels, until p**k exceeds every |f(n)| or no root is left.
+    max_abs = _value_extent(f, N)
+    pk = p
+    while pk <= max_abs:
+        level = next(levels)
+        if not level:
+            return
+        yield sum(_count_in_class(N, r, pk) for r in level)
+        pk *= p
+
+
 def alpha_p(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
     """alpha_p(a; N) = sum over n <= N of nu_p(f_a(n)), via the root sieve:
     level-k roots of f mod p**k each contribute their lattice count."""
-    max_abs = _value_extent(f, N)
-    total = 0
-    pk = p
-    k = 1
-    while pk <= max_abs:
-        level = roots_mod_pk(f, p, k, seed)
-        if not level.roots:
-            break
-        total += sum(_count_in_class(N, r, pk) for r in level.roots)
-        pk *= p
-        k += 1
-    return total
+    return sum(_level_hits(f, N, p, _lifted_levels(f.to_poly(), p, seed)))
 
 
 def beta_p(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
     """beta_p(N) = max over n <= N of nu_p(f_a(n))."""
-    max_abs = _value_extent(f, N)
-    best = 0
-    pk = p
-    k = 1
-    while pk <= max_abs:
-        level = roots_mod_pk(f, p, k, seed)
-        if not level.roots:
-            break
-        if any(_count_in_class(N, r, pk) for r in level.roots):
-            best = k
-        pk *= p
-        k += 1
-    return best
+    hits = _level_hits(f, N, p, _lifted_levels(f.to_poly(), p, seed))
+    return max((k for k, h in enumerate(hits, 1) if h), default=0)
 
 
 def count_k1(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
@@ -267,8 +260,10 @@ def alpha_approx_residual(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SE
     clean, i.e. requires p to not divide disc(f_a)."""
     if _disc_cached(f.base.coeffs, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
-    r = roots_mod_p(f, p, seed).count
-    return alpha_p(f, N, p, seed) - N * r / (p - 1)
+    levels = _lifted_levels(f.to_poly(), p, seed)
+    roots = next(levels)
+    alpha = sum(_level_hits(f, N, p, itertools.chain([roots], levels)))
+    return alpha - N * len(roots) / (p - 1)
 
 
 @lru_cache(maxsize=64)

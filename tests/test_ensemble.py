@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
+from polylcm import ensemble
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     WindowSpec,
+    _irreducible_mask,
     covariance_sigma,
     ensemble_average,
     mean_rho,
@@ -47,11 +49,27 @@ class TestReducibleCount:
             assert reducible_count(x4, T) <= 5 * math.sqrt(T)
 
     def test_matches_kronecker_oracle_small(self, x4):
-        T = 30
-        oracle = sum(
-            0 if kronecker_irreducible([-a, 0, 0, 0, 1]) else 1 for a in range(-T, T + 1)
-        )
-        assert reducible_count(x4, T) == oracle
+        for T in (0, 30):
+            oracle = [kronecker_irreducible([-a, 0, 0, 0, 1]) for a in range(-T, T + 1)]
+            assert list(_irreducible_mask(x4.coeffs, T)) == [int(v) for v in oracle], T
+            assert reducible_count(x4, T) == oracle.count(False), T
+
+    def test_one_irreducibility_decision_per_shift(self, monkeypatch):
+        # One x^4 + x sweep over |a| <= T: every exhaustive count, average,
+        # covariance and theorem check reads the same mask.
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        T, N = 60, 10
+        calls = []
+        decide = ensemble.is_irreducible_over_Q
+        monkeypatch.setattr(ensemble, "is_irreducible_over_Q", lambda f: calls.append(f) or decide(f))
+        _irreducible_mask.cache_clear()
+        reducible_count(x4x, T)
+        for stat in ("cn", "dn", "bad"):
+            ensemble_average(x4x, T, N, stat, sampling="exhaustive")
+        for p, q in ((11, 13), (17, 19), (11, 31)):
+            covariance_sigma(x4x, p, q, T)
+        theorem_check(x4x, T, N, n_samples=8, override_window=True)
+        assert len(calls) == 2 * T + 1
 
     def test_monic_required(self):
         with pytest.raises(ValueError):

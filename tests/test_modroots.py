@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -156,6 +157,7 @@ class TestCountRootsModPk:
             rho = roots_mod_p(fa, p).count
             for k in range(1, 6):
                 assert roots_mod_pk(fa, p, k).count == rho
+                assert hensel_lift(fa, p, k) == roots_mod_pk(fa, p, k)
             done += 1
 
     def test_degenerate(self):
@@ -204,6 +206,28 @@ class TestSigmaViaExpsum:
             p = rng.choice(primes)
             want = sigma(f0, a, p).sigma
             assert abs(sigma_via_expsum(f0, a, p) - want) < 1e-6
+
+    def test_matches_root_table(self):
+        rng = random.Random(626)
+        f0 = IntPoly((-3, 1, 0, 2, 1))  # x^4 + 2x^3 + x - 3
+        table = RootTable(f0)
+        for p in (5, 7, 101, 1009):  # every residue
+            for a in range(p):
+                assert abs(sigma_via_expsum(f0, a, p) - table.sigma(a, p)) < 1e-6, (a, p)
+        # p = 10007: a seeded sample of residues, as each call is O(p log p)
+        p = 10007
+        for a in [0, 1, p - 1] + rng.sample(range(p), 300):
+            assert abs(sigma_via_expsum(f0, a, p) - table.sigma(a, p)) < 1e-6, (a, p)
+
+    def test_memory_is_linear_in_p(self, x3):
+        p = 2003
+        tracemalloc.start()
+        try:
+            sigma_via_expsum(x3, 5, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestRootTable:

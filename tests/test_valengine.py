@@ -8,7 +8,7 @@ from polylcm.errors import ZeroValueError
 from polylcm.modroots import RootTable
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
-from polylcm import valengine
+from polylcm import modroots, valengine
 from polylcm.valengine import (
     _disc_cached,
     _extent_cached,
@@ -33,6 +33,17 @@ def _random_shift(rng, dmin=3, dmax=5, span=9, amax=100):
     d = rng.randint(dmin, dmax)
     f0 = IntPoly(tuple(rng.randint(-span, span) for _ in range(d)) + (1,))
     return ShiftedPoly(f0, rng.randint(-amax, amax))
+
+
+@pytest.fixture
+def root_searches(monkeypatch):
+    """The prime of every roots_mod_p call made through either binding."""
+    calls = []
+    find = modroots.roots_mod_p
+    counted = lambda f, p, seed=modroots.DEFAULT_SEED: calls.append(p) or find(f, p, seed)
+    monkeypatch.setattr(modroots, "roots_mod_p", counted)
+    monkeypatch.setattr(valengine, "roots_mod_p", counted)
+    return calls
 
 
 class TestAlphaBetaSinglePrime:
@@ -68,6 +79,18 @@ class TestAlphaBetaSinglePrime:
                 assert alpha_p(f, N, p) == alpha_direct(values, p), (f, N, p)
                 assert beta_p(f, N, p) == beta_direct(values, p), (f, N, p)
             done += 1
+
+    def test_one_root_search_per_call(self, x3, x2_plus_1, root_searches):
+        # Each call lifts the roots mod p once through every level k.
+        calls = root_searches
+        cases = [(ShiftedPoly(x2_plus_1, 0), 10, 5), (ShiftedPoly(x3, 2), 200, 5)]
+        for f, N, p in cases:
+            values = _values(f, N)
+            assert beta_direct(values, p) >= 2, (f, p)  # two or more levels
+            for fn, expected in ((alpha_p, alpha_direct), (beta_p, beta_direct)):
+                calls.clear()
+                assert fn(f, N, p) == expected(values, p)
+                assert len(calls) <= 1, (fn.__name__, f, p, calls)
 
     def test_count_k1_is_divisibility_count(self, x3):
         f = ShiftedPoly(x3, 2)
@@ -283,6 +306,17 @@ class TestAlphaApproxResidual:
                 if D % p:
                     alpha_approx_residual(f, 300, p)
         assert len(calls) == 2
+
+    def test_one_root_search_per_residual(self, x3, root_searches):
+        calls = root_searches
+        for a in (2, 5):
+            f = ShiftedPoly(x3, a)
+            D = discriminant(f.to_poly())
+            for p in sieve_primes(1000):
+                if D % p:
+                    calls.clear()
+                    alpha_approx_residual(f, 1000, p)
+                    assert calls == [p], (a, p, calls)
 
     def test_residual_bound_nondisc_primes(self, x3):
         # |residual| <= d * (log_p max|f| + 2) for all p <= N, p not | D
