@@ -17,6 +17,7 @@ primes <= N are found by divisibility tests, not by factoring D.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ from typing import NamedTuple
 
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import DEFAULT_SEED, RootTable
-from .polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
-from .valengine import ValuationLedger, build_ledgers, count_k1
+from .modroots import DEFAULT_SEED, RootTable, _lifted_levels
+from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
+from .valengine import ValuationLedger, _count_in_class, _level_hits, build_ledgers
 
 # Up to this N the lcm tree also runs and must equal the ledger product;
 # above it only the ledger engine runs, and log L is read from the complete
@@ -69,13 +70,14 @@ def bad_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED) -> BadSplit:
     """Bad_N(a) = sum over p <= N, p | D(a) of alpha_p log p, split into the
     k = 1 part (B1) and the k >= 2 remainder (B2)."""
     f = ShiftedPoly(f0, a)
-    D = discriminant(f.to_poly())
+    fa = f.to_poly()
     total = b1 = 0.0
-    for p in _disc_primes(D, N):
-        ap = valengine.alpha_p(f, N, p, seed)
-        c1 = count_k1(f, N, p, seed)
-        total += ap * math.log(p)
-        b1 += c1 * math.log(p)
+    for p in _disc_primes(_family_discriminant(f0, a), N):
+        # One lifting pass: alpha_p is the sum of the level hits, and the
+        # k = 1 count is the first of them.
+        hits = list(_level_hits(f, N, p, _lifted_levels(fa, p, seed)))
+        total += sum(hits) * math.log(p)
+        b1 += (hits[0] if hits else 0) * math.log(p)
     return BadSplit(total, b1, total - b1)
 
 
@@ -124,7 +126,7 @@ def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, floa
 def _density_sums_for(
     f0: IntPoly, a: int, N: int, root_table: RootTable | None, seed: int
 ) -> tuple[float, float, float]:
-    D = discriminant(ShiftedPoly(f0, a).to_poly())
+    D = _family_discriminant(f0, a)
     if D == 0:
         raise ValueError("discriminant is zero")
     return _density_sums(_family_table(f0, root_table, seed), a, N, D)
@@ -232,10 +234,11 @@ def decomposition_report(
     with the exact ledger identity enforced."""
     f = ShiftedPoly(f0, a)
     fa = f.to_poly()
-    irreducible = is_irreducible_over_Q(fa)
+    family_disc = functools.partial(_family_discriminant, f0, a)
+    irreducible = is_irreducible_over_Q(fa, _disc=family_disc)
     if not irreducible and not allow_reducible:
         raise IrreducibilityRequiredError(f"f0 - ({a}) is reducible over Q")
-    D = discriminant(fa)
+    D = family_disc()
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
@@ -257,8 +260,10 @@ def decomposition_report(
     for p in sorted(disc_primes):
         ap = alpha_small.get(p, 0)
         if ap:
+            # p divides a value, so its k = 1 count is read off the roots mod p.
+            k1 = sum(_count_in_class(N, r, p) for r in table.roots(a, p))
             bad += ap * math.log(p)
-            b1 += count_k1(f, N, p, seed) * math.log(p)
+            b1 += k1 * math.log(p)
     b2 = bad - b1
 
     delta = _delta_from_ledgers(alpha, beta, N)

@@ -2,11 +2,12 @@
 
 The averaging operator normalizes by the exact count of irreducible
 shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
-are irreducible from one cached mask per (f0, T), shared by every count,
-average and covariance over that range; random mode samples uniformly with
-a fixed seed and rejects reducible shifts.  Aggregation is an ordered
-reduction (values sorted by a), so identical inputs and seed produce
-byte-identical reports.
+are irreducible from one verdict record per family, shared by every count,
+average and covariance: it covers [-T, T] for the largest T asked so far,
+grows when a larger T arrives and is sliced for smaller ones, so each shift
+is decided once.  Random mode samples uniformly with a fixed seed and
+rejects reducible shifts.  Aggregation is an ordered reduction (values
+sorted by a), so identical inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
 from .modroots import BRUTE_FORCE_LIMIT, DEFAULT_SEED, RootTable, roots_mod_p
-from .polyring import IntPoly, ShiftedPoly, is_irreducible_over_Q
+from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
 
 STATISTICS = ("bad", "b2", "delta", "cn", "dn", "loglratio")
 
@@ -96,11 +97,34 @@ def reducible_count(f0: IntPoly, T: int) -> int:
     return _irreducible_mask(f0.coeffs, T).count(0)
 
 
-@functools.lru_cache(maxsize=8)
 def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
     # mask[a + T] == 1 iff f0 - a is irreducible, for a in [-T, T].
-    f0 = IntPoly(f0_coeffs)
-    return bytes(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) for a in range(-T, T + 1))
+    if T < 0:
+        raise ValueError(f"need T >= 0, got {T}")
+    box = _verdict_record(f0_coeffs)
+    R = len(box[0]) // 2  # the record covers [-R, R]
+    if T > R:
+        f0 = IntPoly(f0_coeffs)
+        box[0] = _decide(f0, -T, -R) + box[0] + _decide(f0, R + 1, T + 1)
+        R = T
+    return box[0][R - T : R + T + 1]
+
+
+@functools.lru_cache(maxsize=8)
+def _verdict_record(f0_coeffs: tuple[int, ...]) -> list[bytes]:
+    # One family's irreducibility verdicts, starting from a = 0, in a
+    # one-element list so that _irreducible_mask can grow it in place.
+    return [_decide(IntPoly(f0_coeffs), 0, 1)]
+
+
+def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:
+    # Irreducibility verdicts for the shifts a in [lo, hi).
+    return bytes(_is_irreducible_shift(f0, a) for a in range(lo, hi))
+
+
+def _is_irreducible_shift(f0: IntPoly, a: int) -> bool:
+    family_disc = functools.partial(_family_discriminant, f0, a)
+    return is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly(), _disc=family_disc)
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:
@@ -111,7 +135,7 @@ def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list
     while len(shifts) < n_samples and draws < cap:
         a = rng.randint(-T, T)
         draws += 1
-        if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()):
+        if _is_irreducible_shift(f0, a):
             shifts.append(a)
     return shifts, draws
 
@@ -260,7 +284,7 @@ def covariance_sigma(
     sig_p = _sigma_cache(f0, p, seed)
     sig_q = _sigma_cache(f0, q, seed)
     admitted = range(-T, T + 1)
-    if not include_reducible:
+    if admitted and not include_reducible:  # T < 0 admits nothing
         admitted = list(itertools.compress(admitted, _irreducible_mask(f0.coeffs, T)))
     if not admitted:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")

@@ -1,8 +1,10 @@
 """Exact integer-polynomial arithmetic for the shift family f_a = f0 - a.
 
-Covers discriminants via the subresultant form of Res(f, f'), exact
-irreducibility over Q (complete for degree <= 10), the divided difference
-G(m, n) = (f0(m) - f0(n)) / (m - n), and the zero-free threshold C1 for G.
+Covers discriminants via the subresultant form of Res(f, f') (for a shift
+family, D(a) = disc(f0 - a) is interpolated once from d subresultant values
+and then read by Horner), exact irreducibility over Q (complete for degree
+<= 10), the divided difference G(m, n) = (f0(m) - f0(n)) / (m - n), and the
+zero-free threshold C1 for G.
 
 Irreducibility pipeline (all stages exact; no probabilistic answers):
   stage 0  binomial criterion for x^d - c (perfect-power / -4b^4 test)
@@ -20,8 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import NamedTuple, Union
+from functools import lru_cache, reduce
+from typing import Callable, NamedTuple, Union
 
 from . import ntkernel
 from .errors import InternalConsistencyError
@@ -199,6 +201,65 @@ def discriminant(f: PolyLike) -> int:
     res = resultant(f, f.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res // f.lc
+
+
+class _DiscFamily:
+    """D(a) = disc(f0 - a) for one family.  D has integer coefficients and
+    degree <= d - 1 in a (a enters only the constant term of f0 - a).  The
+    first d distinct shifts asked about are computed by subresultants and
+    kept as nodes; D is then interpolated from them, and every shift after
+    that is one Horner evaluation."""
+
+    def __init__(self, f0: IntPoly):
+        self.f0 = f0
+        self.nodes: dict[int, int] = {}
+        self.poly: IntPoly | None = None  # D, once interpolated
+
+    def __call__(self, a: int) -> int:
+        if self.poly is not None:
+            return self.poly(a)
+        D = self.nodes.get(a)
+        if D is None:
+            D = discriminant(ShiftedPoly(self.f0, a).to_poly())
+            self.nodes[a] = D
+            if len(self.nodes) == self.f0.degree:
+                self.poly = IntPoly(_interpolate(list(self.nodes.items())))
+        return D
+
+
+def _interpolate(points: list[tuple[int, int]]) -> list[int]:
+    # Ascending coefficients of the integer polynomial through the points
+    # (distinct integer x).  Newton's divided differences of an integer
+    # polynomial at integer nodes are integers, so every division is exact.
+    xs = [x for x, _ in points]
+    dd = [y for _, y in points]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise InternalConsistencyError("discriminant is not an integer polynomial in a")
+            dd[i] = q
+    # Expand dd[0] + (a - x0)(dd[1] + (a - x1)(...)) from the inside out.
+    coeffs = [dd[-1]]
+    for i in range(n - 2, -1, -1):
+        shifted = [0] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= xs[i] * c
+        shifted[0] += dd[i]
+        coeffs = shifted
+    return coeffs
+
+
+@lru_cache(maxsize=8)
+def _disc_family(f0_coeffs: tuple[int, ...]) -> _DiscFamily:
+    return _DiscFamily(IntPoly(f0_coeffs))
+
+
+def _family_discriminant(f0: IntPoly, a: int) -> int:
+    """disc(f0 - a), read from the family's discriminant polynomial; raises
+    discriminant's ValueError when deg f0 < 2."""
+    return _disc_family(f0.coeffs)(a)
 
 
 def is_primitive(f: IntPoly) -> bool:
@@ -489,8 +550,10 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
     return False
 
 
-def is_irreducible_over_Q(f: IntPoly) -> bool:
-    """Exact irreducibility over the rationals (complete for degree <= 10)."""
+def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) -> bool:
+    """Exact irreducibility over the rationals (complete for degree <= 10).
+    _disc, when given, returns disc(f); it is called, only if the test needs
+    disc(f), instead of recomputing it."""
     d = f.degree
     if d < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -506,7 +569,7 @@ def is_irreducible_over_Q(f: IntPoly) -> bool:
         return False
     if d <= 3:
         return True  # reducible quadratic/cubic must have a rational root
-    disc = discriminant(f)
+    disc = discriminant(f) if _disc is None else _disc()
     if disc == 0:
         return False  # repeated factor
     candidates = set(range(2, d // 2 + 1))

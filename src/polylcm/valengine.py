@@ -27,7 +27,7 @@ from functools import lru_cache
 from . import ntkernel
 from .errors import ZeroValueError
 from .modroots import DEFAULT_SEED, RootTable, _lifted_levels, roots_mod_p
-from .polyring import IntPoly, ShiftedPoly, discriminant
+from .polyring import IntPoly, ShiftedPoly, _family_discriminant
 
 KIND_ALPHA = "alpha"
 KIND_BETA = "beta"
@@ -152,14 +152,6 @@ def beta_p(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
     return max((k for k, h in enumerate(hits, 1) if h), default=0)
 
 
-def count_k1(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
-    """|{n <= N : p | f_a(n)}| (the k = 1 event count of the Bad split)."""
-    if p > _value_extent(f, N):
-        return 0
-    level = roots_mod_p(f, p, seed)
-    return sum(_count_in_class(N, r, p) for r in level.roots)
-
-
 def build_ledgers(
     f: ShiftedPoly,
     N: int,
@@ -258,14 +250,9 @@ def log_P(f: ShiftedPoly, N: int) -> float:
 def alpha_approx_residual(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> float:
     """alpha_p(N) - N * rho(a; p) / (p - 1); small when Hensel lifting is
     clean, i.e. requires p to not divide disc(f_a)."""
-    if _disc_cached(f.base.coeffs, f.shift) % p == 0:
+    if _family_discriminant(f.base, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
     levels = _lifted_levels(f.to_poly(), p, seed)
     roots = next(levels)
     alpha = sum(_level_hits(f, N, p, itertools.chain([roots], levels)))
     return alpha - N * len(roots) / (p - 1)
-
-
-@lru_cache(maxsize=64)
-def _disc_cached(f0_coeffs: tuple[int, ...], shift: int) -> int:
-    return discriminant(ShiftedPoly(IntPoly(f0_coeffs), shift).to_poly())

@@ -37,10 +37,10 @@ from polylcm.constants import (
     REDUCIBLE_SQRT_FACTOR,
     VAR_CN_FACTOR,
 )
-from polylcm.ensemble import _irreducible_mask
+from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
 from polylcm.ntkernel import divisor_logsum, divisor_logsum_table
-from polylcm.polyring import IntPoly, ShiftedPoly
+from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family
 from polylcm.valengine import _value_extent
 
 from oracles import kronecker_irreducible, lcm_chain
@@ -297,8 +297,10 @@ def test_criterion_10_nagell_mean_value():
 
 def test_criterion_11_determinism(crit6_stats, crit7_reports, crit8_json):
     t0 = time.perf_counter()
-    # A rerun decides every shift's irreducibility again, not from the cache.
-    _irreducible_mask.cache_clear()
+    # A rerun decides every shift's irreducibility and interpolates every
+    # family discriminant again, not from the caches.
+    _verdict_record.cache_clear()
+    _disc_family.cache_clear()
     for stat in ("bad", "delta", "cn"):
         again = ensemble_average(
             X3, T_ENSEMBLE, N_ENSEMBLE, stat,

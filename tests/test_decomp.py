@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from polylcm import ntkernel
+from polylcm import ntkernel, polyring
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
     CSV_HEADER,
@@ -190,6 +190,27 @@ class TestCNAndSplit:
 
 
 class TestDecompositionReport:
+    def test_cold_family_one_subresultant(self, monkeypatch):
+        # The irreducibility test and the report share one discriminant, so
+        # a family seen at one shift pays for one subresultant sequence.
+        f0 = IntPoly((7, 1, 0, -2, 0, 3, 1))
+        calls = []
+        resultant = polyring.resultant
+        monkeypatch.setattr(polyring, "resultant", lambda f, g: calls.append(f) or resultant(f, g))
+        polyring._disc_family.cache_clear()
+        rep = decomposition_report(f0, 5, 60)
+        assert rep.irreducible and rep.identity_ok()
+        assert len(calls) <= 1
+
+    def test_bad_split_matches_bad_N(self, x3, x3_plus_2x):
+        # The report reads B1 off the RootTable roots, bad_N off its lifting
+        # pass; both count the values divisible by each discriminant prime.
+        for f0, a, N in ((x3, 2, 300), (x3, 6, 200), (x3, -12, 250), (x3_plus_2x, 7, 120)):
+            rep = decomposition_report(f0, a, N)
+            split = bad_N(f0, a, N)
+            assert rep.b1 > 0, (f0, a)
+            assert (rep.bad, rep.b1, rep.b2) == pytest.approx(tuple(split), rel=1e-12), (f0, a)
+
     def test_identity_example(self, x3):
         rep = decomposition_report(x3, 2, 5)
         assert rep.identity_ok()

@@ -5,11 +5,12 @@ import warnings
 
 import pytest
 
-from polylcm import ensemble
+from polylcm import ensemble, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     WindowSpec,
     _irreducible_mask,
+    _verdict_record,
     covariance_sigma,
     ensemble_average,
     mean_rho,
@@ -54,22 +55,61 @@ class TestReducibleCount:
             assert list(_irreducible_mask(x4.coeffs, T)) == [int(v) for v in oracle], T
             assert reducible_count(x4, T) == oracle.count(False), T
 
-    def test_one_irreducibility_decision_per_shift(self, monkeypatch):
-        # One x^4 + x sweep over |a| <= T: every exhaustive count, average,
-        # covariance and theorem check reads the same mask.
+    @staticmethod
+    def _x4x_sweep(T, N=10):
+        # Every exhaustive count, average, covariance and theorem check of
+        # one x^4 + x sweep over |a| <= T.
         x4x = IntPoly((0, 1, 0, 0, 1))
-        T, N = 60, 10
-        calls = []
-        decide = ensemble.is_irreducible_over_Q
-        monkeypatch.setattr(ensemble, "is_irreducible_over_Q", lambda f: calls.append(f) or decide(f))
-        _irreducible_mask.cache_clear()
         reducible_count(x4x, T)
         for stat in ("cn", "dn", "bad"):
             ensemble_average(x4x, T, N, stat, sampling="exhaustive")
         for p, q in ((11, 13), (17, 19), (11, 31)):
             covariance_sigma(x4x, p, q, T)
         theorem_check(x4x, T, N, n_samples=8, override_window=True)
-        assert len(calls) == 2 * T + 1
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        """The polynomial of every irreducibility decision ensemble makes,
+        starting from empty family caches."""
+        calls = []
+        decide = ensemble.is_irreducible_over_Q
+        monkeypatch.setattr(
+            ensemble,
+            "is_irreducible_over_Q",
+            lambda f, _disc=None: calls.append(f) or decide(f, _disc=_disc),
+        )
+        _verdict_record.cache_clear()
+        polyring._disc_family.cache_clear()
+        return calls
+
+    def test_one_irreducibility_decision_per_shift(self, decisions):
+        T = 60
+        self._x4x_sweep(T)
+        assert len(decisions) == 2 * T + 1
+
+    def test_verdicts_grow_with_T(self, decisions, monkeypatch):
+        # A larger T decides only the shifts it adds, and the family's
+        # discriminants cost at most d = 4 subresultants in all.
+        resultants = []
+        resultant = polyring.resultant
+        monkeypatch.setattr(
+            polyring, "resultant", lambda f, g: resultants.append(f) or resultant(f, g)
+        )
+        self._x4x_sweep(60)
+        self._x4x_sweep(80)
+        assert len(decisions) == 2 * 80 + 1
+        assert len(resultants) <= 4
+        # Slices of the grown record: x^4 + x - a is reducible exactly when
+        # a = n^4 + n for an integer n.
+        reducible = {n**4 + n for n in range(-4, 4)}
+        for T in (0, 7, 60, 80):
+            expected = [int(a not in reducible) for a in range(-T, T + 1)]
+            assert list(_irreducible_mask((0, 1, 0, 0, 1), T)) == expected, T
+        assert len(decisions) == 2 * 80 + 1  # slicing decides nothing
+
+    def test_negative_T_rejected(self, x4):
+        with pytest.raises(ValueError):
+            reducible_count(x4, -1)
 
     def test_monic_required(self):
         with pytest.raises(ValueError):

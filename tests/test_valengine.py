@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from polylcm.decomp import bad_N
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import RootTable
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
-from polylcm import modroots, valengine
+from polylcm import modroots, polyring, valengine
 from polylcm.valengine import (
-    _disc_cached,
     _extent_cached,
     _shares_a_prime,
     _value_extent,
@@ -18,7 +18,6 @@ from polylcm.valengine import (
     alpha_p,
     beta_p,
     build_ledgers,
-    count_k1,
     log_P,
 )
 
@@ -92,11 +91,30 @@ class TestAlphaBetaSinglePrime:
                 assert fn(f, N, p) == expected(values, p)
                 assert len(calls) <= 1, (fn.__name__, f, p, calls)
 
-    def test_count_k1_is_divisibility_count(self, x3):
-        f = ShiftedPoly(x3, 2)
-        values = _values(f, 50)
-        for p in (2, 3, 5, 7, 13):
-            assert count_k1(f, 50, p) == sum(1 for v in values if v % p == 0)
+    def test_bad_b1_is_divisibility_count(self, x3):
+        # B1 sums, over the discriminant primes p <= N, the number of values
+        # divisible by p times log p; disc(x^3 - a) = -27 a^2.
+        for a in (2, 5, 6, 10, 21):
+            values = _values(ShiftedPoly(x3, a), 50)
+            expected = sum(
+                sum(1 for v in values if v % p == 0) * math.log(p)
+                for p in sieve_primes(50)
+                if 27 * a * a % p == 0
+            )
+            assert bad_N(x3, a, 50).b1 == pytest.approx(expected, rel=1e-12), a
+
+    def test_bad_one_root_search_per_disc_prime(self, root_searches):
+        # bad_N reads alpha_p and the k = 1 count from one lifting pass.
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        N = 50
+        calls = root_searches
+        for a in (3, 7, 12, -3, -7):
+            D = -27 - 256 * a**3  # disc(x^4 + x - a)
+            disc_primes = [p for p in sieve_primes(N) if D % p == 0]
+            assert disc_primes, a
+            calls.clear()
+            bad_N(x4x, a, N)
+            assert calls == disc_primes, (a, calls)
 
 
 class TestLedgers:
@@ -294,18 +312,18 @@ class TestAlphaApproxResidual:
             alpha_approx_residual(ShiftedPoly(x3, 1), 100, 3)
 
     def test_one_discriminant_per_polynomial(self, x3, monkeypatch):
+        # Every residual reads the family's discriminant polynomial, which
+        # costs at most d = 3 subresultants for the whole family.
+        shifts = (2, 5, 7, 10, 11)
+        nondisc = {a: [p for p in sieve_primes(300) if 27 * a * a % p] for a in shifts}
         calls = []
-        monkeypatch.setattr(
-            valengine, "discriminant", lambda g: calls.append(g) or discriminant(g)
-        )
-        _disc_cached.cache_clear()
-        for a in (2, 5):
-            f = ShiftedPoly(x3, a)
-            D = discriminant(f.to_poly())
-            for p in sieve_primes(300):
-                if D % p:
-                    alpha_approx_residual(f, 300, p)
-        assert len(calls) == 2
+        resultant = polyring.resultant
+        monkeypatch.setattr(polyring, "resultant", lambda f, g: calls.append(f) or resultant(f, g))
+        polyring._disc_family.cache_clear()
+        for a in shifts:
+            for p in nondisc[a]:
+                alpha_approx_residual(ShiftedPoly(x3, a), 300, p)
+        assert len(calls) <= 3
 
     def test_one_root_search_per_residual(self, x3, root_searches):
         calls = root_searches
