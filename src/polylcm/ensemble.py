@@ -101,20 +101,21 @@ def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
     # mask[a + T] == 1 iff f0 - a is irreducible, for a in [-T, T].
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
-    box = _verdict_record(f0_coeffs)
-    R = len(box[0]) // 2  # the record covers [-R, R]
+    rec = _verdict_record(f0_coeffs)
+    R = len(rec) // 2  # the record covers [-R, R]
     if T > R:
         f0 = IntPoly(f0_coeffs)
-        box[0] = _decide(f0, -T, -R) + box[0] + _decide(f0, R + 1, T + 1)
+        rec[:0] = _decide(f0, -T, -R)
+        rec += _decide(f0, R + 1, T + 1)
         R = T
-    return box[0][R - T : R + T + 1]
+    return bytes(rec[R - T : R + T + 1])
 
 
 @functools.lru_cache(maxsize=8)
-def _verdict_record(f0_coeffs: tuple[int, ...]) -> list[bytes]:
-    # One family's irreducibility verdicts, starting from a = 0, in a
-    # one-element list so that _irreducible_mask can grow it in place.
-    return [_decide(IntPoly(f0_coeffs), 0, 1)]
+def _verdict_record(f0_coeffs: tuple[int, ...]) -> bytearray:
+    # One family's irreducibility verdicts, starting from a = 0; the
+    # bytearray grows at both ends in place as larger T arrive.
+    return bytearray(_decide(IntPoly(f0_coeffs), 0, 1))
 
 
 def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:

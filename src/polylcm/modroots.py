@@ -23,7 +23,6 @@ from .polyring import (
     IntPoly,
     PolyLike,
     ShiftedPoly,
-    _family_discriminant,
     _pm_gcd,
     _pm_monic,
     _pm_powmod,
@@ -209,13 +208,8 @@ def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> Roo
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     poly = as_poly(f)
-    if poly.degree >= 2:
-        if isinstance(f, ShiftedPoly):
-            D = _family_discriminant(f.base, f.shift)
-        else:
-            D = discriminant(poly)
-        if D % p == 0:
-            raise SingularRootError(f"p = {p} divides disc; use roots_mod_pk")
+    if poly.degree >= 2 and discriminant(poly) % p == 0:
+        raise SingularRootError(f"p = {p} divides disc; use roots_mod_pk")
     levels = list(itertools.islice(_lifted_levels(poly, p, seed), k))
     if len(levels[-1]) != len(levels[0]):
         raise InternalConsistencyError("Hensel lift changed the root count")

@@ -2,7 +2,7 @@
 
 Covers discriminants via the subresultant form of Res(f, f') (for a shift
 family, D(a) = disc(f0 - a) is interpolated once from d subresultant values
-and then read by Horner), exact irreducibility over Q (complete for degree
+and then read in Newton form), exact irreducibility over Q (complete for degree
 <= 10), the divided difference G(m, n) = (f0(m) - f0(n)) / (m - n), and the
 zero-free threshold C1 for G.
 
@@ -207,29 +207,34 @@ class _DiscFamily:
     """D(a) = disc(f0 - a) for one family.  D has integer coefficients and
     degree <= d - 1 in a (a enters only the constant term of f0 - a).  The
     first d distinct shifts asked about are computed by subresultants and
-    kept as nodes; D is then interpolated from them, and every shift after
-    that is one Horner evaluation."""
+    kept as nodes; D's Newton form is then built from them, and every shift
+    after that is one nested evaluation of it."""
 
     def __init__(self, f0: IntPoly):
         self.f0 = f0
         self.nodes: dict[int, int] = {}
-        self.poly: IntPoly | None = None  # D, once interpolated
+        self.newton: tuple[list[int], list[int]] | None = None  # (xs, dd)
 
     def __call__(self, a: int) -> int:
-        if self.poly is not None:
-            return self.poly(a)
+        if self.newton is not None:
+            xs, dd = self.newton
+            # dd[0] + (a - xs[0])(dd[1] + (a - xs[1])(...)), inside out
+            D = dd[-1]
+            for i in range(len(dd) - 2, -1, -1):
+                D = dd[i] + (a - xs[i]) * D
+            return D
         D = self.nodes.get(a)
         if D is None:
             D = discriminant(ShiftedPoly(self.f0, a).to_poly())
             self.nodes[a] = D
             if len(self.nodes) == self.f0.degree:
-                self.poly = IntPoly(_interpolate(list(self.nodes.items())))
+                self.newton = _divided_differences(list(self.nodes.items()))
         return D
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[int]:
-    # Ascending coefficients of the integer polynomial through the points
-    # (distinct integer x).  Newton's divided differences of an integer
+def _divided_differences(points: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    # Nodes and Newton coefficients of the integer polynomial through the
+    # points (distinct integer x).  Divided differences of an integer
     # polynomial at integer nodes are integers, so every division is exact.
     xs = [x for x, _ in points]
     dd = [y for _, y in points]
@@ -240,15 +245,7 @@ def _interpolate(points: list[tuple[int, int]]) -> list[int]:
             if r:
                 raise InternalConsistencyError("discriminant is not an integer polynomial in a")
             dd[i] = q
-    # Expand dd[0] + (a - x0)(dd[1] + (a - x1)(...)) from the inside out.
-    coeffs = [dd[-1]]
-    for i in range(n - 2, -1, -1):
-        shifted = [0] + coeffs
-        for k, c in enumerate(coeffs):
-            shifted[k] -= xs[i] * c
-        shifted[0] += dd[i]
-        coeffs = shifted
-    return coeffs
+    return xs, dd
 
 
 @lru_cache(maxsize=8)
