@@ -9,10 +9,12 @@ with Bad_N the discriminant-prime contribution, Delta_N the large-prime
 overcount, and C_N the Hensel-predicted density sum.  Every report checks
 the identity to 1e-6 relative; up to CROSS_CHECK_LIMIT the big-integer
 lcm engine (a balanced pairwise math.lcm tree over the values) is also run
-and compared bit-for-bit against the ledger product.  Where the prime-keyed
-part of the ledgers holds every prime a term needs, the report reads only
-that part, so the unshared large cofactors are not factored.  Discriminant
-primes <= N are found by divisibility tests, not by factoring D.
+and compared bit-for-bit against the ledger product.  The report evaluates
+each value once and hands that list to the ledgers and the log P sum; the
+lcm engine keeps its own evaluation.  Every term reads only the prime-keyed
+part of the ledgers (log L above the limit adds the logs of the unshared
+cofactors), so the unshared large cofactors are never factored.
+Discriminant primes <= N are found by divisibility tests, not by factoring D.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible
 from .valengine import ValuationLedger, _count_in_class, _level_hits, build_ledgers
 
 # Up to this N the lcm tree also runs and must equal the ledger product;
-# above it only the ledger engine runs, and log L is read from the complete
-# beta ledger.  The value may be raised, never lowered.
+# above it only the ledger engine runs, and log L is read from the beta
+# ledger: its prime-keyed log-sum plus the logs of the unshared cofactors,
+# which are never factored.  The value may be raised, never lowered.
 CROSS_CHECK_LIMIT = 2000
 
 IDENTITY_RTOL = 1e-6
@@ -243,16 +246,19 @@ def decomposition_report(
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
     table = _family_table(f0, root_table, seed)
-    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed)
+    values = valengine._abs_values(f, N)
+    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed, _values=values)
     if N <= CROSS_CHECK_LIMIT:
         L = lcm_bigint(f, N)
         if beta.product() != L:
             raise InternalConsistencyError("ledger product != lcm tree")
         log_L = math.log(L)
     else:
-        log_L = beta.logsum()
+        # Unshared cofactors enter by their logs, unfactored.
+        log_L = sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
+        log_L += sum(math.log(c) for c in beta.rest)
 
-    log_p = valengine.log_P(f, N)
+    log_p = valengine._log_sum(values)
     disc_primes = set(_disc_primes(D, N))
 
     alpha_small = alpha.upto(N)

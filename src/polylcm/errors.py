@@ -37,10 +37,6 @@ class DegenerateReductionError(PolylcmError):
         super().__init__(message or f"polynomial vanishes identically mod {p} (rho = {rho})")
 
 
-class SingularRootError(PolylcmError):
-    """Hensel lifting requested at a prime dividing the discriminant."""
-
-
 class IrreducibilityRequiredError(PolylcmError):
     """Shift produces a reducible polynomial and allow_reducible is off."""
 

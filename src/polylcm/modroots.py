@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReductionError, InternalConsistencyError, SingularRootError
+from .errors import DegenerateReductionError, InternalConsistencyError
 from .polyring import (
     IntPoly,
     PolyLike,
@@ -29,7 +29,6 @@ from .polyring import (
     _pm_quo,
     _pm_trim,
     as_poly,
-    discriminant,
 )
 
 BRUTE_FORCE_LIMIT = 1 << 14
@@ -200,20 +199,6 @@ def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootS
         raise DegenerateReductionError(p, rho=pk, message=f"polynomial vanishes mod {p}**{k}")
     level = next(itertools.islice(_lifted_levels(poly, p, seed), k - 1, None))
     return RootSetModPk(p, k, tuple(sorted(level)))
-
-
-def hensel_lift(f: ShiftedPoly, p: int, k: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
-    """Unique lift of each mod-p root to mod p**k; requires p to not divide
-    the discriminant (all roots simple)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    poly = as_poly(f)
-    if poly.degree >= 2 and discriminant(poly) % p == 0:
-        raise SingularRootError(f"p = {p} divides disc; use roots_mod_pk")
-    levels = list(itertools.islice(_lifted_levels(poly, p, seed), k))
-    if len(levels[-1]) != len(levels[0]):
-        raise InternalConsistencyError("Hensel lift changed the root count")
-    return RootSetModPk(p, k, tuple(sorted(levels[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Covers discriminants via the subresultant form of Res(f, f') (for a shift
 family, D(a) = disc(f0 - a) is interpolated once from d subresultant values
-and then read in Newton form), exact irreducibility over Q (complete for degree
-<= 10), the divided difference G(m, n) = (f0(m) - f0(n)) / (m - n), and the
-zero-free threshold C1 for G.
+and then read in Newton form), and exact irreducibility over Q (complete for
+degree <= 10).
 
 Irreducibility pipeline (all stages exact; no probabilistic answers):
   stage 0  binomial criterion for x^d - c (perfect-power / -4b^4 test)
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from . import ntkernel
 from .errors import InternalConsistencyError
@@ -264,48 +263,6 @@ def is_primitive(f: IntPoly) -> bool:
     if f.is_zero:
         raise ValueError("primitivity of the zero polynomial is undefined")
     return f.content() == 1
-
-
-def divided_difference(f0: IntPoly, m: int, n: int) -> int:
-    """G(m, n) = (f0(m) - f0(n)) / (m - n); always an exact integer."""
-    if m == n:
-        raise ValueError("divided difference needs m != n")
-    num = f0(m) - f0(n)
-    q, r = divmod(num, m - n)
-    if r:
-        raise InternalConsistencyError("divided difference not integral")
-    return q
-
-
-class FindC1Result(NamedTuple):
-    scan_bound: int
-    analytic_bound: int
-
-
-def find_C1(f0: IntPoly, scan_limit: int) -> FindC1Result:
-    """Zero-free threshold for G: scan_bound is the largest n <= scan_limit
-    with G(m, n) = 0 for some 1 <= m < n (0 if none); analytic_bound is the
-    smallest n0 with n0^(d-1) > sum_j |c_j| * j * n0^(j-1) over 1 <= j < d,
-    which suffices for G != 0 whenever max(m, n) exceeds it."""
-    if not f0.is_monic or f0.degree < 2:
-        raise ValueError("find_C1 requires a monic polynomial of degree >= 2")
-    d = f0.degree
-    inner = tuple(f0.coeffs[1:d])  # c_1 ... c_{d-1}; c_0 never enters G
-    n0 = 1
-    while n0 ** (d - 1) <= sum(abs(c) * j * n0 ** (j - 1) for j, c in enumerate(inner, start=1)):
-        n0 += 1
-    values = [f0(n) for n in range(0, scan_limit + 1)]
-    scan_bound = 0
-    for n in range(2, scan_limit + 1):
-        fn = values[n]
-        for m in range(1, n):
-            if values[m] == fn:  # G(m, n) = 0 iff f0(m) = f0(n)
-                scan_bound = n
-                if n > n0:
-                    raise InternalConsistencyError(
-                        f"G({m},{n}) = 0 beyond the analytic bound {n0}"
-                    )
-    return FindC1Result(scan_bound, n0)
 
 
 # ---------------------------------------------------------------------------

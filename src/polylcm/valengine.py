@@ -3,16 +3,20 @@
 alpha_p = total p-adic valuation of the product of the values;
 beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 
-Small primes (p <= B, default B = N) are handled by root-sieving: the n
-with p | f_a(n) lie in the residue classes of the roots of f_a mod p, so
-only those positions are ever divided.  Whatever is left of each value
-afterwards is a cofactor with all prime factors > B.  One batch GCD over
-these cofactors (Bernstein's product and remainder trees) finds the few
-that share a prime with another value; only those are factored.  Every
-prime of an unshared cofactor has alpha_p = beta_p, so the ledgers keep
-such cofactors unfactored and factor them only when the complete prime map
-is read.  Any vanishing value f_a(n) = 0 is a hard error: every quantity
-here is undefined at such n.
+Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``);
+the ledgers and the log P sum read that one list.  Small primes (p <= B,
+default B = N) are handled by root-sieving: the n with p | f_a(n) lie in the
+residue classes of the roots of f_a mod p, so only those positions are ever
+divided.  Whatever is left of each value afterwards is a cofactor with all
+prime factors > B.  One batch GCD over these cofactors (Bernstein's product
+tree, then a descent that reduces modulo each node, not its square) gives
+g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  A cofactor with
+g_i = 1 shares no prime: its primes have alpha_p = beta_p, so the ledgers
+keep it unfactored and factor it only when the complete prime map is read.
+A shared cofactor is split into g_i and c_i / g_i; a piece > 1 and <= B^2 is
+prime (its primes all exceed B), a larger one goes to ``is_prime``, and only
+a composite piece is factored.  Any vanishing value f_a(n) = 0 is a hard
+error: every quantity here is undefined at such n.
 """
 
 from __future__ import annotations
@@ -158,19 +162,17 @@ def build_ledgers(
     B: int | None = None,
     root_table: RootTable | None = None,
     seed: int = DEFAULT_SEED,
+    *,
+    _values: list[int] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
     """Complete (alpha, beta) ledgers over all primes, plus the cofactor list
-    (one per n: the part of |f(n)| left after removing primes <= B)."""
+    (one per n: the part of |f(n)| left after removing primes <= B).
+    ``_values`` is the caller's ``_abs_values(f, N)``; it is not modified."""
     if B is None:
         B = N
     if B < 1:
         raise ValueError(f"prime threshold B must be >= 1, got {B}")
-    values = []
-    for n in range(1, N + 1):
-        v = f(n)
-        if v == 0:
-            raise ZeroValueError(n)
-        values.append(abs(v))
+    values = _abs_values(f, N) if _values is None else list(_values)
     alpha: dict[int, int] = {}
     beta: dict[int, int] = {}
     if root_table is not None and root_table.f0 != f.base:
@@ -198,14 +200,14 @@ def build_ledgers(
             if tot:
                 alpha[p] = tot
                 beta[p] = mx
-    cofactors = list(values)
+    cofactors = values
     big = [v for v in cofactors if v > 1]
     rest = []
-    for v, shared in zip(big, _shares_a_prime(big)):
-        if not shared:
+    for v, g in zip(big, _shared_gcds(big)):
+        if g == 1:
             rest.append(v)
             continue
-        for q, e in ntkernel.factor(v).factors:
+        for q, e in _split_shared(v, g, B):
             alpha[q] = alpha.get(q, 0) + e
             if e > beta.get(q, 0):
                 beta[q] = e
@@ -219,32 +221,73 @@ def build_ledgers(
     )
 
 
-def _shares_a_prime(cs: list[int]) -> list[bool]:
-    """For each c_i: does it share a prime with some c_j, j != i?
+def _shared_gcds(cs: list[int]) -> list[int]:
+    """g_i = gcd(c_i, prod_{j != i} c_j) for each c_i (batch GCD).
 
-    Batch GCD: with P the product of all c_j, (P mod c_i^2) // c_i equals
-    (P / c_i) mod c_i, so g_i = gcd(c_i, that) is gcd(c_i, P / c_i).  P mod
-    c_i^2 comes down a remainder tree over the product tree of the c_i.
+    Over the product tree of the c_i, every node gets rem = (product of the
+    leaves outside it) mod node: rem(root) = 1, and a child's outside is its
+    parent's outside times its sibling, so rem(child) = (rem(parent) mod
+    child) * (sibling mod child) mod child, exact because child | parent.
+    At a leaf rem_i = prod_{j != i} c_j mod c_i, and g_i = gcd(c_i, rem_i).
     """
     tree = [cs]
     while len(tree[-1]) > 1:
         layer = tree[-1]
         tree.append([math.prod(layer[i : i + 2]) for i in range(0, len(layer), 2)])
-    rems = tree[-1]
+    rems = [1]
     for layer in reversed(tree[:-1]):
-        rems = [rems[i // 2] % (c * c) for i, c in enumerate(layer)]
-    return [math.gcd(c, r // c) > 1 for c, r in zip(cs, rems)]
+        last = len(layer) - 1
+        rems = [
+            rems[i // 2] % c * (layer[i ^ 1] % c) % c if i ^ 1 <= last else rems[i // 2] % c
+            for i, c in enumerate(layer)
+        ]
+    return [math.gcd(c, r) for c, r in zip(cs, rems)]
 
 
-def log_P(f: ShiftedPoly, N: int) -> float:
-    """log P_a(N) = sum over n <= N of ln |f_a(n)|, ascending."""
-    total = 0.0
+def _split_shared(c: int, g: int, B: int) -> tuple[tuple[int, int], ...]:
+    """factor(c).factors for a cofactor c whose primes all exceed B, read
+    from its pieces g and c // g (g | c).  A piece > 1 and <= B**2 is prime,
+    a larger one is tested by is_prime, and only a composite piece is
+    factored; each exponent comes from dividing c."""
+    primes = set()
+    for piece in (g, c // g):
+        if piece <= B * B or ntkernel.is_prime(piece):
+            primes.add(piece)
+        else:
+            primes.update(ntkernel.factor(piece).primes())
+    primes.discard(1)
+    out = []
+    for q in sorted(primes):
+        e = 0
+        while c % q == 0:
+            c //= q
+            e += 1
+        out.append((q, e))
+    return tuple(out)
+
+
+def _abs_values(f: ShiftedPoly, N: int) -> list[int]:
+    """[|f(1)|, ..., |f(N)|]; raises ZeroValueError at the first f(n) = 0."""
+    values = []
     for n in range(1, N + 1):
         v = f(n)
         if v == 0:
             raise ZeroValueError(n)
-        total += math.log(abs(v))
+        values.append(abs(v))
+    return values
+
+
+def _log_sum(values: list[int]) -> float:
+    # sum of ln v over the values, in list order
+    total = 0.0
+    for v in values:
+        total += math.log(v)
     return total
+
+
+def log_P(f: ShiftedPoly, N: int) -> float:
+    """log P_a(N) = sum over n <= N of ln |f_a(n)|, ascending."""
+    return _log_sum(_abs_values(f, N))
 
 
 def alpha_approx_residual(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> float:

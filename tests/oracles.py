@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the package:
 trial-division primes/factoring, Sylvester-matrix resultants by Bareiss
-elimination, exhaustive root enumeration, direct valuation loops, and a
-pure Kronecker irreducibility decision.
+elimination, exhaustive root enumeration, direct valuation loops, a pure
+Kronecker irreducibility decision, pairwise-gcd batch GCDs, and the paper's
+divided difference G(m, n), its zero-free threshold C1 and a Delta_N built
+from pairwise gcd(f(m), G(m, n)).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -234,3 +237,76 @@ def shared_cofactors(values: list[int]) -> list[bool]:
         any(math.gcd(v, w) > 1 for j, w in enumerate(values) if j != i)
         for i, v in enumerate(values)
     ]
+
+
+def shared_gcds(values: list[int]) -> list[int]:
+    """gcd(c_i, prod_{j != i} c_j) for each entry, the product taken in full."""
+    return [
+        math.gcd(v, math.prod(w for j, w in enumerate(values) if j != i))
+        for i, v in enumerate(values)
+    ]
+
+
+def divided_difference(coeffs, m: int, n: int) -> int:
+    """G(m, n) = (f0(m) - f0(n)) / (m - n) for f0 given by its coefficients."""
+    if m == n:
+        raise ValueError("divided difference needs m != n")
+    q, r = divmod(eval_poly(coeffs, m) - eval_poly(coeffs, n), m - n)
+    assert r == 0, "divided difference not integral"
+    return q
+
+
+class FindC1Result(NamedTuple):
+    scan_bound: int
+    analytic_bound: int
+
+
+def find_C1(coeffs, scan_limit: int) -> FindC1Result:
+    """Zero-free threshold for G.
+
+    scan_bound is the largest n <= scan_limit with G(m, n) = 0 for some
+    1 <= m < n (0 if none); analytic_bound is the smallest n0 with
+    n0^(d-1) > sum_j |c_j| * j * n0^(j-1) over 1 <= j < d, which suffices for
+    G != 0 whenever max(m, n) exceeds it."""
+    coeffs = list(coeffs)
+    d = len(coeffs) - 1
+    if d < 2 or coeffs[-1] != 1:
+        raise ValueError("find_C1 requires a monic polynomial of degree >= 2")
+    n0 = 1
+    while n0 ** (d - 1) <= sum(abs(coeffs[j]) * j * n0 ** (j - 1) for j in range(1, d)):
+        n0 += 1
+    values = [eval_poly(coeffs, n) for n in range(scan_limit + 1)]
+    scan_bound = 0
+    for n in range(2, scan_limit + 1):
+        for m in range(1, n):
+            if values[m] == values[n]:  # G(m, n) = 0 iff f0(m) = f0(n)
+                assert n <= n0, f"G({m},{n}) = 0 beyond the analytic bound {n0}"
+                scan_bound = n
+    return FindC1Result(scan_bound, n0)
+
+
+def delta_pairwise(coeffs, a: int, N: int) -> float:
+    """Delta_N(a) = sum over primes p > N of (alpha_p - beta_p) log p, for
+    f = f0 - a with f0 given by its coefficients, ascending in p.
+
+    A prime p > N dividing f(m) and f(n), m < n <= N, divides
+    G(m, n) = (f(m) - f(n)) / (m - n), as p does not divide m - n; and one
+    dividing f(m) and G(m, n) divides f(n).  So the primes with
+    alpha_p != beta_p are the primes > N of the pairwise gcd(f(m), G(m, n)),
+    found here by trial division.  O(N^2) pairs: meant for N <= 300."""
+    values = [eval_poly(coeffs, n) - a for n in range(1, N + 1)]
+    small = math.prod(trial_primes(N))
+    candidates = set()
+    for m in range(1, N + 1):
+        for n in range(m + 1, N + 1):
+            g = math.gcd(values[m - 1], divided_difference(coeffs, m, n))
+            h = math.gcd(g, small)
+            while h > 1:  # strip the primes <= N
+                g //= h
+                h = math.gcd(g, small)
+            if g > 1:
+                candidates.update(p for p, _ in trial_factor(g))
+    total = 0.0
+    for p in sorted(candidates):
+        total += (alpha_direct(values, p) - beta_direct(values, p)) * math.log(p)
+    return total

@@ -1,13 +1,14 @@
+import hashlib
 import json
 import math
 import random
-from collections import Counter
 
 import pytest
 
-from polylcm import ntkernel, polyring
+from polylcm import decomp, ntkernel, polyring
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
+    CROSS_CHECK_LIMIT,
     CSV_HEADER,
     _disc_primes,
     bad_N,
@@ -17,13 +18,13 @@ from polylcm.decomp import (
     e_N_d_N,
     lcm_bigint,
 )
-from polylcm.errors import IrreducibilityRequiredError, ZeroValueError
+from polylcm.errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
 from polylcm.modroots import RootTable
 from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from polylcm.valengine import build_ledgers
 
-from oracles import lcm_chain, shared_cofactors
+from oracles import delta_pairwise, eval_poly, lcm_chain, shared_cofactors, trial_factor
 
 
 def _random_irreducible_shift(rng, dmin=3, dmax=5, span=9, amax=100):
@@ -82,7 +83,7 @@ class TestLcmEngines:
 
 class TestHotPath:
     def test_report_factors_only_shared_cofactors(self, x3, monkeypatch):
-        N = 600
+        N = 600  # B = N
         for a in (2, -7, 12345):
             big = [c for c in build_ledgers(ShiftedPoly(x3, a), N)[2] if c > 1]
             shared = [c for c, s in zip(big, shared_cofactors(big)) if s]
@@ -92,8 +93,30 @@ class TestHotPath:
             decomposition_report(x3, a, N)
             monkeypatch.undo()
             # the binomial irreducibility test factors the degree, d = 3
-            assert Counter(calls) <= Counter(shared) + Counter({3: 1}), a
+            assert calls.count(3) <= 1
+            pieces = [m for m in calls if m != 3]
+            for m in pieces:
+                primes = trial_factor(m)
+                assert primes != [(m, 1)], (a, m)  # composite
+                assert min(q for q, _ in primes) > N, (a, m)
+                assert any(c % m == 0 for c in shared), (a, m)
+            assert len(pieces) < len(shared) / 10, (a, len(pieces), len(shared))
             assert len(shared) < len(big) // 4
+
+    def test_log_L_above_limit_leaves_unshared_cofactors_unfactored(self, x3, monkeypatch):
+        N, a = CROSS_CHECK_LIMIT + 500, 2
+        f = ShiftedPoly(x3, a)
+        unshared = set(build_ledgers(f, N)[0].rest)
+        calls, values = [], []
+        factor, call = ntkernel.factor, ShiftedPoly.__call__
+        monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
+        monkeypatch.setattr(ShiftedPoly, "__call__", lambda g, n: values.append(n) or call(g, n))
+        rep = decomposition_report(x3, a, N)
+        monkeypatch.undo()
+        assert unshared and not unshared & set(calls)
+        assert len(values) == N  # one value pass, no lcm engine above the limit
+        L = lcm_chain([n**3 - a for n in range(1, N + 1)])
+        assert rep.log_L == pytest.approx(math.log(L), rel=1e-12)
 
     def test_disc_primes_equal_factored_primes(self):
         rng = random.Random(5150)
@@ -189,7 +212,77 @@ class TestCNAndSplit:
             assert en <= EN_SLOPE * math.log(math.log(D)) + EN_OFFSET
 
 
+class TestDeltaOracle:
+    # (f0, a, N, q): q > N is a prime with q^2 | f_a(n) for some n <= N
+    CASES = [
+        ((0, 0, 0, 1), 2, 300, None),
+        ((0, 0, 0, 1), -16128, 120, 127),  # f(1) = 127^2
+        ((1, 1, 0, 2), 5, 250, None),  # non-monic
+        ((1, 1, 0, 2), -16125, 120, 127),
+        ((7, 3, 0, -1), -4, 200, None),  # negative leading coefficient
+        ((7, 3, 0, -1), -16232, 120, 127),
+        ((0, 1, 0, 0, 1), 3, 150, None),
+        ((0, 1, 0, 0, 1), -16045, 120, 127),
+    ]
+
+    @pytest.mark.parametrize("coeffs, a, N, q", CASES)
+    def test_delta_matches_pairwise_gcd_oracle(self, coeffs, a, N, q):
+        if q is not None:
+            assert q > N and any((eval_poly(coeffs, n) - a) % (q * q) == 0 for n in range(1, N + 1))
+        expected = delta_pairwise(coeffs, a, N)
+        f0 = IntPoly(coeffs)
+        assert expected > 0
+        assert decomposition_report(f0, a, N).delta == pytest.approx(expected, rel=1e-12)
+        assert delta_N(f0, a, N) == pytest.approx(expected, rel=1e-12)
+
+
+class TestFrozenOutputs:
+    # SHA-256 of to_json(): a change to any exact integer or float bit of
+    # these reports fails tier-1, not only the benchmark's digest.
+    CASES = [
+        ((0, 0, 0, 1), 2, 2000,
+         "1fab8b23fdc4403a1f549ab6725227ad5701f7dee4bff1d83d4ba29005de5f99"),
+        ((0, 0, 0, 1), -151515, 2000,
+         "58b3f30f01cb68776420881a32d4336434356a96f644f82ca6c3de31905d3b67"),
+        ((0, 0, 0, 1), 98765, 2000,
+         "9af40c006b9bd7acc43c0c29a7013f9c2ef65acd8da376e048cfcff62d86691d"),
+        ((7, 1, -3, 0, 0, 1), 12, 700,
+         "4e6363d63aefc22397b375bc44ac221493ab13548b158407878d8842258a211b"),
+    ]
+
+    @pytest.mark.parametrize(
+        "coeffs, a, N, digest", CASES, ids=["x3-a2", "x3-a-151515", "x3-a98765", "deg5-a12"]
+    )
+    def test_report_digest(self, coeffs, a, N, digest):
+        rep = decomposition_report(IntPoly(coeffs), a, N)
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
 class TestDecompositionReport:
+    def test_one_value_pass(self, x3, monkeypatch):
+        # one pass for the ledgers and log P, one inside the lcm engine
+        calls = []
+        call = ShiftedPoly.__call__
+        monkeypatch.setattr(ShiftedPoly, "__call__", lambda f, n: calls.append(n) or call(f, n))
+        N = 300
+        decomposition_report(x3, 2, N)
+        assert len(calls) == 2 * N
+
+    @pytest.mark.parametrize("N", [600, CROSS_CHECK_LIMIT + 500])
+    def test_dropped_shared_prime_is_caught(self, x3, monkeypatch, N):
+        # below the limit the lcm gate catches it, above it the identity gate
+        build = decomp.build_ledgers
+
+        def dropping(f, N, **kw):
+            alpha, beta, cofactors = build(f, N, **kw)
+            q = max(p for p in alpha.factored if alpha.factored[p] > beta.factored[p])
+            del alpha.factored[q], beta.factored[q]
+            return alpha, beta, cofactors
+
+        monkeypatch.setattr(decomp, "build_ledgers", dropping)
+        with pytest.raises(InternalConsistencyError):
+            decomposition_report(x3, 2, N)
+
     def test_cold_family_one_subresultant(self, monkeypatch):
         # The irreducibility test and the report share one discriminant, so
         # a family seen at one shift pays for one subresultant sequence.

@@ -4,11 +4,10 @@ import tracemalloc
 
 import pytest
 
-from polylcm.errors import DegenerateReductionError, SingularRootError
+from polylcm.errors import DegenerateReductionError
 from polylcm.modroots import (
     BRUTE_FORCE_LIMIT,
     RootTable,
-    hensel_lift,
     roots_mod_p,
     roots_mod_pk,
     sigma,
@@ -93,11 +92,13 @@ class TestSigma:
 
 
 class TestHensel:
+    # Hensel lifting through roots_mod_pk: at a prime not dividing the
+    # discriminant every root mod p has exactly one lift to each p**k.
     def test_lift_example(self, x3):
-        assert hensel_lift(ShiftedPoly(x3, 1), 7, 2).roots == (1, 18, 30)
+        assert roots_mod_pk(ShiftedPoly(x3, 1), 7, 2).roots == (1, 18, 30)
 
     def test_empty_lift(self, x3):
-        assert hensel_lift(ShiftedPoly(x3, 2), 7, 3).roots == ()
+        assert roots_mod_pk(ShiftedPoly(x3, 2), 7, 3).roots == ()
 
     def test_uniqueness_preserves_count(self):
         rng = random.Random(99)
@@ -112,15 +113,20 @@ class TestHensel:
                 continue
             base = roots_mod_p(fa, p).count
             for k in (2, 3):
-                assert hensel_lift(fa, p, k).count == base
+                assert roots_mod_pk(fa, p, k).count == base
             done += 1
 
-    def test_singular_prime_rejected(self, x3):
-        with pytest.raises(SingularRootError):
-            hensel_lift(ShiftedPoly(x3, 1), 3, 2)  # 3 | disc = -27
+    def test_singular_prime_changes_count(self, x3):
+        # 3 | disc(x^3 - 1) = -27: the root 1 mod 3 is singular, and its
+        # lifts are not unique (n^3 = 1 mod 9 at n = 1, 4, 7), which is why
+        # the uniqueness tests skip the discriminant primes.
+        fa = ShiftedPoly(x3, 1)
+        assert discriminant(fa) % 3 == 0
+        assert roots_mod_p(fa, 3).roots == (1,)
+        assert roots_mod_pk(fa, 3, 2).roots == (1, 4, 7)
 
     def test_lift_roots_verify(self, x3):
-        rs = hensel_lift(ShiftedPoly(x3, 1), 11, 4)
+        rs = roots_mod_pk(ShiftedPoly(x3, 1), 11, 4)
         for r in rs.roots:
             assert (r**3 - 1) % 11**4 == 0
 
@@ -157,7 +163,6 @@ class TestCountRootsModPk:
             rho = roots_mod_p(fa, p).count
             for k in range(1, 6):
                 assert roots_mod_pk(fa, p, k).count == rho
-                assert hensel_lift(fa, p, k) == roots_mod_pk(fa, p, k)
             done += 1
 
     def test_degenerate(self):

@@ -9,10 +9,11 @@ from polylcm.errors import ZeroValueError
 from polylcm.modroots import RootTable
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
-from polylcm import modroots, polyring, valengine
+from polylcm import modroots, ntkernel, polyring, valengine
 from polylcm.valengine import (
     _extent_cached,
-    _shares_a_prime,
+    _shared_gcds,
+    _split_shared,
     _value_extent,
     alpha_approx_residual,
     alpha_p,
@@ -21,7 +22,14 @@ from polylcm.valengine import (
     log_P,
 )
 
-from oracles import alpha_direct, beta_direct, shared_cofactors, trial_factor, trial_primes
+from oracles import (
+    alpha_direct,
+    beta_direct,
+    shared_cofactors,
+    shared_gcds,
+    trial_factor,
+    trial_primes,
+)
 
 
 def _values(f, N):
@@ -207,7 +215,9 @@ class TestBatchGcd:
             if rng.random() < 0.3:
                 cs.append(rng.choice(cs))  # a duplicate
             rng.shuffle(cs)
-            assert _shares_a_prime(cs) == shared_cofactors(cs), cs
+            gs = _shared_gcds(cs)
+            assert gs == shared_gcds(cs), cs
+            assert [g > 1 for g in gs] == shared_cofactors(cs), cs
 
     def test_edge_lists(self):
         p, q, r, s, t = 2003, 2011, 2017, 2027, 2029
@@ -223,9 +233,12 @@ class TestBatchGcd:
             [],
         ]
         for cs in cases:
-            assert _shares_a_prime(cs) == shared_cofactors(cs), cs
-        assert _shares_a_prime([p * p * q, r, s]) == [False] * 3
-        assert _shares_a_prime([p * q, p * r, p * s, t]) == [True, True, True, False]
+            gs = _shared_gcds(cs)
+            assert gs == shared_gcds(cs), cs
+            assert [g > 1 for g in gs] == shared_cofactors(cs), cs
+        assert _shared_gcds([p * p * q, r, s]) == [1] * 3
+        assert _shared_gcds([p * q, p * r, p * s, t]) == [p, p, p, 1]
+        assert _shared_gcds([p * p * q, p * r, q * q * s]) == [p * q, p, q]
 
     def test_forced_entries_equal_trial_division(self):
         rng = random.Random(2718)
@@ -263,6 +276,37 @@ class TestBatchGcd:
         second = (beta2.entries, alpha2.entries)[::-1]
         assert first == second
         assert not set(alpha1.factored) & {p for c in alpha1.rest for p, _ in trial_factor(c)}
+
+
+class TestSplitShared:
+    # B = 100, so every prime below is > B and B**2 = 10**4.
+    Q, R, S = 101, 103, 10007  # S > B**2 is prime; Q * R > B**2 is not
+
+    def _cases(self):
+        q, r, s = self.Q, self.R, self.S
+        return [
+            (q, q),  # g = c
+            (q * r, q),
+            (q * q * r, q),  # c / g = q * r is composite
+            (q * q * r, q * q),  # composite g
+            (q * r * s, q * r),  # composite g, prime c / g above B**2
+            (s * s, s),
+            (q * s, s),
+        ]
+
+    @pytest.mark.parametrize("B", [100, 1])
+    def test_pieces_equal_trial_division(self, B, monkeypatch):
+        calls = []
+        factor = ntkernel.factor
+        monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
+        for c, g in self._cases():
+            expected = tuple(trial_factor(c))
+            assert _split_shared(c, g, B) == expected, (c, g, B)
+            assert factor(c).factors == expected
+        # only composite pieces above B**2 are factored
+        assert calls and all(m > B * B and trial_factor(m) != [(m, 1)] for m in calls)
+        if B == 1:  # no shortcut: q * r and q * q are factored whatever their size
+            assert {self.Q * self.R, self.Q * self.Q} <= set(calls)
 
 
 class TestLogP:
