@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import DEFAULT_SEED, RootTable, _lifted_levels
+from .modroots import DEFAULT_SEED, RootTable, _family_root_table, _lifted_levels
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
 from .valengine import ValuationLedger, _count_in_class, _level_hits, build_ledgers
 
@@ -103,10 +103,10 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
 
 
 def _family_table(f0: IntPoly, root_table: RootTable | None, seed: int) -> RootTable:
-    # The caller's table when it belongs to f0, else a fresh one.
+    # The caller's table when it belongs to f0, else the family's shared one.
     if root_table is not None and root_table.f0 == f0:
         return root_table
-    return RootTable(f0, seed)
+    return _family_root_table(f0.coeffs, seed)
 
 
 def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, float, float]:

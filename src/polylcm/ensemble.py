@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
-from .modroots import BRUTE_FORCE_LIMIT, DEFAULT_SEED, RootTable, roots_mod_p
+from .modroots import BRUTE_FORCE_LIMIT, DEFAULT_SEED, RootTable, _family_root_table, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
 
 STATISTICS = ("bad", "b2", "delta", "cn", "dn", "loglratio")
@@ -182,13 +182,14 @@ def _theorem_row(
 def _eval_chunk(args) -> list[tuple[int, object]]:
     per_shift, f0_coeffs, shifts, N, seed = args
     f0 = IntPoly(f0_coeffs)
-    table = RootTable(f0, seed)
+    table = _family_root_table(f0_coeffs, seed)
     return [(a, per_shift(f0, a, N, table, seed)) for a in shifts]
 
 
 def _map_shifts(per_shift, f0: IntPoly, ordered: list[int], N: int, seed: int, threads: int):
-    """[(a, per_shift(f0, a, N, table, seed))] in ascending a, with one
-    RootTable per process.  per_shift must be picklable (module-level)."""
+    """[(a, per_shift(f0, a, N, table, seed))] in ascending a, with the
+    family's shared RootTable in each process.  per_shift must be picklable
+    (module-level)."""
     if threads <= 1 or len(ordered) <= 1:
         return _eval_chunk((per_shift, f0.coeffs, ordered, N, seed))
     chunks = [ordered[i::threads] for i in range(threads)]
@@ -293,7 +294,7 @@ def covariance_sigma(
 
 
 def _sigma_cache(f0: IntPoly, p: int, seed: int) -> list[int]:
-    table = RootTable(f0, seed)
+    table = _family_root_table(f0.coeffs, seed)
     return [table.sigma(c, p) for c in range(p)]
 
 

@@ -10,9 +10,11 @@ per prime instead of O(p).  Identical seeds give identical transcripts.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -81,15 +83,21 @@ def _mix64(*parts: int) -> int:
     return h
 
 
+def _values_array(coeffs: list[int], p: int) -> np.ndarray:
+    # f(x) mod p for x = 0 .. p-1 as int64, p < BRUTE_FORCE_LIMIT; coeffs
+    # already reduced mod p, so acc * x < p**2 < 2**28 never overflows.
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c) % p
+    return acc
+
+
 def _values_mod_p(coeffs: list[int], p: int) -> list[int]:
     # f(x) mod p for x = 0 .. p-1 by Horner's rule; coeffs already reduced mod p.
     # numpy's fixed per-call cost outweighs the Python loop at small p.
     if _NUMPY_CUTOFF < p < BRUTE_FORCE_LIMIT:
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = (acc * xs + c) % p
-        return acc.tolist()
+        return _values_array(coeffs, p).tolist()
     rev = coeffs[::-1]
     out = []
     for x in range(p):
@@ -247,33 +255,66 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
 
 
 class RootTable:
-    """Lazy per-prime map f0(x) mod p -> preimages x; serves roots, rho and
-    sigma for every shift a at lookup cost.  Build cost O(p) per prime, paid
-    once per (f0, p); primes >= BRUTE_FORCE_LIMIT fall through to direct
-    root extraction."""
+    """Lazy per-prime preimage map f0(x) mod p -> x; serves roots, rho and
+    sigma for every shift a at lookup cost.
+
+    Each prime p < BRUTE_FORCE_LIMIT gets two compact ``array("i")`` rows in
+    CSR (compressed sparse row) form, built in one numpy pass: ``xs`` holds
+    0 .. p-1 stably sorted by f0(x) mod p, and ``start[v]:start[v + 1]`` is
+    the slice of ``xs`` with f0(x) = v mod p, ascending.  That is 8 bytes
+    per residue; the build is O(p) per prime (a bincount and a radix
+    argsort), paid once per (f0, p).  ``rho`` and ``sigma`` read the row
+    length and build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through
+    to direct root extraction.
+
+    A family's shared table is ``_family_root_table(f0.coeffs, seed)``;
+    ``decomp`` and ``ensemble`` use it whenever the caller passes no table
+    of its own."""
 
     def __init__(self, f0: IntPoly, seed: int = DEFAULT_SEED):
         self.f0 = f0
         self.seed = seed
-        self._tables: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._tables: dict[int, tuple[array, array]] = {}
 
-    def _table(self, p: int) -> dict[int, tuple[int, ...]]:
-        tab = self._tables.get(p)
-        if tab is None:
-            grouped: dict[int, list[int]] = {}
-            for x, v in enumerate(_values_mod_p(_coeffs_mod(self.f0, p), p)):
-                grouped.setdefault(v, []).append(x)
-            tab = {v: tuple(xs) for v, xs in grouped.items()}
-            self._tables[p] = tab
-        return tab
+    def _rows(self, p: int) -> tuple[array, array]:
+        rows = self._tables.get(p)
+        if rows is None:
+            rows = self._tables[p] = _preimage_rows(_coeffs_mod(self.f0, p), p)
+        return rows
 
     def roots(self, a: int, p: int) -> tuple[int, ...]:
         if p >= BRUTE_FORCE_LIMIT:
             return roots_mod_p(ShiftedPoly(self.f0, a), p, self.seed).roots
-        return self._table(p).get(a % p, ())
+        start, xs = self._rows(p)
+        v = a % p
+        return tuple(xs[start[v] : start[v + 1]])
 
     def rho(self, a: int, p: int) -> int:
-        return len(self.roots(a, p))
+        # The hot lookup: a built prime costs one dict probe and two reads.
+        rows = self._tables.get(p)
+        if rows is None:
+            if p >= BRUTE_FORCE_LIMIT:
+                return roots_mod_p(ShiftedPoly(self.f0, a), p, self.seed).count
+            rows = self._rows(p)
+        start = rows[0]
+        v = a % p
+        return start[v + 1] - start[v]
 
     def sigma(self, a: int, p: int) -> int:
         return self.rho(a, p) - 1
+
+
+def _preimage_rows(coeffs: list[int], p: int) -> tuple[array, array]:
+    # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT; coeffs reduced
+    # mod p.  Values fit int16, where numpy's stable argsort is a radix sort.
+    vals = _values_array(coeffs, p)
+    start = np.zeros(p + 1, dtype=np.intc)
+    np.cumsum(np.bincount(vals, minlength=p), out=start[1:])
+    xs = np.argsort(vals.astype(np.int16), kind="stable").astype(np.intc)
+    return array("i", start.tobytes()), array("i", xs.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _family_root_table(f0_coeffs: tuple[int, ...], seed: int) -> RootTable:
+    # One RootTable per family, shared by every caller without a table.
+    return RootTable(IntPoly(f0_coeffs), seed)

@@ -39,6 +39,7 @@ from polylcm.constants import (
 )
 from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
+from polylcm.modroots import _family_root_table
 from polylcm.ntkernel import divisor_logsum, divisor_logsum_table
 from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family
 from polylcm.valengine import _value_extent
@@ -297,10 +298,12 @@ def test_criterion_10_nagell_mean_value():
 
 def test_criterion_11_determinism(crit6_stats, crit7_reports, crit8_json):
     t0 = time.perf_counter()
-    # A rerun decides every shift's irreducibility and interpolates every
-    # family discriminant again, not from the caches.
+    # A rerun decides every shift's irreducibility, interpolates every
+    # family discriminant and builds every root table again, not from the
+    # caches.
     _verdict_record.cache_clear()
     _disc_family.cache_clear()
+    _family_root_table.cache_clear()
     for stat in ("bad", "delta", "cn"):
         again = ensemble_average(
             X3, T_ENSEMBLE, N_ENSEMBLE, stat,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from polylcm import decomp, ntkernel, polyring
+from polylcm import decomp, modroots, ntkernel, polyring
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
     CROSS_CHECK_LIMIT,
@@ -291,9 +291,25 @@ class TestDecompositionReport:
         resultant = polyring.resultant
         monkeypatch.setattr(polyring, "resultant", lambda f, g: calls.append(f) or resultant(f, g))
         polyring._disc_family.cache_clear()
+        modroots._family_root_table.cache_clear()
         rep = decomposition_report(f0, 5, 60)
         assert rep.irreducible and rep.identity_ok()
         assert len(calls) <= 1
+
+    def test_cold_family_one_table_build(self, monkeypatch):
+        # Reports without a caller's table share the family's RootTable, so
+        # a second shift of the family builds no preimage rows again.
+        f0 = IntPoly((3, -4, 0, 2, 0, 1))  # x^5 + 2x^3 - 4x + 3
+        builds = []
+        build = modroots._preimage_rows
+        monkeypatch.setattr(
+            modroots, "_preimage_rows", lambda c, p: builds.append(p) or build(c, p)
+        )
+        modroots._family_root_table.cache_clear()
+        N = 150
+        for a in (1, 5):
+            assert decomposition_report(f0, a, N).identity_ok()
+        assert builds == list(ntkernel.sieve_primes(N))
 
     def test_bad_split_matches_bad_N(self, x3, x3_plus_2x):
         # The report reads B1 off the RootTable roots, bad_N off its lifting

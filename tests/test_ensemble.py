@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from polylcm import ensemble, polyring
+from polylcm import ensemble, modroots, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     WindowSpec,
@@ -80,6 +80,7 @@ class TestReducibleCount:
         )
         _verdict_record.cache_clear()
         polyring._disc_family.cache_clear()
+        modroots._family_root_table.cache_clear()
         return calls
 
     def test_one_irreducibility_decision_per_shift(self, decisions):
@@ -230,6 +231,20 @@ class TestCovarianceSigma:
     def test_sigma_identically_zero_when_cubing_bijects(self, x3):
         # 11 = 2 mod 3: x -> x^3 is a bijection mod 11, sigma(.;11) == 0
         assert covariance_sigma(x3, 11, 13, 500) == 0.0
+
+    def test_one_table_build_per_family(self, monkeypatch):
+        # Every covariance of a family reads its shared RootTable, so the
+        # p = 11 preimage rows are built once for three calls.
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        builds = []
+        build = modroots._preimage_rows
+        monkeypatch.setattr(
+            modroots, "_preimage_rows", lambda c, p: builds.append(p) or build(c, p)
+        )
+        modroots._family_root_table.cache_clear()
+        for q in (13, 17, 31):
+            covariance_sigma(x4x, 11, q, 200)
+        assert builds == [11, 13, 17, 31]
 
 
 class TestMeanRho:

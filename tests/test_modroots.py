@@ -252,3 +252,72 @@ class TestRootTable:
         for p in (2, 3, 5, 7, 11, 101, 997):
             for a in (-3, 0, 5, 1234):
                 assert table.roots(a, p) == roots_mod_p(ShiftedPoly(f0, a), p).roots
+
+    def test_matches_roots_mod_p_on_random_families(self):
+        # roots, rho and sigma against direct root extraction, on seeded
+        # families of degree 2-8 (non-monic, negative leading, coefficients
+        # above 2**63), at primes from 2 to 16381 and shifts up to 1e12.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        big = 2**63 + 12345
+        coeff = st.integers(-30, 30) | st.integers(-(2**70), 2**70)
+        leading = st.sampled_from((1, -1, 2, -3, 5, -12, big, -big))
+        prime = st.sampled_from((2, 3, 5, 7, 11, 13, 101, 997, 1009, 16381))
+        shift = st.integers(-50, 50) | st.integers(-(10**12), 10**12)
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(
+            d=st.integers(2, 8),
+            data=st.data(),
+            p=prime,
+            shifts=st.lists(shift, min_size=1, max_size=4),
+            x0=st.integers(-(10**6), 10**6),
+        )
+        def check(d, data, p, shifts, x0):
+            lower = data.draw(st.lists(coeff, min_size=d, max_size=d))
+            f0 = IntPoly(tuple(lower) + (data.draw(leading),))
+            table = RootTable(f0)
+            for a in shifts + [f0(x0)]:  # f0(x0) - a has the root x0
+                got = table.roots(a, p)
+                assert type(got) is tuple and all(type(x) is int for x in got)
+                try:
+                    want = roots_mod_p(ShiftedPoly(f0, a), p)
+                except DegenerateReductionError:
+                    assert got == tuple(range(p)), (f0, a, p)
+                    continue
+                assert got == want.roots, (f0, a, p)
+                assert table.rho(a, p) == len(want.roots), (f0, a, p)
+                assert type(table.rho(a, p)) is int
+                if f0.is_monic:
+                    assert table.sigma(a, p) == sigma(f0, a, p).sigma, (f0, a, p)
+                else:
+                    assert table.sigma(a, p) == len(want.roots) - 1, (f0, a, p)
+
+        check()
+
+    def test_degenerate_shift_returns_every_residue(self):
+        # When f0 - a vanishes mod p, the table answers with all p residues
+        # while roots_mod_p raises: 7 divides every non-constant coefficient.
+        f0 = IntPoly((3, 14, 0, 7))  # 7x^3 + 14x + 3
+        table = RootTable(f0)
+        for a in (3, 10, -4, 7 * 10**12 + 3):
+            assert table.roots(a, 7) == tuple(range(7))
+            assert table.rho(a, 7) == 7
+            assert table.sigma(a, 7) == 6
+            with pytest.raises(DegenerateReductionError):
+                roots_mod_p(ShiftedPoly(f0, a), 7)
+        assert table.roots(4, 7) == () and table.rho(4, 7) == 0
+
+    def test_memory_is_compact(self, x3):
+        # Every x^3 table up to 2000 is two int rows per prime, about 2.4 MB
+        # at peak; the per-prime dict of tuples it replaced peaked at 26 MB.
+        primes = sieve_primes(2000).primes
+        tracemalloc.start()
+        try:
+            table = RootTable(x3)
+            for p in primes:
+                table.rho(1, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
