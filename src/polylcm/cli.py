@@ -3,7 +3,9 @@
 Subcommands: primes, decompose, ensemble, theorem, weil, roots.
 Polynomials are given as ascending comma-separated coefficients
 ("0,2,0,1" is x^3 + 2x).  Defaults for --seed/--threads/--samples can be
-overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.
+overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.  The
+seed picks which shifts ensemble and theorem sample; every other command
+is exact and takes none.  --p of weil and roots must be prime.
 
 Exit codes: 0 success, 2 usage error, 3 identity violation,
 4 irreducibility required, 5 empty ensemble, 6 internal bound violation.
@@ -21,9 +23,10 @@ from .errors import (
     EmptyEnsembleError,
     InternalConsistencyError,
     IrreducibilityRequiredError,
+    ResourceLimitError,
     WindowViolationError,
 )
-from .polyring import IntPoly
+from .polyring import IntPoly, ShiftedPoly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-reducible", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", modroots.DEFAULT_SEED))
 
     p = sub.add_parser("ensemble", help="average a statistic over irreducible shifts")
     p.add_argument("--f0", type=_poly_arg, required=True)
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--stat", required=True, choices=ensemble.STATISTICS)
     p.add_argument("--samples", type=int, default=_env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES))
-    p.add_argument("--seed", type=int, default=_env_int("SEED", modroots.DEFAULT_SEED))
+    p.add_argument("--seed", type=int, default=_env_int("SEED", ensemble.DEFAULT_SEED))
     p.add_argument(
         "--sampling", choices=("auto", "exhaustive", "random"), default="auto"
     )
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--samples", type=int, default=_env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES))
-    p.add_argument("--seed", type=int, default=_env_int("SEED", modroots.DEFAULT_SEED))
+    p.add_argument("--seed", type=int, default=_env_int("SEED", ensemble.DEFAULT_SEED))
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--override-window", action="store_true")
     p.add_argument("--threads", type=int, default=_env_int("THREADS", os.cpu_count() or 1))
@@ -117,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_env_int("SEED", modroots.DEFAULT_SEED))
 
     return parser
 
@@ -136,8 +137,7 @@ def _cmd_primes(args) -> int:
 def _cmd_decompose(args) -> int:
     try:
         report = decomp.decomposition_report(
-            args.f0, args.a, args.N, allow_reducible=args.allow_reducible,
-            B=args.B, seed=args.seed,
+            args.f0, args.a, args.N, allow_reducible=args.allow_reducible, B=args.B
         )
     except IrreducibilityRequiredError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -224,10 +224,8 @@ def _cmd_weil(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    from .polyring import ShiftedPoly
-
     f = ShiftedPoly(args.f0, args.a)
-    rs = modroots.roots_mod_pk(f, args.p, args.k, args.seed)
+    rs = modroots.roots_mod_pk(f, args.p, args.k)
     print(json.dumps({
         "p": rs.p, "k": rs.k, "modulus": rs.modulus,
         "count": rs.count, "roots": list(rs.roots),
@@ -250,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

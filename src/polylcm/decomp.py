@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import DEFAULT_SEED, RootTable, _family_root_table, _lifted_levels
+from .modroots import RootTable, _family_root_table, _lifted_levels
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
 from .valengine import ValuationLedger, _count_in_class, _level_hits, build_ledgers
 
@@ -69,7 +69,7 @@ def _disc_primes(D: int, N: int) -> list[int]:
     return [p for p in ntkernel.sieve_primes(N) if D % p == 0]
 
 
-def bad_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED) -> BadSplit:
+def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     """Bad_N(a) = sum over p <= N, p | D(a) of alpha_p log p, split into the
     k = 1 part (B1) and the k >= 2 remainder (B2)."""
     f = ShiftedPoly(f0, a)
@@ -78,15 +78,16 @@ def bad_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED) -> BadSplit:
     for p in _disc_primes(_family_discriminant(f0, a), N):
         # One lifting pass: alpha_p is the sum of the level hits, and the
         # k = 1 count is the first of them.
-        hits = list(_level_hits(f, N, p, _lifted_levels(fa, p, seed)))
+        hits = list(_level_hits(f, N, p, _lifted_levels(fa, p)))
         total += sum(hits) * math.log(p)
         b1 += (hits[0] if hits else 0) * math.log(p)
     return BadSplit(total, b1, total - b1)
 
 
-def delta_N(f0: IntPoly, a: int, N: int, seed: int = DEFAULT_SEED, **kw) -> float:
+def delta_N(f0: IntPoly, a: int, N: int) -> float:
     """Delta_N(a) = sum over p > N of (alpha_p - beta_p) log p."""
-    alpha, beta, _ = build_ledgers(ShiftedPoly(f0, a), N, seed=seed, **kw)
+    table = _family_root_table(f0.coeffs)
+    alpha, beta, _ = build_ledgers(ShiftedPoly(f0, a), N, root_table=table)
     return _delta_from_ledgers(alpha, beta, N)
 
 
@@ -100,13 +101,6 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
             if diff:
                 total += diff * math.log(p)
     return total
-
-
-def _family_table(f0: IntPoly, root_table: RootTable | None, seed: int) -> RootTable:
-    # The caller's table when it belongs to f0, else the family's shared one.
-    if root_table is not None and root_table.f0 == f0:
-        return root_table
-    return _family_root_table(f0.coeffs, seed)
 
 
 def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, float, float]:
@@ -126,28 +120,22 @@ def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, floa
     return cn, en, dn
 
 
-def _density_sums_for(
-    f0: IntPoly, a: int, N: int, root_table: RootTable | None, seed: int
-) -> tuple[float, float, float]:
+def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]:
     D = _family_discriminant(f0, a)
     if D == 0:
         raise ValueError("discriminant is zero")
-    return _density_sums(_family_table(f0, root_table, seed), a, N, D)
+    return _density_sums(_family_root_table(f0.coeffs), a, N, D)
 
 
-def c_N(
-    f0: IntPoly, a: int, N: int, root_table: RootTable | None = None, seed: int = DEFAULT_SEED
-) -> float:
+def c_N(f0: IntPoly, a: int, N: int) -> float:
     """C_N(a) = sum over p <= N, p not dividing D(a), of rho(a;p) log p/(p-1)."""
-    return _density_sums_for(f0, a, N, root_table, seed)[0]
+    return _density_sums_for(f0, a, N)[0]
 
 
-def e_N_d_N(
-    f0: IntPoly, a: int, N: int, root_table: RootTable | None = None, seed: int = DEFAULT_SEED
-) -> tuple[float, float]:
+def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
     """E_N = sum over discriminant primes <= N of log p/p;
     D_N = sum over the other primes <= N of sigma(a;p) log p/p."""
-    return _density_sums_for(f0, a, N, root_table, seed)[1:]
+    return _density_sums_for(f0, a, N)[1:]
 
 
 @dataclass
@@ -231,10 +219,10 @@ def decomposition_report(
     allow_reducible: bool = False,
     B: int | None = None,
     root_table: RootTable | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> DecompositionReport:
     """All decomposition terms for one (f0, a, N), each by its own path,
-    with the exact ledger identity enforced."""
+    with the exact ledger identity enforced.  The roots come from
+    root_table when it belongs to f0, else from the family's shared table."""
     f = ShiftedPoly(f0, a)
     fa = f.to_poly()
     family_disc = functools.partial(_family_discriminant, f0, a)
@@ -245,9 +233,11 @@ def decomposition_report(
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
-    table = _family_table(f0, root_table, seed)
+    table = root_table
+    if table is None or table.f0 != f0:
+        table = _family_root_table(f0.coeffs)
     values = valengine._abs_values(f, N)
-    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, seed=seed, _values=values)
+    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, _values=values)
     if N <= CROSS_CHECK_LIMIT:
         L = lcm_bigint(f, N)
         if beta.product() != L:

@@ -5,9 +5,10 @@ shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
 are irreducible from one verdict record per family, shared by every count,
 average and covariance: it covers [-T, T] for the largest T asked so far,
 grows when a larger T arrives and is sliced for smaller ones, so each shift
-is decided once.  Random mode samples uniformly with a fixed seed and
-rejects reducible shifts.  Aggregation is an ordered reduction (values
-sorted by a), so identical inputs and seed produce byte-identical reports.
+is decided once.  Random mode draws distinct shifts with a seeded
+generator and rejects reducible ones; the seed picks the sample and nothing
+else.  Aggregation is an ordered reduction (values sorted by a), so
+identical inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
-from .modroots import BRUTE_FORCE_LIMIT, DEFAULT_SEED, RootTable, _family_root_table, roots_mod_p
+from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
 
 STATISTICS = ("bad", "b2", "delta", "cn", "dn", "loglratio")
@@ -32,6 +33,7 @@ QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 RANDOM_SAMPLING_CUTOFF = 10_000
 DEFAULT_N_SAMPLES = 200
+DEFAULT_SEED = 0x5EED_1E55_C0FFEE
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class WindowSpec:
 
 @dataclass
 class EnsembleStats:
+    """count_total counts the shifts looked at, reducible ones included:
+    2T + 1 when exhaustive, the distinct shifts drawn when random."""
+
     T: int
     N: int
     statistic_name: str
@@ -129,16 +134,27 @@ def _is_irreducible_shift(f0: IntPoly, a: int) -> bool:
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:
+    # Up to n_samples irreducible shifts drawn without replacement, and the
+    # number of distinct shifts drawn (at most max(50 n_samples, 1000)).
     rng = random.Random(seed)
+    drawn: set[int] = set()
     shifts: list[int] = []
-    draws = 0
-    cap = max(50 * n_samples, 1000)
-    while len(shifts) < n_samples and draws < cap:
+    cap = min(max(50 * n_samples, 1000), 2 * T + 1)
+    while len(shifts) < n_samples and len(drawn) < cap:
         a = rng.randint(-T, T)
-        draws += 1
+        if a in drawn:
+            continue
+        drawn.add(a)
         if _is_irreducible_shift(f0, a):
             shifts.append(a)
-    return shifts, draws
+    return shifts, len(drawn)
+
+
+def _check_inputs(f0: IntPoly, T: int, N: int, least: int) -> None:
+    # A ValueError naming the first input below its least value.
+    for name, value, lo in (("the degree of f0", f0.degree, 2), ("T", T, least), ("N", N, least)):
+        if value < lo:
+            raise ValueError(f"need {name} >= {lo}, got {value}")
 
 
 def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
@@ -153,47 +169,41 @@ def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
     return out
 
 
-def _eval_statistic(
-    f0: IntPoly, a: int, N: int, table: RootTable, seed: int, statistic: str
-) -> float:
+def _eval_statistic(f0: IntPoly, a: int, N: int, statistic: str) -> float:
     if statistic == "bad":
-        return decomp.bad_N(f0, a, N, seed).total
+        return decomp.bad_N(f0, a, N).total
     if statistic == "b2":
-        return decomp.bad_N(f0, a, N, seed).b2
+        return decomp.bad_N(f0, a, N).b2
     if statistic == "delta":
-        return decomp.delta_N(f0, a, N, seed=seed, root_table=table)
+        return decomp.delta_N(f0, a, N)
     if statistic == "cn":
-        return decomp.c_N(f0, a, N, table, seed)
+        return decomp.c_N(f0, a, N)
     if statistic == "dn":
-        return decomp.e_N_d_N(f0, a, N, table, seed)[1]
+        return decomp.e_N_d_N(f0, a, N)[1]
     if statistic == "loglratio":
-        rep = decomp.decomposition_report(f0, a, N, root_table=table, seed=seed)
+        rep = decomp.decomposition_report(f0, a, N)
         return rep.log_L / ((f0.degree - 1) * N * math.log(N))
     raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
 
 
-def _theorem_row(
-    f0: IntPoly, a: int, N: int, table: RootTable, seed: int
-) -> tuple[float, float, float, float]:
-    rep = decomp.decomposition_report(f0, a, N, root_table=table, seed=seed)
+def _theorem_row(f0: IntPoly, a: int, N: int) -> tuple[float, float, float, float]:
+    rep = decomp.decomposition_report(f0, a, N)
     return (rep.log_L, rep.c_N, rep.bad, rep.delta)
 
 
 def _eval_chunk(args) -> list[tuple[int, object]]:
-    per_shift, f0_coeffs, shifts, N, seed = args
+    per_shift, f0_coeffs, shifts, N = args
     f0 = IntPoly(f0_coeffs)
-    table = _family_root_table(f0_coeffs, seed)
-    return [(a, per_shift(f0, a, N, table, seed)) for a in shifts]
+    return [(a, per_shift(f0, a, N)) for a in shifts]
 
 
-def _map_shifts(per_shift, f0: IntPoly, ordered: list[int], N: int, seed: int, threads: int):
-    """[(a, per_shift(f0, a, N, table, seed))] in ascending a, with the
-    family's shared RootTable in each process.  per_shift must be picklable
-    (module-level)."""
+def _map_shifts(per_shift, f0: IntPoly, ordered: list[int], N: int, threads: int):
+    """[(a, per_shift(f0, a, N))] in ascending a; each process reads the
+    family's shared RootTable.  per_shift must be picklable (module-level)."""
     if threads <= 1 or len(ordered) <= 1:
-        return _eval_chunk((per_shift, f0.coeffs, ordered, N, seed))
+        return _eval_chunk((per_shift, f0.coeffs, ordered, N))
     chunks = [ordered[i::threads] for i in range(threads)]
-    args = [(per_shift, f0.coeffs, chunk, N, seed) for chunk in chunks if chunk]
+    args = [(per_shift, f0.coeffs, chunk, N) for chunk in chunks if chunk]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         pairs = [pair for chunk_out in pool.map(_eval_chunk, args) for pair in chunk_out]
     pairs.sort(key=lambda t: t[0])
@@ -213,8 +223,7 @@ def ensemble_average(
 ):
     """Mean/variance/quantiles of a per-shift statistic over irreducible
     shifts |a| <= T.  Variance is the population variance of the sample."""
-    if T < 1 or N < 1:
-        raise ValueError("need T >= 1 and N >= 1")
+    _check_inputs(f0, T, N, 1)
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     if sampling == "auto":
@@ -239,7 +248,7 @@ def ensemble_average(
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
 
     per_shift = functools.partial(_eval_statistic, statistic=statistic)
-    pairs = _map_shifts(per_shift, f0, sorted(shifts), N, seed, threads)
+    pairs = _map_shifts(per_shift, f0, sorted(shifts), N, threads)
 
     values = [v for _, v in pairs]
     n = len(values)
@@ -270,7 +279,6 @@ def covariance_sigma(
     q: int,
     T: int,
     include_reducible: bool = False,
-    seed: int = DEFAULT_SEED,
 ) -> float:
     """Average of sigma(a;p) * sigma(a;q) over irreducible |a| <= T, by
     direct enumeration with per-residue caching (sigma depends on a mod p).
@@ -283,8 +291,8 @@ def covariance_sigma(
         raise ValueError(f"primes must exceed the degree {d}")
     if p >= BRUTE_FORCE_LIMIT or q >= BRUTE_FORCE_LIMIT:
         raise ValueError("covariance caching expects p, q below the brute-force limit")
-    sig_p = _sigma_cache(f0, p, seed)
-    sig_q = _sigma_cache(f0, q, seed)
+    sig_p = _sigma_cache(f0, p)
+    sig_q = _sigma_cache(f0, q)
     admitted = range(-T, T + 1)
     if admitted and not include_reducible:  # T < 0 admits nothing
         admitted = list(itertools.compress(admitted, _irreducible_mask(f0.coeffs, T)))
@@ -293,19 +301,19 @@ def covariance_sigma(
     return sum(sig_p[a % p] * sig_q[a % q] for a in admitted) / len(admitted)
 
 
-def _sigma_cache(f0: IntPoly, p: int, seed: int) -> list[int]:
-    table = _family_root_table(f0.coeffs, seed)
+def _sigma_cache(f0: IntPoly, p: int) -> list[int]:
+    table = _family_root_table(f0.coeffs)
     return [table.sigma(c, p) for c in range(p)]
 
 
-def mean_rho(f: IntPoly, x: int, seed: int = DEFAULT_SEED) -> float:
+def mean_rho(f: IntPoly, x: int) -> float:
     """(1/pi(x)) * sum over p <= x of rho_f(p); tends to 1 for irreducible f."""
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if not is_irreducible_over_Q(f):
         raise ValueError("mean_rho requires an irreducible polynomial")
     primes = ntkernel.sieve_primes(x)
-    total = sum(roots_mod_p(f, p, seed).count for p in primes)
+    total = sum(roots_mod_p(f, p).count for p in primes)
     return total / len(primes)
 
 
@@ -368,6 +376,7 @@ def theorem_check(
 ) -> TheoremReport:
     """Desk-scale check of log L_a(N) ~ (d-1) N log N over sampled
     irreducible shifts, with per-component bands for C_N, Bad_N, Delta_N."""
+    _check_inputs(f0, T, N, 2)
     d = f0.degree
     win = WindowSpec(T, N, d)
     if not win.holds and not override_window:
@@ -383,7 +392,7 @@ def theorem_check(
             shifts = rng.sample(shifts, n_samples)
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
-    rows = [row for _, row in _map_shifts(_theorem_row, f0, sorted(shifts), N, seed, threads)]
+    rows = [row for _, row in _map_shifts(_theorem_row, f0, sorted(shifts), N, threads)]
 
     n = len(rows)
     denom = (d - 1) * N * math.log(N)

@@ -3,8 +3,9 @@ and complete exponential sums with the Weil bound.
 
 Root finding mod p is brute-force enumeration below 2**14 (vectorized);
 for larger p it extracts the linear part of f via gcd(x^p - x, f) and
-splits it with seeded equal-degree splitting, so cost is O(d^2 log p)
-per prime instead of O(p).  Identical seeds give identical transcripts.
+splits it with equal-degree splitting seeded from (p, f) itself, so cost is
+O(d^2 log p) per prime instead of O(p).  Whatever it draws, it returns the
+complete sorted root set: no output depends on a seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateReductionError, InternalConsistencyError
+from .ntkernel import is_prime
 from .polyring import (
     IntPoly,
     PolyLike,
@@ -34,8 +36,6 @@ from .polyring import (
 )
 
 BRUTE_FORCE_LIMIT = 1 << 14
-
-DEFAULT_SEED = 0x5EED_1E55_C0FFEE
 
 _NUMPY_CUTOFF = 512
 
@@ -112,7 +112,7 @@ def _brute_roots(coeffs: list[int], p: int) -> list[int]:
     return [x for x, v in enumerate(_values_mod_p(coeffs, p)) if v == 0]
 
 
-def _cz_roots(coeffs: list[int], p: int, seed: int) -> list[int]:
+def _cz_roots(coeffs: list[int], p: int) -> list[int]:
     # p odd prime; coeffs mod p, not all zero.
     f = _pm_trim(list(coeffs))
     if len(f) <= 1:
@@ -123,7 +123,7 @@ def _cz_roots(coeffs: list[int], p: int, seed: int) -> list[int]:
     lin = _pm_gcd(_pm_trim(x_diff), f, p)
     if not lin or len(lin) == 1:
         return []
-    rng = random.Random(_mix64(seed, p, *coeffs))
+    rng = random.Random(_mix64(p, *coeffs))
     roots: list[int] = []
     stack = [lin]
     while stack:
@@ -146,7 +146,7 @@ def _cz_roots(coeffs: list[int], p: int, seed: int) -> list[int]:
     return roots
 
 
-def roots_mod_p(f: PolyLike, p: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
+def roots_mod_p(f: PolyLike, p: int) -> RootSetModPk:
     """All roots of f mod p.  Degenerate images (f == 0 mod p) raise with
     rho = p attached."""
     coeffs = _coeffs_mod(f, p)
@@ -155,30 +155,26 @@ def roots_mod_p(f: PolyLike, p: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
     if p < BRUTE_FORCE_LIMIT:
         roots = _brute_roots(coeffs, p)
     else:
-        roots = _cz_roots(coeffs, p, seed)
+        roots = _cz_roots(coeffs, p)
     return RootSetModPk(p, 1, tuple(sorted(roots)))
 
 
-def rho(f: PolyLike, p: int, seed: int = DEFAULT_SEED) -> int:
-    return roots_mod_p(f, p, seed).count
-
-
-def sigma(f0: IntPoly, a: int, p: int, seed: int = DEFAULT_SEED) -> SigmaValue:
+def sigma(f0: IntPoly, a: int, p: int) -> SigmaValue:
     """sigma(a; p) = rho(a; p) - 1; always in [-1, d-1] for monic f0."""
     if not f0.is_monic:
         raise ValueError("sigma requires a monic base polynomial")
-    r = rho(ShiftedPoly(f0, a), p, seed)
+    r = roots_mod_p(ShiftedPoly(f0, a), p).count
     s = r - 1
     if not -1 <= s <= f0.degree - 1:
         raise InternalConsistencyError(f"sigma {s} outside [-1, d-1]")
     return SigmaValue(a, p, s)
 
 
-def _lifted_levels(poly: IntPoly, p: int, seed: int) -> Iterator[list[int]]:
+def _lifted_levels(poly: IntPoly, p: int) -> Iterator[list[int]]:
     """The roots of poly mod p, p**2, p**3, ..., one level per step.  A
     simple root has one lift; a singular root lifts to all p classes above
     it when it survives to the next level, and to none otherwise."""
-    level = list(roots_mod_p(poly, p, seed).roots)
+    level = list(roots_mod_p(poly, p).roots)
     deriv = poly.derivative()
     pj = p
     while True:
@@ -196,16 +192,19 @@ def _lifted_levels(poly: IntPoly, p: int, seed: int) -> Iterator[list[int]]:
         pj *= p
 
 
-def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootSetModPk:
+def roots_mod_pk(f: PolyLike, p: int, k: int) -> RootSetModPk:
     """Roots of f mod p**k by level lifting; singular roots (p | disc) are
-    handled by branching, so this works at discriminant primes too."""
+    handled by branching, so this works at discriminant primes too.  The
+    lifting inverts f'(r) mod p, so p must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     poly = as_poly(f)
     pk = p**k
     if not any(c % pk for c in poly.coeffs):
         raise DegenerateReductionError(p, rho=pk, message=f"polynomial vanishes mod {p}**{k}")
-    level = next(itertools.islice(_lifted_levels(poly, p, seed), k - 1, None))
+    level = next(itertools.islice(_lifted_levels(poly, p), k - 1, None))
     return RootSetModPk(p, k, tuple(sorted(level)))
 
 
@@ -215,7 +214,9 @@ def roots_mod_pk(f: PolyLike, p: int, k: int, seed: int = DEFAULT_SEED) -> RootS
 
 
 def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
-    """S(b, p) = sum over x mod p of exp(2 pi i b f0(x) / p)."""
+    """S(b, p) = sum over x mod p of exp(2 pi i b f0(x) / p), p prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if not f0.is_monic:
         raise ValueError("weil_sum requires a monic polynomial")
     if not 0 <= b < p:
@@ -267,13 +268,11 @@ class RootTable:
     length and build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through
     to direct root extraction.
 
-    A family's shared table is ``_family_root_table(f0.coeffs, seed)``;
-    ``decomp`` and ``ensemble`` use it whenever the caller passes no table
-    of its own."""
+    A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``
+    and ``ensemble`` read it unless a report's caller passes its own."""
 
-    def __init__(self, f0: IntPoly, seed: int = DEFAULT_SEED):
+    def __init__(self, f0: IntPoly):
         self.f0 = f0
-        self.seed = seed
         self._tables: dict[int, tuple[array, array]] = {}
 
     def _rows(self, p: int) -> tuple[array, array]:
@@ -284,7 +283,7 @@ class RootTable:
 
     def roots(self, a: int, p: int) -> tuple[int, ...]:
         if p >= BRUTE_FORCE_LIMIT:
-            return roots_mod_p(ShiftedPoly(self.f0, a), p, self.seed).roots
+            return roots_mod_p(ShiftedPoly(self.f0, a), p).roots
         start, xs = self._rows(p)
         v = a % p
         return tuple(xs[start[v] : start[v + 1]])
@@ -294,7 +293,7 @@ class RootTable:
         rows = self._tables.get(p)
         if rows is None:
             if p >= BRUTE_FORCE_LIMIT:
-                return roots_mod_p(ShiftedPoly(self.f0, a), p, self.seed).count
+                return roots_mod_p(ShiftedPoly(self.f0, a), p).count
             rows = self._rows(p)
         start = rows[0]
         v = a % p
@@ -315,6 +314,6 @@ def _preimage_rows(coeffs: list[int], p: int) -> tuple[array, array]:
 
 
 @functools.lru_cache(maxsize=8)
-def _family_root_table(f0_coeffs: tuple[int, ...], seed: int) -> RootTable:
+def _family_root_table(f0_coeffs: tuple[int, ...]) -> RootTable:
     # One RootTable per family, shared by every caller without a table.
-    return RootTable(IntPoly(f0_coeffs), seed)
+    return RootTable(IntPoly(f0_coeffs))

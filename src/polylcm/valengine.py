@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from . import ntkernel
 from .errors import ZeroValueError
-from .modroots import DEFAULT_SEED, RootTable, _lifted_levels, roots_mod_p
+from .modroots import RootTable, _lifted_levels, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant
 
 KIND_ALPHA = "alpha"
@@ -144,15 +144,15 @@ def _level_hits(f: ShiftedPoly, N: int, p: int, levels: Iterator[list[int]]) -> 
         pk *= p
 
 
-def alpha_p(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
+def alpha_p(f: ShiftedPoly, N: int, p: int) -> int:
     """alpha_p(a; N) = sum over n <= N of nu_p(f_a(n)), via the root sieve:
     level-k roots of f mod p**k each contribute their lattice count."""
-    return sum(_level_hits(f, N, p, _lifted_levels(f.to_poly(), p, seed)))
+    return sum(_level_hits(f, N, p, _lifted_levels(f.to_poly(), p)))
 
 
-def beta_p(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> int:
+def beta_p(f: ShiftedPoly, N: int, p: int) -> int:
     """beta_p(N) = max over n <= N of nu_p(f_a(n))."""
-    hits = _level_hits(f, N, p, _lifted_levels(f.to_poly(), p, seed))
+    hits = _level_hits(f, N, p, _lifted_levels(f.to_poly(), p))
     return max((k for k, h in enumerate(hits, 1) if h), default=0)
 
 
@@ -161,7 +161,6 @@ def build_ledgers(
     N: int,
     B: int | None = None,
     root_table: RootTable | None = None,
-    seed: int = DEFAULT_SEED,
     *,
     _values: list[int] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
@@ -182,7 +181,7 @@ def build_ledgers(
             if root_table is not None:
                 roots = root_table.roots(f.shift, p)
             else:
-                roots = roots_mod_p(f, p, seed).roots
+                roots = roots_mod_p(f, p).roots
             tot = 0
             mx = 0
             for r in roots:
@@ -290,12 +289,12 @@ def log_P(f: ShiftedPoly, N: int) -> float:
     return _log_sum(_abs_values(f, N))
 
 
-def alpha_approx_residual(f: ShiftedPoly, N: int, p: int, seed: int = DEFAULT_SEED) -> float:
+def alpha_approx_residual(f: ShiftedPoly, N: int, p: int) -> float:
     """alpha_p(N) - N * rho(a; p) / (p - 1); small when Hensel lifting is
     clean, i.e. requires p to not divide disc(f_a)."""
     if _family_discriminant(f.base, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
-    levels = _lifted_levels(f.to_poly(), p, seed)
+    levels = _lifted_levels(f.to_poly(), p)
     roots = next(levels)
     alpha = sum(_level_hits(f, N, p, itertools.chain([roots], levels)))
     return alpha - N * len(roots) / (p - 1)

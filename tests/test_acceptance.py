@@ -89,7 +89,7 @@ def crit7_reports():
 @pytest.fixture(scope="module")
 def crit8_json():
     values = {
-        f"{p},{q}": covariance_sigma(X3, p, q, 10**5, seed=SEED) for p, q in COV_PAIRS
+        f"{p},{q}": covariance_sigma(X3, p, q, 10**5) for p, q in COV_PAIRS
     }
     return json.dumps(values, sort_keys=True)
 
@@ -316,7 +316,7 @@ def test_criterion_11_determinism(crit6_stats, crit7_reports, crit8_json):
     assert again2000.to_json() == rep2000.to_json()
     assert again500.to_json() == rep500.to_json()
     cov_again = json.dumps(
-        {f"{p},{q}": covariance_sigma(X3, p, q, 10**5, seed=SEED) for p, q in COV_PAIRS},
+        {f"{p},{q}": covariance_sigma(X3, p, q, 10**5) for p, q in COV_PAIRS},
         sort_keys=True,
     )
     assert cov_again == crit8_json

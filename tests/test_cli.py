@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import pytest
 
+import polylcm
 from polylcm import cli
 
 
@@ -33,6 +36,12 @@ class TestPrimes:
     def test_show_lists_table(self, capsys):
         code, out, _ = run_cli(["primes", "--limit", "10", "--show"], capsys)
         assert out.splitlines()[1] == "2,3,5,7"
+
+    def test_limit_over_sieve_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(["primes", "--limit", "999999999999"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 class TestDecompose:
@@ -125,7 +134,9 @@ class TestEnvDefaults:
 
     def test_wellformed_value_sets_the_default(self, monkeypatch):
         monkeypatch.setenv("POLYLCM_SEED", "7")
-        args = cli.build_parser().parse_args(["roots", "--f0", "0,0,1", "--a", "1", "--p", "7"])
+        args = cli.build_parser().parse_args(
+            ["ensemble", "--f0", "0,0,0,1", "--T", "50", "--N", "6", "--stat", "cn"]
+        )
         assert args.seed == 7
 
 
@@ -182,6 +193,13 @@ class TestEnsembleCmd:
         assert lines[0] == "a,bad"
         assert len(lines) == 1 + json.loads(out)["count_irreducible"]
 
+    def test_degree_one_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["ensemble", "--f0", "1,1", "--T", "50", "--N", "6", "--stat", "cn"], capsys
+        )
+        assert code == 2
+        assert "degree of f0 >= 2" in err
+
     def test_byte_identical_repeat(self, capsys):
         argv = ["ensemble", "--f0", "0,0,0,1", "--T", "30000", "--N", "40",
                 "--stat", "bad", "--seed", "99", "--samples", "20", "--threads", "1"]
@@ -211,6 +229,26 @@ class TestTheoremCmd:
         assert code == 2
         assert "override" in err
 
+    @pytest.mark.parametrize(
+        "f0, T, N, message",
+        [
+            ("1,1", "400", "25", "degree of f0 >= 2"),
+            ("0,0,0,1", "1", "25", "T >= 2"),
+            ("0,0,0,1", "-5", "25", "T >= 2"),
+            ("0,0,0,1", "0", "25", "T >= 2"),
+            ("0,0,0,1", "400", "1", "N >= 2"),
+        ],
+    )
+    def test_edge_input_is_usage_error(self, f0, T, N, message, capsys):
+        code, out, err = run_cli(
+            ["theorem", "--f0", f0, "--T", T, "--N", N, "--samples", "5", "--threads", "1",
+             "--override-window"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_override_warns(self, capsys):
         code, out, err = run_cli(
             ["theorem", "--f0", "0,0,0,1", "--T", "100000", "--N", "100",
@@ -238,6 +276,12 @@ class TestWeilCmd:
         assert code == 0
         assert len(out.strip().splitlines()) == 10
 
+    def test_composite_p_is_usage_error(self, capsys):
+        code, out, err = run_cli(["weil", "--f0", "0,0,0,1", "--p", "9", "--b", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "p must be prime" in err
+
     def test_strict_warns_for_small_p(self, capsys):
         code, _, err = run_cli(
             ["weil", "--f0", "0,0,0,0,0,1", "--p", "3", "--b", "1", "--strict"], capsys
@@ -255,6 +299,38 @@ class TestRootsCmd:
         payload = json.loads(out)
         assert payload["roots"] == [1, 18, 30]
         assert payload["modulus"] == 49
+
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_p_not_prime_is_usage_error(self, p, capsys):
+        # Lifting mod 4 would find only 1, 3 of the roots 1, 7, 9, 15 mod 16.
+        code, out, err = run_cli(
+            ["roots", "--f0", "0,0,1", "--a", "1", "--p", p, "--k", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "p must be prime" in err
+
+
+def test_seed_and_root_table_only_where_they_matter():
+    # Every exact output is the same for any seed, so only shift sampling
+    # takes one; the only root table a caller passes is a report's own.
+    # Result records (dataclasses) echo the seed they were sampled with.
+    takes = {"seed": set(), "root_table": set()}
+    for name in polylcm.__all__:
+        obj = getattr(polylcm, name)
+        if not callable(obj) or dataclasses.is_dataclass(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        for key, names in takes.items():
+            if key in params:
+                names.add(name)
+    assert takes == {
+        "seed": {"ensemble_average", "theorem_check"},
+        "root_table": {"decomposition_report", "build_ledgers"},
+    }
+    with pytest.raises(SystemExit) as err:
+        cli.main(["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5", "--seed", "1"])
+    assert err.value.code == 2
 
 
 def test_installed_entry_point_runs():

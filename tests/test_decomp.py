@@ -19,7 +19,6 @@ from polylcm.decomp import (
     lcm_bigint,
 )
 from polylcm.errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from polylcm.modroots import RootTable
 from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from polylcm.valengine import build_ledgers
@@ -190,14 +189,13 @@ class TestCNAndSplit:
 
     def test_split_identity_within_gap(self, x3_plus_2x):
         # c_N = mertens - E_N + D_N + O(1), gap <= CN_SPLIT_GAP
-        table = RootTable(x3_plus_2x)
         ms = mertens_sum(300)
         for a in range(-25, 26):
             fa = ShiftedPoly(x3_plus_2x, a)
             if not is_irreducible_over_Q(fa.to_poly()):
                 continue
-            cn = c_N(x3_plus_2x, a, 300, table)
-            en, dn = e_N_d_N(x3_plus_2x, a, 300, table)
+            cn = c_N(x3_plus_2x, a, 300)
+            en, dn = e_N_d_N(x3_plus_2x, a, 300)
             assert abs(cn - (ms - en + dn)) <= CN_SPLIT_GAP
 
     def test_e_n_loglog_disc_bound(self, x3):

@@ -166,6 +166,19 @@ class TestEnsembleAverage:
         assert s1.count_irreducible == 30
         assert s1.count_total >= 30
 
+    def test_random_sampling_draws_distinct_shifts(self, x3):
+        # Fewer irreducible shifts than samples: drawing stops once all 11
+        # shifts of [-5, 5] are drawn, each once, and the 8 irreducible
+        # ones (all but the cubes 0 and +-1) are averaged.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stats, pairs = ensemble_average(
+                x3, 5, 4, "cn", sampling="random", n_samples=200, return_values=True
+            )
+        assert stats.count_total == 11
+        assert stats.count_irreducible == 8
+        assert [a for a, _ in pairs] == [-5, -4, -3, -2, 2, 3, 4, 5]
+
     def test_empty_ensemble(self):
         x6 = IntPoly((0, 0, 0, 0, 0, 0, 1))
         with pytest.raises(EmptyEnsembleError):

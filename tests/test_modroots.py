@@ -58,12 +58,24 @@ class TestRootsModP:
             got = roots_mod_p(fa, p).roots
             assert list(got) == brute_roots_mod(fa.to_poly().coeffs, p)
 
-    def test_cz_determinism(self):
-        f = ShiftedPoly(IntPoly((0, 1, 0, 0, 0, 1)), 7)
-        p = 32771
-        r1 = roots_mod_p(f, p, seed=5)
-        r2 = roots_mod_p(f, p, seed=5)
-        assert r1 == r2
+    def test_cz_roots_are_the_brute_force_roots(self):
+        # Equal-degree splitting draws from a generator seeded by (p, f), so
+        # its transcript is fixed, but the root set it returns is complete
+        # whatever it draws.  Products of linear factors exercise splitting:
+        # degree 2-7, non-monic, negative leading coefficients.
+        rng = random.Random(1414)
+        primes = [p for p in sieve_primes(1 << 16).primes if p > BRUTE_FORCE_LIMIT]
+        for d in range(2, 8):
+            for p in rng.sample(primes, 2):
+                lc = rng.choice((-1, 1)) * rng.randint(1, 9)
+                f = IntPoly((lc,))
+                for _ in range(rng.randint(1, d)):
+                    f = f * IntPoly((-rng.randrange(p), 1))
+                f = f * IntPoly(tuple(rng.randint(-9, 9) for _ in range(d - f.degree)) + (1,))
+                assert f.degree == d and f.lc == lc
+                got = roots_mod_p(f, p)
+                assert list(got.roots) == brute_roots_mod(f.coeffs, p), (f, p)
+                assert roots_mod_p(f, p) == got
 
     def test_degenerate_reports_rho_p(self):
         f = IntPoly((7, 0, 7))
@@ -173,6 +185,14 @@ class TestCountRootsModPk:
         with pytest.raises(ValueError):
             roots_mod_pk(x3, 3, 0)
 
+    def test_composite_modulus_rejected(self):
+        # Lifting inverts f'(r) mod p, which needs p prime: x^2 - 1 has the
+        # four roots 1, 7, 9, 15 mod 16, and a lift "mod 4" finds two.
+        assert roots_mod_pk(IntPoly((-1, 0, 1)), 2, 4).roots == (1, 7, 9, 15)
+        for p in (4, 9, 1, 0, -7):
+            with pytest.raises(ValueError, match="prime"):
+                roots_mod_pk(IntPoly((-1, 0, 1)), p, 2)
+
 
 class TestWeilSum:
     def test_examples(self, x3):
@@ -194,6 +214,10 @@ class TestWeilSum:
     def test_b_range_checked(self, x3):
         with pytest.raises(ValueError):
             weil_sum(x3, 7, 7)
+
+    def test_prime_p_required(self, x3):
+        with pytest.raises(ValueError, match="prime"):
+            weil_sum(x3, 1, 9)
 
 
 class TestSigmaViaExpsum:
