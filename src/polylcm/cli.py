@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0", type=_poly_arg, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--B", type=int, default=None, help="small-prime threshold (default N)")
     p.add_argument("--allow-reducible", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -137,7 +136,7 @@ def _cmd_primes(args) -> int:
 def _cmd_decompose(args) -> int:
     try:
         report = decomp.decomposition_report(
-            args.f0, args.a, args.N, allow_reducible=args.allow_reducible, B=args.B
+            args.f0, args.a, args.N, allow_reducible=args.allow_reducible
         )
     except IrreducibilityRequiredError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,8 @@ lcm engine keeps its own evaluation.  Every term reads only the prime-keyed
 part of the ledgers (log L above the limit adds the logs of the unshared
 cofactors), so the unshared large cofactors are never factored.
 Discriminant primes <= N are found by divisibility tests, not by factoring D.
+Bad_N has one path (``_bad_split``), shared by ``bad_N`` and the report: one
+lifting pass per discriminant prime from the family's roots mod p.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import NamedTuple
 
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import RootTable, _family_root_table, _lifted_levels
+from .modroots import RootTable, _family_root_table, _root_table_for
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
-from .valengine import ValuationLedger, _count_in_class, _level_hits, build_ledgers
+from .valengine import ValuationLedger, _level_hits, build_ledgers
 
 # Up to this N the lcm tree also runs and must equal the ledger product;
 # above it only the ledger engine runs, and log L is read from the beta
@@ -72,13 +74,18 @@ def _disc_primes(D: int, N: int) -> list[int]:
 def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     """Bad_N(a) = sum over p <= N, p | D(a) of alpha_p log p, split into the
     k = 1 part (B1) and the k >= 2 remainder (B2)."""
-    f = ShiftedPoly(f0, a)
-    fa = f.to_poly()
+    disc_primes = _disc_primes(_family_discriminant(f0, a), N)
+    return _bad_split(_family_root_table(f0.coeffs), a, N, disc_primes)
+
+
+def _bad_split(table: RootTable, a: int, N: int, disc_primes: list[int]) -> BadSplit:
+    # Bad_N of table.f0 - a over its ascending discriminant primes <= N.  One
+    # lifting pass per prime from the table's roots mod p: alpha_p is the
+    # sum of the level hits, and the k = 1 count is the first of them.
+    fa = ShiftedPoly(table.f0, a).to_poly()
     total = b1 = 0.0
-    for p in _disc_primes(_family_discriminant(f0, a), N):
-        # One lifting pass: alpha_p is the sum of the level hits, and the
-        # k = 1 count is the first of them.
-        hits = list(_level_hits(f, N, p, _lifted_levels(fa, p)))
+    for p in disc_primes:
+        hits = list(_level_hits(fa, N, p, table.roots(a, p)))
         total += sum(hits) * math.log(p)
         b1 += (hits[0] if hits else 0) * math.log(p)
     return BadSplit(total, b1, total - b1)
@@ -217,7 +224,6 @@ def decomposition_report(
     a: int,
     N: int,
     allow_reducible: bool = False,
-    B: int | None = None,
     root_table: RootTable | None = None,
 ) -> DecompositionReport:
     """All decomposition terms for one (f0, a, N), each by its own path,
@@ -233,11 +239,9 @@ def decomposition_report(
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
-    table = root_table
-    if table is None or table.f0 != f0:
-        table = _family_root_table(f0.coeffs)
+    table = _root_table_for(f0, root_table)
     values = valengine._abs_values(f, N)
-    alpha, beta, _ = build_ledgers(f, N, B=B, root_table=table, _values=values)
+    alpha, beta, _ = build_ledgers(f, N, root_table=table, _values=values)
     if N <= CROSS_CHECK_LIMIT:
         L = lcm_bigint(f, N)
         if beta.product() != L:
@@ -249,24 +253,10 @@ def decomposition_report(
         log_L += sum(math.log(c) for c in beta.rest)
 
     log_p = valengine._log_sum(values)
-    disc_primes = set(_disc_primes(D, N))
-
-    alpha_small = alpha.upto(N)
-    bad = b1 = 0.0
-    for p in sorted(disc_primes):
-        ap = alpha_small.get(p, 0)
-        if ap:
-            # p divides a value, so its k = 1 count is read off the roots mod p.
-            k1 = sum(_count_in_class(N, r, p) for r in table.roots(a, p))
-            bad += ap * math.log(p)
-            b1 += k1 * math.log(p)
-    b2 = bad - b1
-
+    bad, b1, b2 = _bad_split(table, a, N, _disc_primes(D, N))
     delta = _delta_from_ledgers(alpha, beta, N)
     beta_small = beta.logsum(hi=N)
-    alpha_small_nondisc = sum(
-        e * math.log(p) for p, e in alpha_small.items() if p not in disc_primes
-    )
+    alpha_small_nondisc = sum(e * math.log(p) for p, e in alpha.upto(N).items() if D % p)
 
     cn, en, dn = _density_sums(table, a, N, D)
 

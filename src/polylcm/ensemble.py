@@ -157,6 +157,12 @@ def _check_inputs(f0: IntPoly, T: int, N: int, least: int) -> None:
             raise ValueError(f"need {name} >= {lo}, got {value}")
 
 
+def _check_samples(n_samples: int) -> None:
+    # Fewer than one sample would report a non-empty ensemble as empty.
+    if n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
+
+
 def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
     out = []
     n = len(sorted_vals)
@@ -230,6 +236,8 @@ def ensemble_average(
         sampling = "random" if T > RANDOM_SAMPLING_CUTOFF else "exhaustive"
     if sampling not in ("exhaustive", "random"):
         raise ValueError(f"sampling must be exhaustive/random/auto, got {sampling!r}")
+    if sampling == "random":
+        _check_samples(n_samples)
     d = f0.degree
     if N >= 2 and T >= 3:
         win = WindowSpec(T, N, d)
@@ -377,6 +385,7 @@ def theorem_check(
     """Desk-scale check of log L_a(N) ~ (d-1) N log N over sampled
     irreducible shifts, with per-component bands for C_N, Bad_N, Delta_N."""
     _check_inputs(f0, T, N, 2)
+    _check_samples(n_samples)
     d = f0.degree
     win = WindowSpec(T, N, d)
     if not win.holds and not override_window:

@@ -170,11 +170,12 @@ def sigma(f0: IntPoly, a: int, p: int) -> SigmaValue:
     return SigmaValue(a, p, s)
 
 
-def _lifted_levels(poly: IntPoly, p: int) -> Iterator[list[int]]:
-    """The roots of poly mod p, p**2, p**3, ..., one level per step.  A
-    simple root has one lift; a singular root lifts to all p classes above
-    it when it survives to the next level, and to none otherwise."""
-    level = list(roots_mod_p(poly, p).roots)
+def _lifted_levels(poly: IntPoly, p: int, roots: tuple[int, ...]) -> Iterator[list[int]]:
+    """The roots of poly mod p, p**2, p**3, ..., one level per step, lifted
+    from the caller's roots mod p.  A simple root has one lift; a singular
+    root lifts to all p classes above it when it survives to the next
+    level, and to none otherwise."""
+    level = list(roots)
     deriv = poly.derivative()
     pj = p
     while True:
@@ -204,7 +205,8 @@ def roots_mod_pk(f: PolyLike, p: int, k: int) -> RootSetModPk:
     pk = p**k
     if not any(c % pk for c in poly.coeffs):
         raise DegenerateReductionError(p, rho=pk, message=f"polynomial vanishes mod {p}**{k}")
-    level = next(itertools.islice(_lifted_levels(poly, p), k - 1, None))
+    levels = _lifted_levels(poly, p, roots_mod_p(poly, p).roots)
+    level = next(itertools.islice(levels, k - 1, None))
     return RootSetModPk(p, k, tuple(sorted(level)))
 
 
@@ -268,8 +270,9 @@ class RootTable:
     length and build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through
     to direct root extraction.
 
-    A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``
-    and ``ensemble`` read it unless a report's caller passes its own."""
+    A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``,
+    ``valengine`` and ``ensemble`` read it unless a caller passes its own
+    (``_root_table_for``)."""
 
     def __init__(self, f0: IntPoly):
         self.f0 = f0
@@ -317,3 +320,10 @@ def _preimage_rows(coeffs: list[int], p: int) -> tuple[array, array]:
 def _family_root_table(f0_coeffs: tuple[int, ...]) -> RootTable:
     # One RootTable per family, shared by every caller without a table.
     return RootTable(IntPoly(f0_coeffs))
+
+
+def _root_table_for(f0: IntPoly, table: RootTable | None) -> RootTable:
+    """table when it belongs to f0, else the family's shared table."""
+    if table is not None and table.f0 == f0:
+        return table
+    return _family_root_table(f0.coeffs)

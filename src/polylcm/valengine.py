@@ -4,33 +4,35 @@ alpha_p = total p-adic valuation of the product of the values;
 beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 
 Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``);
-the ledgers and the log P sum read that one list.  Small primes (p <= B,
-default B = N) are handled by root-sieving: the n with p | f_a(n) lie in the
-residue classes of the roots of f_a mod p, so only those positions are ever
-divided.  Whatever is left of each value afterwards is a cofactor with all
-prime factors > B.  One batch GCD over these cofactors (Bernstein's product
-tree, then a descent that reduces modulo each node, not its square) gives
-g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  A cofactor with
-g_i = 1 shares no prime: its primes have alpha_p = beta_p, so the ledgers
-keep it unfactored and factor it only when the complete prime map is read.
-A shared cofactor is split into g_i and c_i / g_i; a piece > 1 and <= B^2 is
-prime (its primes all exceed B), a larger one goes to ``is_prime``, and only
-a composite piece is factored.  Any vanishing value f_a(n) = 0 is a hard
-error: every quantity here is undefined at such n.
+the ledgers and the log P sum read that one list.  Small primes (p <= N) are
+handled by root-sieving: the n with p | f_a(n) lie in the residue classes of
+the roots of f_a mod p, read from the family's ``RootTable``, so only those
+positions are ever divided.  Whatever is left of each value afterwards is a
+cofactor with all prime factors > N.  One batch GCD over these cofactors
+(Bernstein's product tree, then a descent that reduces modulo each node, not
+its square) gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  A
+cofactor with g_i = 1 shares no prime: its primes have alpha_p = beta_p, so
+the ledgers keep it unfactored and factor it only when the complete prime
+map is read.  A shared cofactor is split into g_i and c_i / g_i; a piece > 1
+and <= N^2 is prime (its primes all exceed N), a larger one goes to
+``is_prime``, and only a composite piece is factored.
+
+``alpha_p``, ``beta_p`` and ``alpha_approx_residual`` at a single prime lift
+the roots mod p level by level instead (``_level_hits``), evaluating no
+value.  Any vanishing value f_a(n) = 0 is a hard error: every quantity here
+is undefined at such n.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import ntkernel
 from .errors import ZeroValueError
-from .modroots import RootTable, _lifted_levels, roots_mod_p
+from .modroots import RootTable, _lifted_levels, _root_table_for, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant
 
 KIND_ALPHA = "alpha"
@@ -43,7 +45,7 @@ class ValuationLedger:
 
     ``factored`` is the prime-keyed part.  ``rest`` holds the cofactors that
     share no prime with any other value, unfactored; each of their primes
-    exceeds B and has exponent alpha_p = beta_p = its exponent there.  The
+    exceeds N and has exponent alpha_p = beta_p = its exponent there.  The
     first read of ``entries`` factors ``rest``; the alpha and beta ledgers of
     one build share that work through ``_rest_factors``.
     """
@@ -54,7 +56,6 @@ class ValuationLedger:
     N: int
     factored: dict[int, int]
     rest: tuple[int, ...] = ()
-    B: int = 0
     _rest_factors: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     _entries: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -70,8 +71,8 @@ class ValuationLedger:
 
     def upto(self, hi: int | None = None) -> dict[int, int]:
         """Entries with p <= hi (all when hi is None), ascending.  ``rest`` is
-        left unfactored when hi <= B, as none of its primes can be <= hi."""
-        src = self.factored if hi is not None and hi <= self.B else self.entries
+        left unfactored when hi <= N, as none of its primes can be <= hi."""
+        src = self.factored if hi is not None and hi <= self.N else self.entries
         return {p: src[p] for p in sorted(src) if hi is None or p <= hi}
 
     def logsum(self, lo: int | None = None, hi: int | None = None) -> float:
@@ -99,29 +100,6 @@ class ValuationLedger:
         return json.dumps(payload, sort_keys=True)
 
 
-def _value_extent(f: ShiftedPoly, N: int) -> int:
-    """Exact max |f(n)| on [1, N]; raises ZeroValueError on a vanishing value."""
-    max_abs, zero_at = _extent_cached(f.base.coeffs, f.shift, N)
-    if zero_at:
-        raise ZeroValueError(zero_at)
-    return max_abs
-
-
-@lru_cache(maxsize=64)
-def _extent_cached(f0_coeffs: tuple[int, ...], shift: int, N: int) -> tuple[int, int]:
-    # (max |f(n)|, first n with f(n) = 0 or 0).  The zero is returned rather
-    # than raised because lru_cache does not keep exceptions.
-    f = ShiftedPoly(IntPoly(f0_coeffs), shift)
-    max_abs = 0
-    for n in range(1, N + 1):
-        v = f(n)
-        if v == 0:
-            return 0, n
-        if abs(v) > max_abs:
-            max_abs = abs(v)
-    return max_abs, 0
-
-
 def _count_in_class(N: int, r: int, m: int) -> int:
     # |{1 <= n <= N : n == r (mod m)}| for 0 <= r < m
     if r == 0:
@@ -131,57 +109,57 @@ def _count_in_class(N: int, r: int, m: int) -> int:
     return (N - r) // m + 1
 
 
-def _level_hits(f: ShiftedPoly, N: int, p: int, levels: Iterator[list[int]]) -> Iterator[int]:
-    # |{n <= N : p**k | f(n)}| for k = 1, 2, ..., reading the roots mod p**k
-    # from levels, until p**k exceeds every |f(n)| or no root is left.
-    max_abs = _value_extent(f, N)
+def _level_hits(poly: IntPoly, N: int, p: int, roots: tuple[int, ...]) -> Iterator[int]:
+    # |{n <= N : p**k | poly(n)}| for k = 1, 2, ..., lifting the roots mod p
+    # one level at a time, up to the first level that no n <= N reaches:
+    # the counts can only fall as k grows, so every later one is 0.  Above
+    # the coefficient bound sum |c_i| N**i, p**k exceeds every |poly(n)|,
+    # so a level still reached there holds the zeros of poly on [1, N].
+    bound = sum(abs(c) * N**i for i, c in enumerate(poly.coeffs))
     pk = p
-    while pk <= max_abs:
-        level = next(levels)
-        if not level:
+    for level in _lifted_levels(poly, p, roots):
+        hits = sum(_count_in_class(N, r, pk) for r in level)
+        if not hits:
             return
-        yield sum(_count_in_class(N, r, pk) for r in level)
+        if pk > bound:
+            raise ZeroValueError(min(r for r in level if 1 <= r <= N))
+        yield hits
         pk *= p
 
 
 def alpha_p(f: ShiftedPoly, N: int, p: int) -> int:
     """alpha_p(a; N) = sum over n <= N of nu_p(f_a(n)), via the root sieve:
     level-k roots of f mod p**k each contribute their lattice count."""
-    return sum(_level_hits(f, N, p, _lifted_levels(f.to_poly(), p)))
+    return sum(_level_hits(f.to_poly(), N, p, roots_mod_p(f, p).roots))
 
 
 def beta_p(f: ShiftedPoly, N: int, p: int) -> int:
     """beta_p(N) = max over n <= N of nu_p(f_a(n))."""
-    hits = _level_hits(f, N, p, _lifted_levels(f.to_poly(), p))
-    return max((k for k, h in enumerate(hits, 1) if h), default=0)
+    # Every level yielded is reached by some n <= N, so beta_p is their number.
+    return sum(1 for _ in _level_hits(f.to_poly(), N, p, roots_mod_p(f, p).roots))
 
 
 def build_ledgers(
     f: ShiftedPoly,
     N: int,
-    B: int | None = None,
     root_table: RootTable | None = None,
     *,
     _values: list[int] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
     """Complete (alpha, beta) ledgers over all primes, plus the cofactor list
-    (one per n: the part of |f(n)| left after removing primes <= B).
-    ``_values`` is the caller's ``_abs_values(f, N)``; it is not modified."""
-    if B is None:
-        B = N
-    if B < 1:
-        raise ValueError(f"prime threshold B must be >= 1, got {B}")
+    (one per n: the part of |f(n)| left after removing primes <= N).  The
+    roots mod p come from root_table when it belongs to f's family, else
+    from the family's shared table.  ``_values`` is the caller's
+    ``_abs_values(f, N)``; it is not modified."""
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     values = _abs_values(f, N) if _values is None else list(_values)
     alpha: dict[int, int] = {}
     beta: dict[int, int] = {}
-    if root_table is not None and root_table.f0 != f.base:
-        root_table = None
-    if B >= 2:
-        for p in ntkernel.sieve_primes(B):
-            if root_table is not None:
-                roots = root_table.roots(f.shift, p)
-            else:
-                roots = roots_mod_p(f, p).roots
+    table = _root_table_for(f.base, root_table)
+    if N >= 2:
+        for p in ntkernel.sieve_primes(N):
+            roots = table.roots(f.shift, p)
             tot = 0
             mx = 0
             for r in roots:
@@ -206,13 +184,13 @@ def build_ledgers(
         if g == 1:
             rest.append(v)
             continue
-        for q, e in _split_shared(v, g, B):
+        for q, e in _split_shared(v, g, N):
             alpha[q] = alpha.get(q, 0) + e
             if e > beta.get(q, 0):
                 beta[q] = e
     meta = (f.base.coeffs, f.shift, N)
     # One rest, and one cache of its factors, for both ledgers.
-    unshared = (tuple(rest), B, {})
+    unshared = (tuple(rest), {})
     return (
         ValuationLedger(KIND_ALPHA, *meta, alpha, *unshared),
         ValuationLedger(KIND_BETA, *meta, beta, *unshared),
@@ -243,14 +221,14 @@ def _shared_gcds(cs: list[int]) -> list[int]:
     return [math.gcd(c, r) for c, r in zip(cs, rems)]
 
 
-def _split_shared(c: int, g: int, B: int) -> tuple[tuple[int, int], ...]:
-    """factor(c).factors for a cofactor c whose primes all exceed B, read
-    from its pieces g and c // g (g | c).  A piece > 1 and <= B**2 is prime,
+def _split_shared(c: int, g: int, N: int) -> tuple[tuple[int, int], ...]:
+    """factor(c).factors for a cofactor c whose primes all exceed N, read
+    from its pieces g and c // g (g | c).  A piece > 1 and <= N**2 is prime,
     a larger one is tested by is_prime, and only a composite piece is
     factored; each exponent comes from dividing c."""
     primes = set()
     for piece in (g, c // g):
-        if piece <= B * B or ntkernel.is_prime(piece):
+        if piece <= N * N or ntkernel.is_prime(piece):
             primes.add(piece)
         else:
             primes.update(ntkernel.factor(piece).primes())
@@ -294,7 +272,6 @@ def alpha_approx_residual(f: ShiftedPoly, N: int, p: int) -> float:
     clean, i.e. requires p to not divide disc(f_a)."""
     if _family_discriminant(f.base, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
-    levels = _lifted_levels(f.to_poly(), p)
-    roots = next(levels)
-    alpha = sum(_level_hits(f, N, p, itertools.chain([roots], levels)))
+    roots = roots_mod_p(f, p).roots
+    alpha = sum(_level_hits(f.to_poly(), N, p, roots))
     return alpha - N * len(roots) / (p - 1)

@@ -5,13 +5,16 @@ Criteria 6-8 share one seeded ensemble; criterion 11 re-runs them and
 demands byte-identical JSON.
 """
 
+import importlib
 import json
 import math
+import pkgutil
 import random
 import time
 
 import pytest
 
+import polylcm
 from polylcm import (
     alpha_approx_residual,
     build_ledgers,
@@ -42,7 +45,7 @@ from polylcm.errors import ZeroValueError
 from polylcm.modroots import _family_root_table
 from polylcm.ntkernel import divisor_logsum, divisor_logsum_table
 from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family
-from polylcm.valengine import _value_extent
+from polylcm.valengine import _abs_values
 
 from oracles import kronecker_irreducible, lcm_chain
 
@@ -56,6 +59,9 @@ X3_2X = IntPoly((0, 2, 0, 1))
 X4 = IntPoly((0, 0, 0, 0, 1))
 
 COV_PAIRS = ((11, 13), (17, 19), (11, 31))
+
+# Every cache in the package; criterion 11 clears each before it reruns.
+PACKAGE_CACHES = (_verdict_record, _disc_family, _family_root_table)
 
 
 def check(name, ok, detail="", elapsed=None, budget=None):
@@ -184,7 +190,7 @@ def test_criterion_04_hensel_alpha_residual():
         zeros = [n for n in range(1, N + 1) if n**3 == a]
         if zeros:
             with pytest.raises(ZeroValueError) as exc:
-                _value_extent(f, N)
+                _abs_values(f, N)
             assert exc.value.n == zeros[0], (a, exc.value.n)
             for p in primes:
                 with pytest.raises(ZeroValueError) as exc:
@@ -192,7 +198,7 @@ def test_criterion_04_hensel_alpha_residual():
                 assert exc.value.n == zeros[0], (a, p, exc.value.n)
                 refused += 1
             continue
-        maxval = _value_extent(f, N)
+        maxval = max(_abs_values(f, N))
         for p in primes:
             res = alpha_approx_residual(f, N, p)
             bound = d * (math.log(maxval) / math.log(p) + 2)
@@ -301,9 +307,8 @@ def test_criterion_11_determinism(crit6_stats, crit7_reports, crit8_json):
     # A rerun decides every shift's irreducibility, interpolates every
     # family discriminant and builds every root table again, not from the
     # caches.
-    _verdict_record.cache_clear()
-    _disc_family.cache_clear()
-    _family_root_table.cache_clear()
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
     for stat in ("bad", "delta", "cn"):
         again = ensemble_average(
             X3, T_ENSEMBLE, N_ENSEMBLE, stat,
@@ -323,3 +328,22 @@ def test_criterion_11_determinism(crit6_stats, crit7_reports, crit8_json):
     elapsed = time.perf_counter() - t0
     check("criterion 11 (determinism)", True,
           "criteria 6-8 reruns byte-identical", elapsed)
+
+
+def test_criterion_11_clears_every_package_cache():
+    # A cache that criterion 11 does not clear would turn its rerun into a
+    # cache read, so every lru_cache in polylcm must be in PACKAGE_CACHES.
+    found = set()
+    for info in pkgutil.iter_modules(polylcm.__path__, "polylcm."):
+        module = importlib.import_module(info.name)
+        scopes = [vars(module)] + [
+            vars(obj) for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        ]
+        for scope in scopes:
+            found.update(
+                f"{obj.__module__}.{obj.__qualname__}"
+                for obj in scope.values()
+                if hasattr(obj, "cache_clear")
+            )
+    assert found == {f"{c.__module__}.{c.__qualname__}" for c in PACKAGE_CACHES}

@@ -77,6 +77,14 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["N"] == 1
 
+    def test_N_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "0"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "need N >= 1" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5", "--format", "csv"],
@@ -200,6 +208,18 @@ class TestEnsembleCmd:
         assert code == 2
         assert "degree of f0 >= 2" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one_is_usage_error(self, samples, capsys):
+        # T > 10000 samples at random; an exhaustive average reads no count.
+        argv = ["ensemble", "--f0", "0,0,0,1", "--N", "40", "--stat", "cn",
+                "--samples", samples, "--threads", "1"]
+        code, out, err = run_cli(argv + ["--T", "20000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "need n_samples >= 1" in err
+        code, _, _ = run_cli(argv + ["--T", "50", "--sampling", "exhaustive"], capsys)
+        assert code == 0
+
     def test_byte_identical_repeat(self, capsys):
         argv = ["ensemble", "--f0", "0,0,0,1", "--T", "30000", "--N", "40",
                 "--stat", "bad", "--seed", "99", "--samples", "20", "--threads", "1"]
@@ -248,6 +268,17 @@ class TestTheoremCmd:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one_is_usage_error(self, samples, capsys):
+        code, out, err = run_cli(
+            ["theorem", "--f0", "0,0,0,1", "--T", "400", "--N", "25",
+             "--samples", samples, "--threads", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "need n_samples >= 1" in err
 
     def test_override_warns(self, capsys):
         code, out, err = run_cli(
@@ -313,9 +344,10 @@ class TestRootsCmd:
 
 def test_seed_and_root_table_only_where_they_matter():
     # Every exact output is the same for any seed, so only shift sampling
-    # takes one; the only root table a caller passes is a report's own.
-    # Result records (dataclasses) echo the seed they were sampled with.
-    takes = {"seed": set(), "root_table": set()}
+    # takes one; the only root table a caller passes is a report's own, and
+    # the small-prime threshold is N, with no knob.  Result records
+    # (dataclasses) echo the seed they were sampled with.
+    takes = {"seed": set(), "root_table": set(), "B": set()}
     for name in polylcm.__all__:
         obj = getattr(polylcm, name)
         if not callable(obj) or dataclasses.is_dataclass(obj):
@@ -327,10 +359,12 @@ def test_seed_and_root_table_only_where_they_matter():
     assert takes == {
         "seed": {"ensemble_average", "theorem_check"},
         "root_table": {"decomposition_report", "build_ledgers"},
+        "B": set(),
     }
-    with pytest.raises(SystemExit) as err:
-        cli.main(["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5", "--seed", "1"])
-    assert err.value.code == 2
+    for flag in ("--seed", "--B"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5", flag, "5"])
+        assert err.value.code == 2
 
 
 def test_installed_entry_point_runs():

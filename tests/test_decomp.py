@@ -23,7 +23,16 @@ from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from polylcm.valengine import build_ledgers
 
-from oracles import delta_pairwise, eval_poly, lcm_chain, shared_cofactors, trial_factor
+from oracles import (
+    alpha_direct,
+    delta_pairwise,
+    disc_via_sylvester,
+    eval_poly,
+    lcm_chain,
+    shared_cofactors,
+    trial_factor,
+    trial_primes,
+)
 
 
 def _random_irreducible_shift(rng, dmin=3, dmax=5, span=9, amax=100):
@@ -82,7 +91,7 @@ class TestLcmEngines:
 
 class TestHotPath:
     def test_report_factors_only_shared_cofactors(self, x3, monkeypatch):
-        N = 600  # B = N
+        N = 600
         for a in (2, -7, 12345):
             big = [c for c in build_ledgers(ShiftedPoly(x3, a), N)[2] if c > 1]
             shared = [c for c, s in zip(big, shared_cofactors(big)) if s]
@@ -310,13 +319,20 @@ class TestDecompositionReport:
         assert builds == list(ntkernel.sieve_primes(N))
 
     def test_bad_split_matches_bad_N(self, x3, x3_plus_2x):
-        # The report reads B1 off the RootTable roots, bad_N off its lifting
-        # pass; both count the values divisible by each discriminant prime.
+        # Bad and B1 of the report against trial division of every value at
+        # the discriminant primes <= N, summed in the same ascending order.
         for f0, a, N in ((x3, 2, 300), (x3, 6, 200), (x3, -12, 250), (x3_plus_2x, 7, 120)):
             rep = decomposition_report(f0, a, N)
-            split = bad_N(f0, a, N)
+            fa = ShiftedPoly(f0, a).to_poly().coeffs
+            values = [eval_poly(fa, n) for n in range(1, N + 1)]
+            D = disc_via_sylvester(list(fa))
+            bad = b1 = 0.0
+            for p in trial_primes(N):
+                if D % p == 0:
+                    bad += alpha_direct(values, p) * math.log(p)
+                    b1 += sum(1 for v in values if v % p == 0) * math.log(p)
             assert rep.b1 > 0, (f0, a)
-            assert (rep.bad, rep.b1, rep.b2) == pytest.approx(tuple(split), rel=1e-12), (f0, a)
+            assert (rep.bad, rep.b1, rep.b2) == (bad, b1, bad - b1), (f0, a)
 
     def test_identity_example(self, x3):
         rep = decomposition_report(x3, 2, 5)

@@ -6,15 +6,13 @@ import pytest
 
 from polylcm.decomp import bad_N
 from polylcm.errors import ZeroValueError
-from polylcm.modroots import RootTable
+from polylcm.modroots import BRUTE_FORCE_LIMIT, RootTable, roots_mod_pk
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
-from polylcm import modroots, ntkernel, polyring, valengine
+from polylcm import decomp, modroots, ntkernel, polyring, valengine
 from polylcm.valengine import (
-    _extent_cached,
     _shared_gcds,
     _split_shared,
-    _value_extent,
     alpha_approx_residual,
     alpha_p,
     beta_p,
@@ -25,6 +23,8 @@ from polylcm.valengine import (
 from oracles import (
     alpha_direct,
     beta_direct,
+    brute_roots_mod,
+    disc_via_sylvester,
     shared_cofactors,
     shared_gcds,
     trial_factor,
@@ -111,33 +111,42 @@ class TestAlphaBetaSinglePrime:
             )
             assert bad_N(x3, a, 50).b1 == pytest.approx(expected, rel=1e-12), a
 
-    def test_bad_one_root_search_per_disc_prime(self, root_searches):
-        # bad_N reads alpha_p and the k = 1 count from one lifting pass.
+    def test_bad_one_root_search_per_disc_prime(self, root_searches, monkeypatch):
+        # bad_N lifts from one family-table lookup per discriminant prime and
+        # reads alpha_p and the k = 1 count from that one pass; below the
+        # brute-force limit no roots mod p are searched for.
         x4x = IntPoly((0, 1, 0, 0, 1))
         N = 50
         calls = root_searches
+        lookups = []
+        roots = RootTable.roots
+        monkeypatch.setattr(
+            RootTable, "roots", lambda t, a, p: lookups.append(p) or roots(t, a, p)
+        )
         for a in (3, 7, 12, -3, -7):
             D = -27 - 256 * a**3  # disc(x^4 + x - a)
             disc_primes = [p for p in sieve_primes(N) if D % p == 0]
             assert disc_primes, a
             calls.clear()
+            lookups.clear()
             bad_N(x4x, a, N)
-            assert calls == disc_primes, (a, calls)
+            assert lookups == disc_primes, (a, lookups)
+            assert all(p >= BRUTE_FORCE_LIMIT for p in calls), (a, calls)
 
 
 class TestLedgers:
     def test_alpha_example_all_small(self, x3):
-        led, _, cof = build_ledgers(ShiftedPoly(x3, -1), 3, 10)
+        led, _, cof = build_ledgers(ShiftedPoly(x3, -1), 3)
         assert led.entries == {2: 3, 3: 2, 7: 1}
-        assert cof == [1, 1, 1]
+        assert cof == [1, 1, 7]  # 7 > N is left in the cofactor of 28
 
     def test_alpha_example_cofactor_path(self, x3):
-        led = build_ledgers(ShiftedPoly(x3, -1), 6, 6)[0]
+        led = build_ledgers(ShiftedPoly(x3, -1), 6)[0]
         assert led.entries[7] == 3  # 7 | 28, 126, 217 found by factoring
 
     def test_beta_examples(self, x3, x2_plus_1):
-        assert build_ledgers(ShiftedPoly(x3, -1), 6, 6)[1].entries[7] == 1
-        led = build_ledgers(ShiftedPoly(x2_plus_1, 0), 10, 3)[1]
+        assert build_ledgers(ShiftedPoly(x3, -1), 6)[1].entries[7] == 1
+        led = build_ledgers(ShiftedPoly(x2_plus_1, 0), 10)[1]
         assert led.entries[5] == 2
         assert led.entries[13] == 1
 
@@ -146,6 +155,13 @@ class TestLedgers:
         led = build_ledgers(f, 1)[0]
         assert led.entries == {2: 1}
         assert build_ledgers(f, 1)[1].entries == led.entries
+
+    def test_N_below_one_rejected(self, x3):
+        for N in (0, -5):
+            with pytest.raises(ValueError, match="need N >= 1"):
+                build_ledgers(ShiftedPoly(x3, 2), N)
+            with pytest.raises(ValueError, match="need N >= 1"):
+                decomp.decomposition_report(x3, 2, N)
 
     def test_completeness_alpha_logsum_is_log_P(self):
         rng = random.Random(31415)
@@ -191,7 +207,7 @@ class TestLedgers:
         assert a1.entries == a2.entries
 
     def test_json_export_shape(self, x3):
-        led = build_ledgers(ShiftedPoly(x3, -1), 3, 10)[0]
+        led = build_ledgers(ShiftedPoly(x3, -1), 3)[0]
         payload = json.loads(led.to_json())
         assert payload["kind"] == "alpha"
         assert payload["f0"] == [0, 0, 0, 1]
@@ -255,15 +271,14 @@ class TestBatchGcd:
                 for p, e in trial_factor(v):
                     alpha_ref[p] = alpha_ref.get(p, 0) + e
                     beta_ref[p] = max(beta_ref.get(p, 0), e)
-            B = rng.choice((None, 1, N // 3, 2 * N))
-            alpha, beta, _ = build_ledgers(f, N, B)
+            alpha, beta, _ = build_ledgers(f, N)
             before = (alpha.product(), beta.product())
             if done % 2:
                 alpha_map, beta_map = dict(alpha.entries), dict(beta.entries)
             else:
                 beta_map, alpha_map = dict(beta.entries), dict(alpha.entries)
-            assert alpha_map == alpha_ref, (f, N, B)
-            assert beta_map == beta_ref, (f, N, B)
+            assert alpha_map == alpha_ref, (f, N)
+            assert beta_map == beta_ref, (f, N)
             assert (alpha.product(), beta.product()) == before
             done += 1
 
@@ -279,8 +294,8 @@ class TestBatchGcd:
 
 
 class TestSplitShared:
-    # B = 100, so every prime below is > B and B**2 = 10**4.
-    Q, R, S = 101, 103, 10007  # S > B**2 is prime; Q * R > B**2 is not
+    # N = 100, so every prime below is > N and N**2 = 10**4.
+    Q, R, S = 101, 103, 10007  # S > N**2 is prime; Q * R > N**2 is not
 
     def _cases(self):
         q, r, s = self.Q, self.R, self.S
@@ -289,23 +304,23 @@ class TestSplitShared:
             (q * r, q),
             (q * q * r, q),  # c / g = q * r is composite
             (q * q * r, q * q),  # composite g
-            (q * r * s, q * r),  # composite g, prime c / g above B**2
+            (q * r * s, q * r),  # composite g, prime c / g above N**2
             (s * s, s),
             (q * s, s),
         ]
 
-    @pytest.mark.parametrize("B", [100, 1])
-    def test_pieces_equal_trial_division(self, B, monkeypatch):
+    @pytest.mark.parametrize("N", [100, 1])
+    def test_pieces_equal_trial_division(self, N, monkeypatch):
         calls = []
         factor = ntkernel.factor
         monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
         for c, g in self._cases():
             expected = tuple(trial_factor(c))
-            assert _split_shared(c, g, B) == expected, (c, g, B)
+            assert _split_shared(c, g, N) == expected, (c, g, N)
             assert factor(c).factors == expected
-        # only composite pieces above B**2 are factored
-        assert calls and all(m > B * B and trial_factor(m) != [(m, 1)] for m in calls)
-        if B == 1:  # no shortcut: q * r and q * q are factored whatever their size
+        # only composite pieces above N**2 are factored
+        assert calls and all(m > N * N and trial_factor(m) != [(m, 1)] for m in calls)
+        if N == 1:  # no shortcut: q * r and q * q are factored whatever their size
             assert {self.Q * self.R, self.Q * self.Q} <= set(calls)
 
 
@@ -331,16 +346,86 @@ class TestLogP:
             log_P(ShiftedPoly(x3, 27), 5)
 
 
-class TestValueExtent:
-    def test_zero_value_outcome_is_cached(self, x3):
-        f = ShiftedPoly(x3, 1)  # f_1(1) = 0
-        with pytest.raises(ZeroValueError) as first:
-            _value_extent(f, 37)
-        hits = _extent_cached.cache_info().hits
-        with pytest.raises(ZeroValueError) as second:
-            _value_extent(f, 37)
-        assert _extent_cached.cache_info().hits == hits + 1
-        assert first.value.n == second.value.n == 1
+class TestZeroValues:
+    # (f0, a, N): x^3 - 8 vanishes at 2, where 2 and 3 are singular primes;
+    # (x - 3)(x - 5)(x + 1) vanishes at 3 and 5, so 3 must be named.
+    CASES = [((0, 0, 0, 1), 8, 30), ((0, 7, -7, 1), -15, 40), ((0, 7, -7, 1), -15, 4)]
+
+    @pytest.mark.parametrize("coeffs, a, N", CASES, ids=["x3-a8", "cubic-N40", "cubic-N4"])
+    def test_first_zero_is_named(self, coeffs, a, N):
+        f0 = IntPoly(coeffs)
+        f = ShiftedPoly(f0, a)
+        first = next(n for n in range(1, N + 1) if f(n) == 0)
+        D = discriminant(f.to_poly())
+        # p <= N and p > N, at discriminant primes and elsewhere
+        for p in (2, 3, 5, 7, 23, 41, 101):
+            for fn in (alpha_p, beta_p) + ((alpha_approx_residual,) if D % p else ()):
+                with pytest.raises(ZeroValueError) as err:
+                    fn(f, N, p)
+                assert err.value.n == first, (fn.__name__, coeffs, a, N, p)
+        with pytest.raises(ZeroValueError) as err:
+            bad_N(f0, a, N)
+        assert err.value.n == first
+
+
+class TestDiscriminantPrimes:
+    def test_lifting_matches_trial_division_and_brute_force(self):
+        # Seeded families f0 - a, f0 = (x - r)(x - r - p**e t) g(x): two roots
+        # of f0 agree mod p**e, and a multiple a of p**m keeps f0 - a close
+        # to f0 p-adically, so the roots mod p are singular to a depth the
+        # strategy controls.  a = f0(x0) plants a zero at x0 instead.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        small = st.integers(-12, 12)
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(
+            p=st.sampled_from((2, 3, 5, 7)),
+            e=st.integers(1, 4),
+            r=st.integers(-40, 40),
+            t=small.filter(bool),
+            g=st.lists(small, min_size=1, max_size=3),
+            m=st.integers(0, 6),
+            s=small,
+            N=st.integers(1, 150),
+            x0=st.none() | st.integers(1, 150),
+        )
+        def check(p, e, r, t, g, m, s, N, x0):
+            f0 = IntPoly((-r, 1)) * IntPoly((-r - p**e * t, 1)) * IntPoly((*g, 1))
+            a = f0(x0) if x0 is not None else p**m * s
+            f = ShiftedPoly(f0, a)
+            fa = list(f.to_poly().coeffs)
+            D = disc_via_sylvester(fa)
+            hypothesis.assume(D != 0)
+            values = [f(n) for n in range(1, N + 1)]
+            zero = next((n for n, v in enumerate(values, 1) if v == 0), None)
+            disc_primes = [q for q in trial_primes(N) if D % q == 0]
+            for q in sorted({p, *disc_primes}):
+                k_max = int(math.log(1000, q))
+                for k in range(1, k_max + 1):
+                    want = tuple(brute_roots_mod(fa, q**k))
+                    assert roots_mod_pk(f, q, k).roots == want, (f0, a, q, k)
+                if zero is not None:
+                    for fn in (alpha_p, beta_p):
+                        with pytest.raises(ZeroValueError) as err:
+                            fn(f, N, q)
+                        assert err.value.n == zero, (fn.__name__, f0, a, N, q)
+                    continue
+                assert alpha_p(f, N, q) == alpha_direct(values, q), (f0, a, N, q)
+                assert beta_p(f, N, q) == beta_direct(values, q), (f0, a, N, q)
+            if zero is not None:
+                if disc_primes:  # with none, Bad_N is the empty sum
+                    with pytest.raises(ZeroValueError) as err:
+                        bad_N(f0, a, N)
+                    assert err.value.n == zero
+                return
+            total = b1 = 0.0
+            for q in disc_primes:
+                total += alpha_direct(values, q) * math.log(q)
+                b1 += sum(1 for v in values if v % q == 0) * math.log(q)
+            assert tuple(bad_N(f0, a, N)) == (total, b1, total - b1), (f0, a, N)
+
+        check()
 
 
 class TestAlphaApproxResidual:
