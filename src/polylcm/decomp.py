@@ -17,6 +17,18 @@ cofactors), so the unshared large cofactors are never factored.
 Discriminant primes <= N are found by divisibility tests, not by factoring D.
 Bad_N has one path (``_bad_split``), shared by ``bad_N`` and the report: one
 lifting pass per discriminant prime from the family's roots mod p.
+
+The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
+over the primes <= N for one shift and raise ZeroValueError at the first
+n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
+shifts in one pass per prime: ``_disc_masks`` reduces every shift mod p
+and D(a) mod p (the family's Newton form, one vector Horner pass), and
+``_density_columns`` builds (C_N, E_N, D_N) from it with rho gathered from
+the RootTable, while ``_bad_columns`` hands each shift its discriminant
+primes for ``_bad_split``.  Each batch entry has its single-shift value's
+bits: a term is built with the same float operations and added in the
+same ascending order of p.  The batch serves only irreducible shifts (D(a)
+!= 0, no integer zero), as the ensembles admit them, and checks neither.
 """
 
 from __future__ import annotations
@@ -24,13 +36,22 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import RootTable, _family_root_table, _root_table_for
-from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
+from .modroots import BRUTE_FORCE_LIMIT, RootTable, _family_root_table, _root_table_for
+from .polyring import (
+    IntPoly,
+    ShiftedPoly,
+    _disc_family,
+    _family_discriminant,
+    is_irreducible_over_Q,
+)
 from .valengine import ValuationLedger, _level_hits, build_ledgers
 
 # Up to this N the lcm tree also runs and must equal the ledger product;
@@ -71,11 +92,36 @@ def _disc_primes(D: int, N: int) -> list[int]:
     return [p for p in ntkernel.sieve_primes(N) if D % p == 0]
 
 
+def _check_no_zero(f0: IntPoly, a: int, N: int) -> None:
+    # ZeroValueError at the first n <= N with f_a(n) = 0.  An integer zero
+    # n divides f_a(0), so only such n are evaluated (every n when f_a(0) = 0).
+    f = ShiftedPoly(f0, a)
+    c0 = f(0)
+    for n in range(1, (min(N, abs(c0)) if c0 else N) + 1):
+        if c0 % n == 0 and f(n) == 0:
+            raise ZeroValueError(n)
+
+
 def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     """Bad_N(a) = sum over p <= N, p | D(a) of alpha_p log p, split into the
-    k = 1 part (B1) and the k >= 2 remainder (B2)."""
+    k = 1 part (B1) and the k >= 2 remainder (B2).  Raises ZeroValueError at
+    the first n <= N with f_a(n) = 0."""
     disc_primes = _disc_primes(_family_discriminant(f0, a), N)
+    _check_no_zero(f0, a, N)
     return _bad_split(_family_root_table(f0.coeffs), a, N, disc_primes)
+
+
+def _bad_columns(f0: IntPoly, shifts: list[int], N: int) -> list[BadSplit]:
+    """bad_N(f0, a, N) for every a in shifts, in order.  The discriminant
+    primes of all shifts come from one residue pass (_disc_masks); each
+    shift then takes the one Bad_N path, _bad_split.  Shifts must be
+    irreducible (see _density_columns)."""
+    primes_of: list[list[int]] = [[] for _ in shifts]
+    for p, _, disc in _disc_masks(f0, shifts, N):
+        for i in np.flatnonzero(disc).tolist():
+            primes_of[i].append(p)
+    table = _family_root_table(f0.coeffs)
+    return [_bad_split(table, a, N, primes) for a, primes in zip(shifts, primes_of)]
 
 
 def _bad_split(table: RootTable, a: int, N: int, disc_primes: list[int]) -> BadSplit:
@@ -131,18 +177,74 @@ def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]
     D = _family_discriminant(f0, a)
     if D == 0:
         raise ValueError("discriminant is zero")
+    _check_no_zero(f0, a, N)
     return _density_sums(_family_root_table(f0.coeffs), a, N, D)
 
 
 def c_N(f0: IntPoly, a: int, N: int) -> float:
-    """C_N(a) = sum over p <= N, p not dividing D(a), of rho(a;p) log p/(p-1)."""
+    """C_N(a) = sum over p <= N, p not dividing D(a), of rho(a;p) log p/(p-1).
+    Raises ZeroValueError at the first n <= N with f_a(n) = 0."""
     return _density_sums_for(f0, a, N)[0]
 
 
 def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
     """E_N = sum over discriminant primes <= N of log p/p;
-    D_N = sum over the other primes <= N of sigma(a;p) log p/p."""
+    D_N = sum over the other primes <= N of sigma(a;p) log p/p.
+    Raises ZeroValueError at the first n <= N with f_a(n) = 0."""
     return _density_sums_for(f0, a, N)[1:]
+
+
+def _disc_masks(
+    f0: IntPoly, shifts: list[int], N: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
+    # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
+    # a mod p: one vector Horner pass over the family's Newton form.
+    if N < 2 or not shifts:
+        return
+    family = _disc_family(f0.coeffs)
+    # A family seen at fewer than d distinct shifts has no Newton form yet;
+    # every shift is then a node, and its exact D(a) is reduced instead.
+    exact = None if family.fill(shifts) else np.array([family(a) for a in shifts], dtype=object)
+    # Shifts beyond int64 (random mode takes any T) are reduced as Python ints.
+    int64 = np.iinfo(np.int64)
+    wide = not int64.min <= min(shifts) <= max(shifts) <= int64.max
+    a = np.array(shifts, dtype=object if wide else np.int64)
+    for p in ntkernel.sieve_primes(N):
+        v = (a % p).astype(np.int64)
+        disc_mod_p = family.residues(v, p) if exact is None else exact % p
+        yield p, v, disc_mod_p == 0
+
+
+def _density_columns(
+    f0: IntPoly, shifts: list[int], N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C_N, E_N, D_N) for every a in shifts, as three float64 arrays, in
+    one pass per prime p <= N over all shifts at once.
+
+    Each entry has the bits of _density_sums for its shift: every term is
+    built with the scalar loop's float operations (r * log_p / (p - 1) and
+    (r - 1) * log_p / p, log_p = math.log(p)), and the columns take them in
+    ascending p by elementwise addition, a skipped term adding +0.0.  rho is
+    gathered from the RootTable's start row; primes >= BRUTE_FORCE_LIMIT
+    ask table.rho shift by shift.
+
+    Precondition: the shifts are irreducible, as the ensembles admit them,
+    so D(a) != 0 and f_a has no integer zero; neither is checked here."""
+    n = len(shifts)
+    cn, en, dn = np.zeros(n), np.zeros(n), np.zeros(n)
+    table = _family_root_table(f0.coeffs)
+    for p, v, disc in _disc_masks(f0, shifts, N):
+        log_p = math.log(p)
+        if p < BRUTE_FORCE_LIMIT:
+            start = table.start_row(p)
+            r = start[v + 1] - start[v]
+        else:
+            r = np.array([0 if d else table.rho(a, p) for a, d in zip(shifts, disc.tolist())])
+        en += np.where(disc, log_p / p, 0.0)
+        cn += np.where(disc, 0.0, r * log_p / (p - 1))
+        dn += np.where(disc, 0.0, (r - 1) * log_p / p)
+    return cn, en, dn
 
 
 @dataclass

@@ -9,6 +9,20 @@ is decided once.  Random mode draws distinct shifts with a seeded
 generator and rejects reducible ones; the seed picks the sample and nothing
 else.  Aggregation is an ordered reduction (values sorted by a), so
 identical inputs and seed produce byte-identical reports.
+
+Every statistic is a chunk function (f0, shifts, N) -> values, and
+``_map_shifts`` is the one path that runs it, in-process or over strided
+chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
+``dn``, ``bad`` and ``b2`` are batched: one numpy pass per prime p <= N
+over the whole chunk (``decomp._density_columns`` and
+``decomp._bad_columns``), with Bad_N still lifted shift by shift.  Their
+values keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``:
+each term is built with the same float operations and added in the same
+ascending order of p, and the moments read Python floats in ascending a.
+The batch assumes what admission guarantees, that every shift is
+irreducible (D(a) != 0 and no integer zero).  ``delta``, ``loglratio``
+and the theorem rows loop over their chunk, one report or ledger per
+shift.
 """
 
 from __future__ import annotations
@@ -26,8 +40,6 @@ from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
 from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
-
-STATISTICS = ("bad", "b2", "delta", "cn", "dn", "loglratio")
 
 QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -175,41 +187,64 @@ def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
     return out
 
 
-def _eval_statistic(f0: IntPoly, a: int, N: int, statistic: str) -> float:
-    if statistic == "bad":
-        return decomp.bad_N(f0, a, N).total
-    if statistic == "b2":
-        return decomp.bad_N(f0, a, N).b2
-    if statistic == "delta":
-        return decomp.delta_N(f0, a, N)
-    if statistic == "cn":
-        return decomp.c_N(f0, a, N)
-    if statistic == "dn":
-        return decomp.e_N_d_N(f0, a, N)[1]
-    if statistic == "loglratio":
-        rep = decomp.decomposition_report(f0, a, N)
-        return rep.log_L / ((f0.degree - 1) * N * math.log(N))
-    raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+def _bad_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    return [split.total for split in decomp._bad_columns(f0, shifts, N)]
 
 
-def _theorem_row(f0: IntPoly, a: int, N: int) -> tuple[float, float, float, float]:
-    rep = decomp.decomposition_report(f0, a, N)
-    return (rep.log_L, rep.c_N, rep.bad, rep.delta)
+def _b2_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    return [split.b2 for split in decomp._bad_columns(f0, shifts, N)]
+
+
+def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    return [decomp.delta_N(f0, a, N) for a in shifts]
+
+
+def _cn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    return decomp._density_columns(f0, shifts, N)[0].tolist()
+
+
+def _dn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    return decomp._density_columns(f0, shifts, N)[2].tolist()
+
+
+def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+    denom = (f0.degree - 1) * N * math.log(N)
+    return [decomp.decomposition_report(f0, a, N).log_L / denom for a in shifts]
+
+
+# Each statistic's chunk function (f0, shifts, N) -> one value per shift.
+_STATISTIC_CHUNKS = {
+    "bad": _bad_chunk,
+    "b2": _b2_chunk,
+    "delta": _delta_chunk,
+    "cn": _cn_chunk,
+    "dn": _dn_chunk,
+    "loglratio": _loglratio_chunk,
+}
+STATISTICS = tuple(_STATISTIC_CHUNKS)
+
+
+def _theorem_rows(f0: IntPoly, shifts: list[int], N: int) -> list[tuple[float, ...]]:
+    # (log L, C_N, Bad_N, Delta_N) of each shift's report.
+    reports = (decomp.decomposition_report(f0, a, N) for a in shifts)
+    return [(rep.log_L, rep.c_N, rep.bad, rep.delta) for rep in reports]
 
 
 def _eval_chunk(args) -> list[tuple[int, object]]:
-    per_shift, f0_coeffs, shifts, N = args
-    f0 = IntPoly(f0_coeffs)
-    return [(a, per_shift(f0, a, N)) for a in shifts]
+    chunk_fn, f0_coeffs, shifts, N = args
+    return list(zip(shifts, chunk_fn(IntPoly(f0_coeffs), shifts, N)))
 
 
-def _map_shifts(per_shift, f0: IntPoly, ordered: list[int], N: int, threads: int):
-    """[(a, per_shift(f0, a, N))] in ascending a; each process reads the
-    family's shared RootTable.  per_shift must be picklable (module-level)."""
+def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int):
+    """[(a, value)] in ascending a, the values from chunk_fn(f0, shifts, N)
+    over ascending chunks of the shifts: all of them in-process, or one
+    strided chunk per worker process.  A value depends on its shift alone,
+    so the chunking moves no bit.  chunk_fn must be picklable
+    (module-level); each process reads its own family caches."""
     if threads <= 1 or len(ordered) <= 1:
-        return _eval_chunk((per_shift, f0.coeffs, ordered, N))
+        return _eval_chunk((chunk_fn, f0.coeffs, ordered, N))
     chunks = [ordered[i::threads] for i in range(threads)]
-    args = [(per_shift, f0.coeffs, chunk, N) for chunk in chunks if chunk]
+    args = [(chunk_fn, f0.coeffs, chunk, N) for chunk in chunks if chunk]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         pairs = [pair for chunk_out in pool.map(_eval_chunk, args) for pair in chunk_out]
     pairs.sort(key=lambda t: t[0])
@@ -255,8 +290,7 @@ def ensemble_average(
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
 
-    per_shift = functools.partial(_eval_statistic, statistic=statistic)
-    pairs = _map_shifts(per_shift, f0, sorted(shifts), N, threads)
+    pairs = _map_shifts(_STATISTIC_CHUNKS[statistic], f0, sorted(shifts), N, threads)
 
     values = [v for _, v in pairs]
     n = len(values)
@@ -401,7 +435,7 @@ def theorem_check(
             shifts = rng.sample(shifts, n_samples)
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
-    rows = [row for _, row in _map_shifts(_theorem_row, f0, sorted(shifts), N, threads)]
+    rows = [row for _, row in _map_shifts(_theorem_rows, f0, sorted(shifts), N, threads)]
 
     n = len(rows)
     denom = (d - 1) * N * math.log(N)

@@ -305,6 +305,12 @@ class RootTable:
     def sigma(self, a: int, p: int) -> int:
         return self.rho(a, p) - 1
 
+    def start_row(self, p: int) -> np.ndarray:
+        """The ``start`` row of p < BRUTE_FORCE_LIMIT as a numpy view, no
+        copy: rho(a; p) = row[a % p + 1] - row[a % p], for a whole array of
+        shifts in one gather."""
+        return np.frombuffer(self._rows(p)[0], dtype=np.intc)
+
 
 def _preimage_rows(coeffs: list[int], p: int) -> tuple[array, array]:
     # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT; coeffs reduced

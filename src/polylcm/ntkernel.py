@@ -4,10 +4,11 @@ Everything here is exact integer arithmetic except the two floating
 log-sums, which accumulate in ascending prime order (error budget ~1e-9
 relative per 1e6 terms, so far below the 1e-4 tolerances used by tests).
 
-Factoring strategy: trial division by primes <= 1e5, then Brent-cycle
-Pollard rho, with each factor's primality decided by Miller-Rabin
-(deterministic below 3.317e24) or, above that bound, by the BPSW
-probable-prime test, which is not a proof.  Inputs are capped at
+Factoring strategy: trial division by primes <= 3000, then Brent-cycle
+Pollard rho, which finds the factors above 3000 faster than a longer
+trial-division loop does; each factor's primality is decided by
+Miller-Rabin (deterministic below 3.317e24) or, above that bound, by the
+BPSW probable-prime test, which is not a proof.  Inputs are capped at
 |m| < 2**128; sequence values at desk scale stay well below.
 """
 
@@ -28,7 +29,7 @@ SIEVE_LIMIT_MAX = 1 << 27
 
 FACTOR_INPUT_MAX = 1 << 128
 
-_TRIAL_DIVISION_BOUND = 100_000
+_TRIAL_DIVISION_BOUND = 3000
 
 _SEGMENT = 1 << 17
 
@@ -281,16 +282,18 @@ def factor(m: int) -> Factorization:
             while n % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 n //= p
+        # n has no prime factor that the loop tried, so n and each piece of
+        # it are prime when below the square of the trial bound.
+        known_prime = _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND
         if n > 1:
-            if n < _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND or is_prime(n):
-                # below the square of the trial bound the cofactor is prime
+            if n < known_prime or is_prime(n):
                 counts[n] = counts.get(n, 0) + 1
             else:
                 stack = [n]
                 rng = random.Random(n ^ 0x9E3779B97F4A7C15)
                 while stack:
                     x = stack.pop()
-                    if is_prime(x):
+                    if x < known_prime or is_prime(x):
                         counts[x] = counts.get(x, 0) + 1
                         continue
                     d = _rho_brent(x, rng)

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
+
+import numpy as np
 
 from . import ntkernel
 from .errors import InternalConsistencyError
@@ -229,6 +231,27 @@ class _DiscFamily:
             if len(self.nodes) == self.f0.degree:
                 self.newton = _divided_differences(list(self.nodes.items()))
         return D
+
+    def fill(self, shifts: Iterable[int]) -> bool:
+        """Read D at the shifts, in order, until the Newton form exists (the
+        first d distinct shifts become the nodes, as with single calls);
+        True once it does."""
+        for a in shifts:
+            if self.newton is not None:
+                break
+            self(a)
+        return self.newton is not None
+
+    def residues(self, v: np.ndarray, p: int) -> np.ndarray:
+        """D(a) mod p for every shift a = v mod p (v an int64 array in
+        [0, p)), by one vector Horner pass over the Newton form reduced mod
+        p; needs the form (see fill).  Every product is below p**2, so int64
+        holds it for p < 2**31."""
+        xs, dd = self.newton
+        acc = np.full(v.shape, dd[-1] % p, dtype=np.int64)
+        for i in range(len(dd) - 2, -1, -1):
+            acc = (dd[i] % p + (v - xs[i] % p) * acc) % p
+        return acc
 
 
 def _divided_differences(points: list[tuple[int, int]]) -> tuple[list[int], list[int]]:

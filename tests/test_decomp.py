@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -18,6 +19,7 @@ from polylcm.decomp import (
     e_N_d_N,
     lcm_bigint,
 )
+from polylcm.ensemble import ensemble_average
 from polylcm.errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
 from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
@@ -165,6 +167,13 @@ class TestBadN:
         with pytest.raises(ValueError):
             bad_N(x3, 0, 10)
 
+    def test_zero_value_raises_without_disc_prime(self):
+        # (x - 1)(x^2 - x - 1) vanishes at 1; at N = 1 there is no prime <= N
+        f0 = IntPoly((1, 0, -2, 1))
+        with pytest.raises(ZeroValueError) as exc:
+            bad_N(f0, 0, 1)
+        assert exc.value.n == 1
+
 
 class TestDeltaN:
     def test_examples(self, x3):
@@ -195,6 +204,17 @@ class TestCNAndSplit:
         f0 = IntPoly((0, 1, 1))
         en, _ = e_N_d_N(f0, 0, 50)
         assert en == 0.0
+
+    def test_zero_value_raises(self, x3):
+        # x^3 - 8 vanishes at 2; x(x - 3)(x - 5) has f(0) = 0, so every n is
+        # evaluated, and its first zero n >= 1 is 3.
+        x_3_5 = IntPoly((0, 15, -8, 1))
+        for f0, a, N, n in ((x3, 8, 30, 2), (x_3_5, 0, 10, 3)):
+            for term in (c_N, e_N_d_N):
+                with pytest.raises(ZeroValueError) as exc:
+                    term(f0, a, N)
+                assert exc.value.n == n
+        assert c_N(x_3_5, 0, 2) >= 0.0  # its zeros lie above N = 2
 
     def test_split_identity_within_gap(self, x3_plus_2x):
         # c_N = mertens - E_N + D_N + O(1), gap <= CN_SPLIT_GAP
@@ -263,6 +283,89 @@ class TestFrozenOutputs:
     def test_report_digest(self, coeffs, a, N, digest):
         rep = decomposition_report(IntPoly(coeffs), a, N)
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+    # ensemble_average(...).to_json() of the batched statistics, pinned from
+    # the per-shift loops they replaced: x^3 at random (T = 2e5, N = 300,
+    # 50 samples, default seed) and x^4 + x exhaustive (T = 1100, N = 50).
+    ENSEMBLE_CASES = [
+        ("x3-random", "cn",
+         "6c850c8abdf6ae7b336c7ed74710b820b1db5c0c084aea08bb7034ffd7f4b3d2"),
+        ("x3-random", "dn",
+         "9a271f96c51e2776977c67eb05be21df9a3d4e79852fa5f46be1bc5b918d84b4"),
+        ("x3-random", "bad",
+         "d4a3ec257b79d671823bc079eb9f72b0f8a8618e84d89b23319dae88c0acad2c"),
+        ("x3-random", "b2",
+         "b21013bed05c7c6ffe4d1d55107376fcbc337b898167989d392fad7c05c14a4b"),
+        ("x4x-exhaustive", "cn",
+         "689155cbb96a12c94edea21b48daa92ad3dffd17a0e81d6de68f43cebdbe7e51"),
+        ("x4x-exhaustive", "dn",
+         "3addb033f691061168946f54d629077c35bf14da5f7ec7acec5ee2ae742253a7"),
+        ("x4x-exhaustive", "bad",
+         "77ab475caea91de64fef98c94cfb0e163982c79a76060ffa24ef3adf1a289d66"),
+        ("x4x-exhaustive", "b2",
+         "e3aa9760001ab6b85aa9e203c90e1bd85376c95a42fedb126ce662cffa7d231a"),
+    ]
+    ENSEMBLES = {
+        "x3-random": ((0, 0, 0, 1), 200_000, 300, {"sampling": "random", "n_samples": 50}),
+        "x4x-exhaustive": ((0, 1, 0, 0, 1), 1100, 50, {"sampling": "exhaustive"}),
+    }
+
+    @pytest.mark.parametrize(
+        "ensemble, stat, digest", ENSEMBLE_CASES, ids=[f"{e}-{s}" for e, s, _ in ENSEMBLE_CASES]
+    )
+    def test_ensemble_digest(self, ensemble, stat, digest):
+        coeffs, T, N, kw = self.ENSEMBLES[ensemble]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # x^3 at N = 300 is below its window
+            stats = ensemble_average(IntPoly(coeffs), T, N, stat, **kw)
+        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == digest
+
+
+class TestBatchColumns:
+    # The ensembles' batch path (_density_columns, _bad_columns) against the
+    # single-shift path (c_N, e_N_d_N, bad_N), bit for bit.
+
+    @staticmethod
+    def _irreducible_shifts(rng, f0, n, wide):
+        shifts = set()
+        while len(shifts) < n:
+            a = rng.randint(-300, 300)
+            if wide:
+                a += rng.choice((1, -1)) * rng.randint(1 << 63, 1 << 70)
+            if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()):
+                shifts.add(a)
+        return sorted(shifts)
+
+    @staticmethod
+    def _assert_columns_equal(f0, shifts, N):
+        cn, en, dn = (col.tolist() for col in decomp._density_columns(f0, shifts, N))
+        bad = decomp._bad_columns(f0, shifts, N)
+        for i, a in enumerate(shifts):
+            want = (c_N(f0, a, N), *e_N_d_N(f0, a, N), *bad_N(f0, a, N))
+            got = (cn[i], en[i], dn[i], *bad[i])
+            assert [x.hex() for x in got] == [x.hex() for x in want], (f0, a, N)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_columns_equal_single_shift_terms(self, d):
+        rng = random.Random(1100 + d)
+        f0 = IntPoly(tuple(rng.randint(-9, 9) for _ in range(d)) + (1,))
+        shifts = self._irreducible_shifts(rng, f0, 12, wide=False)
+        shifts += self._irreducible_shifts(rng, f0, 4, wide=True)
+        shifts.sort()
+        # A new family seen at fewer than d shifts has no Newton form yet:
+        # its batch reduces the exact D(a) instead.
+        polyring._disc_family.cache_clear()
+        self._assert_columns_equal(f0, shifts[:1], 50)
+        assert polyring._disc_family(f0.coeffs).newton is None
+        for N in (1, 2, 50, 700):
+            self._assert_columns_equal(f0, shifts, N)
+
+    def test_primes_above_brute_force_limit(self, x3_plus_2x):
+        # Primes >= BRUTE_FORCE_LIMIT have no table row; the batch asks
+        # table.rho shift by shift there, as the single-shift loop does.
+        N = modroots.BRUTE_FORCE_LIMIT + 100
+        shifts = self._irreducible_shifts(random.Random(16484), x3_plus_2x, 3, wide=False)
+        self._assert_columns_equal(x3_plus_2x, shifts, N)
 
 
 class TestDecompositionReport:

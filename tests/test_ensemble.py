@@ -191,11 +191,13 @@ class TestEnsembleAverage:
             ensemble_average(x3, 10, 5, "nonsense")
 
     def test_threads_agree_with_serial(self, x3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = ensemble_average(x3, 40, 10, "bad", sampling="exhaustive", threads=1)
-            parallel = ensemble_average(x3, 40, 10, "bad", sampling="exhaustive", threads=2)
-        assert serial.to_json() == parallel.to_json()
+        # The batched statistics split into one strided chunk per process.
+        for stat in ("bad", "b2", "cn", "dn"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                serial = ensemble_average(x3, 40, 10, stat, sampling="exhaustive", threads=1)
+                parallel = ensemble_average(x3, 40, 10, stat, sampling="exhaustive", threads=2)
+            assert serial.to_json() == parallel.to_json(), stat
 
     def test_window_warning_emitted(self, x3):
         with pytest.warns(UserWarning, match="outside the admissible window"):

@@ -120,6 +120,22 @@ class TestFactor:
     def test_divisors(self):
         assert Factorization(12, ((2, 2), (3, 1))).divisors() == [1, 2, 3, 4, 6, 12]
 
+    def test_near_word_sizes_match_sympy(self):
+        # Near both ends of the supported range, on inputs rho can finish:
+        # 2**64 +- k, and a smooth part (primes below 1e5, most of them above
+        # the trial-division bound) times the largest prime that keeps the
+        # product below 2**64 or 2**128.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0x2_64_128)
+        small = list(sympy.primerange(2, 10**5))
+        cases = [(1 << 64) + k for k in range(-12, 13) if k]
+        for bits in (64, 128):
+            for _ in range(12):
+                smooth = math.prod(rng.choice(small) for _ in range(rng.randint(1, 3)))
+                cases.append(smooth * sympy.prevprime((1 << bits) // smooth))
+        for m in cases:
+            assert factor(m).factors == tuple(sorted(sympy.factorint(m).items())), m
+
 
 class TestIsPrime:
     def test_small(self):
