@@ -15,8 +15,10 @@ Every statistic is a chunk function (f0, shifts, N) -> values, and
 chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
 ``dn``, ``bad`` and ``b2`` are batched: one numpy pass per prime p <= N
 over the whole chunk (``decomp._density_columns`` and
-``decomp._bad_columns``), with Bad_N still lifted shift by shift.  Their
-values keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``:
+``decomp._bad_columns``).  Bad_N is counted, not lifted: the level hits
+#{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
+come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
+lifting its roots, which is cheaper for one shift.  Their values keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``:
 each term is built with the same float operations and added in the same
 ascending order of p, and the moments read Python floats in ascending a.
 The batch assumes what admission guarantees, that every shift is

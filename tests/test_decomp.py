@@ -367,6 +367,75 @@ class TestBatchColumns:
         shifts = self._irreducible_shifts(random.Random(16484), x3_plus_2x, 3, wide=False)
         self._assert_columns_equal(x3_plus_2x, shifts, N)
 
+    @staticmethod
+    def _assert_bad_equal(f0, shifts, N):
+        got = decomp._bad_columns(f0, shifts, N)
+        want = [bad_N(f0, a, N) for a in shifts]
+        assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in want], (
+            f0, shifts, N)
+
+    def test_bad_at_deep_discriminant_primes(self):
+        # The planted families of TestDiscriminantPrimes, f0 = (x - r)(x - r
+        # - p**e t) g(x), at shifts that are multiples of p**m: the roots mod
+        # p are singular to a depth the strategy controls, so the counts run
+        # to levels k >= 3.  The batch needs D(a) != 0 and no zero n <= N.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        small = st.integers(-12, 12)
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(
+            p=st.sampled_from((2, 3, 5, 7)),
+            e=st.integers(1, 4),
+            r=st.integers(-40, 40),
+            t=small.filter(bool),
+            g=st.lists(small, min_size=1, max_size=3),
+            m=st.integers(0, 6),
+            ss=st.lists(small, min_size=1, max_size=6, unique=True),
+            N=st.integers(1, 150),
+        )
+        def check(p, e, r, t, g, m, ss, N):
+            f0 = IntPoly((-r, 1)) * IntPoly((-r - p**e * t, 1)) * IntPoly((*g, 1))
+            values = {f0(n) for n in range(1, N + 1)}
+            shifts = [
+                a for a in (p**m * s for s in sorted(ss))
+                if a not in values and disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs))
+            ]
+            hypothesis.assume(shifts)
+            self._assert_bad_equal(f0, shifts, N)
+
+        check()
+
+    def test_bad_level_modulus_above_int64(self, x3):
+        # f_a(2) = 3 * 2**64: the 2-adic levels run to 2**64, so the batch
+        # reduces Python ints (dtype=object).
+        a = 8 - 3 * 2**64
+        f = ShiftedPoly(x3, a)
+        assert f(2) == 3 * 2**64
+        self._assert_bad_equal(x3, [a], 10)
+        assert bad_N(x3, a, 10).b2 > 0
+
+    def test_bad_level_reached_at_the_bound(self, x3):
+        # f_a(2) = 32 = B = 2**3 + |a| for a = -24: level 32 is reached and
+        # the next level lies above B, where only a zero could be hit.
+        assert ShiftedPoly(x3, -24)(2) == 32
+        self._assert_bad_equal(x3, [-24], 2)
+        self._assert_bad_equal(x3, [-24, 6, 10], 2)
+
+    def test_bad_zero_value_raises(self, x3):
+        # Outside the precondition: f_8(2) = 0 and f_27(3) = 0.  The batch
+        # raises where the per-shift path does, at the first shift in order
+        # with a zero, naming its first zero.
+        with pytest.raises(ZeroValueError) as err:
+            decomp._bad_columns(x3, [8], 5)
+        assert err.value.n == 2
+        for shifts, n in (([2, 8, 27], 2), ([3, 27, 8], 3)):
+            with pytest.raises(ZeroValueError) as want:
+                [bad_N(x3, a, 5) for a in shifts]
+            with pytest.raises(ZeroValueError) as err:
+                decomp._bad_columns(x3, shifts, 5)
+            assert err.value.n == want.value.n == n, shifts
+
 
 class TestDecompositionReport:
     def test_one_value_pass(self, x3, monkeypatch):
@@ -436,6 +505,32 @@ class TestDecompositionReport:
                     b1 += sum(1 for v in values if v % p == 0) * math.log(p)
             assert rep.b1 > 0, (f0, a)
             assert (rep.bad, rep.b1, rep.b2) == (bad, b1, bad - b1), (f0, a)
+
+    def test_identity_non_monic_families(self):
+        # Leading coefficient negative or |lc| >= 2, irreducible shifts only:
+        # the identity holds and the beta ledger's product is the lcm of the
+        # values by the gcd-chain oracle.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(
+            lead=st.integers(-6, 6).filter(lambda c: c not in (0, 1)),
+            low=st.lists(st.integers(-9, 9), min_size=2, max_size=5),
+            a=st.integers(-300, 300),
+            N=st.integers(1, 300),
+        )
+        def check(lead, low, a, N):
+            f0 = IntPoly((*low, lead))
+            f = ShiftedPoly(f0, a)
+            fa = f.to_poly()
+            hypothesis.assume(polyring.is_primitive(fa) and is_irreducible_over_Q(fa))
+            rep = decomposition_report(f0, a, N)
+            assert rep.identity_ok(), (f0, a, N)
+            _, beta, _ = build_ledgers(f, N)
+            assert beta.product() == lcm_chain([f(n) for n in range(1, N + 1)]), (f0, a, N)
+
+        check()
 
     def test_identity_example(self, x3):
         rep = decomposition_report(x3, 2, 5)

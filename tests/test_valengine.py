@@ -256,6 +256,35 @@ class TestBatchGcd:
         assert _shared_gcds([p * q, p * r, p * s, t]) == [p, p, p, 1]
         assert _shared_gcds([p * p * q, p * r, q * q * s]) == [p * q, p, q]
 
+    def test_matches_oracles_under_hypothesis(self):
+        # Cofactors are products of prime powers from a pool that reaches
+        # past 2**64; one planted prime joins the first k cofactors (k >= 3
+        # shares it three or more ways), and the first few are repeated.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        primes = st.sampled_from(self.POOL[:12] + [2**64 + 13, 2**89 - 1, 2**127 - 1])
+        cofactor = st.lists(st.tuples(primes, st.integers(1, 3)), min_size=1, max_size=3).map(
+            lambda fs: math.prod(q**e for q, e in fs)
+        )
+
+        @hypothesis.settings(max_examples=100, derandomize=True, deadline=None)
+        @hypothesis.given(
+            cs=st.lists(cofactor, min_size=1, max_size=10),
+            planted=primes,
+            k=st.integers(0, 5),
+            dups=st.integers(0, 3),
+            rnd=st.randoms(use_true_random=False),
+        )
+        def check(cs, planted, k, dups, rnd):
+            cs = [c * planted if i < k else c for i, c in enumerate(cs)]
+            cs += cs[:dups]
+            rnd.shuffle(cs)
+            gs = _shared_gcds(cs)
+            assert gs == shared_gcds(cs), cs
+            assert [g > 1 for g in gs] == shared_cofactors(cs), cs
+
+        check()
+
     def test_forced_entries_equal_trial_division(self):
         rng = random.Random(2718)
         done = 0
