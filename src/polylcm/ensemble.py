@@ -5,10 +5,13 @@ shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
 are irreducible from one verdict record per family, shared by every count,
 average and covariance: it covers [-T, T] for the largest T asked so far,
 grows when a larger T arrives and is sliced for smaller ones, so each shift
-is decided once.  Random mode draws distinct shifts with a seeded
-generator and rejects reducible ones; the seed picks the sample and nothing
-else.  Aggregation is an ordered reduction (values sorted by a), so
-identical inputs and seed produce byte-identical reports.
+is decided once.  The shifts a growth adds are decided together by
+``polyring.irreducible_shifts`` when f0 is monic and not a binomial, else
+one by one by ``is_irreducible_over_Q``.  Random mode draws distinct shifts
+with a seeded generator, deciding them one at a time, and rejects reducible
+ones; the seed picks the sample and nothing else.  Aggregation is an ordered
+reduction (values sorted by a), so identical inputs and seed produce
+byte-identical reports.
 
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
@@ -41,7 +44,13 @@ from dataclasses import dataclass, field
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
 from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
-from .polyring import IntPoly, ShiftedPoly, _family_discriminant, is_irreducible_over_Q
+from .polyring import (
+    IntPoly,
+    ShiftedPoly,
+    _family_discriminant,
+    irreducible_shifts,
+    is_irreducible_over_Q,
+)
 
 QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -138,7 +147,10 @@ def _verdict_record(f0_coeffs: tuple[int, ...]) -> bytearray:
 
 
 def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:
-    # Irreducibility verdicts for the shifts a in [lo, hi).
+    # Irreducibility verdicts for the shifts a in [lo, hi): one family batch
+    # when f0 is monic and not a binomial, else one decision per shift.
+    if f0.is_monic and f0.degree >= 2 and any(f0.coeffs[1:-1]):
+        return irreducible_shifts(f0, lo, hi)
     return bytes(_is_irreducible_shift(f0, a) for a in range(lo, hi))
 
 

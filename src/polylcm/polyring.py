@@ -13,6 +13,14 @@ Irreducibility pipeline (all stages exact; no probabilistic answers):
            irreducibility
   stage 3  Kronecker interpolation search over the surviving factor
            degrees, pruned with a Mignotte coefficient bound
+
+is_irreducible_over_Q runs the pipeline on one polynomial.  The family batch
+irreducible_shifts decides a range of shifts f0 - a of a monic, non-binomial
+f0 at once, with the same verdicts: stage 1 is one scan of f0(n) over
+Fujiwara's root bound (a rational root of a monic shift is an integer n with
+f0(n) = a), D(a) comes from the family's discriminant polynomial, and stage 2
+reads the pattern of f0 - a mod p from a table keyed by a mod p, built once
+per residue class.  Stages 2 and 3 are one helper that both paths share.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -453,11 +461,12 @@ def _pm_quo(a: list[int], b: list[int], p: int) -> list[int]:
     return _pm_trim(q)
 
 
-def _subset_sums(pattern: list[int], d: int) -> set[int]:
+def _subset_sums(pattern: list[int]) -> int:
+    # Bit k is set iff some sub-multiset of the pattern sums to k.
     bits = 1
     for deg in pattern:
         bits |= bits << deg
-    return {k for k in range(1, d) if bits >> k & 1}
+    return bits
 
 
 _PATTERN_PRIME_COUNT = 20
@@ -549,24 +558,87 @@ def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) ->
     disc = discriminant(f) if _disc is None else _disc()
     if disc == 0:
         return False  # repeated factor
-    candidates = set(range(2, d // 2 + 1))
+    return _patterns_then_kronecker(f, disc, partial(_degree_pattern_mod_p, f))
+
+
+def _patterns_then_kronecker(
+    f: PolyLike, disc: int, pattern: Callable[[int], list[int] | None]
+) -> bool:
+    # Stages 2 and 3 for f of degree >= 4 with no rational root and
+    # disc(f) = disc != 0; pattern(p) is _degree_pattern_mod_p(f, p), which
+    # is None where p | lc(f).  Bit k of candidates stands for a possible
+    # factor of degree k, 2 <= k <= d/2.
+    d = f.degree
+    candidates = (1 << (d // 2 + 1)) - 4
     used = 0
     for p in ntkernel.sieve_primes(5000):
         if used >= _PATTERN_PRIME_COUNT or not candidates:
             break
-        if f.lc % p == 0 or disc % p == 0:
+        if disc % p == 0:
             continue
-        pattern = _degree_pattern_mod_p(f, p)
-        if pattern is None:
+        degrees = pattern(p)
+        if degrees is None:
             continue
         used += 1
-        if pattern == [d]:
+        if degrees == [d]:
             return True
-        candidates &= _subset_sums(pattern, d)
-        candidates = {k for k in candidates if k <= d // 2}
-    if not candidates:
-        return True
-    for k in sorted(candidates):
-        if _kronecker_has_factor_of_degree(f, k):
-            return False
-    return True
+        candidates &= _subset_sums(degrees)
+    f = as_poly(f)
+    survivors = [k for k in range(2, d // 2 + 1) if candidates >> k & 1]
+    return not any(_kronecker_has_factor_of_degree(f, k) for k in survivors)
+
+
+# A divisor test factors the constant term, which costs about as much as
+# this many evaluations of f0; stage 1 of the batch scans when cheaper.
+_ROOT_SCAN_PER_SHIFT = 64
+
+
+def irreducible_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
+    """Byte i is 1 iff f0 - (lo + i) is irreducible over Q, for a in [lo, hi):
+    the verdicts of is_irreducible_over_Q, read from family-level facts.
+    f0 must be monic of degree >= 2 and not a binomial x^d + c (every shift
+    is then primitive and goes past stage 0)."""
+    d = f0.degree
+    if not f0.is_monic or d < 2 or not any(f0.coeffs[1:d]):
+        raise ValueError("irreducible_shifts needs a monic, non-binomial f0 of degree >= 2")
+    rooted = _integer_root_shifts(f0, lo, hi)
+    patterns: dict[tuple[int, int], list[int] | None] = {}  # (p, a mod p) -> pattern
+
+    def pattern(a: int, p: int) -> list[int] | None:
+        key = (p, a % p)
+        if key not in patterns:
+            patterns[key] = _degree_pattern_mod_p(ShiftedPoly(f0, key[1]).to_poly(), p)
+        return patterns[key]
+
+    out = bytearray(max(hi - lo, 0))
+    for a in range(lo, hi):
+        if a in rooted:
+            continue
+        if d <= 3:
+            out[a - lo] = 1
+            continue
+        disc = _family_discriminant(f0, a)
+        if disc:
+            out[a - lo] = _patterns_then_kronecker(ShiftedPoly(f0, a), disc, partial(pattern, a))
+    return bytes(out)
+
+
+def _integer_root_shifts(f0: IntPoly, lo: int, hi: int) -> set[int]:
+    # The a in [lo, hi) at which monic f0 - a has a rational root, that is an
+    # integer n with f0(n) = a.  Every root of every such shift lies within
+    # Fujiwara's bound 2 max(|c_(d-i)|^(1/i), |c_0 - a|^(1/d)), so the
+    # values f0(n), |n| <= B, hold them all; a scan longer than the divisor
+    # tests it replaces gives way to them.
+    c, d = f0.coeffs, f0.degree
+    reach = abs(c[0]) + max(abs(lo), abs(hi - 1))
+    B = 2 * max([_ceil_root(abs(c[d - i]), i) for i in range(1, d)] + [_ceil_root(reach, d)])
+    if 2 * B + 1 > _ROOT_SCAN_PER_SHIFT * (hi - lo):
+        shifts = range(lo, hi)
+        return {a for a in shifts if a == c[0] or _has_rational_root(ShiftedPoly(f0, a).to_poly())}
+    return {v for v in map(f0, range(-B, B + 1)) if lo <= v < hi}
+
+
+def _ceil_root(n: int, k: int) -> int:
+    # ceil(n ** (1/k)) for n >= 0
+    r = _integer_nth_root(n, k)
+    return r if r**k == n else r + 1

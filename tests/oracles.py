@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -195,31 +196,37 @@ def kronecker_irreducible(coeffs: list[int]) -> bool:
             divs = _divisors_of(eval_poly(coeffs, xi))
             signed = divs if i == 0 else [s * dd for dd in divs for s in (1, -1)]
             choice_lists.append(signed)
+        # Lagrange basis over one common denominator L: the polynomial
+        # through (xs, combo) is sum_i combo[i] * basis[i] / L.
+        numerators, dens = [], []
+        for i, xi in enumerate(xs):
+            num = [1]
+            den = 1
+            for j, xj in enumerate(xs):
+                if j == i:
+                    continue
+                num = [
+                    (num[t - 1] if t else 0) - xj * (num[t] if t < len(num) else 0)
+                    for t in range(len(num) + 1)
+                ]
+                den *= xi - xj
+            numerators.append(num)
+            dens.append(den)
+        L = math.lcm(*dens)
+        basis = [[c * (L // den) for c in num] for num, den in zip(numerators, dens)]
+        columns = list(zip(*basis))  # columns[t][i]: x^t coefficient of basis i
         for combo in itertools.product(*choice_lists):
-            # Lagrange interpolation through (xs, combo)
-            g = [Fraction(0)] * (k + 1)
-            for i, xi in enumerate(xs):
-                basis = [Fraction(1)]
-                den = Fraction(1)
-                for j, xj in enumerate(xs):
-                    if j == i:
-                        continue
-                    basis = [
-                        (basis[t - 1] if t else Fraction(0))
-                        - xj * (basis[t] if t < len(basis) else Fraction(0))
-                        for t in range(len(basis) + 1)
-                    ]
-                    den *= xi - xj
-                for t, c in enumerate(basis):
-                    g[t] += combo[i] * c / den
-            while g and g[-1] == 0:
-                g.pop()
-            if len(g) - 1 < 1:
-                continue
-            if any(c.denominator != 1 for c in g):
-                continue
-            if _poly_divides_q([int(c) for c in g], coeffs):
-                return False
+            g = []
+            for column in columns:
+                c = sum(map(operator.mul, combo, column))
+                if c % L:
+                    break  # not an integer polynomial
+                g.append(c // L)
+            else:
+                while g and g[-1] == 0:
+                    g.pop()
+                if len(g) > 1 and _poly_divides_q(g, coeffs):
+                    return False
     return True
 
 

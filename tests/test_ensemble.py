@@ -69,14 +69,15 @@ class TestReducibleCount:
 
     @pytest.fixture
     def decisions(self, monkeypatch):
-        """The polynomial of every irreducibility decision ensemble makes,
+        """The shift of every irreducibility decision ensemble makes (every
+        shift handed to ``_decide``, whether batched or decided one by one),
         starting from empty family caches."""
         calls = []
-        decide = ensemble.is_irreducible_over_Q
+        decide = ensemble._decide
         monkeypatch.setattr(
             ensemble,
-            "is_irreducible_over_Q",
-            lambda f, _disc=None: calls.append(f) or decide(f, _disc=_disc),
+            "_decide",
+            lambda f0, lo, hi: calls.extend(range(lo, hi)) or decide(f0, lo, hi),
         )
         _verdict_record.cache_clear()
         polyring._disc_family.cache_clear()
@@ -107,6 +108,14 @@ class TestReducibleCount:
             expected = [int(a not in reducible) for a in range(-T, T + 1)]
             assert list(_irreducible_mask((0, 1, 0, 0, 1), T)) == expected, T
         assert len(decisions) == 2 * 80 + 1  # slicing decides nothing
+
+    def test_x4_plus_x_over_the_bench_range(self):
+        # x^4 + x - a is reducible exactly when a = n^4 + n for an integer n
+        # (n = 0 and n = -1 both give a = 0).
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        for T in (1000, 1107, 1200):
+            reducible = {n**4 + n for n in range(-7, 7) if abs(n**4 + n) <= T}
+            assert reducible_count(x4x, T) == len(reducible), T
 
     def test_negative_T_rejected(self, x4):
         with pytest.raises(ValueError):

@@ -1,0 +1,143 @@
+"""The family batch ``polyring.irreducible_shifts`` against the single-shift
+``is_irreducible_over_Q``: over a range of shifts their verdicts must agree
+byte for byte, for random monic families and for the inputs each batch stage
+is there for (integer roots far out, D(a) = 0, reducible shifts with no
+rational root).  ``ensemble._decide`` keeps one decision per shift for the
+families the batch does not take, with the same verdicts and errors.
+hypothesis is test-only."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from polylcm import ensemble, polyring  # noqa: E402
+from polylcm.polyring import (  # noqa: E402
+    IntPoly,
+    ShiftedPoly,
+    _integer_root_shifts,
+    irreducible_shifts,
+    is_irreducible_over_Q,
+)
+
+SETTINGS = settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def _one_by_one(f0, lo, hi):
+    return bytes(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) for a in range(lo, hi))
+
+
+def _assert_batch_matches(f0, lo, hi):
+    assert irreducible_shifts(f0, lo, hi) == _one_by_one(f0, lo, hi), (f0.coeffs, lo, hi)
+
+
+@st.composite
+def monic_family(draw, degrees=(2, 8), span=20):
+    d = draw(st.integers(*degrees))
+    lower = draw(st.lists(st.integers(-span, span), min_size=d, max_size=d))
+    if d > 1 and not any(lower[1:]):
+        lower[1] = draw(st.sampled_from((-1, 1)))  # not a binomial
+    return IntPoly(tuple(lower) + (1,))
+
+
+@SETTINGS
+@given(f0=monic_family(), lo=st.integers(-300, 300), width=st.integers(0, 40))
+def test_random_monic_families(f0, lo, width):
+    _assert_batch_matches(f0, lo, lo + width)
+
+
+@SETTINGS
+@given(
+    g=monic_family(degrees=(1, 7), span=3),
+    n=st.integers(-400, 400),
+    a0=st.integers(-50, 50),
+    before=st.integers(0, 20),
+    after=st.integers(1, 20),
+)
+def test_planted_integer_root_far_out(g, n, a0, before, after):
+    # f0 = (x - n) g(x) + a0: the shift a0 has the integer root n, which
+    # lies within a constant factor of Fujiwara's bound when |n| is large.
+    f0 = IntPoly((-n, 1)) * g + IntPoly((a0,))
+    if not any(f0.coeffs[1:-1]):
+        return
+    lo, hi = a0 - before, a0 + after
+    assert a0 in _integer_root_shifts(f0, lo, hi)
+    _assert_batch_matches(f0, lo, hi)
+
+
+@pytest.mark.parametrize("n", (-37, -5, 6, 41))
+def test_integer_roots_from_the_constant_term(n):
+    # x^4 + x has c_3 = c_2 = 0, so only the shift's constant term bounds
+    # its roots; n^4 + n is reducible, its neighbours are not.
+    f0 = IntPoly((0, 1, 0, 0, 1))
+    a = f0(n)
+    assert irreducible_shifts(f0, a - 2, a + 3) == bytes((1, 1, 0, 1, 1))
+
+
+def test_short_ranges_take_divisor_tests():
+    # A coefficient of 10^6 puts Fujiwara's bound at 2 * 10^6: a range of a
+    # few shifts tests their divisors instead of scanning 4 * 10^6 values.
+    f0 = IntPoly((0, 3, 0, 10**6, 1))
+    n = -(10**6)
+    for lo, hi in ((f0(n) - 2, f0(n) + 3), (-2, 3)):
+        assert _integer_root_shifts(f0, lo, hi) == {a for a in range(lo, hi) if a in (0, f0(n))}
+        _assert_batch_matches(f0, lo, hi)
+
+
+def test_zero_discriminant_shifts():
+    # x^4 - 2x^2 + 1 = (x^2 - 1)^2 has integer roots; (x^2 + 1)^2 and
+    # (x^2 + x + 1)^2 have none, so only D(a) = 0 marks them reducible.
+    for coeffs in ((0, 0, -2, 0, 1), (0, 0, 2, 0, 1), (0, 2, 3, 2, 1)):
+        f0 = IntPoly(coeffs)
+        assert polyring._family_discriminant(f0, -1) == 0
+        assert irreducible_shifts(f0, -1, 0) == b"\x00"
+        _assert_batch_matches(f0, -4, 3)
+
+
+def test_reducible_without_rational_root_reaches_kronecker():
+    # f0 = y^2 + y with y = x^2 + x: f0 - a = (y - r)(y - r') once 1 + 4a
+    # is a square.  At a = 2 the factors x^2 + x - 1 and x^2 + x + 2 have
+    # no rational root; at a = 6 the factor x^2 + x - 2 has roots 1 and -2.
+    f0 = IntPoly((0, 1, 2, 2, 1))
+    assert not _integer_root_shifts(f0, 2, 3)
+    assert polyring._family_discriminant(f0, 2) != 0
+    assert irreducible_shifts(f0, 2, 3) == b"\x00"
+    assert _integer_root_shifts(f0, 6, 7) == {6}
+    _assert_batch_matches(f0, -3, 13)
+
+
+def test_batch_rejects_the_families_it_does_not_take():
+    for coeffs in ((5, 0, 0, 1), (-3, 0, 0, 0, 1), (1, 1, 2), (1, 1)):
+        with pytest.raises(ValueError, match="monic, non-binomial"):
+            irreducible_shifts(IntPoly(coeffs), 0, 5)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0, 0, 0, 1),  # x^3
+        (0, 0, 0, 0, 1),  # x^4
+        (0, 0, 0, 0, 0, 0, 1),  # x^6
+        (1, 1, 0, 3),  # 3x^3 + x + 1
+        (0, 2, -1, 0, 2),  # 2x^4 - x^2 + 2x
+        (0, 1, 0, 0, 1),  # x^4 + x, the batch
+    ],
+)
+def test_decide_matches_one_by_one(coeffs):
+    f0 = IntPoly(coeffs)
+    assert ensemble._decide(f0, -70, 71) == _one_by_one(f0, -70, 71)
+
+
+def test_decide_keeps_the_non_primitive_error():
+    # 2x^3 + 4x - a is not primitive at even a; the per-shift test refuses it.
+    f0 = IntPoly((0, 4, 0, 2))
+    with pytest.raises(ValueError, match="requires a primitive polynomial"):
+        is_irreducible_over_Q(f0)
+    with pytest.raises(ValueError, match="requires a primitive polynomial"):
+        ensemble._decide(f0, -3, 3)

@@ -148,6 +148,28 @@ class TestIrreducibility:
             assert is_irreducible_over_Q(f) == kronecker_irreducible(list(f.coeffs)), f
             checked += 1
 
+    def test_agreement_with_sympy_factor_list(self):
+        # Degree 2-10, every other polynomial a planted product of random
+        # factors of degree <= 5; sympy is test-only.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(5150)
+        checked = 0
+        while checked < 80:
+            d = rng.randint(2, 10)
+            if checked % 2:
+                f = IntPoly((1,))
+                while f.degree < d:
+                    f = f * _random_poly(rng, rng.randint(1, min(d - f.degree, 5)), -3, 3)
+            else:
+                f = _random_poly(rng, d, -9, 9)
+            if not is_primitive(f):
+                continue
+            _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+            expected = len(factors) == 1 and factors[0][1] == 1
+            assert is_irreducible_over_Q(f) == expected, f
+            checked += 1
+
     def test_irreducible_implies_nonzero_disc(self, x3):
         for a in range(-50, 51):
             fa = ShiftedPoly(x3, a).to_poly()
