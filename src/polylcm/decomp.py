@@ -11,9 +11,10 @@ the identity to 1e-6 relative; up to CROSS_CHECK_LIMIT the big-integer
 lcm engine (a balanced pairwise math.lcm tree over the values) is also run
 and compared bit-for-bit against the ledger product.  The report evaluates
 each value once and hands that list to the ledgers and the log P sum; the
-lcm engine keeps its own evaluation.  Every term reads only the prime-keyed
-part of the ledgers (log L above the limit adds the logs of the unshared
-cofactors), so the unshared large cofactors are never factored.
+lcm engine keeps its own evaluation.  A ledger holds only its prime-keyed
+part and the unshared cofactors above N; every term reads the prime-keyed
+part (log L above the limit adds the logs of the unshared cofactors), so
+the unshared cofactors are never factored.
 Discriminant primes <= N are found by divisibility tests, not by factoring D.
 For one shift, Bad_N has one path (``_bad_split``), shared by ``bad_N`` and
 the report: one lifting pass per discriminant prime from the family's roots
@@ -407,8 +408,14 @@ def decomposition_report(
     log_p = valengine._log_sum(values)
     bad, b1, b2 = _bad_split(table, a, N, _disc_primes(D, N))
     delta = _delta_from_ledgers(alpha, beta, N)
-    beta_small = beta.logsum(hi=N)
-    alpha_small_nondisc = sum(e * math.log(p) for p, e in alpha.upto(N).items() if D % p)
+    # Both ledgers key the same primes; the sums take p <= N ascending.
+    beta_small = alpha_small_nondisc = 0.0
+    for p in sorted(beta.factored):
+        if p > N:
+            break
+        beta_small += beta.factored[p] * math.log(p)
+        if D % p:
+            alpha_small_nondisc += alpha.factored[p] * math.log(p)
 
     cn, en, dn = _density_sums(table, a, N, D)
 

@@ -340,6 +340,9 @@ def covariance_sigma(
     direct enumeration with per-residue caching (sigma depends on a mod p).
     include_reducible drops the filter, exposing the exact cancellation over
     complete residue systems mod pq."""
+    for r in (p, q):
+        if not ntkernel.is_prime(r):
+            raise ValueError(f"p must be prime, got {r}")
     if p == q:
         raise ValueError("covariance needs distinct primes")
     d = f0.degree

@@ -37,8 +37,6 @@ from .polyring import (
 
 BRUTE_FORCE_LIMIT = 1 << 14
 
-_NUMPY_CUTOFF = 512
-
 
 @dataclass(frozen=True)
 class RootSetModPk:
@@ -84,8 +82,9 @@ def _mix64(*parts: int) -> int:
 
 
 def _values_array(coeffs: list[int], p: int) -> np.ndarray:
-    # f(x) mod p for x = 0 .. p-1 as int64, p < BRUTE_FORCE_LIMIT; coeffs
-    # already reduced mod p, so acc * x < p**2 < 2**28 never overflows.
+    # f(x) mod p for x = 0 .. p-1 as int64 by Horner's rule; coeffs already
+    # reduced mod p, so acc * x + c < p**2 never overflows for p < 2**31
+    # (an O(p) table that large is out of reach anyway).
     xs = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):
@@ -93,23 +92,8 @@ def _values_array(coeffs: list[int], p: int) -> np.ndarray:
     return acc
 
 
-def _values_mod_p(coeffs: list[int], p: int) -> list[int]:
-    # f(x) mod p for x = 0 .. p-1 by Horner's rule; coeffs already reduced mod p.
-    # numpy's fixed per-call cost outweighs the Python loop at small p.
-    if _NUMPY_CUTOFF < p < BRUTE_FORCE_LIMIT:
-        return _values_array(coeffs, p).tolist()
-    rev = coeffs[::-1]
-    out = []
-    for x in range(p):
-        acc = 0
-        for c in rev:
-            acc = (acc * x + c) % p
-        out.append(acc)
-    return out
-
-
 def _brute_roots(coeffs: list[int], p: int) -> list[int]:
-    return [x for x, v in enumerate(_values_mod_p(coeffs, p)) if v == 0]
+    return np.flatnonzero(_values_array(coeffs, p) == 0).tolist()
 
 
 def _cz_roots(coeffs: list[int], p: int) -> list[int]:
@@ -147,8 +131,10 @@ def _cz_roots(coeffs: list[int], p: int) -> list[int]:
 
 
 def roots_mod_p(f: PolyLike, p: int) -> RootSetModPk:
-    """All roots of f mod p.  Degenerate images (f == 0 mod p) raise with
-    rho = p attached."""
+    """All roots of f mod p, p prime.  Degenerate images (f == 0 mod p)
+    raise with rho = p attached."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     coeffs = _coeffs_mod(f, p)
     if not any(coeffs):
         raise DegenerateReductionError(p, rho=p)
@@ -225,7 +211,7 @@ def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
         raise ValueError(f"need 0 <= b < p, got b={b}")
     table = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
     total = 0j
-    for v in _values_mod_p(_coeffs_mod(f0, p), p):
+    for v in _values_array(_coeffs_mod(f0, p), p).tolist():
         total += table[b * v % p]
     return total
 
@@ -240,8 +226,7 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
     (1/p) * sum_{t != 0} e(-at/p) * S(t, p); the imaginary part must vanish."""
     if f0.lc % p == 0:
         raise ValueError("p must not divide the leading coefficient")
-    values = _values_mod_p(_coeffs_mod(f0, p), p)
-    counts = np.bincount(np.array(values, dtype=np.int64), minlength=p)
+    counts = np.bincount(_values_array(_coeffs_mod(f0, p), p), minlength=p)
     # S(t) = sum_c counts[c] e(tc/p) for every t at once, in O(p) memory.
     s_t = np.fft.ifft(counts) * p
     ts = np.arange(1, p, dtype=np.int64)

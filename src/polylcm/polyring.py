@@ -470,6 +470,8 @@ def _subset_sums(pattern: list[int]) -> int:
 
 
 _PATTERN_PRIME_COUNT = 20
+# The primes the pattern stage walks, sliced from the sieve once, not per call.
+_PATTERN_PRIMES = ntkernel.sieve_primes(5000).primes
 
 
 def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
@@ -571,7 +573,7 @@ def _patterns_then_kronecker(
     d = f.degree
     candidates = (1 << (d // 2 + 1)) - 4
     used = 0
-    for p in ntkernel.sieve_primes(5000):
+    for p in _PATTERN_PRIMES:
         if used >= _PATTERN_PRIME_COUNT or not candidates:
             break
         if disc % p == 0:

@@ -12,10 +12,11 @@ cofactor with all prime factors > N.  One batch GCD over these cofactors
 (Bernstein's product tree, then a descent that reduces modulo each node, not
 its square) gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  A
 cofactor with g_i = 1 shares no prime: its primes have alpha_p = beta_p, so
-the ledgers keep it unfactored and factor it only when the complete prime
-map is read.  A shared cofactor is split into g_i and c_i / g_i; a piece > 1
-and <= N^2 is prime (its primes all exceed N), a larger one goes to
-``is_prime``, and only a composite piece is factored.
+the ledgers keep it unfactored, and the report reads it through
+``product()`` up to the cross-check limit and by its log above it.  A
+shared cofactor is split into g_i and c_i / g_i; a piece > 1 and <= N^2 is
+prime (its primes all exceed N), a larger one goes to ``is_prime``, and
+only a composite piece is factored.
 
 ``alpha_p``, ``beta_p`` and ``alpha_approx_residual`` at a single prime lift
 the roots mod p level by level instead (``_level_hits``), evaluating no
@@ -25,79 +26,35 @@ is undefined at such n.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ntkernel
 from .errors import ZeroValueError
 from .modroots import RootTable, _lifted_levels, _root_table_for, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _family_discriminant
 
-KIND_ALPHA = "alpha"
-KIND_BETA = "beta"
-
 
 @dataclass
 class ValuationLedger:
-    """Map prime -> positive exponent, plus the defining metadata.
+    """The prime-keyed part of a ledger, plus the unshared cofactors.
 
-    ``factored`` is the prime-keyed part.  ``rest`` holds the cofactors that
+    ``factored`` maps each prime <= N that divides a value, and each prime
+    of a shared cofactor, to its exponent.  ``rest`` holds the cofactors that
     share no prime with any other value, unfactored; each of their primes
-    exceeds N and has exponent alpha_p = beta_p = its exponent there.  The
-    first read of ``entries`` factors ``rest``; the alpha and beta ledgers of
-    one build share that work through ``_rest_factors``.
+    exceeds N and has exponent alpha_p = beta_p = its exponent there, so the
+    alpha and beta ledgers of one build share one ``rest``.
     """
 
-    kind: str
-    f0_coeffs: tuple[int, ...]
-    shift: int
-    N: int
     factored: dict[int, int]
-    rest: tuple[int, ...] = ()
-    _rest_factors: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    _entries: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def entries(self) -> dict[int, int]:
-        """The complete map prime -> exponent."""
-        if self._entries is None:
-            if self.rest and not self._rest_factors:
-                for c in self.rest:
-                    self._rest_factors.update(ntkernel.factor(c).factors)
-            self._entries = {**self.factored, **self._rest_factors}
-        return self._entries
-
-    def upto(self, hi: int | None = None) -> dict[int, int]:
-        """Entries with p <= hi (all when hi is None), ascending.  ``rest`` is
-        left unfactored when hi <= N, as none of its primes can be <= hi."""
-        src = self.factored if hi is not None and hi <= self.N else self.entries
-        return {p: src[p] for p in sorted(src) if hi is None or p <= hi}
-
-    def logsum(self, lo: int | None = None, hi: int | None = None) -> float:
-        """sum of e_p * ln p over primes in (lo, hi], ascending."""
-        total = 0.0
-        for p, e in self.upto(hi).items():
-            if lo is None or p > lo:
-                total += e * math.log(p)
-        return total
+    rest: tuple[int, ...]
 
     def product(self) -> int:
         out = 1
         for p in sorted(self.factored):
             out *= p ** self.factored[p]
         return out * math.prod(self.rest)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "f0": list(self.f0_coeffs),
-            "a": self.shift,
-            "N": self.N,
-            "entries": {str(p): self.entries[p] for p in sorted(self.entries)},
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _count_in_class(N: int, r: int, m: int) -> int:
@@ -146,11 +103,11 @@ def build_ledgers(
     *,
     _values: list[int] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
-    """Complete (alpha, beta) ledgers over all primes, plus the cofactor list
-    (one per n: the part of |f(n)| left after removing primes <= N).  The
-    roots mod p come from root_table when it belongs to f's family, else
-    from the family's shared table.  ``_values`` is the caller's
-    ``_abs_values(f, N)``; it is not modified."""
+    """The (alpha, beta) ledgers of f on [1, N] (see ``ValuationLedger``),
+    plus the cofactor list (one per n: the part of |f(n)| left after
+    removing primes <= N).  The roots mod p come from root_table when it
+    belongs to f's family, else from the family's shared table.  ``_values``
+    is the caller's ``_abs_values(f, N)``; it is not modified."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     values = _abs_values(f, N) if _values is None else list(_values)
@@ -188,14 +145,8 @@ def build_ledgers(
             alpha[q] = alpha.get(q, 0) + e
             if e > beta.get(q, 0):
                 beta[q] = e
-    meta = (f.base.coeffs, f.shift, N)
-    # One rest, and one cache of its factors, for both ledgers.
-    unshared = (tuple(rest), {})
-    return (
-        ValuationLedger(KIND_ALPHA, *meta, alpha, *unshared),
-        ValuationLedger(KIND_BETA, *meta, beta, *unshared),
-        cofactors,
-    )
+    unshared = tuple(rest)
+    return ValuationLedger(alpha, unshared), ValuationLedger(beta, unshared), cofactors
 
 
 def _shared_gcds(cs: list[int]) -> list[int]:
@@ -270,8 +221,8 @@ def log_P(f: ShiftedPoly, N: int) -> float:
 def alpha_approx_residual(f: ShiftedPoly, N: int, p: int) -> float:
     """alpha_p(N) - N * rho(a; p) / (p - 1); small when Hensel lifting is
     clean, i.e. requires p to not divide disc(f_a)."""
+    roots = roots_mod_p(f, p).roots  # checks first that p is prime
     if _family_discriminant(f.base, f.shift) % p == 0:
         raise ValueError(f"p = {p} divides the discriminant")
-    roots = roots_mod_p(f, p).roots
     alpha = sum(_level_hits(f.to_poly(), N, p, roots))
     return alpha - N * len(roots) / (p - 1)

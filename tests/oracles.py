@@ -3,9 +3,9 @@
 Everything here is deliberately naive and shares no code with the package:
 trial-division primes/factoring, Sylvester-matrix resultants by Bareiss
 elimination, exhaustive root enumeration, direct valuation loops, a pure
-Kronecker irreducibility decision, pairwise-gcd batch GCDs, and the paper's
-divided difference G(m, n), its zero-free threshold C1 and a Delta_N built
-from pairwise gcd(f(m), G(m, n)).
+Kronecker irreducibility decision, chain and balanced-tree lcms,
+pairwise-gcd batch GCDs, and the paper's divided difference G(m, n), its
+zero-free threshold C1 and a Delta_N built from pairwise gcd(f(m), G(m, n)).
 """
 
 from __future__ import annotations
@@ -235,6 +235,14 @@ def lcm_chain(values: list[int]) -> int:
     for v in values:
         L = math.lcm(L, abs(v))
     return L
+
+
+def lcm_tree(values: list[int]) -> int:
+    # Balanced pairwise lcm: operands of similar size, so large N stays cheap.
+    layer = [abs(v) for v in values] or [1]
+    while len(layer) > 1:
+        layer = [math.lcm(*layer[i : i + 2]) for i in range(0, len(layer), 2)]
+    return layer[0]
 
 
 def shared_cofactors(values: list[int]) -> list[bool]:

@@ -367,6 +367,15 @@ def test_seed_and_root_table_only_where_they_matter():
         assert err.value.code == 2
 
 
+def test_valuation_ledger_keeps_only_what_the_identity_reads():
+    # The report reads the prime-keyed part and the unshared cofactors;
+    # a ledger carries no metadata, full prime map or export of its own.
+    ledger = polylcm.ValuationLedger
+    assert [f.name for f in dataclasses.fields(ledger)] == ["factored", "rest"]
+    public = {name for name in vars(ledger) if not name.startswith("_")}
+    assert public == {"product"}
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "polylcm.cli", "primes", "--limit", "50"],

@@ -31,10 +31,12 @@ from oracles import (
     disc_via_sylvester,
     eval_poly,
     lcm_chain,
+    lcm_tree,
     shared_cofactors,
     trial_factor,
     trial_primes,
 )
+from prime_maps import prime_map
 
 
 def _random_irreducible_shift(rng, dmin=3, dmax=5, span=9, amax=100):
@@ -56,10 +58,10 @@ class TestLcmEngines:
 
     def test_ledger_examples(self, x3):
         led = build_ledgers(ShiftedPoly(x3, -1), 3)[1]
-        assert led.entries == {2: 2, 3: 2, 7: 1}
+        assert prime_map(led) == {2: 2, 3: 2, 7: 1}
         assert led.product() == 252
         led6 = build_ledgers(ShiftedPoly(x3, -1), 6)[1]
-        assert led6.entries[7] == 1
+        assert prime_map(led6)[7] == 1
 
     def test_engine_equivalence_random(self):
         rng = random.Random(60062)
@@ -75,10 +77,10 @@ class TestLcmEngines:
         f = ShiftedPoly(x3, 5)
         prev = {}
         for N in range(1, 40):
-            led = build_ledgers(f, N)[1]
+            led = prime_map(build_ledgers(f, N)[1])
             for p, e in prev.items():
-                assert led.entries.get(p, 0) >= e
-            prev = led.entries
+                assert led.get(p, 0) >= e
+            prev = led
 
     def test_zero_value(self, x3):
         with pytest.raises(ZeroValueError):
@@ -437,6 +439,21 @@ class TestBatchColumns:
             assert err.value.n == want.value.n == n, shifts
 
 
+class TestAboveLimit:
+    # Above CROSS_CHECK_LIMIT the report runs no lcm engine and reads log L
+    # from the beta ledger and the unshared cofactors' logs; here a
+    # balanced lcm tree of the values checks it independently.
+    CASES = [((0, 0, 0, 1), a) for a in (2, -151515, 98765)] + [((0, 1, 0, 0, 1), 3)]
+
+    @pytest.mark.parametrize("N", [4000, 8000])
+    def test_log_L_matches_lcm_tree(self, N):
+        assert N > CROSS_CHECK_LIMIT
+        for coeffs, a in self.CASES:
+            rep = decomposition_report(IntPoly(coeffs), a, N)
+            L = lcm_tree([eval_poly(coeffs, n) - a for n in range(1, N + 1)])
+            assert rep.log_L == pytest.approx(math.log(L), rel=1e-12, abs=0), (coeffs, a)
+
+
 class TestDecompositionReport:
     def test_one_value_pass(self, x3, monkeypatch):
         # one pass for the ledgers and log P, one inside the lcm engine
@@ -577,11 +594,11 @@ class TestDecompositionReport:
         f = ShiftedPoly(x3, 11)
         N = 150
         rep = decomposition_report(x3, 11, N)
-        alpha, beta, _ = build_ledgers(f, N)
+        alpha, beta = map(prime_map, build_ledgers(f, N)[:2])
         D = discriminant(f.to_poly())
-        beta_small = sum(e * math.log(p) for p, e in sorted(beta.entries.items()) if p <= N)
+        beta_small = sum(e * math.log(p) for p, e in sorted(beta.items()) if p <= N)
         alpha_nd = sum(
-            e * math.log(p) for p, e in sorted(alpha.entries.items()) if p <= N and D % p != 0
+            e * math.log(p) for p, e in sorted(alpha.items()) if p <= N and D % p != 0
         )
         assert rep.beta_small_logsum == pytest.approx(beta_small)
         assert rep.alpha_small_nondisc_logsum == pytest.approx(alpha_nd)

@@ -234,6 +234,13 @@ class TestCovarianceSigma:
         with pytest.raises(ValueError):
             covariance_sigma(x3, 3, 11, 100)
 
+    @pytest.mark.parametrize("p, q", [(6, 35), (11, 35), (9, 13), (1, 11)])
+    def test_composite_p_rejected(self, p, q):
+        # (6, 35) used to return -0.128 from RootTable rows mod 6 and 35.
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        with pytest.raises(ValueError, match="p must be prime"):
+            covariance_sigma(x4x, p, q, 100)
+
     def test_degenerate_T1_bounded(self, x3, x3_plus_2x):
         v = covariance_sigma(x3_plus_2x, 7, 13, 1)
         assert abs(v) <= (3 - 1) ** 2

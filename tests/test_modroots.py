@@ -83,6 +83,15 @@ class TestRootsModP:
             roots_mod_p(f, 7)
         assert err.value.rho == 7
 
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 25, -7, 16411 * 16417])
+    def test_composite_p_rejected(self, x3, p):
+        # p = 0 used to divide by zero; a composite p gave a count mod p
+        # that is no root count, and sigma(x^3, 1, 9) gave 2.
+        with pytest.raises(ValueError, match="p must be prime"):
+            roots_mod_p(ShiftedPoly(x3, 1), p)
+        with pytest.raises(ValueError, match="p must be prime"):
+            sigma(x3, 1, p)
+
 
 class TestSigma:
     def test_examples(self, x3):

