@@ -10,8 +10,12 @@ overcount, and C_N the Hensel-predicted density sum.  Every report checks
 the identity to 1e-6 relative; up to CROSS_CHECK_LIMIT the big-integer
 lcm engine (a balanced pairwise math.lcm tree over the values) is also run
 and compared bit-for-bit against the ledger product.  The report evaluates
-each value once and hands that list to the ledgers and the log P sum; the
-lcm engine keeps its own evaluation.  A ledger holds only its prime-keyed
+each value once, by the ledger engine's numpy Horner pass
+(``valengine._abs_values``), and hands that list to the ledgers and the
+log P sum; the lcm engine evaluates the values again by its own plain-int
+Horner loop, so a fault in the int64 pass fails the gate.  Float sums are
+added one term at a time (``ntkernel._plain_sum``), so their bits do not
+depend on the interpreter's sum().  A ledger holds only its prime-keyed
 part and the unshared cofactors above N; every term reads the prime-keyed
 part (log L above the limit adds the logs of the unshared cofactors), so
 the unshared cofactors are never factored.
@@ -27,11 +31,12 @@ shifts in one pass per prime: ``_disc_masks`` reduces every shift mod p
 and D(a) mod p (the family's Newton form, one vector Horner pass), and
 ``_density_columns`` builds (C_N, E_N, D_N) from it with rho gathered from
 the RootTable.  ``_bad_columns`` counts instead of lifting: it evaluates
-f0(1..N) once, and at each discriminant prime p counts the level hits
-#{n <= N : f0(n) = a (mod p**k)} of all its shifts at once in the sorted
-residues of those values.  Its passes over every prime <= N pay off over
-an ensemble, not for one shift (x^3 at N = 2000: 4.1 ms as a batch of one,
-0.08 ms by lifting), so single shifts keep lifting.  Each batch
+f0(1..N) once by the ledger engine's evaluator, and at each discriminant
+prime p counts the level hits #{n <= N : f0(n) = a (mod p**k)} of all its
+shifts at once in the sorted residues of those values.  Its passes over
+every prime <= N pay off over an ensemble, not for one shift (x^3 at
+N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single shifts
+keep lifting.  Each batch
 entry has its single-shift value's bits: a term is built with the same
 float operations and added in the same ascending order of p.  The batch
 serves only irreducible shifts (D(a) != 0, no integer zero), as the
@@ -74,15 +79,21 @@ CSV_HEADER = "a,N,log_L,log_P,bad,b1,b2,delta,c_N,e_N,d_N,residual,irreducible"
 
 
 def lcm_bigint(f: ShiftedPoly, N: int) -> int:
-    """Exact L_a(N) by a balanced pairwise lcm tree; the oracle engine."""
+    """Exact L_a(N) by a balanced pairwise lcm tree; the oracle engine.  It
+    evaluates the values by its own plain-int Horner loop, sharing no code
+    with the ledger engine's evaluator."""
+    coeffs = f.to_poly().coeffs[::-1]
     layer = []
     for n in range(1, N + 1):
-        v = f(n)
+        v = 0
+        for c in coeffs:
+            v = v * n + c
         if v == 0:
             raise ZeroValueError(n)
         layer.append(abs(v))
     while len(layer) > 1:
-        layer = [math.lcm(*layer[i : i + 2]) for i in range(0, len(layer), 2)]
+        pairs = [math.lcm(x, y) for x, y in zip(layer[::2], layer[1::2])]
+        layer = pairs + layer[-1:] if len(layer) % 2 else pairs
     return layer[0] if layer else 1
 
 
@@ -139,13 +150,9 @@ def _bad_columns(f0: IntPoly, shifts: list[int], N: int) -> list[BadSplit]:
     _density_columns)."""
     if not shifts:
         return []
-    bound = sum(abs(c) * N**i for i, c in enumerate(f0.coeffs)) + max(map(abs, shifts))
+    bound = valengine._coeff_bound(f0.coeffs, N) + max(map(abs, shifts))
     dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-    # Horner's partial sums are bounded by B, so int64 cannot overflow.
-    n = np.arange(1, N + 1, dtype=dtype)
-    values = np.zeros_like(n)
-    for c in reversed(f0.coeffs):
-        values = values * n + c
+    values = valengine._horner_values(f0.coeffs, N, dtype)
     a = np.array(shifts, dtype=dtype)
     total, b1 = np.zeros(len(shifts)), np.zeros(len(shifts))
     zero_shift = len(shifts)
@@ -392,6 +399,8 @@ def decomposition_report(
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     table = _root_table_for(f0, root_table)
     values = valengine._abs_values(f, N)
     alpha, beta, _ = build_ledgers(f, N, root_table=table, _values=values)
@@ -402,10 +411,10 @@ def decomposition_report(
         log_L = math.log(L)
     else:
         # Unshared cofactors enter by their logs, unfactored.
-        log_L = sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
-        log_L += sum(math.log(c) for c in beta.rest)
+        log_L = ntkernel._plain_sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
+        log_L += ntkernel._plain_sum(map(math.log, beta.rest))
 
-    log_p = valengine._log_sum(values)
+    log_p = ntkernel._plain_sum(map(math.log, values))
     bad, b1, b2 = _bad_split(table, a, N, _disc_primes(D, N))
     delta = _delta_from_ledgers(alpha, beta, N)
     # Both ledgers key the same primes; the sums take p <= N ascending.

@@ -308,8 +308,8 @@ def ensemble_average(
 
     values = [v for _, v in pairs]
     n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
+    mean = ntkernel._plain_sum(values) / n
+    variance = ntkernel._plain_sum((v - mean) ** 2 for v in values) / n
     stats = EnsembleStats(
         T=T,
         N=N,
@@ -482,5 +482,5 @@ def theorem_check(
         fraction_bad_within_band=frac_bad,
         fraction_delta_within_band=frac_delta,
         median_ratio=median,
-        mean_ratio=sum(ratios) / n,
+        mean_ratio=ntkernel._plain_sum(ratios) / n,
     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -302,18 +303,28 @@ def factor(m: int) -> Factorization:
     return Factorization(m, tuple(sorted(counts.items())))
 
 
+def _plain_sum(xs: Iterable[float]) -> float:
+    """The float sum of xs, added one at a time in iteration order.  The
+    built-in sum() compensates float rounding from Python 3.12 on, so its
+    bits would depend on the interpreter."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def mertens_sum(N: int) -> float:
     """sum over primes p <= N of ln(p)/p, ascending."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    return sum(math.log(p) / p for p in sieve_primes(N))
+    return _plain_sum(math.log(p) / p for p in sieve_primes(N))
 
 
 def divisor_logsum(k: int) -> float:
     """sum of ln(p)/p over the distinct prime divisors of k (|k| > 1)."""
     if abs(k) <= 1:
         raise ValueError(f"|k| must be > 1, got {k}")
-    return sum(math.log(p) / p for p in factor(k).primes())
+    return _plain_sum(math.log(p) / p for p in factor(k).primes())
 
 
 def divisor_logsum_table(limit: int) -> np.ndarray:

@@ -3,17 +3,22 @@
 alpha_p = total p-adic valuation of the product of the values;
 beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 
-Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``);
-the ledgers and the log P sum read that one list.  Small primes (p <= N) are
-handled by root-sieving: the n with p | f_a(n) lie in the residue classes of
-the roots of f_a mod p, read from the family's ``RootTable``, so only those
-positions are ever divided.  Whatever is left of each value afterwards is a
-cofactor with all prime factors > N.  One batch GCD over these cofactors
+Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``):
+one numpy Horner pass in int64 when B = sum |c_i(f_a)| N**i fits, every
+partial sum being bounded by B, else in exact Python ints
+(``_horner_values``, which ``decomp._bad_columns`` also reads).  The ledgers
+and the log P sum read that one list.  Small primes (p <= N) are handled by
+root-sieving: the n with p | f_a(n) lie in the residue classes of the roots
+of f_a mod p, read from the family's ``RootTable``, so only those positions
+are ever divided.  Whatever is left of each value afterwards is a cofactor
+with all prime factors > N.  One batch GCD over these cofactors
 (Bernstein's product tree, then a descent that reduces modulo each node, not
-its square) gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  A
-cofactor with g_i = 1 shares no prime: its primes have alpha_p = beta_p, so
-the ledgers keep it unfactored, and the report reads it through
-``product()`` up to the cross-check limit and by its log above it.  A
+its square) gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor; its
+tree is the balanced pairwise product (``_product_tree``) that
+``ValuationLedger.product()`` also takes.  A cofactor with g_i = 1 shares
+no prime: its primes have alpha_p = beta_p, so the ledgers keep it
+unfactored, and the report reads it through ``product()`` up to the
+cross-check limit and by its log above it.  A
 shared cofactor is split into g_i and c_i / g_i; a piece > 1 and <= N^2 is
 prime (its primes all exceed N), a larger one goes to ``is_prime``, and
 only a composite piece is factored.
@@ -29,6 +34,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import ntkernel
 from .errors import ZeroValueError
@@ -51,10 +58,24 @@ class ValuationLedger:
     rest: tuple[int, ...]
 
     def product(self) -> int:
-        out = 1
-        for p in sorted(self.factored):
-            out *= p ** self.factored[p]
-        return out * math.prod(self.rest)
+        leaves = [p**e for p, e in self.factored.items()] + list(self.rest)
+        return _product_tree(leaves)[-1][0] if leaves else 1
+
+
+def _product_tree(xs: list[int]) -> list[list[int]]:
+    # The layers of the balanced pairwise product tree over xs, leaves
+    # first: operands of similar size, so the products stay sub-quadratic.
+    tree = [xs]
+    while len(tree[-1]) > 1:
+        layer = tree[-1]
+        pairs = [x * y for x, y in zip(layer[::2], layer[1::2])]
+        tree.append(pairs + layer[-1:] if len(layer) % 2 else pairs)
+    return tree
+
+
+def _coeff_bound(coeffs: tuple[int, ...], N: int) -> int:
+    # B = sum |c_i| N**i bounds |f(n)| and every Horner partial sum, n <= N
+    return sum(abs(c) * N**i for i, c in enumerate(coeffs))
 
 
 def _count_in_class(N: int, r: int, m: int) -> int:
@@ -72,7 +93,7 @@ def _level_hits(poly: IntPoly, N: int, p: int, roots: tuple[int, ...]) -> Iterat
     # the counts can only fall as k grows, so every later one is 0.  Above
     # the coefficient bound sum |c_i| N**i, p**k exceeds every |poly(n)|,
     # so a level still reached there holds the zeros of poly on [1, N].
-    bound = sum(abs(c) * N**i for i, c in enumerate(poly.coeffs))
+    bound = _coeff_bound(poly.coeffs, N)
     pk = p
     for level in _lifted_levels(poly, p, roots):
         hits = sum(_count_in_class(N, r, pk) for r in level)
@@ -158,10 +179,7 @@ def _shared_gcds(cs: list[int]) -> list[int]:
     child) * (sibling mod child) mod child, exact because child | parent.
     At a leaf rem_i = prod_{j != i} c_j mod c_i, and g_i = gcd(c_i, rem_i).
     """
-    tree = [cs]
-    while len(tree[-1]) > 1:
-        layer = tree[-1]
-        tree.append([math.prod(layer[i : i + 2]) for i in range(0, len(layer), 2)])
+    tree = _product_tree(cs)
     rems = [1]
     for layer in reversed(tree[:-1]):
         last = len(layer) - 1
@@ -194,28 +212,31 @@ def _split_shared(c: int, g: int, N: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _abs_values(f: ShiftedPoly, N: int) -> list[int]:
-    """[|f(1)|, ..., |f(N)|]; raises ZeroValueError at the first f(n) = 0."""
-    values = []
-    for n in range(1, N + 1):
-        v = f(n)
-        if v == 0:
-            raise ZeroValueError(n)
-        values.append(abs(v))
+def _horner_values(coeffs: tuple[int, ...], N: int, dtype: type) -> np.ndarray:
+    """[f(1), ..., f(N)] by one Horner pass over the array 1..N, in dtype:
+    np.int64 only when _coeff_bound(coeffs, N) fits it, else object."""
+    n = np.arange(1, N + 1, dtype=dtype)
+    values = np.zeros_like(n)
+    for c in reversed(coeffs):
+        values = values * n + c
     return values
 
 
-def _log_sum(values: list[int]) -> float:
-    # sum of ln v over the values, in list order
-    total = 0.0
-    for v in values:
-        total += math.log(v)
-    return total
+def _abs_values(f: ShiftedPoly, N: int) -> list[int]:
+    """[|f(1)|, ..., |f(N)|] as Python ints; raises ZeroValueError at the
+    first f(n) = 0."""
+    coeffs = f.to_poly().coeffs
+    fits = _coeff_bound(coeffs, N) <= np.iinfo(np.int64).max
+    values = _horner_values(coeffs, N, np.int64 if fits else object)
+    zeros = np.flatnonzero(values == 0)
+    if zeros.size:
+        raise ZeroValueError(int(zeros[0]) + 1)
+    return np.abs(values).tolist()
 
 
 def log_P(f: ShiftedPoly, N: int) -> float:
     """log P_a(N) = sum over n <= N of ln |f_a(n)|, ascending."""
-    return _log_sum(_abs_values(f, N))
+    return ntkernel._plain_sum(map(math.log, _abs_values(f, N)))
 
 
 def alpha_approx_residual(f: ShiftedPoly, N: int, p: int) -> float:

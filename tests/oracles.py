@@ -5,7 +5,8 @@ trial-division primes/factoring, Sylvester-matrix resultants by Bareiss
 elimination, exhaustive root enumeration, direct valuation loops, a pure
 Kronecker irreducibility decision, chain and balanced-tree lcms,
 pairwise-gcd batch GCDs, and the paper's divided difference G(m, n), its
-zero-free threshold C1 and a Delta_N built from pairwise gcd(f(m), G(m, n)).
+zero-free threshold C1 and a Delta_N built from pairwise gcd(f(m), G(m, n)),
+plus a second Delta_N from the quotient of the cofactor product by their lcm.
 """
 
 from __future__ import annotations
@@ -325,3 +326,22 @@ def delta_pairwise(coeffs, a: int, N: int) -> float:
     for p in sorted(candidates):
         total += (alpha_direct(values, p) - beta_direct(values, p)) * math.log(p)
     return total
+
+
+def delta_quotient(coeffs, a: int, N: int) -> float:
+    """Delta_N(a) for f = f0 - a, f0 given by its coefficients, as
+    log(prod(c) // lcm(c)) over the cofactors c: each |f(n)|, n <= N, with
+    every prime <= N stripped by repeated gcd with their product.  The
+    quotient is exactly prod over primes q > N of q**(alpha_q - beta_q)."""
+    small = math.prod(trial_primes(N))
+    cofactors = []
+    for n in range(1, N + 1):
+        c = abs(eval_poly(coeffs, n) - a)
+        h = math.gcd(c, small)
+        while h > 1:
+            c //= h
+            h = math.gcd(c, small)
+        cofactors.append(c)
+    q, r = divmod(math.prod(cofactors), lcm_tree(cofactors))
+    assert r == 0
+    return math.log(q)

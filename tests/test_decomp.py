@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from polylcm import decomp, modroots, ntkernel, polyring
+from polylcm import decomp, modroots, ntkernel, polyring, valengine
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
     CROSS_CHECK_LIMIT,
@@ -28,6 +28,7 @@ from polylcm.valengine import build_ledgers
 from oracles import (
     alpha_direct,
     delta_pairwise,
+    delta_quotient,
     disc_via_sylvester,
     eval_poly,
     lcm_chain,
@@ -47,6 +48,20 @@ def _random_irreducible_shift(rng, dmin=3, dmax=5, span=9, amax=100):
         fa = ShiftedPoly(f0, a)
         if is_irreducible_over_Q(fa.to_poly()):
             return fa
+
+
+def _count_value_passes(monkeypatch):
+    # Lists filled by decomposition_report: the length of each engine value
+    # pass, and the N of each lcm_bigint call.  No value may be evaluated
+    # one n at a time.
+    passes, lcm_calls = [], []
+    horner, lcm = valengine._horner_values, decomp.lcm_bigint
+    monkeypatch.setattr(
+        valengine, "_horner_values", lambda c, N, t: passes.append(N) or horner(c, N, t)
+    )
+    monkeypatch.setattr(decomp, "lcm_bigint", lambda f, N: lcm_calls.append(N) or lcm(f, N))
+    monkeypatch.setattr(ShiftedPoly, "__call__", lambda f, n: pytest.fail("per-n evaluation"))
+    return passes, lcm_calls
 
 
 class TestLcmEngines:
@@ -119,14 +134,15 @@ class TestHotPath:
         N, a = CROSS_CHECK_LIMIT + 500, 2
         f = ShiftedPoly(x3, a)
         unshared = set(build_ledgers(f, N)[0].rest)
-        calls, values = [], []
-        factor, call = ntkernel.factor, ShiftedPoly.__call__
+        calls = []
+        factor = ntkernel.factor
         monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
-        monkeypatch.setattr(ShiftedPoly, "__call__", lambda g, n: values.append(n) or call(g, n))
+        passes, lcm_calls = _count_value_passes(monkeypatch)
         rep = decomposition_report(x3, a, N)
         monkeypatch.undo()
         assert unshared and not unshared & set(calls)
-        assert len(values) == N  # one value pass, no lcm engine above the limit
+        # one value pass, no lcm engine above the limit
+        assert passes == [N] and lcm_calls == []
         L = lcm_chain([n**3 - a for n in range(1, N + 1)])
         assert rep.log_L == pytest.approx(math.log(L), rel=1e-12)
 
@@ -442,7 +458,8 @@ class TestBatchColumns:
 class TestAboveLimit:
     # Above CROSS_CHECK_LIMIT the report runs no lcm engine and reads log L
     # from the beta ledger and the unshared cofactors' logs; here a
-    # balanced lcm tree of the values checks it independently.
+    # balanced lcm tree of the values checks it independently, and Delta_N
+    # is checked against the quotient of the cofactor product by its lcm.
     CASES = [((0, 0, 0, 1), a) for a in (2, -151515, 98765)] + [((0, 1, 0, 0, 1), 3)]
 
     @pytest.mark.parametrize("N", [4000, 8000])
@@ -453,16 +470,22 @@ class TestAboveLimit:
             L = lcm_tree([eval_poly(coeffs, n) - a for n in range(1, N + 1)])
             assert rep.log_L == pytest.approx(math.log(L), rel=1e-12, abs=0), (coeffs, a)
 
+    @pytest.mark.parametrize("N", [4000, 8000])
+    def test_delta_matches_cofactor_quotient(self, N):
+        for coeffs, a in self.CASES:
+            rep = decomposition_report(IntPoly(coeffs), a, N)
+            expect = delta_quotient(coeffs, a, N)
+            assert expect > 0, (coeffs, a)
+            assert rep.delta == pytest.approx(expect, rel=1e-12, abs=0), (coeffs, a)
+
 
 class TestDecompositionReport:
     def test_one_value_pass(self, x3, monkeypatch):
         # one pass for the ledgers and log P, one inside the lcm engine
-        calls = []
-        call = ShiftedPoly.__call__
-        monkeypatch.setattr(ShiftedPoly, "__call__", lambda f, n: calls.append(n) or call(f, n))
+        passes, lcm_calls = _count_value_passes(monkeypatch)
         N = 300
         decomposition_report(x3, 2, N)
-        assert len(calls) == 2 * N
+        assert passes == [N] and lcm_calls == [N]
 
     @pytest.mark.parametrize("N", [600, CROSS_CHECK_LIMIT + 500])
     def test_dropped_shared_prime_is_caught(self, x3, monkeypatch, N):
@@ -478,6 +501,20 @@ class TestDecompositionReport:
         monkeypatch.setattr(decomp, "build_ledgers", dropping)
         with pytest.raises(InternalConsistencyError):
             decomposition_report(x3, 2, N)
+
+    def test_wrapped_value_is_caught(self, x3, monkeypatch):
+        # A value off by 2**64, as an int64 overflow would leave it, must
+        # fail the lcm gate: lcm_bigint evaluates on its own.
+        horner = valengine._horner_values
+
+        def wrapping(coeffs, N, dtype):
+            values = horner(coeffs, N, dtype).astype(object)
+            values[N // 2] += 2**64
+            return values
+
+        monkeypatch.setattr(valengine, "_horner_values", wrapping)
+        with pytest.raises(InternalConsistencyError, match="lcm tree"):
+            decomposition_report(x3, 2, 300)
 
     def test_cold_family_one_subresultant(self, monkeypatch):
         # The irreducibility test and the report share one discriminant, so

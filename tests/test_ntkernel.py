@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from polylcm import ntkernel
 from polylcm.errors import ResourceLimitError, UnsupportedSizeError
 from polylcm.ntkernel import (
     SIEVE_LIMIT_MAX,
@@ -151,6 +152,15 @@ class TestIsPrime:
 
     def test_strong_pseudoprime_to_base_2(self):
         assert not is_prime(2047)  # 23 * 89
+
+
+class TestPlainSum:
+    def test_adds_in_order_without_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1.0
+        assert ntkernel._plain_sum([1e16, 1.0, -1e16]) == 0.0
+        assert ntkernel._plain_sum([1.0, 1e16, -1e16]) == 0.0
+        assert ntkernel._plain_sum([1e16, -1e16, 1.0]) == 1.0
+        assert ntkernel._plain_sum(iter([])) == 0.0
 
 
 class TestMertensSum:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from polylcm.decomp import bad_N
@@ -24,6 +25,7 @@ from oracles import (
     beta_direct,
     brute_roots_mod,
     disc_via_sylvester,
+    eval_poly,
     shared_cofactors,
     shared_gcds,
     trial_factor,
@@ -375,6 +377,96 @@ class TestLogP:
     def test_zero_value(self, x3):
         with pytest.raises(ZeroValueError):
             log_P(ShiftedPoly(x3, 27), 5)
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _exact_bound_coeffs(rng, d, N, B):
+    # Coefficients of degree d with sum |c_i| N**i == B, mixed signs and a
+    # large (non-monic) leading coefficient; f(N) = +-B when all signs agree.
+    low = [rng.randint(-9, 9) for _ in range(d - 1)]
+    rest = B - sum(abs(c) * N ** (i + 1) for i, c in enumerate(low))
+    lead = rest // N**d - rng.randint(0, 3)
+    return (rng.choice((1, -1)) * (rest - lead * N**d), *low, rng.choice((1, -1)) * lead)
+
+
+def _exact_bound_coeffs_with_zero(rng, B):
+    # c_d x^d + c_1 x + c_0 with c_0 = -(c_d m^d + c_1 m), so f(m) = 0 for
+    # one m in [1, N], and B = c_d (N^d + m^d) + c_1 (N + m) exactly.  For
+    # odd d, N + m divides N^d + m^d, so it must divide B.
+    divisors = [C for C in range(40, 1501) if B % C == 0]
+    while True:
+        d = rng.randint(2, 5)
+        C = rng.choice(divisors) if d % 2 and divisors else rng.randint(40, 1500)
+        m = rng.randint(1, C // 2)
+        N, A = C - m, (C - m) ** d + m**d
+        g = math.gcd(A, C)
+        if B % g:
+            continue
+        step = C // g
+        c_d = B // g * pow(A // g, -1, step) % step if step > 1 else 0
+        c_d += step * rng.randint(0, max(0, (B // A - c_d) // step))
+        if c_d < 1 or c_d * A > B:
+            continue
+        c_1 = (B - c_d * A) // C
+        coeffs = (-(c_d * m**d + c_1 * m), c_1) + (0,) * (d - 2) + (c_d,)
+        sign = rng.choice((1, -1))
+        return tuple(sign * c for c in coeffs), N, m
+
+
+class TestValuePass:
+    # The engine evaluates f(1..N) in int64 only while the coefficient bound
+    # B = sum |c_i| N**i fits, which bounds every Horner partial sum.
+    TARGETS = [INT64_MAX - 1, INT64_MAX, INT64_MAX + 1]
+
+    @staticmethod
+    def _check(coeffs, N):
+        B = sum(abs(c) * N**i for i, c in enumerate(coeffs))
+        expect = [eval_poly(coeffs, n) for n in range(1, N + 1)]
+        dtypes = (np.int64, object) if B <= INT64_MAX else (object,)
+        for dtype in dtypes:
+            values = valengine._horner_values(coeffs, N, dtype)
+            assert values.tolist() == expect, (coeffs, N, dtype)
+        f = ShiftedPoly(IntPoly(coeffs), 0)
+        if 0 not in expect:
+            assert valengine._abs_values(f, N) == [abs(v) for v in expect], (coeffs, N)
+            return None
+        first = expect.index(0) + 1
+        with pytest.raises(ZeroValueError) as err:
+            valengine._abs_values(f, N)
+        assert err.value.n == first, (coeffs, N)
+        for dtype in dtypes:
+            values = valengine._horner_values(coeffs, N, dtype)
+            assert int(np.flatnonzero(values == 0)[0]) + 1 == first, (coeffs, N, dtype)
+        return first
+
+    @pytest.mark.parametrize("B", TARGETS, ids=["below", "at", "above"])
+    def test_matches_oracle_at_int64_boundary(self, B):
+        rng = random.Random(B)
+        for _ in range(12):
+            d, N = rng.randint(2, 5), rng.randint(20, 1500)
+            coeffs = _exact_bound_coeffs(rng, d, N, B)
+            assert sum(abs(c) * N**i for i, c in enumerate(coeffs)) == B
+            self._check(coeffs, N)
+            # all signs equal: |f(N)| = B, the largest value int64 must hold
+            same = tuple(abs(c) for c in coeffs)
+            self._check(same, N)
+            self._check(tuple(-c for c in same), N)
+        for _ in range(12):
+            coeffs, N, m = _exact_bound_coeffs_with_zero(rng, B)
+            assert sum(abs(c) * N**i for i, c in enumerate(coeffs)) == B
+            assert self._check(coeffs, N) == m
+
+    def test_shift_enters_the_bound(self):
+        # c x^3 fits int64 on [1, 1000]; this shift takes |f(1000) - a| to
+        # 2**63, so the pass must run in Python ints.
+        N = 1000
+        f0 = IntPoly((0, 0, 0, INT64_MAX // N**3))
+        a = -(INT64_MAX - f0.coeffs[3] * N**3) - 1
+        values = valengine._abs_values(ShiftedPoly(f0, a), N)
+        assert values == [abs(eval_poly(f0.coeffs, n) - a) for n in range(1, N + 1)]
+        assert values[-1] == INT64_MAX + 1
 
 
 class TestZeroValues:
