@@ -16,9 +16,9 @@ log P sum; the lcm engine evaluates the values again by its own plain-int
 Horner loop, so a fault in the int64 pass fails the gate.  Float sums are
 added one term at a time (``ntkernel._plain_sum``), so their bits do not
 depend on the interpreter's sum().  A ledger holds only its prime-keyed
-part and the unshared cofactors above N; every term reads the prime-keyed
-part (log L above the limit adds the logs of the unshared cofactors), so
-the unshared cofactors are never factored.
+part and the unshared parts of the cofactors above N; every term reads the
+prime-keyed part (log L above the limit adds the logs of the unshared
+parts), so the unshared parts are never factored.
 Discriminant primes <= N are found by divisibility tests, not by factoring D.
 For one shift, Bad_N has one path (``_bad_split``), shared by ``bad_N`` and
 the report: one lifting pass per discriminant prime from the family's roots
@@ -61,16 +61,18 @@ from .modroots import BRUTE_FORCE_LIMIT, RootTable, _family_root_table, _root_ta
 from .polyring import (
     IntPoly,
     ShiftedPoly,
+    _coeff_bound,
     _disc_family,
     _family_discriminant,
+    _horner_values,
     is_irreducible_over_Q,
 )
 from .valengine import ValuationLedger, _level_hits, build_ledgers
 
 # Up to this N the lcm tree also runs and must equal the ledger product;
 # above it only the ledger engine runs, and log L is read from the beta
-# ledger: its prime-keyed log-sum plus the logs of the unshared cofactors,
-# which are never factored.  The value may be raised, never lowered.
+# ledger: its prime-keyed log-sum plus the logs of the unshared cofactor
+# parts, which are never factored.  The value may be raised, never lowered.
 CROSS_CHECK_LIMIT = 2000
 
 IDENTITY_RTOL = 1e-6
@@ -150,9 +152,9 @@ def _bad_columns(f0: IntPoly, shifts: list[int], N: int) -> list[BadSplit]:
     _density_columns)."""
     if not shifts:
         return []
-    bound = valengine._coeff_bound(f0.coeffs, N) + max(map(abs, shifts))
+    bound = _coeff_bound(f0.coeffs, N) + max(map(abs, shifts))
     dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-    values = valengine._horner_values(f0.coeffs, N, dtype)
+    values = _horner_values(f0.coeffs, N, dtype)
     a = np.array(shifts, dtype=dtype)
     total, b1 = np.zeros(len(shifts)), np.zeros(len(shifts))
     zero_shift = len(shifts)
@@ -203,8 +205,8 @@ def delta_N(f0: IntPoly, a: int, N: int) -> float:
 
 
 def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -> float:
-    # A prime with alpha_p != beta_p divides two values, so it lies in a
-    # shared cofactor and is in the prime-keyed part.
+    # A prime with alpha_p != beta_p divides two values, so it is a shared
+    # prime and is in the prime-keyed part.
     total = 0.0
     for p in sorted(alpha.factored):
         if p > N:
@@ -410,7 +412,7 @@ def decomposition_report(
             raise InternalConsistencyError("ledger product != lcm tree")
         log_L = math.log(L)
     else:
-        # Unshared cofactors enter by their logs, unfactored.
+        # Unshared cofactor parts enter by their logs, unfactored.
         log_L = ntkernel._plain_sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
         log_L += ntkernel._plain_sum(map(math.log, beta.rest))
 

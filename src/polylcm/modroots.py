@@ -27,6 +27,8 @@ from .polyring import (
     IntPoly,
     PolyLike,
     ShiftedPoly,
+    _coeff_bound,
+    _horner_values,
     _pm_gcd,
     _pm_monic,
     _pm_powmod,
@@ -247,13 +249,17 @@ class RootTable:
     sigma for every shift a at lookup cost.
 
     Each prime p < BRUTE_FORCE_LIMIT gets two compact ``array("i")`` rows in
-    CSR (compressed sparse row) form, built in one numpy pass: ``xs`` holds
-    0 .. p-1 stably sorted by f0(x) mod p, and ``start[v]:start[v + 1]`` is
-    the slice of ``xs`` with f0(x) = v mod p, ascending.  That is 8 bytes
-    per residue; the build is O(p) per prime (a bincount and a radix
-    argsort), paid once per (f0, p).  ``rho`` and ``sigma`` read the row
-    length and build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through
-    to direct root extraction.
+    CSR (compressed sparse row) form: ``xs`` holds 0 .. p-1 stably sorted by
+    f0(x) mod p, and ``start[v]:start[v + 1]`` is the slice of ``xs`` with
+    f0(x) = v mod p, ascending.  That is 8 bytes per residue; the build is
+    O(p) per prime (a bincount and a radix argsort), paid once per (f0, p).
+    A row's residues are the table's exact int64 values f0(0 .. K-1) mod p,
+    K the next power of two >= p: ``polyring._horner_values`` evaluates
+    them when a prime first needs a longer array, while sum |c_i| (K-1)**i
+    fits int64; past that bound a row takes Horner mod p
+    (``_values_array``).  ``rho`` and ``sigma`` read the row length and
+    build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through to direct
+    root extraction.
 
     A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``,
     ``valengine`` and ``ensemble`` read it unless a caller passes its own
@@ -262,12 +268,25 @@ class RootTable:
     def __init__(self, f0: IntPoly):
         self.f0 = f0
         self._tables: dict[int, tuple[array, array]] = {}
+        self._values = np.zeros(0, dtype=np.int64)
 
     def _rows(self, p: int) -> tuple[array, array]:
         rows = self._tables.get(p)
         if rows is None:
-            rows = self._tables[p] = _preimage_rows(_coeffs_mod(self.f0, p), p)
+            rows = self._tables[p] = _preimage_rows(self._residues(p), p)
         return rows
+
+    def _residues(self, p: int) -> np.ndarray:
+        # f0(x) mod p for x = 0 .. p-1.  The exact array holds fewer than 2p
+        # entries for the largest p built, and _coeff_bound(f0, K - 1)
+        # bounds every Horner partial sum over it.
+        if p > len(self._values):
+            K = 1 << (p - 1).bit_length()
+            coeffs = self.f0.coeffs
+            if _coeff_bound(coeffs, K - 1) > np.iinfo(np.int64).max:
+                return _values_array(_coeffs_mod(self.f0, p), p)
+            self._values = np.concatenate(([self.f0(0)], _horner_values(coeffs, K - 1, np.int64)))
+        return self._values[:p] % p
 
     def roots(self, a: int, p: int) -> tuple[int, ...]:
         if p >= BRUTE_FORCE_LIMIT:
@@ -297,10 +316,10 @@ class RootTable:
         return np.frombuffer(self._rows(p)[0], dtype=np.intc)
 
 
-def _preimage_rows(coeffs: list[int], p: int) -> tuple[array, array]:
-    # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT; coeffs reduced
-    # mod p.  Values fit int16, where numpy's stable argsort is a radix sort.
-    vals = _values_array(coeffs, p)
+def _preimage_rows(vals: np.ndarray, p: int) -> tuple[array, array]:
+    # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT from vals = f0(x)
+    # mod p, x = 0 .. p-1.  They fit int16, where numpy's stable argsort is
+    # a radix sort.
     start = np.zeros(p + 1, dtype=np.intc)
     np.cumsum(np.bincount(vals, minlength=p), out=start[1:])
     xs = np.argsort(vals.astype(np.int16), kind="stable").astype(np.intc)

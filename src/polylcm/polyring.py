@@ -151,6 +151,21 @@ def as_poly(f: PolyLike) -> IntPoly:
     return f.to_poly() if isinstance(f, ShiftedPoly) else f
 
 
+def _coeff_bound(coeffs: tuple[int, ...], N: int) -> int:
+    # B = sum |c_i| N**i bounds |f(n)| and every Horner partial sum, |n| <= N
+    return sum(abs(c) * N**i for i, c in enumerate(coeffs))
+
+
+def _horner_values(coeffs: tuple[int, ...], N: int, dtype: type) -> np.ndarray:
+    """[f(1), ..., f(N)] by one Horner pass over the array 1..N, in dtype:
+    np.int64 only when _coeff_bound(coeffs, N) fits it, else object."""
+    n = np.arange(1, N + 1, dtype=dtype)
+    values = np.zeros_like(n)
+    for c in reversed(coeffs):
+        values = values * n + c
+    return values
+
+
 def _prem(A: IntPoly, B: IntPoly) -> IntPoly:
     # Pseudo-remainder: lc(B)^(degA-degB+1) * A = Q*B + R with deg R < deg B.
     dB = B.degree

@@ -6,22 +6,24 @@ beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``):
 one numpy Horner pass in int64 when B = sum |c_i(f_a)| N**i fits, every
 partial sum being bounded by B, else in exact Python ints
-(``_horner_values``, which ``decomp._bad_columns`` also reads).  The ledgers
-and the log P sum read that one list.  Small primes (p <= N) are handled by
-root-sieving: the n with p | f_a(n) lie in the residue classes of the roots
-of f_a mod p, read from the family's ``RootTable``, so only those positions
-are ever divided.  Whatever is left of each value afterwards is a cofactor
-with all prime factors > N.  One batch GCD over these cofactors
-(Bernstein's product tree, then a descent that reduces modulo each node, not
-its square) gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor; its
-tree is the balanced pairwise product (``_product_tree``) that
-``ValuationLedger.product()`` also takes.  A cofactor with g_i = 1 shares
-no prime: its primes have alpha_p = beta_p, so the ledgers keep it
-unfactored, and the report reads it through ``product()`` up to the
-cross-check limit and by its log above it.  A
-shared cofactor is split into g_i and c_i / g_i; a piece > 1 and <= N^2 is
-prime (its primes all exceed N), a larger one goes to ``is_prime``, and
-only a composite piece is factored.
+(``polyring._horner_values``, which ``decomp._bad_columns`` and the
+``RootTable`` rows also read).  The ledgers and the log P sum read that one
+list.  Small primes (p <= N) are handled by root-sieving: the n with
+p | f_a(n) lie in the residue classes of the roots of f_a mod p, read from
+the family's ``RootTable``, so only those positions are ever divided.
+Whatever is left of each value afterwards is a cofactor with all prime
+factors > N.  One batch GCD over these cofactors (Bernstein's product tree,
+then a descent that reduces modulo each node, not its square) gives
+g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor; its tree is the
+balanced pairwise product (``_product_tree``) that
+``ValuationLedger.product()`` also takes.  A prime of c_i divides g_i
+exactly when another cofactor holds it, so only g_i is factored: a g_i
+> 1 and <= N^2 is prime (its primes all exceed N), a larger one goes to
+``is_prime``, and only a composite g_i goes to ``factor``.  What is left of
+c_i after its shared primes, the whole c_i when g_i = 1, shares no prime:
+its primes have alpha_p = beta_p, so the ledgers keep it unfactored, and
+the report reads it through ``product()`` up to the cross-check limit and
+by its log above it.
 
 ``alpha_p``, ``beta_p`` and ``alpha_approx_residual`` at a single prime lift
 the roots mod p level by level instead (``_level_hits``), evaluating no
@@ -40,18 +42,20 @@ import numpy as np
 from . import ntkernel
 from .errors import ZeroValueError
 from .modroots import RootTable, _lifted_levels, _root_table_for, roots_mod_p
-from .polyring import IntPoly, ShiftedPoly, _family_discriminant
+from .polyring import IntPoly, ShiftedPoly, _coeff_bound, _family_discriminant, _horner_values
 
 
 @dataclass
 class ValuationLedger:
-    """The prime-keyed part of a ledger, plus the unshared cofactors.
+    """The prime-keyed part of a ledger, plus the unshared cofactor parts.
 
     ``factored`` maps each prime <= N that divides a value, and each prime
-    of a shared cofactor, to its exponent.  ``rest`` holds the cofactors that
-    share no prime with any other value, unfactored; each of their primes
-    exceeds N and has exponent alpha_p = beta_p = its exponent there, so the
-    alpha and beta ledgers of one build share one ``rest``.
+    > N that divides two values (a shared prime), to its exponent.  ``rest``
+    holds, unfactored, the part of each cofactor that is left after its
+    shared primes: the entries are pairwise coprime and share no prime with
+    ``factored``.  Each of their primes exceeds N, divides one value only
+    and has exponent alpha_p = beta_p = its exponent there, so the alpha and
+    beta ledgers of one build share one ``rest``.
     """
 
     factored: dict[int, int]
@@ -71,11 +75,6 @@ def _product_tree(xs: list[int]) -> list[list[int]]:
         pairs = [x * y for x, y in zip(layer[::2], layer[1::2])]
         tree.append(pairs + layer[-1:] if len(layer) % 2 else pairs)
     return tree
-
-
-def _coeff_bound(coeffs: tuple[int, ...], N: int) -> int:
-    # B = sum |c_i| N**i bounds |f(n)| and every Horner partial sum, n <= N
-    return sum(abs(c) * N**i for i, c in enumerate(coeffs))
 
 
 def _count_in_class(N: int, r: int, m: int) -> int:
@@ -126,9 +125,10 @@ def build_ledgers(
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
     """The (alpha, beta) ledgers of f on [1, N] (see ``ValuationLedger``),
     plus the cofactor list (one per n: the part of |f(n)| left after
-    removing primes <= N).  The roots mod p come from root_table when it
-    belongs to f's family, else from the family's shared table.  ``_values``
-    is the caller's ``_abs_values(f, N)``; it is not modified."""
+    removing primes <= N).  Only the shared primes of the cofactors are
+    factored (``_split_shared``).  The roots mod p come from root_table when
+    it belongs to f's family, else from the family's shared table.
+    ``_values`` is the caller's ``_abs_values(f, N)``; it is not modified."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     values = _abs_values(f, N) if _values is None else list(_values)
@@ -159,13 +159,14 @@ def build_ledgers(
     big = [v for v in cofactors if v > 1]
     rest = []
     for v, g in zip(big, _shared_gcds(big)):
-        if g == 1:
+        if g > 1:
+            shared, v = _split_shared(v, g, N)
+            for q, e in shared:
+                alpha[q] = alpha.get(q, 0) + e
+                if e > beta.get(q, 0):
+                    beta[q] = e
+        if v > 1:
             rest.append(v)
-            continue
-        for q, e in _split_shared(v, g, N):
-            alpha[q] = alpha.get(q, 0) + e
-            if e > beta.get(q, 0):
-                beta[q] = e
     unshared = tuple(rest)
     return ValuationLedger(alpha, unshared), ValuationLedger(beta, unshared), cofactors
 
@@ -190,36 +191,22 @@ def _shared_gcds(cs: list[int]) -> list[int]:
     return [math.gcd(c, r) for c, r in zip(cs, rems)]
 
 
-def _split_shared(c: int, g: int, N: int) -> tuple[tuple[int, int], ...]:
-    """factor(c).factors for a cofactor c whose primes all exceed N, read
-    from its pieces g and c // g (g | c).  A piece > 1 and <= N**2 is prime,
-    a larger one is tested by is_prime, and only a composite piece is
-    factored; each exponent comes from dividing c."""
-    primes = set()
-    for piece in (g, c // g):
-        if piece <= N * N or ntkernel.is_prime(piece):
-            primes.add(piece)
-        else:
-            primes.update(ntkernel.factor(piece).primes())
-    primes.discard(1)
+def _split_shared(c: int, g: int, N: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(the shared primes of c with their exponents, the unshared part u of c)
+    for a cofactor c whose primes all exceed N, with g = gcd(c, prod_{j != i}
+    c_j) > 1.  A prime of c divides g exactly when another cofactor holds
+    it, so only g is factored: g <= N**2 is prime, a larger g is tested by
+    is_prime, and only a composite g goes to factor.  Each exponent comes
+    from dividing c; what is left, u, is coprime to g and stays unfactored."""
+    primes = (g,) if g <= N * N or ntkernel.is_prime(g) else ntkernel.factor(g).primes()
     out = []
-    for q in sorted(primes):
+    for q in primes:
         e = 0
         while c % q == 0:
             c //= q
             e += 1
         out.append((q, e))
-    return tuple(out)
-
-
-def _horner_values(coeffs: tuple[int, ...], N: int, dtype: type) -> np.ndarray:
-    """[f(1), ..., f(N)] by one Horner pass over the array 1..N, in dtype:
-    np.int64 only when _coeff_bound(coeffs, N) fits it, else object."""
-    n = np.arange(1, N + 1, dtype=dtype)
-    values = np.zeros_like(n)
-    for c in reversed(coeffs):
-        values = values * n + c
-    return values
+    return tuple(out), c
 
 
 def _abs_values(f: ShiftedPoly, N: int) -> list[int]:

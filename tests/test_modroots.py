@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from polylcm import modroots
 from polylcm.errors import DegenerateReductionError
 from polylcm.modroots import (
     BRUTE_FORCE_LIMIT,
@@ -17,7 +18,7 @@ from polylcm.modroots import (
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
 
-from oracles import brute_roots_mod
+from oracles import brute_roots_mod, eval_poly
 
 
 def _random_monic(rng, d, span=9):
@@ -354,3 +355,65 @@ class TestRootTable:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, peak
+
+
+class TestExactRows:
+    # A row's residues are read from f0(0 .. K-1), kept in int64, while
+    # sum |c_i| (K-1)**i fits, K the next power of two >= p; past that
+    # bound they come from Horner mod p.  Either way the row is the one
+    # that Horner mod p gives.
+    TARGETS = [2**63 - 2, 2**63 - 1, 2**63]
+
+    @staticmethod
+    def _horner_rows(f0, p):
+        return modroots._preimage_rows(modroots._values_array(modroots._coeffs_mod(f0, p), p), p)
+
+    @staticmethod
+    def _coeffs_at_bound(rng, d, N, B):
+        # Degree d with sum |c_i| N**i == B exactly and every sign random:
+        # the lead is non-monic and negative half the time.
+        mid = [rng.randint(-9, 9) for _ in range(d - 1)]
+        room = B - sum(abs(c) * N ** (i + 1) for i, c in enumerate(mid))
+        lead = max(1, room // N**d - rng.randint(0, 3))
+        sign = lambda: rng.choice((1, -1))
+        return (sign() * (room - lead * N**d), *mid, sign() * lead)
+
+    @pytest.mark.parametrize("B", TARGETS, ids=["below", "at", "above"])
+    def test_rows_at_int64_boundary(self, B):
+        rng = random.Random(B)
+        primes = sieve_primes(BRUTE_FORCE_LIMIT - 1).primes
+        for _ in range(16):
+            d = rng.randint(2, 10)
+            fits = [p for p in primes if 16 * ((1 << (p - 1).bit_length()) - 1) ** d <= B]
+            p = rng.choice(fits)
+            K = 1 << (p - 1).bit_length()
+            coeffs = self._coeffs_at_bound(rng, d, K - 1, B)
+            # the mixed signs, then all signs equal: |f0(K - 1)| = B itself
+            same = tuple(abs(c) for c in coeffs)
+            for cs in (coeffs, same, tuple(-c for c in same)):
+                f0 = IntPoly(cs)
+                table = RootTable(f0)
+                assert table._rows(p) == self._horner_rows(f0, p), (cs, p)
+                exact = table._values.tolist()
+                if B <= 2**63 - 1:
+                    assert exact == [eval_poly(cs, x) for x in range(K)], (cs, p)
+                else:
+                    assert exact == [], (cs, p)
+
+    def test_growth_through_both_branches(self):
+        # Degree 6 with a lead of 9 or -12: the bound passes int64 between
+        # K = 512 and 1024, so one table reads both paths, and the exact
+        # array stays within twice the largest prime built.
+        rng = random.Random(606)
+        for _ in range(4):
+            f0 = IntPoly(tuple(rng.randint(-9, 9) for _ in range(6)) + (rng.choice((9, -12)),))
+            table = RootTable(f0)
+            primes = [p for p in sieve_primes(1000).primes if rng.random() < 0.3]
+            top = 0
+            for p in primes + primes[::-1][:5]:
+                assert table._rows(p) == self._horner_rows(f0, p), (f0, p)
+                top = max(top, p)
+                assert len(table._values) <= 2 * top, (f0, p)
+            K = len(table._values)
+            assert K == 512
+            assert table._values.tolist() == [f0(x) for x in range(K)]

@@ -335,26 +335,59 @@ class TestSplitShared:
         return [
             (q, q),  # g = c
             (q * r, q),
-            (q * q * r, q),  # c / g = q * r is composite
-            (q * q * r, q * q),  # composite g
-            (q * r * s, q * r),  # composite g, prime c / g above N**2
-            (s * s, s),
+            (q * q * r, q),  # c / g = q * r still holds q
+            (q * q * r, q * q),  # composite g above N**2
+            (q * r * s, q * r),  # composite g above N**2, prime u above it
+            (s * s, s),  # prime g above N**2
             (q * s, s),
         ]
 
+    @staticmethod
+    def _expected(c, g):
+        # The primes of g with their exponents in c, and the rest of c.
+        pairs = trial_factor(c)
+        shared = tuple((q, e) for q, e in pairs if g % q == 0)
+        return shared, math.prod(q**e for q, e in pairs if g % q)
+
     @pytest.mark.parametrize("N", [100, 1])
-    def test_pieces_equal_trial_division(self, N, monkeypatch):
+    def test_pairs_and_rest_equal_trial_division(self, N, monkeypatch):
         calls = []
         factor = ntkernel.factor
         monkeypatch.setattr(ntkernel, "factor", lambda m: calls.append(m) or factor(m))
         for c, g in self._cases():
-            expected = tuple(trial_factor(c))
-            assert _split_shared(c, g, N) == expected, (c, g, N)
-            assert factor(c).factors == expected
-        # only composite pieces above N**2 are factored
-        assert calls and all(m > N * N and trial_factor(m) != [(m, 1)] for m in calls)
-        if N == 1:  # no shortcut: q * r and q * q are factored whatever their size
-            assert {self.Q * self.R, self.Q * self.Q} <= set(calls)
+            shared, u = _split_shared(c, g, N)
+            assert (shared, u) == self._expected(c, g), (c, g, N)
+            assert math.gcd(u, g) == 1 and u * math.prod(q**e for q, e in shared) == c
+        # only the composite g above N**2 is factored; c and u never are
+        assert calls == [self.Q * self.Q, self.Q * self.R]
+
+    def test_g_up_to_N_squared_is_not_tested(self, monkeypatch):
+        # g > 1 whose primes all exceed N is prime when g <= N**2
+        fail = lambda m: pytest.fail(f"{m} tested")
+        monkeypatch.setattr(ntkernel, "factor", fail)
+        monkeypatch.setattr(ntkernel, "is_prime", fail)
+        for c, g in self._cases():
+            if g <= 100**2:
+                assert _split_shared(c, g, 100) == self._expected(c, g), (c, g)
+
+    def test_rest_is_coprime_to_everything_else(self):
+        # Seeded degree 3-6 shifts: the rest entries are pairwise coprime and
+        # share no prime with the prime-keyed part, and at least one of them
+        # is the unshared part of a shared cofactor.
+        rng = random.Random(1616)
+        split = 0
+        for _ in range(12):
+            f = _random_shift(rng, dmin=3, dmax=6)
+            N = rng.randint(100, 300)
+            if 0 in _values(f, N):
+                continue
+            alpha, beta, cofactors = build_ledgers(f, N)
+            rest = alpha.rest
+            assert all(math.gcd(x, y) == 1 for i, x in enumerate(rest) for y in rest[:i]), f
+            assert all(r % q for q in alpha.factored for r in rest), f
+            assert set(alpha.factored) == set(beta.factored), f
+            split += len(set(rest) - set(cofactors))
+        assert split
 
 
 class TestLogP:
