@@ -3,7 +3,9 @@
 Subcommands: primes, decompose, ensemble, theorem, weil, roots.
 Polynomials are given as ascending comma-separated coefficients
 ("0,2,0,1" is x^3 + 2x).  Defaults for --seed/--threads/--samples can be
-overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.  The
+overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.
+``main`` parses with one parser, built at import, and reads these defaults on
+every call, so a malformed one is a usage error for every subcommand.  The
 seed picks which shifts ensemble and theorem sample; every other command
 is exact and takes none.  --p of weil and roots must be prime.
 
@@ -62,11 +64,31 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, its --seed/--threads/--samples defaults read from the
+    POLYLCM_* environment now."""
+    parser, sampled = _parser_tree()
+    _set_env_defaults(sampled)
+    return parser
+
+
+def _set_env_defaults(sampled: list[argparse.ArgumentParser]) -> None:
+    defaults = {
+        "samples": _env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES),
+        "seed": _env_int("SEED", ensemble.DEFAULT_SEED),
+        "threads": _env_int("THREADS", os.cpu_count() or 1),
+    }
+    for p in sampled:
+        p.set_defaults(**defaults)
+
+
+def _parser_tree() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    # The parser, and the subparsers whose defaults come from the environment.
     parser = argparse.ArgumentParser(
         prog="polylcm",
         description="Exact lcm of shifted polynomial sequences and its decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sampled = []
 
     p = sub.add_parser("primes", help="sieve primes up to a limit")
     p.add_argument("--limit", type=int, required=True)
@@ -85,25 +107,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--stat", required=True, choices=ensemble.STATISTICS)
-    p.add_argument("--samples", type=int, default=_env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES))
-    p.add_argument("--seed", type=int, default=_env_int("SEED", ensemble.DEFAULT_SEED))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--sampling", choices=("auto", "exhaustive", "random"), default="auto"
     )
-    p.add_argument("--threads", type=int, default=_env_int("THREADS", os.cpu_count() or 1))
+    p.add_argument("--threads", type=int)
     p.add_argument("--csv-out", default=None, help="write per-shift values as CSV")
     p.add_argument("--out", default=None)
+    sampled.append(p)
 
     p = sub.add_parser("theorem", help="desk-scale growth check over sampled shifts")
     p.add_argument("--f0", type=_poly_arg, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--samples", type=int, default=_env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES))
-    p.add_argument("--seed", type=int, default=_env_int("SEED", ensemble.DEFAULT_SEED))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--override-window", action="store_true")
-    p.add_argument("--threads", type=int, default=_env_int("THREADS", os.cpu_count() or 1))
+    p.add_argument("--threads", type=int)
     p.add_argument("--out", default=None)
+    sampled.append(p)
 
     p = sub.add_parser("weil", help="complete exponential sums and the Weil bound")
     p.add_argument("--f0", type=_poly_arg, required=True)
@@ -119,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
 
-    return parser
+    return parser, sampled
 
 
 def _cmd_primes(args) -> int:
@@ -242,10 +266,14 @@ _DISPATCH = {
 }
 
 
+_PARSER, _SAMPLED = _parser_tree()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
-        args = build_parser().parse_args(argv)
+        # The POLYLCM_* defaults are read on every call, so a malformed one is a usage error.
+        _set_env_defaults(_SAMPLED)
+        args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

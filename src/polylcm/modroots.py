@@ -319,9 +319,10 @@ class RootTable:
 def _preimage_rows(vals: np.ndarray, p: int) -> tuple[array, array]:
     # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT from vals = f0(x)
     # mod p, x = 0 .. p-1.  They fit int16, where numpy's stable argsort is
-    # a radix sort.
+    # a radix sort.  The cumsum runs in the int64 of the counts: cast into
+    # an intc output inside it, it takes twice as long.
     start = np.zeros(p + 1, dtype=np.intc)
-    np.cumsum(np.bincount(vals, minlength=p), out=start[1:])
+    start[1:] = np.bincount(vals, minlength=p).cumsum()
     xs = np.argsort(vals.astype(np.int16), kind="stable").astype(np.intc)
     return array("i", start.tobytes()), array("i", xs.tobytes())
 

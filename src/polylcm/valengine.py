@@ -12,14 +12,17 @@ list.  Small primes (p <= N) are handled by root-sieving: the n with
 p | f_a(n) lie in the residue classes of the roots of f_a mod p, read from
 the family's ``RootTable``, so only those positions are ever divided.
 Whatever is left of each value afterwards is a cofactor with all prime
-factors > N.  One batch GCD over these cofactors (Bernstein's product tree,
-then a descent that reduces modulo each node, not its square) gives
-g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor; its tree is the
-balanced pairwise product (``_product_tree``) that
-``ValuationLedger.product()`` also takes.  A prime of c_i divides g_i
-exactly when another cofactor holds it, so only g_i is factored: a g_i
-> 1 and <= N^2 is prime (its primes all exceed N), a larger one goes to
-``is_prime``, and only a composite g_i goes to ``factor``.  What is left of
+factors > N.  One batch GCD over these cofactors gives g_i = gcd(c_i,
+prod_{j != i} c_j) for every cofactor.  It builds the balanced pairwise
+product tree (``_product_tree``, which ``ValuationLedger.product()`` also
+takes) and walks it down by sibling gcds: each node's h = gcd(node, product
+of the leaves outside it) comes from its parent's h times gcd(left, right),
+since for every prime q, min(v_q(child), v_q(h) + v_q(sibling)) is
+unchanged when the sibling is replaced by gcd(left, right).  No node is
+divided by another.  A prime of c_i divides g_i exactly when another
+cofactor holds it, so only g_i is factored: a g_i > 1 and <= N^2 is prime
+(its primes all exceed N), a larger one goes to ``is_prime``, and only a
+composite g_i goes to ``factor``.  What is left of
 c_i after its shared primes, the whole c_i when g_i = 1, shares no prime:
 its primes have alpha_p = beta_p, so the ledgers keep it unfactored, and
 the report reads it through ``product()`` up to the cross-check limit and
@@ -174,21 +177,26 @@ def build_ledgers(
 def _shared_gcds(cs: list[int]) -> list[int]:
     """g_i = gcd(c_i, prod_{j != i} c_j) for each c_i (batch GCD).
 
-    Over the product tree of the c_i, every node gets rem = (product of the
-    leaves outside it) mod node: rem(root) = 1, and a child's outside is its
-    parent's outside times its sibling, so rem(child) = (rem(parent) mod
-    child) * (sibling mod child) mod child, exact because child | parent.
-    At a leaf rem_i = prod_{j != i} c_j mod c_i, and g_i = gcd(c_i, rem_i).
+    Over the product tree of the c_i, every node gets h = gcd(node, product
+    of the leaves outside it): h(root) = 1, and at a leaf h is g_i.  For
+    children L, R of a node, m = h(node) * gcd(L, R) gives h(L) = gcd(L, m)
+    and h(R) = gcd(R, m).  Proof, for each prime q with v = v_q: v(h(child))
+    = min(v(child), v(outside(node)) + v(sibling)) = min(v(child),
+    v(h(node)) + v(sibling)), since h(node) differs from outside(node) only
+    where both are at least v(child); and the sibling enters only through a
+    minimum capped by v(child), so gcd(L, R) may stand in for it.  An odd
+    node carried up unpaired is its own parent, so m = h there.  No node is
+    divided by another: one gcd of the two halves per node, then one gcd of
+    each child against the small m.
     """
     tree = _product_tree(cs)
-    rems = [1]
+    hs = [1]
     for layer in reversed(tree[:-1]):
-        last = len(layer) - 1
-        rems = [
-            rems[i // 2] % c * (layer[i ^ 1] % c) % c if i ^ 1 <= last else rems[i // 2] % c
-            for i, c in enumerate(layer)
-        ]
-    return [math.gcd(c, r) for c, r in zip(cs, rems)]
+        ms = [h * math.gcd(left, right) for h, left, right in zip(hs, layer[::2], layer[1::2])]
+        if len(layer) % 2:
+            ms.append(hs[-1])
+        hs = [math.gcd(c, ms[i >> 1]) for i, c in enumerate(layer)]
+    return hs if cs else []
 
 
 def _split_shared(c: int, g: int, N: int) -> tuple[tuple[tuple[int, int], ...], int]:

@@ -147,6 +147,21 @@ class TestEnvDefaults:
         )
         assert args.seed == 7
 
+    def test_reused_parser_reads_the_environment_per_call(self, monkeypatch, capsys):
+        argv = ["ensemble", "--f0", "0,0,0,1", "--T", "50", "--N", "10", "--stat", "cn",
+                "--threads", "1"]
+        monkeypatch.setenv("POLYLCM_SEED", "7")
+        first = run_cli(argv, capsys)
+        monkeypatch.setenv("POLYLCM_SEED", "8")
+        second = run_cli(argv, capsys)
+        assert [(code, json.loads(out)["seed"]) for code, out, _ in (first, second)] == [
+            (0, 7), (0, 8)
+        ]
+        monkeypatch.setenv("POLYLCM_SAMPLES", "many")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "POLYLCM_SAMPLES" in err
+
 
 class TestEnsembleCmd:
     def test_delta_matches_library(self, capsys, x3):

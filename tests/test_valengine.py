@@ -291,6 +291,43 @@ class TestBatchGcd:
 
         check()
 
+    DEEP_POOL = [q for q in sieve_primes(40000) if q > 3000]
+
+    @staticmethod
+    def _quotient_oracle(cs):
+        P = math.prod(cs)
+        return [math.gcd(c, P // c) for c in cs]
+
+    @pytest.mark.parametrize("n", [257, 1000, 1809])
+    def test_deep_trees_match_the_quotient_oracle(self, n):
+        # Odd layer lengths at several levels (257 -> 129 -> 65 ..., 1000 ->
+        # ... 125 -> 63, 1809 -> 905 -> 453 ...); the root's left child holds
+        # the leaves [0, half), and the last leaf is carried unpaired up
+        # every odd layer it ends.
+        rng = random.Random(n)
+        cs = [math.prod(rng.sample(self.DEEP_POOL, rng.randint(1, 2))) for _ in range(n)]
+        half = 1 << ((n - 1).bit_length() - 1)
+        p, q, r = 2**61 - 1, 1_000_003, 2**31 - 1
+        left, right = rng.randrange(1, half), rng.randrange(half, n)
+        cs[0] *= p  # p: a pair whose lowest common ancestor is the root
+        cs[n - 1] *= p * r  # r: the last leaf and one other
+        cs[rng.randrange(n - 1)] *= r
+        cs[left] *= q**2  # q: prime powers split across the root's subtrees
+        cs[right] *= q**3
+        gs = _shared_gcds(cs)
+        assert gs == self._quotient_oracle(cs)
+        assert gs[0] % p == 0 and gs[n - 1] % (p * r) == 0
+        assert gs[left] % q**2 == 0 and gs[right] % q**2 == 0 and gs[right] % q**3
+        assert 1 < sum(g > 1 for g in gs) < n
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 0, 1), (0, 1, 0, 0, 1)], ids=["x3", "x4+x"])
+    def test_report_cofactors_match_the_quotient_oracle(self, coeffs):
+        rng = random.Random(17)
+        for _ in range(3):
+            f = ShiftedPoly(IntPoly(coeffs), rng.randint(10**4, 10**6))
+            cs = [c for c in build_ledgers(f, 2000)[2] if c > 1]
+            assert _shared_gcds(cs) == self._quotient_oracle(cs), f.shift
+
     def test_forced_entries_equal_trial_division(self):
         rng = random.Random(2718)
         done = 0
