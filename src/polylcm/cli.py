@@ -4,8 +4,8 @@ Subcommands: primes, decompose, ensemble, theorem, weil, roots.
 Polynomials are given as ascending comma-separated coefficients
 ("0,2,0,1" is x^3 + 2x).  Defaults for --seed/--threads/--samples can be
 overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.
-``main`` parses with one parser, built at import, and reads these defaults on
-every call, so a malformed one is a usage error for every subcommand.  The
+The parser is built once, at import; ``build_parser`` reads these defaults
+on every call, so a malformed one is a usage error for every subcommand.  The
 seed picks which shifts ensemble and theorem sample; every other command
 is exact and takes none.  --p of weil and roots must be prime.
 
@@ -64,21 +64,16 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser, its --seed/--threads/--samples defaults read from the
-    POLYLCM_* environment now."""
-    parser, sampled = _parser_tree()
-    _set_env_defaults(sampled)
-    return parser
-
-
-def _set_env_defaults(sampled: list[argparse.ArgumentParser]) -> None:
+    """The module's one parser, its --seed/--threads/--samples defaults read
+    from the POLYLCM_* environment now."""
     defaults = {
         "samples": _env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES),
         "seed": _env_int("SEED", ensemble.DEFAULT_SEED),
         "threads": _env_int("THREADS", os.cpu_count() or 1),
     }
-    for p in sampled:
+    for p in _SAMPLED:
         p.set_defaults(**defaults)
+    return _PARSER
 
 
 def _parser_tree() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -271,9 +266,8 @@ _PARSER, _SAMPLED = _parser_tree()
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # The POLYLCM_* defaults are read on every call, so a malformed one is a usage error.
-        _set_env_defaults(_SAMPLED)
-        args = _PARSER.parse_args(argv)
+        # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

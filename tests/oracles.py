@@ -256,11 +256,10 @@ def shared_cofactors(values: list[int]) -> list[bool]:
 
 
 def shared_gcds(values: list[int]) -> list[int]:
-    """gcd(c_i, prod_{j != i} c_j) for each entry, the product taken in full."""
-    return [
-        math.gcd(v, math.prod(w for j, w in enumerate(values) if j != i))
-        for i, v in enumerate(values)
-    ]
+    """gcd(c_i, prod_{j != i} c_j) for each (nonzero) entry, the product of
+    the others taken as P // c_i with P the product of all."""
+    P = math.prod(values)
+    return [math.gcd(v, P // v) for v in values]
 
 
 def divided_difference(coeffs, m: int, n: int) -> int:

@@ -293,11 +293,6 @@ class TestBatchGcd:
 
     DEEP_POOL = [q for q in sieve_primes(40000) if q > 3000]
 
-    @staticmethod
-    def _quotient_oracle(cs):
-        P = math.prod(cs)
-        return [math.gcd(c, P // c) for c in cs]
-
     @pytest.mark.parametrize("n", [257, 1000, 1809])
     def test_deep_trees_match_the_quotient_oracle(self, n):
         # Odd layer lengths at several levels (257 -> 129 -> 65 ..., 1000 ->
@@ -315,7 +310,7 @@ class TestBatchGcd:
         cs[left] *= q**2  # q: prime powers split across the root's subtrees
         cs[right] *= q**3
         gs = _shared_gcds(cs)
-        assert gs == self._quotient_oracle(cs)
+        assert gs == shared_gcds(cs)
         assert gs[0] % p == 0 and gs[n - 1] % (p * r) == 0
         assert gs[left] % q**2 == 0 and gs[right] % q**2 == 0 and gs[right] % q**3
         assert 1 < sum(g > 1 for g in gs) < n
@@ -326,7 +321,7 @@ class TestBatchGcd:
         for _ in range(3):
             f = ShiftedPoly(IntPoly(coeffs), rng.randint(10**4, 10**6))
             cs = [c for c in build_ledgers(f, 2000)[2] if c > 1]
-            assert _shared_gcds(cs) == self._quotient_oracle(cs), f.shift
+            assert _shared_gcds(cs) == shared_gcds(cs), f.shift
 
     def test_forced_entries_equal_trial_division(self):
         rng = random.Random(2718)
