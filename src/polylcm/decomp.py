@@ -27,20 +27,25 @@ mod p.
 The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
 over the primes <= N for one shift and raise ZeroValueError at the first
 n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
-shifts in one pass per prime: ``_disc_masks`` reduces every shift mod p
-and D(a) mod p (the family's Newton form, one vector Horner pass), and
-``_density_columns`` builds (C_N, E_N, D_N) from it with rho gathered from
-the RootTable.  ``_bad_columns`` counts instead of lifting: it evaluates
-f0(1..N) once by the ledger engine's evaluator, and at each discriminant
-prime p counts the level hits #{n <= N : f0(n) = a (mod p**k)} of all its
-shifts at once in the sorted residues of those values.  Its passes over
+shifts and builds one column record of it (``_columns``): C_N, E_N, D_N,
+Bad_N and B1 for every shift, from one pass per prime p <= N
+(``_column_record``).  ``_disc_masks`` reduces every shift mod p and D(a)
+mod p: D(a) mod p depends only on a mod p, so the family's Newton form is
+evaluated by one vector Horner pass over the residues 0..p-1 and gathered
+when p is below the number of shifts, else over the shifts.  rho is gathered
+from the RootTable.  Bad_N is counted instead of lifted: f0(1..N) is
+evaluated once by the ledger engine's evaluator, and at each discriminant
+prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all its shifts
+come at once from the sorted residues of those values.  Its passes over
 every prime <= N pay off over an ensemble, not for one shift (x^3 at
 N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single shifts
-keep lifting.  Each batch
-entry has its single-shift value's bits: a term is built with the same
-float operations and added in the same ascending order of p.  The batch
+keep lifting.  The record is a single-entry cache keyed by (f0, shifts, N)
+with read-only columns, so the cn, dn, bad and b2 statistics of one window
+share one pass.  Each entry has its single-shift value's bits: a term is
+built with the same float operations and added in the same ascending order
+of p, and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``.  The batch
 serves only irreducible shifts (D(a) != 0, no integer zero), as the
-ensembles admit them, and checks neither, except that ``_bad_columns``
+ensembles admit them, and checks neither, except that the Bad_N count
 raises ZeroValueError where ``_bad_split`` would.
 """
 
@@ -49,7 +54,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,58 +137,6 @@ def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     return _bad_split(_family_root_table(f0.coeffs), a, N, disc_primes)
 
 
-def _bad_columns(f0: IntPoly, shifts: list[int], N: int) -> list[BadSplit]:
-    """bad_N(f0, a, N) for every a in shifts, in order, counted from the
-    family's values instead of lifted: at each discriminant prime p of a
-    (from _disc_masks) and k = 1, 2, ..., the level hits are
-
-        hits_k(a) = #{n <= N : f0(n) = a (mod p**k)},
-
-    read for all shifts still live by searchsorted in the sorted row of
-    f0(1..N) mod p**k.  A shift leaves at its first level without hits.
-    Each entry has the bits of _bad_split: hsum * log p and hits_1 * log p
-    are added in ascending p, the scalar loop's float operations.
-
-    The values and shifts are int64 while the bound B = sum |c_i| N**i +
-    max |a| fits, else Python ints (dtype=object).  |f0(n) - a| <= B, so a
-    shift still live at a level p**k > B has f0(n) = a for some n <= N;
-    the first such shift in order raises ZeroValueError at its first zero,
-    as _bad_split would.  Shifts must be irreducible (see
-    _density_columns)."""
-    if not shifts:
-        return []
-    bound = _coeff_bound(f0.coeffs, N) + max(map(abs, shifts))
-    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-    values = _horner_values(f0.coeffs, N, dtype)
-    a = np.array(shifts, dtype=dtype)
-    total, b1 = np.zeros(len(shifts)), np.zeros(len(shifts))
-    zero_shift = len(shifts)
-    for p, _, disc in _disc_masks(f0, shifts, N):
-        log_p = math.log(p)
-        live = np.flatnonzero(disc)
-        hsum = np.zeros(len(shifts), dtype=np.int64)
-        pk = p
-        while live.size:
-            # Above B, f0(n) = a (mod p**k) only where f0(n) = a, so the
-            # values are compared as they are (p**k may not fit int64).
-            top = pk > bound
-            row = np.sort(values if top else values % pk)
-            res = a[live] if top else a[live] % pk
-            hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
-            if top:
-                zero_shift = min([zero_shift, *live[hits > 0].tolist()])
-                break
-            if pk == p:
-                b1[live] += hits * log_p
-            hsum[live] += hits
-            live = live[hits > 0]
-            pk *= p
-        total += hsum * log_p
-    if zero_shift < len(shifts):
-        raise ZeroValueError(int(np.flatnonzero(values == a[zero_shift])[0]) + 1)
-    return [BadSplit(t, b, t - b) for t, b in zip(total.tolist(), b1.tolist())]
-
-
 def _bad_split(table: RootTable, a: int, N: int, disc_primes: list[int]) -> BadSplit:
     # Bad_N of table.f0 - a over its ascending discriminant primes <= N.  One
     # lifting pass per prime from the table's roots mod p: alpha_p is the
@@ -255,11 +208,13 @@ def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
 
 
 def _disc_masks(
-    f0: IntPoly, shifts: list[int], N: int
+    f0: IntPoly, shifts: Sequence[int], N: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
     # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: one vector Horner pass over the family's Newton form.
+    # a mod p: one vector Horner pass over the family's Newton form, over
+    # the residues 0..p-1 and gathered at a mod p when p < len(shifts),
+    # else over the shifts themselves.
     if N < 2 or not shifts:
         return
     family = _disc_family(f0.coeffs)
@@ -271,40 +226,106 @@ def _disc_masks(
     wide = not int64.min <= min(shifts) <= max(shifts) <= int64.max
     a = np.array(shifts, dtype=object if wide else np.int64)
     for p in ntkernel.sieve_primes(N):
-        v = (a % p).astype(np.int64)
-        disc_mod_p = family.residues(v, p) if exact is None else exact % p
-        yield p, v, disc_mod_p == 0
+        v = (a % p).astype(np.int64, copy=False)
+        if exact is not None:
+            disc = exact % p == 0
+        elif p < len(shifts):
+            disc = (family.residues(np.arange(p, dtype=np.int64), p) == 0)[v]
+        else:
+            disc = family.residues(v, p) == 0
+        yield p, v, disc
 
 
-def _density_columns(
-    f0: IntPoly, shifts: list[int], N: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C_N, E_N, D_N) for every a in shifts, as three float64 arrays, in
-    one pass per prime p <= N over all shifts at once.
+class Columns(NamedTuple):
+    """The batched terms of one list of shifts, one read-only float64 entry
+    per shift: C_N, E_N, D_N, Bad_N and its k = 1 part B1 (B2 = bad - b1)."""
 
-    Each entry has the bits of _density_sums for its shift: every term is
-    built with the scalar loop's float operations (r * log_p / (p - 1) and
-    (r - 1) * log_p / p, log_p = math.log(p)), and the columns take them in
-    ascending p by elementwise addition, a skipped term adding +0.0.  rho is
-    gathered from the RootTable's start row; primes >= BRUTE_FORCE_LIMIT
-    ask table.rho shift by shift.
+    cn: np.ndarray
+    en: np.ndarray
+    dn: np.ndarray
+    bad: np.ndarray
+    b1: np.ndarray
+
+
+def _columns(f0: IntPoly, shifts: list[int], N: int) -> Columns:
+    """The column record of (f0, shifts, N), built by one pass over the
+    primes p <= N (_column_record) and kept until another is asked for, so
+    the statistics of one window share it."""
+    return _column_record(f0.coeffs, tuple(shifts), N)
+
+
+@functools.lru_cache(maxsize=1)
+def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) -> Columns:
+    """C_N, E_N, D_N, Bad_N and B1 for every a in shifts, in one pass per
+    prime p <= N over all shifts at once (_disc_masks).
+
+    Each entry has the bits of its single-shift value: every term is built
+    with the scalar loops' float operations (r * log_p / (p - 1),
+    (r - 1) * log_p / p, hsum * log_p and hits_1 * log_p, with
+    log_p = math.log(p)), and each column takes its terms in ascending p by
+    elementwise addition, a skipped term adding +0.0.  rho is gathered from
+    the RootTable's start row; primes >= BRUTE_FORCE_LIMIT ask table.rho
+    shift by shift.
+
+    Bad_N is counted from the family's values instead of lifted: at each
+    discriminant prime p of a and k = 1, 2, ..., the level hits
+
+        hits_k(a) = #{n <= N : f0(n) = a (mod p**k)}
+
+    are read for all shifts still live by searchsorted in the sorted row of
+    f0(1..N) mod p**k, and a shift leaves at its first level without hits.
+    The values and shifts are int64 while the bound B = sum |c_i| N**i +
+    max |a| fits, else Python ints (dtype=object).  |f0(n) - a| <= B, so a
+    shift still live at a level p**k > B has f0(n) = a for some n <= N;
+    after the pass, the first such shift in order raises ZeroValueError at
+    its first zero, as _bad_split would.
 
     Precondition: the shifts are irreducible, as the ensembles admit them,
-    so D(a) != 0 and f_a has no integer zero; neither is checked here."""
+    so D(a) != 0 and f_a has no integer zero; only the zeros that Bad_N's
+    counting meets are checked."""
     n = len(shifts)
-    cn, en, dn = np.zeros(n), np.zeros(n), np.zeros(n)
-    table = _family_root_table(f0.coeffs)
-    for p, v, disc in _disc_masks(f0, shifts, N):
+    cn, en, dn, bad, b1 = (np.zeros(n) for _ in range(5))
+    table = _family_root_table(f0_coeffs)
+    if shifts:
+        bound = _coeff_bound(f0_coeffs, N) + max(map(abs, shifts))
+        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+        values = _horner_values(f0_coeffs, N, dtype)
+        a = np.array(shifts, dtype=dtype)
+    zero_shift = n
+    for p, v, disc in _disc_masks(IntPoly(f0_coeffs), shifts, N):
         log_p = math.log(p)
         if p < BRUTE_FORCE_LIMIT:
-            start = table.start_row(p)
-            r = start[v + 1] - start[v]
+            r = np.diff(table.start_row(p))[v]
         else:
-            r = np.array([0 if d else table.rho(a, p) for a, d in zip(shifts, disc.tolist())])
+            r = np.array([0 if d else table.rho(s, p) for s, d in zip(shifts, disc.tolist())])
         en += np.where(disc, log_p / p, 0.0)
         cn += np.where(disc, 0.0, r * log_p / (p - 1))
         dn += np.where(disc, 0.0, (r - 1) * log_p / p)
-    return cn, en, dn
+        live = np.flatnonzero(disc)
+        hsum = np.zeros(n, dtype=np.int64)
+        pk = p
+        while live.size:
+            # Above B, f0(n) = a (mod p**k) only where f0(n) = a, so the
+            # values are compared as they are (p**k may not fit int64).
+            top = pk > bound
+            row = np.sort(values if top else values % pk)
+            res = a[live] if top else a[live] % pk
+            hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
+            if top:
+                zero_shift = min([zero_shift, *live[hits > 0].tolist()])
+                break
+            if pk == p:
+                b1[live] += hits * log_p
+            hsum[live] += hits
+            live = live[hits > 0]
+            pk *= p
+        bad += hsum * log_p
+    if zero_shift < n:
+        raise ZeroValueError(int(np.flatnonzero(values == a[zero_shift])[0]) + 1)
+    record = Columns(cn, en, dn, bad, b1)
+    for column in record:
+        column.flags.writeable = False
+    return record
 
 
 @dataclass

@@ -16,18 +16,22 @@ byte-identical reports.
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
 chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
-``dn``, ``bad`` and ``b2`` are batched: one numpy pass per prime p <= N
-over the whole chunk (``decomp._density_columns`` and
-``decomp._bad_columns``).  Bad_N is counted, not lifted: the level hits
+``dn``, ``bad`` and ``b2`` are batched: each reads its column from one
+column record of the chunk (``decomp._columns``), built by one numpy pass
+per prime p <= N over all its shifts and kept, one entry only, until another
+(f0, shifts, N) is asked for, so the four statistics of one window share a
+pass.  Bad_N is counted, not lifted: the level hits
 #{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
 come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
-lifting its roots, which is cheaper for one shift.  Their values keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``:
-each term is built with the same float operations and added in the same
-ascending order of p, and the moments read Python floats in ascending a.
-The batch assumes what admission guarantees, that every shift is
-irreducible (D(a) != 0 and no integer zero).  ``delta``, ``loglratio``
-and the theorem rows loop over their chunk, one report or ledger per
-shift.
+lifting its roots, which is cheaper for one shift.  The values keep the
+bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``: each term is built
+with the same float operations and added in the same ascending order of p,
+and the moments read Python floats in ascending a.  The batch assumes what
+admission guarantees, that every shift is irreducible (D(a) != 0 and no
+integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
+their chunk, one report or ledger per shift.  ``covariance_sigma`` is two
+gathers: sigma(a; p) is a RootTable row length at a mod p less one, read
+for every admitted shift at once, and the products sum to an exact integer.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, WindowViolationError
@@ -202,11 +208,12 @@ def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
 
 
 def _bad_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return [split.total for split in decomp._bad_columns(f0, shifts, N)]
+    return decomp._columns(f0, shifts, N).bad.tolist()
 
 
 def _b2_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return [split.b2 for split in decomp._bad_columns(f0, shifts, N)]
+    record = decomp._columns(f0, shifts, N)
+    return (record.bad - record.b1).tolist()
 
 
 def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
@@ -214,11 +221,11 @@ def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
 
 
 def _cn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return decomp._density_columns(f0, shifts, N)[0].tolist()
+    return decomp._columns(f0, shifts, N).cn.tolist()
 
 
 def _dn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return decomp._density_columns(f0, shifts, N)[2].tolist()
+    return decomp._columns(f0, shifts, N).dn.tolist()
 
 
 def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
@@ -337,7 +344,8 @@ def covariance_sigma(
     include_reducible: bool = False,
 ) -> float:
     """Average of sigma(a;p) * sigma(a;q) over irreducible |a| <= T, by
-    direct enumeration with per-residue caching (sigma depends on a mod p).
+    direct enumeration: sigma depends on a mod p, so each factor is one
+    gather of the RootTable's row lengths at the admitted shifts mod p.
     include_reducible drops the filter, exposing the exact cancellation over
     complete residue systems mod pq."""
     for r in (p, q):
@@ -349,20 +357,16 @@ def covariance_sigma(
     if p <= d or q <= d:
         raise ValueError(f"primes must exceed the degree {d}")
     if p >= BRUTE_FORCE_LIMIT or q >= BRUTE_FORCE_LIMIT:
-        raise ValueError("covariance caching expects p, q below the brute-force limit")
-    sig_p = _sigma_cache(f0, p)
-    sig_q = _sigma_cache(f0, q)
-    admitted = range(-T, T + 1)
-    if admitted and not include_reducible:  # T < 0 admits nothing
-        admitted = list(itertools.compress(admitted, _irreducible_mask(f0.coeffs, T)))
-    if not admitted:
+        raise ValueError("covariance reads RootTable rows: need p, q below the brute-force limit")
+    admitted = np.arange(-T, T + 1, dtype=np.int64)
+    if admitted.size and not include_reducible:  # T < 0 admits nothing
+        admitted = admitted[np.frombuffer(_irreducible_mask(f0.coeffs, T), dtype=bool)]
+    if not admitted.size:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")
-    return sum(sig_p[a % p] * sig_q[a % q] for a in admitted) / len(admitted)
-
-
-def _sigma_cache(f0: IntPoly, p: int) -> list[int]:
     table = _family_root_table(f0.coeffs)
-    return [table.sigma(c, p) for c in range(p)]
+    sp, sq = (np.diff(table.start_row(r))[admitted % r] - 1 for r in (p, q))
+    # An exact integer sum, so the one float division is the only rounding.
+    return int((sp * sq).sum()) / admitted.size
 
 
 def mean_rho(f: IntPoly, x: int) -> float:

@@ -6,7 +6,7 @@ beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``):
 one numpy Horner pass in int64 when B = sum |c_i(f_a)| N**i fits, every
 partial sum being bounded by B, else in exact Python ints
-(``polyring._horner_values``, which ``decomp._bad_columns`` and the
+(``polyring._horner_values``, which ``decomp._column_record`` and the
 ``RootTable`` rows also read).  The ledgers and the log P sum read that one
 list.  Small primes (p <= N) are handled by root-sieving: the n with
 p | f_a(n) lie in the residue classes of the roots of f_a mod p, read from

@@ -340,8 +340,9 @@ class TestFrozenOutputs:
 
 
 class TestBatchColumns:
-    # The ensembles' batch path (_density_columns, _bad_columns) against the
-    # single-shift path (c_N, e_N_d_N, bad_N), bit for bit.
+    # The ensembles' batch path (one column record per list of shifts,
+    # decomp._columns) against the single-shift path (c_N, e_N_d_N, bad_N),
+    # bit for bit.
 
     @staticmethod
     def _irreducible_shifts(rng, f0, n, wide):
@@ -355,9 +356,18 @@ class TestBatchColumns:
         return sorted(shifts)
 
     @staticmethod
-    def _assert_columns_equal(f0, shifts, N):
-        cn, en, dn = (col.tolist() for col in decomp._density_columns(f0, shifts, N))
-        bad = decomp._bad_columns(f0, shifts, N)
+    def _splits(f0, shifts, N):
+        # (Bad_N, B1, B2) of each shift from the record, B2 as the b2
+        # statistic reads it.
+        record = decomp._columns(f0, shifts, N)
+        b2 = record.bad - record.b1
+        return list(zip(record.bad.tolist(), record.b1.tolist(), b2.tolist()))
+
+    @classmethod
+    def _assert_columns_equal(cls, f0, shifts, N):
+        record = decomp._columns(f0, shifts, N)
+        cn, en, dn = (col.tolist() for col in (record.cn, record.en, record.dn))
+        bad = cls._splits(f0, shifts, N)
         for i, a in enumerate(shifts):
             want = (c_N(f0, a, N), *e_N_d_N(f0, a, N), *bad_N(f0, a, N))
             got = (cn[i], en[i], dn[i], *bad[i])
@@ -373,6 +383,7 @@ class TestBatchColumns:
         # A new family seen at fewer than d shifts has no Newton form yet:
         # its batch reduces the exact D(a) instead.
         polyring._disc_family.cache_clear()
+        decomp._column_record.cache_clear()
         self._assert_columns_equal(f0, shifts[:1], 50)
         assert polyring._disc_family(f0.coeffs).newton is None
         for N in (1, 2, 50, 700):
@@ -385,9 +396,9 @@ class TestBatchColumns:
         shifts = self._irreducible_shifts(random.Random(16484), x3_plus_2x, 3, wide=False)
         self._assert_columns_equal(x3_plus_2x, shifts, N)
 
-    @staticmethod
-    def _assert_bad_equal(f0, shifts, N):
-        got = decomp._bad_columns(f0, shifts, N)
+    @classmethod
+    def _assert_bad_equal(cls, f0, shifts, N):
+        got = cls._splits(f0, shifts, N)
         want = [bad_N(f0, a, N) for a in shifts]
         assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in want], (
             f0, shifts, N)
@@ -445,14 +456,31 @@ class TestBatchColumns:
         # raises where the per-shift path does, at the first shift in order
         # with a zero, naming its first zero.
         with pytest.raises(ZeroValueError) as err:
-            decomp._bad_columns(x3, [8], 5)
+            decomp._columns(x3, [8], 5)
         assert err.value.n == 2
         for shifts, n in (([2, 8, 27], 2), ([3, 27, 8], 3)):
             with pytest.raises(ZeroValueError) as want:
                 [bad_N(x3, a, 5) for a in shifts]
             with pytest.raises(ZeroValueError) as err:
-                decomp._bad_columns(x3, shifts, 5)
+                decomp._columns(x3, shifts, 5)
             assert err.value.n == want.value.n == n, shifts
+
+    def test_gathered_masks_match_the_exact_discriminant(self):
+        # Below len(shifts), _disc_masks evaluates D mod p over the residues
+        # 0..p-1 once and gathers at a mod p; from there on it evaluates at
+        # the shifts.  Either way the mask is the Newton form's at a mod p,
+        # and p | D(a) for the exact D(a).
+        f0 = IntPoly((3, -2, 0, 1, 1))
+        shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
+        family = polyring._disc_family(f0.coeffs)
+        exact = [disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs)) for a in shifts]
+        hit = {True: 0, False: 0}
+        for p, v, disc in decomp._disc_masks(f0, shifts, 50):
+            assert v.tolist() == [a % p for a in shifts]
+            assert disc.tolist() == (family.residues(v, p) == 0).tolist()
+            assert disc.tolist() == [D % p == 0 for D in exact]
+            hit[p < len(shifts)] += int(disc.sum())
+        assert hit[True] and hit[False], hit
 
 
 class TestAboveLimit:

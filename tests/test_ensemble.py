@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from polylcm import ensemble, modroots, polyring
+from polylcm import decomp, ensemble, modroots, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     WindowSpec,
@@ -276,6 +276,57 @@ class TestCovarianceSigma:
         for q in (13, 17, 31):
             covariance_sigma(x4x, 11, q, 200)
         assert builds == [11, 13, 17, 31]
+
+    @pytest.mark.parametrize("include_reducible", [False, True])
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_matches_per_shift_sigma_oracle(self, seed, include_reducible):
+        # One modroots.sigma call per shift and prime, the admitted shifts
+        # decided one by one: exactly the enumeration covariance_sigma gathers.
+        rng = random.Random(seed)
+        f0 = IntPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(3, 5))) + (1,))
+        p, q = rng.sample((7, 11, 13, 17, 19, 23, 29, 31), 2)
+        T = 150
+        admitted = [
+            a for a in range(-T, T + 1)
+            if include_reducible or is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())
+        ]
+        assert include_reducible or len(admitted) < 2 * T + 1
+        products = (
+            modroots.sigma(f0, a, p).sigma * modroots.sigma(f0, a, q).sigma for a in admitted
+        )
+        want = sum(products) / len(admitted)
+        assert covariance_sigma(f0, p, q, T, include_reducible=include_reducible) == want
+
+
+class TestColumnRecord:
+    # cn, dn, bad and b2 over one window read one column record.
+    X4X = IntPoly((0, 1, 0, 0, 1))
+
+    @pytest.fixture
+    def mask_passes(self, monkeypatch):
+        """The N of every _disc_masks pass, starting from an empty record."""
+        passes = []
+        masks = decomp._disc_masks
+        monkeypatch.setattr(
+            decomp, "_disc_masks", lambda f0, shifts, N: passes.append(N) or masks(f0, shifts, N)
+        )
+        decomp._column_record.cache_clear()
+        return passes
+
+    def test_one_pass_per_window(self, mask_passes):
+        for stat in ("cn", "dn", "bad", "b2"):
+            ensemble_average(self.X4X, 300, 20, stat, sampling="exhaustive")
+        assert mask_passes == [20]
+        decomp._column_record.cache_clear()
+        ensemble_average(self.X4X, 300, 20, "cn", sampling="exhaustive")
+        assert mask_passes == [20, 20]
+
+    def test_columns_are_read_only(self):
+        # x^4 + x - a is irreducible at a = 3, 5, 7 (reducible only at n^4 + n).
+        record = decomp._columns(self.X4X, [3, 5, 7], 20)
+        for column in record:
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
 
 class TestMeanRho:
