@@ -9,8 +9,11 @@ on every call, so a malformed one is a usage error for every subcommand.  The
 seed picks which shifts ensemble and theorem sample; every other command
 is exact and takes none.  --p of weil and roots must be prime.
 
-Exit codes: 0 success, 2 usage error, 3 identity violation,
-4 irreducibility required, 5 empty ensemble, 6 internal bound violation.
+Exit codes: 0 success, 2 usage error (a ValueError, or any package error
+without a code of its own), 3 internal consistency violation (the
+decomposition identity or another exact cross-check failed), 4
+irreducibility required, 5 empty ensemble, 6 internal bound violation.
+Each of these errors is one "error: ..." line on stderr, not a traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .errors import (
     EmptyEnsembleError,
     InternalConsistencyError,
     IrreducibilityRequiredError,
-    ResourceLimitError,
-    WindowViolationError,
+    PolylcmError,
 )
 from .polyring import IntPoly, ShiftedPoly
 
@@ -142,9 +144,6 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
 
 
 def _cmd_primes(args) -> int:
-    if args.limit < 2:
-        print("error: --limit must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     table = ntkernel.sieve_primes(args.limit)
     print(len(table))
     if args.show:
@@ -153,39 +152,28 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        report = decomp.decomposition_report(
-            args.f0, args.a, args.N, allow_reducible=args.allow_reducible
-        )
-    except IrreducibilityRequiredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IRREDUCIBILITY
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+    report = decomp.decomposition_report(
+        args.f0, args.a, args.N, allow_reducible=args.allow_reducible
+    )
     if args.format == "json":
         _write_out(report.to_json(), args.out)
     else:
         _write_out(decomp.CSV_HEADER + "\n" + report.csv_row(), args.out)
-    return EXIT_OK if report.identity_ok() else EXIT_IDENTITY
+    return EXIT_OK
 
 
 def _cmd_ensemble(args) -> int:
-    try:
-        stats, pairs = ensemble.ensemble_average(
-            args.f0,
-            args.T,
-            args.N,
-            args.stat,
-            sampling=args.sampling,
-            seed=args.seed,
-            n_samples=args.samples,
-            threads=max(1, args.threads),
-            return_values=True,
-        )
-    except EmptyEnsembleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_ENSEMBLE
+    stats, pairs = ensemble.ensemble_average(
+        args.f0,
+        args.T,
+        args.N,
+        args.stat,
+        sampling=args.sampling,
+        seed=args.seed,
+        n_samples=args.samples,
+        threads=max(1, args.threads),
+        return_values=True,
+    )
     _write_out(stats.to_json(), args.out)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fh:
@@ -196,23 +184,16 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
-    try:
-        report = ensemble.theorem_check(
-            args.f0,
-            args.T,
-            args.N,
-            n_samples=args.samples,
-            seed=args.seed,
-            epsilon=args.epsilon,
-            override_window=args.override_window,
-            threads=max(1, args.threads),
-        )
-    except WindowViolationError as exc:
-        print(f"error: {exc} (use --override-window to force)", file=sys.stderr)
-        return EXIT_USAGE
-    except EmptyEnsembleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_ENSEMBLE
+    report = ensemble.theorem_check(
+        args.f0,
+        args.T,
+        args.N,
+        n_samples=args.samples,
+        seed=args.seed,
+        epsilon=args.epsilon,
+        override_window=args.override_window,
+        threads=max(1, args.threads),
+    )
     if not report.window_holds:
         print("warning: outside the admissible (T, N) window", file=sys.stderr)
     _write_out(report.to_json(), args.out)
@@ -261,6 +242,14 @@ _DISPATCH = {
 }
 
 
+# The typed errors with an exit code of their own; every other PolylcmError
+# and every ValueError is a usage error.
+_EXIT_CODES = {
+    InternalConsistencyError: EXIT_IDENTITY,
+    IrreducibilityRequiredError: EXIT_IRREDUCIBILITY,
+    EmptyEnsembleError: EXIT_EMPTY_ENSEMBLE,
+}
+
 _PARSER, _SAMPLED = _parser_tree()
 
 
@@ -269,9 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ValueError, ResourceLimitError) as exc:
+    except (PolylcmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        codes = (code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        return next(codes, EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
 shifts and builds one column record of it (``_columns``): C_N, E_N, D_N,
 Bad_N and B1 for every shift, from one pass per prime p <= N
 (``_column_record``).  ``_disc_masks`` reduces every shift mod p and D(a)
-mod p: D(a) mod p depends only on a mod p, so the family's Newton form is
+mod p: D(a) mod p depends only on a mod p, so the family's polynomial D is
 evaluated by one vector Horner pass over the residues 0..p-1 and gathered
 when p is below the number of shifts, else over the shifts.  rho is gathered
 from the RootTable.  Bad_N is counted instead of lifted: f0(1..N) is
@@ -212,13 +212,13 @@ def _disc_masks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
     # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: one vector Horner pass over the family's Newton form, over
+    # a mod p: one vector Horner pass over the family's polynomial D, over
     # the residues 0..p-1 and gathered at a mod p when p < len(shifts),
     # else over the shifts themselves.
     if N < 2 or not shifts:
         return
     family = _disc_family(f0.coeffs)
-    # A family seen at fewer than d distinct shifts has no Newton form yet;
+    # A family seen at fewer than d distinct shifts has no D interpolated yet;
     # every shift is then a node, and its exact D(a) is reduced instead.
     exact = None if family.fill(shifts) else np.array([family(a) for a in shifts], dtype=object)
     # Shifts beyond int64 (random mode takes any T) are reduced as Python ints.

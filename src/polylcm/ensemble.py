@@ -166,8 +166,8 @@ def _is_irreducible_shift(f0: IntPoly, a: int) -> bool:
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:
-    # Up to n_samples irreducible shifts drawn without replacement, and the
-    # number of distinct shifts drawn (at most max(50 n_samples, 1000)).
+    # Up to n_samples irreducible shifts drawn without replacement, ascending,
+    # and the number of distinct shifts drawn (at most max(50 n_samples, 1000)).
     rng = random.Random(seed)
     drawn: set[int] = set()
     shifts: list[int] = []
@@ -179,7 +179,7 @@ def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list
         drawn.add(a)
         if _is_irreducible_shift(f0, a):
             shifts.append(a)
-    return shifts, len(drawn)
+    return sorted(shifts), len(drawn)
 
 
 def _check_inputs(f0: IntPoly, T: int, N: int, least: int) -> None:
@@ -251,25 +251,21 @@ def _theorem_rows(f0: IntPoly, shifts: list[int], N: int) -> list[tuple[float, .
     return [(rep.log_L, rep.c_N, rep.bad, rep.delta) for rep in reports]
 
 
-def _eval_chunk(args) -> list[tuple[int, object]]:
-    chunk_fn, f0_coeffs, shifts, N = args
-    return list(zip(shifts, chunk_fn(IntPoly(f0_coeffs), shifts, N)))
-
-
-def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int):
-    """[(a, value)] in ascending a, the values from chunk_fn(f0, shifts, N)
-    over ascending chunks of the shifts: all of them in-process, or one
-    strided chunk per worker process.  A value depends on its shift alone,
-    so the chunking moves no bit.  chunk_fn must be picklable
-    (module-level); each process reads its own family caches."""
+def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int) -> list:
+    """The values of the shifts in ordered (ascending), in that order, from
+    chunk_fn(f0, shifts, N) over ascending chunks of the shifts: all of them
+    in-process, or one strided chunk per worker process.  A value depends on
+    its shift alone, so the chunking moves no bit.  chunk_fn must be
+    picklable (module-level); each process reads its own family caches."""
     if threads <= 1 or len(ordered) <= 1:
-        return _eval_chunk((chunk_fn, f0.coeffs, ordered, N))
-    chunks = [ordered[i::threads] for i in range(threads)]
-    args = [(chunk_fn, f0.coeffs, chunk, N) for chunk in chunks if chunk]
+        return chunk_fn(f0, ordered, N)
+    chunks = [ordered[i::threads] for i in range(min(threads, len(ordered)))]
+    values = [None] * len(ordered)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        pairs = [pair for chunk_out in pool.map(_eval_chunk, args) for pair in chunk_out]
-    pairs.sort(key=lambda t: t[0])
-    return pairs
+        outs = pool.map(chunk_fn, itertools.repeat(f0), chunks, itertools.repeat(N))
+        for i, out in enumerate(outs):
+            values[i::threads] = out
+    return values
 
 
 def ensemble_average(
@@ -311,9 +307,7 @@ def ensemble_average(
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
 
-    pairs = _map_shifts(_STATISTIC_CHUNKS[statistic], f0, sorted(shifts), N, threads)
-
-    values = [v for _, v in pairs]
+    values = _map_shifts(_STATISTIC_CHUNKS[statistic], f0, shifts, N, threads)
     n = len(values)
     mean = ntkernel._plain_sum(values) / n
     variance = ntkernel._plain_sum((v - mean) ** 2 for v in values) / n
@@ -332,7 +326,7 @@ def ensemble_average(
         f0_coeffs=f0.coeffs,
     )
     if return_values:
-        return stats, pairs
+        return stats, list(zip(shifts, values))
     return stats
 
 
@@ -446,6 +440,7 @@ def theorem_check(
     if not win.holds and not override_window:
         raise WindowViolationError(
             f"N = {N} outside ({win.lower:.1f}, {win.upper:.1f}) for T = {T}, d = {d}"
+            " (pass override_window=True, or --override-window, to force)"
         )
     if T > RANDOM_SAMPLING_CUTOFF:
         shifts, _ = _sample_shifts(f0, T, n_samples, seed)
@@ -453,10 +448,10 @@ def theorem_check(
         shifts = list(itertools.compress(range(-T, T + 1), _irreducible_mask(f0.coeffs, T)))
         if len(shifts) > n_samples:
             rng = random.Random(seed)
-            shifts = rng.sample(shifts, n_samples)
+            shifts = sorted(rng.sample(shifts, n_samples))
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
-    rows = [row for _, row in _map_shifts(_theorem_rows, f0, sorted(shifts), N, threads)]
+    rows = _map_shifts(_theorem_rows, f0, shifts, N, threads)
 
     n = len(rows)
     denom = (d - 1) * N * math.log(N)

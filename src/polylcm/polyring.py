@@ -2,8 +2,9 @@
 
 Covers discriminants via the subresultant form of Res(f, f') (for a shift
 family, D(a) = disc(f0 - a) is interpolated once from d subresultant values
-and then read in Newton form), and exact irreducibility over Q (complete for
-degree <= 10).
+and then evaluated), and exact irreducibility over Q (complete for degree
+<= 10).  One exact integer interpolation, _interpolate, serves both D(a) and
+stage 3 below.
 
 Irreducibility pipeline (all stages exact; no probabilistic answers):
   stage 0  binomial criterion for x^d - c (perfect-power / -4b^4 test)
@@ -12,7 +13,9 @@ Irreducibility pipeline (all stages exact; no probabilistic answers):
            an irreducible image, or incompatible subset sums, certify
            irreducibility
   stage 3  Kronecker interpolation search over the surviving factor
-           degrees, pruned with a Mignotte coefficient bound
+           degrees, pruned with a Mignotte coefficient bound: a candidate
+           is the integer interpolant of divisors of f at k + 1 nodes, and
+           a zero pseudo-remainder decides that it divides f over Q
 
 is_irreducible_over_Q runs the pipeline on one polynomial.  The family batch
 irreducible_shifts decides a range of shifts f0 - a of a monic, non-binomial
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Union
 
@@ -231,56 +233,54 @@ class _DiscFamily:
     """D(a) = disc(f0 - a) for one family.  D has integer coefficients and
     degree <= d - 1 in a (a enters only the constant term of f0 - a).  The
     first d distinct shifts asked about are computed by subresultants and
-    kept as nodes; D's Newton form is then built from them, and every shift
-    after that is one nested evaluation of it."""
+    kept as nodes; D is then interpolated from them (self.poly), and every
+    shift after that is one Horner evaluation of it."""
 
     def __init__(self, f0: IntPoly):
         self.f0 = f0
         self.nodes: dict[int, int] = {}
-        self.newton: tuple[list[int], list[int]] | None = None  # (xs, dd)
+        self.poly: IntPoly | None = None
 
     def __call__(self, a: int) -> int:
-        if self.newton is not None:
-            xs, dd = self.newton
-            # dd[0] + (a - xs[0])(dd[1] + (a - xs[1])(...)), inside out
-            D = dd[-1]
-            for i in range(len(dd) - 2, -1, -1):
-                D = dd[i] + (a - xs[i]) * D
-            return D
+        if self.poly is not None:
+            return self.poly(a)
         D = self.nodes.get(a)
         if D is None:
             D = discriminant(ShiftedPoly(self.f0, a).to_poly())
             self.nodes[a] = D
             if len(self.nodes) == self.f0.degree:
-                self.newton = _divided_differences(list(self.nodes.items()))
+                self.poly = _interpolate(list(self.nodes.items()))
+                if self.poly is None:
+                    raise InternalConsistencyError("discriminant is not an integer polynomial in a")
         return D
 
     def fill(self, shifts: Iterable[int]) -> bool:
-        """Read D at the shifts, in order, until the Newton form exists (the
-        first d distinct shifts become the nodes, as with single calls);
-        True once it does."""
+        """Read D at the shifts, in order, until D is interpolated (the first
+        d distinct shifts become the nodes, as with single calls); True once
+        it is."""
         for a in shifts:
-            if self.newton is not None:
+            if self.poly is not None:
                 break
             self(a)
-        return self.newton is not None
+        return self.poly is not None
 
     def residues(self, v: np.ndarray, p: int) -> np.ndarray:
         """D(a) mod p for every shift a = v mod p (v an int64 array in
-        [0, p)), by one vector Horner pass over the Newton form reduced mod
-        p; needs the form (see fill).  Every product is below p**2, so int64
-        holds it for p < 2**31."""
-        xs, dd = self.newton
-        acc = np.full(v.shape, dd[-1] % p, dtype=np.int64)
-        for i in range(len(dd) - 2, -1, -1):
-            acc = (dd[i] % p + (v - xs[i] % p) * acc) % p
+        [0, p)), by one vector Horner pass over D's coefficients reduced mod
+        p; needs D (see fill).  Every product is below p**2, so int64 holds
+        it for p < 2**31."""
+        acc = np.zeros(v.shape, dtype=np.int64)
+        for c in reversed(self.poly.coeffs):
+            acc = (acc * v + c % p) % p
         return acc
 
 
-def _divided_differences(points: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    # Nodes and Newton coefficients of the integer polynomial through the
-    # points (distinct integer x).  Divided differences of an integer
-    # polynomial at integer nodes are integers, so every division is exact.
+def _interpolate(points: list[tuple[int, int]]) -> IntPoly | None:
+    # The polynomial through the points (distinct integer x), or None when
+    # its coefficients are not all integers.  Divided differences of an
+    # integer polynomial at integer nodes are integers, so an inexact
+    # division shows a non-integer coefficient, and exact ones leave an
+    # integer Newton form, expanded here into ascending coefficients.
     xs = [x for x, _ in points]
     dd = [y for _, y in points]
     n = len(xs)
@@ -288,9 +288,14 @@ def _divided_differences(points: list[tuple[int, int]]) -> tuple[list[int], list
         for i in range(n - 1, j - 1, -1):
             q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
             if r:
-                raise InternalConsistencyError("discriminant is not an integer polynomial in a")
+                return None
             dd[i] = q
-    return xs, dd
+    # dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)), inside out
+    coeffs = [dd[-1]]
+    for x, c in zip(reversed(xs[:-1]), reversed(dd[:-1])):
+        coeffs = [u - x * w for u, w in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c
+    return IntPoly(tuple(coeffs))
 
 
 @lru_cache(maxsize=8)
@@ -489,39 +494,6 @@ _PATTERN_PRIME_COUNT = 20
 _PATTERN_PRIMES = ntkernel.sieve_primes(5000).primes
 
 
-def _lagrange_basis(xs: list[int]) -> list[list[Fraction]]:
-    basis = []
-    for i, xi in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = [
-                (num[k - 1] if k else Fraction(0)) - xj * (num[k] if k < len(num) else Fraction(0))
-                for k in range(len(num) + 1)
-            ]
-            den *= xi - xj
-        basis.append([c / den for c in num])
-    return basis
-
-
-def _divides(g: IntPoly, f: IntPoly) -> bool:
-    # over Q; g nonzero
-    rem = [Fraction(c) for c in f.coeffs]
-    gq = [Fraction(c) for c in g.coeffs]
-    dg = len(gq) - 1
-    while len(rem) - 1 >= dg:
-        c = rem[-1] / gq[-1]
-        off = len(rem) - 1 - dg
-        for j, y in enumerate(gq):
-            rem[off + j] -= c * y
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return not rem
-
-
 def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
     # Complete search for a degree-<=k factor (k >= 2 here; linear factors
     # were excluded by the rational-root stage).
@@ -539,16 +511,9 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
         divs = [d for d in ntkernel.factor(f(xi)).divisors() if d <= cap]
         signed = divs if i == 0 else [s * d for d in divs for s in (1, -1)]
         divisor_lists.append(signed)
-    basis = _lagrange_basis(xs)
     for combo in itertools.product(*divisor_lists):
-        coeffs = [Fraction(0)] * (k + 1)
-        for val, b in zip(combo, basis):
-            for idx, c in enumerate(b):
-                coeffs[idx] += val * c
-        if any(c.denominator != 1 for c in coeffs):
-            continue
-        g = IntPoly(tuple(int(c) for c in coeffs))
-        if 0 < g.degree <= k and _divides(g, f):
+        g = _interpolate(list(zip(xs, combo)))
+        if g is not None and 0 < g.degree <= k and _prem(f, g).is_zero:
             return True
     return False
 

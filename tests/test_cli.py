@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import polylcm
-from polylcm import cli
+from polylcm import cli, errors
 
 
 def run_cli(argv, capsys):
@@ -389,6 +389,48 @@ def test_valuation_ledger_keeps_only_what_the_identity_reads():
     assert [f.name for f in dataclasses.fields(ledger)] == ["factored", "rest"]
     public = {name for name in vars(ledger) if not name.startswith("_")}
     assert public == {"product"}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # x^3 - 8 vanishes at n = 2, so no valuation ledger exists.
+            ["decompose", "--f0", "0,0,0,1", "--a", "8", "--N", "5", "--allow-reducible"],
+            # 7x^3 is identically zero mod 7.
+            ["roots", "--f0", "0,0,0,7", "--a", "0", "--p", "7"],
+        ],
+    )
+    def test_typed_error_is_one_usage_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylcm.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.InternalConsistencyError("paths disagree"), 3),
+            (errors.IrreducibilityRequiredError("reducible"), 4),
+            (errors.EmptyEnsembleError("empty"), 5),
+            (errors.ZeroValueError(2), 2),
+            (errors.ResourceLimitError("too big"), 2),
+            (ValueError("bad input"), 2),
+        ],
+    )
+    def test_exit_code_table(self, error, code, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.decomp, "decomposition_report", fail)
+        got, out, err = run_cli(["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5"], capsys)
+        assert got == code
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 def test_installed_entry_point_runs():

@@ -385,7 +385,7 @@ class TestBatchColumns:
         polyring._disc_family.cache_clear()
         decomp._column_record.cache_clear()
         self._assert_columns_equal(f0, shifts[:1], 50)
-        assert polyring._disc_family(f0.coeffs).newton is None
+        assert polyring._disc_family(f0.coeffs).poly is None
         for N in (1, 2, 50, 700):
             self._assert_columns_equal(f0, shifts, N)
 

@@ -1,6 +1,6 @@
 """Property tests of the per-family discriminant D(a) = disc(f0 - a), which
-is interpolated from the first d shifts asked about and then read in
-Newton form.  Every value must equal the subresultant discriminant and sympy's,
+is interpolated into integer coefficients from the first d shifts asked
+about and then evaluated by Horner's rule.  Every value must equal the subresultant discriminant and sympy's,
 whatever order the shifts arrive in, and while more families interleave
 than the family cache keeps.  sympy and hypothesis are test-only."""
 

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from polylcm import polyring
 from polylcm.polyring import (
     IntPoly,
     ShiftedPoly,
+    _interpolate,
     discriminant,
     is_irreducible_over_Q,
     is_primitive,
@@ -103,6 +105,21 @@ class TestResultantAndDiscriminant:
             discriminant(IntPoly((1, 1)))
 
 
+class TestInterpolate:
+    def test_integer_polynomials_round_trip(self):
+        # Any d + 1 or more distinct integer nodes give back the polynomial.
+        rng = random.Random(1919)
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            f = IntPoly(tuple(rng.randint(-50, 50) for _ in range(d + 1)))
+            xs = rng.sample(range(-10**6, 10**6), d + 1 + rng.randint(0, 2))
+            assert _interpolate([(x, f(x)) for x in xs]) == f, (f, xs)
+
+    def test_non_integer_interpolant_is_none(self):
+        # x(x - 1)/2 is integer-valued at every integer, yet not in Z[x].
+        assert _interpolate([(0, 0), (1, 0), (2, 1)]) is None
+
+
 class TestPrimitivity:
     def test_examples(self):
         assert is_primitive(IntPoly((0, 2, 0, 1)))
@@ -169,6 +186,28 @@ class TestIrreducibility:
             expected = len(factors) == 1 and factors[0][1] == 1
             assert is_irreducible_over_Q(f) == expected, f
             checked += 1
+
+    def test_biquadratic_grid_against_sympy(self, monkeypatch):
+        # x^4 + b x^2 + c has no rational root for c > 0 here, yet often
+        # splits into two quadratics, so the Kronecker stage both finds a
+        # factor and rules one out on this grid; sympy is test-only.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        search = polyring._kronecker_has_factor_of_degree
+        outcomes = []
+
+        def counted(f, k):
+            outcomes.append(search(f, k))
+            return outcomes[-1]
+
+        monkeypatch.setattr(polyring, "_kronecker_has_factor_of_degree", counted)
+        for b in range(-6, 7):
+            for c in range(1, 13):
+                f = IntPoly((c, 0, b, 0, 1))
+                _, factors = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+                expected = len(factors) == 1 and factors[0][1] == 1
+                assert is_irreducible_over_Q(f) == expected, f
+        assert True in outcomes and False in outcomes, outcomes
 
     def test_irreducible_implies_nonzero_disc(self, x3):
         for a in range(-50, 51):
