@@ -10,8 +10,8 @@ is decided once.  The shifts a growth adds are decided together by
 one by one by ``is_irreducible_over_Q``.  Random mode draws distinct shifts
 with a seeded generator, deciding them one at a time, and rejects reducible
 ones; the seed picks the sample and nothing else.  Aggregation is an ordered
-reduction (values sorted by a), so identical inputs and seed produce
-byte-identical reports.
+reduction over one float64 array of the values in ascending a, so identical
+inputs and seed produce byte-identical reports.
 
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
@@ -26,7 +26,7 @@ come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
 lifting its roots, which is cheaper for one shift.  The values keep the
 bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``: each term is built
 with the same float operations and added in the same ascending order of p,
-and the moments read Python floats in ascending a.  The batch assumes what
+and the moments keep the bits of list loops.  The batch assumes what
 admission guarantees, that every shift is irreducible (D(a) != 0 and no
 integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
 their chunk, one report or ledger per shift.  ``covariance_sigma`` is two
@@ -195,7 +195,7 @@ def _check_samples(n_samples: int) -> None:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
 
 
-def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
+def _quantiles(sorted_vals: np.ndarray) -> list[tuple[float, float]]:
     out = []
     n = len(sorted_vals)
     for q in QUANTILE_GRID:
@@ -203,29 +203,29 @@ def _quantiles(sorted_vals: list[float]) -> list[tuple[float, float]]:
         lo = int(math.floor(pos))
         hi = min(lo + 1, n - 1)
         frac = pos - lo
-        out.append((q, sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac))
+        out.append((q, float(sorted_vals[lo]) * (1 - frac) + float(sorted_vals[hi]) * frac))
     return out
 
 
-def _bad_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return decomp._columns(f0, shifts, N).bad.tolist()
+def _bad_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
+    return decomp._columns(f0, shifts, N).bad
 
 
-def _b2_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+def _b2_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
     record = decomp._columns(f0, shifts, N)
-    return (record.bad - record.b1).tolist()
+    return record.bad - record.b1
 
 
 def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
     return [decomp.delta_N(f0, a, N) for a in shifts]
 
 
-def _cn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return decomp._columns(f0, shifts, N).cn.tolist()
+def _cn_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
+    return decomp._columns(f0, shifts, N).cn
 
 
-def _dn_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return decomp._columns(f0, shifts, N).dn.tolist()
+def _dn_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
+    return decomp._columns(f0, shifts, N).dn
 
 
 def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
@@ -251,20 +251,20 @@ def _theorem_rows(f0: IntPoly, shifts: list[int], N: int) -> list[tuple[float, .
     return [(rep.log_L, rep.c_N, rep.bad, rep.delta) for rep in reports]
 
 
-def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int) -> list:
-    """The values of the shifts in ordered (ascending), in that order, from
-    chunk_fn(f0, shifts, N) over ascending chunks of the shifts: all of them
-    in-process, or one strided chunk per worker process.  A value depends on
-    its shift alone, so the chunking moves no bit.  chunk_fn must be
-    picklable (module-level); each process reads its own family caches."""
+def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int) -> np.ndarray:
+    """One float64 row per shift of ordered (ascending), in that order, from
+    chunk_fn(f0, shifts, N) over ascending chunks: all in-process, or one
+    strided chunk per worker process.  A value depends on its shift alone,
+    so the chunking moves no bit.  chunk_fn must be picklable (module-level);
+    each process reads its own family caches."""
     if threads <= 1 or len(ordered) <= 1:
-        return chunk_fn(f0, ordered, N)
+        return np.asarray(chunk_fn(f0, ordered, N), dtype=float)
     chunks = [ordered[i::threads] for i in range(min(threads, len(ordered)))]
-    values = [None] * len(ordered)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        outs = pool.map(chunk_fn, itertools.repeat(f0), chunks, itertools.repeat(N))
-        for i, out in enumerate(outs):
-            values[i::threads] = out
+        outs = list(pool.map(chunk_fn, itertools.repeat(f0), chunks, itertools.repeat(N)))
+    values = np.empty((len(ordered), *np.shape(outs[0])[1:]))
+    for i, out in enumerate(outs):
+        values[i::threads] = out
     return values
 
 
@@ -300,7 +300,7 @@ def ensemble_average(
                 stacklevel=2,
             )
     if sampling == "exhaustive":
-        shifts = list(itertools.compress(range(-T, T + 1), _irreducible_mask(f0.coeffs, T)))
+        shifts = (np.flatnonzero(np.frombuffer(_irreducible_mask(f0.coeffs, T), bool)) - T).tolist()
         count_total = 2 * T + 1
     else:
         shifts, count_total = _sample_shifts(f0, T, n_samples, seed)
@@ -310,7 +310,9 @@ def ensemble_average(
     values = _map_shifts(_STATISTIC_CHUNKS[statistic], f0, shifts, N, threads)
     n = len(values)
     mean = ntkernel._plain_sum(values) / n
-    variance = ntkernel._plain_sum((v - mean) ** 2 for v in values) / n
+    # As list loops: squares by libm pow like (v - mean) ** 2, not np.square;
+    # each value sums from +0.0, never -0.0, so np.sort gives sorted()'s array.
+    variance = ntkernel._plain_sum(np.float_power(values - mean, 2.0)) / n
     stats = EnsembleStats(
         T=T,
         N=N,
@@ -319,14 +321,14 @@ def ensemble_average(
         count_irreducible=n,
         mean=mean,
         variance=variance,
-        quantiles=_quantiles(sorted(values)),
+        quantiles=_quantiles(np.sort(values)),
         seed=seed,
         sampling=sampling,
         n_samples=n_samples if sampling == "random" else None,
         f0_coeffs=f0.coeffs,
     )
     if return_values:
-        return stats, list(zip(shifts, values))
+        return stats, list(zip(shifts, values.tolist()))
     return stats
 
 
@@ -445,13 +447,13 @@ def theorem_check(
     if T > RANDOM_SAMPLING_CUTOFF:
         shifts, _ = _sample_shifts(f0, T, n_samples, seed)
     else:
-        shifts = list(itertools.compress(range(-T, T + 1), _irreducible_mask(f0.coeffs, T)))
+        shifts = (np.flatnonzero(np.frombuffer(_irreducible_mask(f0.coeffs, T), bool)) - T).tolist()
         if len(shifts) > n_samples:
             rng = random.Random(seed)
             shifts = sorted(rng.sample(shifts, n_samples))
     if not shifts:
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
-    rows = _map_shifts(_theorem_rows, f0, shifts, N, threads)
+    rows = _map_shifts(_theorem_rows, f0, shifts, N, threads).tolist()
 
     n = len(rows)
     denom = (d - 1) * N * math.log(N)

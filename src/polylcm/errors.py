@@ -27,6 +27,10 @@ class ZeroValueError(PolylcmError):
         self.n = n
         super().__init__(message or f"f_a({n}) = 0; valuation ledger undefined")
 
+    def __reduce__(self):
+        # Unpickling (a worker's error) would pass self.args, the message, as n.
+        return type(self), (self.n, str(self))
+
 
 class DegenerateReductionError(PolylcmError):
     """Polynomial is identically zero modulo p: every residue is a root."""
@@ -35,6 +39,9 @@ class DegenerateReductionError(PolylcmError):
         self.p = p
         self.rho = rho
         super().__init__(message or f"polynomial vanishes identically mod {p} (rho = {rho})")
+
+    def __reduce__(self):
+        return type(self), (self.p, self.rho, str(self))
 
 
 class IrreducibilityRequiredError(PolylcmError):

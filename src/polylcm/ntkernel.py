@@ -304,13 +304,11 @@ def factor(m: int) -> Factorization:
 
 
 def _plain_sum(xs: Iterable[float]) -> float:
-    """The float sum of xs, added one at a time in iteration order.  The
-    built-in sum() compensates float rounding from Python 3.12 on, so its
-    bits would depend on the interpreter."""
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
+    """The float sum of xs (an array or any iterable) from 0.0, strictly left
+    to right as a loop adds: np.sum pairs terms up, and from Python 3.12 on
+    the built-in sum() compensates float rounding."""
+    terms = xs if isinstance(xs, np.ndarray) else np.fromiter(xs, float)
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
 def mertens_sum(N: int) -> float:

@@ -511,9 +511,11 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
         divs = [d for d in ntkernel.factor(f(xi)).divisors() if d <= cap]
         signed = divs if i == 0 else [s * d for d in divs for s in (1, -1)]
         divisor_lists.append(signed)
+    # A factor over Z has lc(g) | lc(f) (Gauss), and a candidate that divides
+    # f over Q has one such factor, its primitive part, among the candidates.
     for combo in itertools.product(*divisor_lists):
         g = _interpolate(list(zip(xs, combo)))
-        if g is not None and 0 < g.degree <= k and _prem(f, g).is_zero:
+        if g is not None and 0 < g.degree <= k and f.lc % g.lc == 0 and _prem(f, g).is_zero:
             return True
     return False
 

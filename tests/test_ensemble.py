@@ -1,13 +1,19 @@
 import json
 import math
+import pickle
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from polylcm import decomp, ensemble, modroots, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
+    DEFAULT_SEED,
+    QUANTILE_GRID,
+    STATISTICS,
+    EnsembleStats,
     WindowSpec,
     _irreducible_mask,
     _verdict_record,
@@ -17,7 +23,12 @@ from polylcm.ensemble import (
     reducible_count,
     theorem_check,
 )
-from polylcm.errors import EmptyEnsembleError, WindowViolationError
+from polylcm.errors import (
+    DegenerateReductionError,
+    EmptyEnsembleError,
+    WindowViolationError,
+    ZeroValueError,
+)
 from polylcm.polyring import IntPoly, ShiftedPoly, is_irreducible_over_Q
 
 from oracles import kronecker_irreducible, trial_factor
@@ -223,6 +234,125 @@ class TestEnsembleAverage:
             warnings.simplefilter("ignore")
             stats = ensemble_average(x3, 30, 6, "delta", sampling="exhaustive")
         jsonschema.validate(json.loads(stats.to_json()), schema)
+
+
+def _single_shift_value(f0, a, N, statistic):
+    # One single-shift call per value, sharing no code with the batched columns.
+    if statistic == "bad":
+        return decomp.bad_N(f0, a, N).total
+    if statistic == "b2":
+        return decomp.bad_N(f0, a, N).b2
+    if statistic == "delta":
+        return decomp.delta_N(f0, a, N)
+    if statistic == "cn":
+        return decomp.c_N(f0, a, N)
+    if statistic == "dn":
+        return decomp.e_N_d_N(f0, a, N)[1]
+    return decomp.decomposition_report(f0, a, N).log_L / ((f0.degree - 1) * N * math.log(N))
+
+
+def _list_stats(f0, T, N, statistic, values):
+    # The exhaustive report from Python lists: sums by a left-to-right loop,
+    # squares by ** 2 and quantiles read from sorted().
+    n = len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    total = 0.0
+    for v in values:
+        total += (v - mean) ** 2
+    ordered = sorted(values)
+    quantiles = []
+    for q in QUANTILE_GRID:
+        pos = q * (n - 1)
+        lo = int(math.floor(pos))
+        hi = min(lo + 1, n - 1)
+        frac = pos - lo
+        quantiles.append((q, ordered[lo] * (1 - frac) + ordered[hi] * frac))
+    return EnsembleStats(
+        T=T, N=N, statistic_name=statistic, count_total=2 * T + 1, count_irreducible=n,
+        mean=mean, variance=total / n, quantiles=quantiles, seed=DEFAULT_SEED,
+        sampling="exhaustive", f0_coeffs=f0.coeffs,
+    )
+
+
+class TestMomentBits:
+    # The moments are numpy reductions over float64 arrays that keep the bits
+    # of the list formulas above.
+
+    def test_float_power_squares_as_python_does(self):
+        # The variance squares with np.float_power, which calls libm pow as
+        # Python's d ** 2 does.  np.square (d * d, correctly rounded) and
+        # np.power's SIMD loop round some of these squares differently.
+        rng = np.random.default_rng(20190205)
+        d = rng.standard_normal(10**5) * 10.0 ** rng.integers(-150, 150, 10**5)
+        d[::2] *= -1
+        assert np.float_power(d, 2.0).tolist() == [x**2 for x in d.tolist()]
+
+    def test_variance_squares_as_python_does(self, x3, monkeypatch):
+        # The values d and -d have mean 0.0 and variance d ** 2 exactly, so
+        # the reported variance shows how the square was rounded; the picks
+        # include the doubles whose d * d differs from d ** 2 on this libm.
+        rng = np.random.default_rng(7)
+        d = (rng.standard_normal(10**4) * 10.0 ** rng.integers(-150, 150, 10**4)).tolist()
+        for x in [v for v in d if v * v != v**2][:5] + d[:5]:
+            monkeypatch.setitem(
+                ensemble._STATISTIC_CHUNKS, "cn", lambda f0, shifts, N, x=x: [x, -x]
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                stats = ensemble_average(x3, 10**5, 5, "cn", sampling="random", n_samples=2)
+            assert stats.variance.hex() == (x**2).hex()
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    @pytest.mark.parametrize(
+        "f0, T, N", [(IntPoly((0, 1, 0, 0, 1)), 120, 12), (IntPoly((1, 1, 0, 2)), 60, 8)]
+    )
+    def test_exhaustive_json_equals_single_shift_lists(self, f0, T, N, statistic):
+        shifts = [a for a in range(-T, T + 1) if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())]
+        values = [_single_shift_value(f0, a, N, statistic) for a in shifts]
+        want = _list_stats(f0, T, N, statistic, values).to_json()
+        for threads in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                stats, pairs = ensemble_average(
+                    f0, T, N, statistic, sampling="exhaustive", threads=threads,
+                    return_values=True,
+                )
+            assert stats.to_json() == want, threads
+            assert [a for a, _ in pairs] == shifts
+            assert all(type(a) is int and type(v) is float for a, v in pairs)
+            assert [v.hex() for _, v in pairs] == [v.hex() for v in values]
+
+
+class TestWorkerErrors:
+    # A worker process of _map_shifts hands its error back pickled.
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ZeroValueError(2),
+            ZeroValueError(3, "f_a(3) = 0 at a = 5"),
+            DegenerateReductionError(7, 7),
+            DegenerateReductionError(5, 5, "x^5 - x vanishes mod 5"),
+        ],
+    )
+    def test_pickle_round_trip(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert vars(back) == vars(error)
+
+    def test_worker_error_comes_back_whole(self):
+        # x^4 + x - 2 vanishes at n = 1, so the chunk [2] raises.
+        x4x = IntPoly((0, 1, 0, 0, 1))
+        with pytest.raises(ZeroValueError) as serial:
+            ensemble._cn_chunk(x4x, [2], 10)
+        with pytest.raises(ZeroValueError) as worker:
+            ensemble._map_shifts(ensemble._cn_chunk, x4x, [2, 3], 10, threads=2)
+        assert worker.value.n == serial.value.n == 1
+        assert str(worker.value) == str(serial.value)
 
 
 class TestCovarianceSigma:

@@ -1,6 +1,9 @@
 import math
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polylcm import ntkernel
@@ -161,6 +164,42 @@ class TestPlainSum:
         assert ntkernel._plain_sum([1.0, 1e16, -1e16]) == 0.0
         assert ntkernel._plain_sum([1e16, -1e16, 1.0]) == 1.0
         assert ntkernel._plain_sum(iter([])) == 0.0
+
+    def test_equals_the_python_loop_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # Finite doubles of both signs, subnormals and -0.0 included, up to
+        # 1e300: no sum of 80 of them overflows.
+        doubles = st.floats(-1e300, 1e300, allow_nan=False)
+
+        @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+        @hypothesis.given(st.lists(doubles, max_size=80))
+        def check(xs):
+            total = 0.0
+            for x in xs:
+                total += x
+            for form in (xs, np.array(xs, dtype=float), (x for x in xs), iter(xs)):
+                assert ntkernel._plain_sum(form).hex() == total.hex(), type(form)
+
+        check()
+        assert ntkernel._plain_sum(iter([])).hex() == (0.0).hex()
+        assert ntkernel._plain_sum([-0.0]).hex() == (0.0 + -0.0).hex()
+
+    def test_package_has_no_pairwise_or_compensated_float_reduction(self):
+        # np.mean/var/std sum pairwise and math.fsum and the statistics module
+        # compensate, so any of them would move output bits that
+        # _plain_sum's left-to-right order fixes.
+        banned = re.compile(
+            r"np\.(mean|var|std)\b|\.(mean|var|std)\(|\bfsum\b"
+            r"|\bimport statistics\b|\bfrom statistics\b|\bstatistics\.\w"
+        )
+        hits = [
+            f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(Path(ntkernel.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if banned.search(line)
+        ]
+        assert hits == []
 
 
 class TestMertensSum:
