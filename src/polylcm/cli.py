@@ -206,11 +206,13 @@ def _cmd_weil(args) -> int:
     if args.strict and p <= d:
         print(f"warning: p = {p} <= degree {d}; the (d-1)sqrt(p) bound is not asserted",
               file=sys.stderr)
-    bs = range(1, p) if args.all_b else [args.b]
+    if args.all_b:
+        sums = enumerate(modroots.weil_sums(f0, p)[1:].tolist(), 1)
+    else:
+        sums = [(args.b, modroots.weil_sum(f0, args.b, p))]
     bound = modroots.weil_bound(d, p)
     violation = False
-    for b in bs:
-        s = modroots.weil_sum(f0, b, p)
+    for b, s in sums:
         mag = abs(s)
         margin = bound - mag
         print(f"b={b} |S|={mag:.5f} bound={bound:.5f} margin={margin:.5f}")

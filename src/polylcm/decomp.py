@@ -30,13 +30,16 @@ n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
 shifts and builds one column record of it (``_columns``): C_N, E_N, D_N,
 Bad_N and B1 for every shift, from one pass per prime p <= N
 (``_column_record``).  ``_disc_masks`` reduces every shift mod p and D(a)
-mod p: D(a) mod p depends only on a mod p, so the family's polynomial D is
-evaluated by one vector Horner pass over the residues 0..p-1 and gathered
-when p is below the number of shifts, else over the shifts.  rho is gathered
-from the RootTable.  Bad_N is counted instead of lifted: f0(1..N) is
-evaluated once by the ledger engine's evaluator, and at each discriminant
-prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all its shifts
-come at once from the sorted residues of those values.  Its passes over
+mod p: D(a) mod p depends only on a mod p, so the family's interpolated
+polynomial D is evaluated by one Horner pass mod p
+(``polyring._horner_mod``) over the residues 0..p-1 and gathered when p is
+below the number of shifts, else over the shifts.  A batch that brings
+fewer than d distinct shifts of a new family completes D's nodes from
+a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never do.
+rho is gathered from the RootTable.  Bad_N is counted instead of lifted:
+f0(1..N) is evaluated once by the ledger engine's evaluator, and at each
+discriminant prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all
+its shifts come at once from the sorted residues of those values.  Its passes over
 every prime <= N pay off over an ensemble, not for one shift (x^3 at
 N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single shifts
 keep lifting.  The record is a single-entry cache keyed by (f0, shifts, N)
@@ -69,6 +72,7 @@ from .polyring import (
     _coeff_bound,
     _disc_family,
     _family_discriminant,
+    _horner_mod,
     _horner_values,
     is_irreducible_over_Q,
 )
@@ -212,27 +216,22 @@ def _disc_masks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
     # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: one vector Horner pass over the family's polynomial D, over
+    # a mod p: one Horner pass mod p over the family's interpolated D, over
     # the residues 0..p-1 and gathered at a mod p when p < len(shifts),
     # else over the shifts themselves.
     if N < 2 or not shifts:
         return
-    family = _disc_family(f0.coeffs)
-    # A family seen at fewer than d distinct shifts has no D interpolated yet;
-    # every shift is then a node, and its exact D(a) is reduced instead.
-    exact = None if family.fill(shifts) else np.array([family(a) for a in shifts], dtype=object)
+    D = _disc_family(f0.coeffs).fill(shifts).coeffs
     # Shifts beyond int64 (random mode takes any T) are reduced as Python ints.
     int64 = np.iinfo(np.int64)
     wide = not int64.min <= min(shifts) <= max(shifts) <= int64.max
     a = np.array(shifts, dtype=object if wide else np.int64)
     for p in ntkernel.sieve_primes(N):
         v = (a % p).astype(np.int64, copy=False)
-        if exact is not None:
-            disc = exact % p == 0
-        elif p < len(shifts):
-            disc = (family.residues(np.arange(p, dtype=np.int64), p) == 0)[v]
+        if p < len(shifts):
+            disc = (_horner_mod(D, np.arange(p, dtype=np.int64), p) == 0)[v]
         else:
-            disc = family.residues(v, p) == 0
+            disc = _horner_mod(D, v, p) == 0
         yield p, v, disc
 
 

@@ -145,6 +145,11 @@ def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
     return bytes(rec[R - T : R + T + 1])
 
 
+def _admitted(f0: IntPoly, T: int) -> np.ndarray:
+    # The irreducible shifts a in [-T, T], ascending, as int64.
+    return np.flatnonzero(np.frombuffer(_irreducible_mask(f0.coeffs, T), bool)) - T
+
+
 @functools.lru_cache(maxsize=8)
 def _verdict_record(f0_coeffs: tuple[int, ...]) -> bytearray:
     # One family's irreducibility verdicts, starting from a = 0; the
@@ -300,7 +305,7 @@ def ensemble_average(
                 stacklevel=2,
             )
     if sampling == "exhaustive":
-        shifts = (np.flatnonzero(np.frombuffer(_irreducible_mask(f0.coeffs, T), bool)) - T).tolist()
+        shifts = _admitted(f0, T).tolist()
         count_total = 2 * T + 1
     else:
         shifts, count_total = _sample_shifts(f0, T, n_samples, seed)
@@ -354,9 +359,8 @@ def covariance_sigma(
         raise ValueError(f"primes must exceed the degree {d}")
     if p >= BRUTE_FORCE_LIMIT or q >= BRUTE_FORCE_LIMIT:
         raise ValueError("covariance reads RootTable rows: need p, q below the brute-force limit")
-    admitted = np.arange(-T, T + 1, dtype=np.int64)
-    if admitted.size and not include_reducible:  # T < 0 admits nothing
-        admitted = admitted[np.frombuffer(_irreducible_mask(f0.coeffs, T), dtype=bool)]
+    every = include_reducible or T < 0  # T < 0 admits nothing
+    admitted = np.arange(-T, T + 1, dtype=np.int64) if every else _admitted(f0, T)
     if not admitted.size:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")
     table = _family_root_table(f0.coeffs)
@@ -447,7 +451,7 @@ def theorem_check(
     if T > RANDOM_SAMPLING_CUTOFF:
         shifts, _ = _sample_shifts(f0, T, n_samples, seed)
     else:
-        shifts = (np.flatnonzero(np.frombuffer(_irreducible_mask(f0.coeffs, T), bool)) - T).tolist()
+        shifts = _admitted(f0, T).tolist()
         if len(shifts) > n_samples:
             rng = random.Random(seed)
             shifts = sorted(rng.sample(shifts, n_samples))

@@ -1,16 +1,17 @@
 """Roots of f_a modulo p and p^k, root counts rho/sigma, Hensel lifting,
 and complete exponential sums with the Weil bound.
 
-Root finding mod p is brute-force enumeration below 2**14 (vectorized);
-for larger p it extracts the linear part of f via gcd(x^p - x, f) and
-splits it with equal-degree splitting seeded from (p, f) itself, so cost is
-O(d^2 log p) per prime instead of O(p).  Whatever it draws, it returns the
-complete sorted root set: no output depends on a seed.
+Root finding mod p is brute force below 2**14 (polyring._horner_mod over
+every residue); for larger p it extracts the linear part of f via
+gcd(x^p - x, f) and splits it with equal-degree splitting, so cost is
+O(d^2 log p) per prime instead of O(p).  Its draws are seeded by the str
+"p:coeffs", which Python hashes with SHA-512 under any PYTHONHASHSEED, and
+whatever it draws, it returns the complete sorted root set: no output
+depends on a seed.  weil_sums gives every S(t, p) from one FFT.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -28,6 +29,7 @@ from .polyring import (
     PolyLike,
     ShiftedPoly,
     _coeff_bound,
+    _horner_mod,
     _horner_values,
     _pm_gcd,
     _pm_monic,
@@ -66,38 +68,6 @@ class SigmaValue:
     sigma: int
 
 
-def _coeffs_mod(f: PolyLike, p: int) -> list[int]:
-    return [c % p for c in as_poly(f).coeffs]
-
-
-def _mix64(*parts: int) -> int:
-    h = 0xCBF29CE484222325
-    for v in parts:
-        v &= (1 << 64) - 1
-        while True:
-            h ^= v & 0xFFFFFFFFFFFFFFFF
-            h = h * 0x100000001B3 % (1 << 64)
-            v >>= 64
-            if not v:
-                break
-    return h
-
-
-def _values_array(coeffs: list[int], p: int) -> np.ndarray:
-    # f(x) mod p for x = 0 .. p-1 as int64 by Horner's rule; coeffs already
-    # reduced mod p, so acc * x + c < p**2 never overflows for p < 2**31
-    # (an O(p) table that large is out of reach anyway).
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % p
-    return acc
-
-
-def _brute_roots(coeffs: list[int], p: int) -> list[int]:
-    return np.flatnonzero(_values_array(coeffs, p) == 0).tolist()
-
-
 def _cz_roots(coeffs: list[int], p: int) -> list[int]:
     # p odd prime; coeffs mod p, not all zero.
     f = _pm_trim(list(coeffs))
@@ -109,7 +79,7 @@ def _cz_roots(coeffs: list[int], p: int) -> list[int]:
     lin = _pm_gcd(_pm_trim(x_diff), f, p)
     if not lin or len(lin) == 1:
         return []
-    rng = random.Random(_mix64(p, *coeffs))
+    rng = random.Random(f"{p}:{coeffs}")
     roots: list[int] = []
     stack = [lin]
     while stack:
@@ -137,11 +107,11 @@ def roots_mod_p(f: PolyLike, p: int) -> RootSetModPk:
     raise with rho = p attached."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    coeffs = _coeffs_mod(f, p)
+    coeffs = [c % p for c in as_poly(f).coeffs]
     if not any(coeffs):
         raise DegenerateReductionError(p, rho=p)
     if p < BRUTE_FORCE_LIMIT:
-        roots = _brute_roots(coeffs, p)
+        roots = np.flatnonzero(_horner_mod(coeffs, np.arange(p, dtype=np.int64), p) == 0).tolist()
     else:
         roots = _cz_roots(coeffs, p)
     return RootSetModPk(p, 1, tuple(sorted(roots)))
@@ -203,19 +173,24 @@ def roots_mod_pk(f: PolyLike, p: int, k: int) -> RootSetModPk:
 # ---------------------------------------------------------------------------
 
 
-def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
-    """S(b, p) = sum over x mod p of exp(2 pi i b f0(x) / p), p prime."""
+def weil_sums(f0: IntPoly, p: int) -> np.ndarray:
+    """S(t, p) = sum over x mod p of exp(2 pi i t f0(x) / p) for every t in
+    0 .. p-1, p prime, f0 monic: one FFT of the counts #{x : f0(x) = c mod p},
+    as S(t) = sum_c counts[c] e(tc/p), in O(p) memory."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not f0.is_monic:
-        raise ValueError("weil_sum requires a monic polynomial")
+        raise ValueError("weil sums require a monic polynomial")
+    counts = np.bincount(_horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p), minlength=p)
+    return np.fft.ifft(counts) * p
+
+
+def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
+    """S(b, p) = sum over x mod p of exp(2 pi i b f0(x) / p), p prime: entry
+    b of weil_sums."""
     if not 0 <= b < p:
         raise ValueError(f"need 0 <= b < p, got b={b}")
-    table = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
-    total = 0j
-    for v in _values_array(_coeffs_mod(f0, p), p).tolist():
-        total += table[b * v % p]
-    return total
+    return complex(weil_sums(f0, p)[b])
 
 
 def weil_bound(d: int, p: int) -> float:
@@ -226,11 +201,7 @@ def weil_bound(d: int, p: int) -> float:
 def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
     """sigma(a; p) recovered from the exponential-sum identity
     (1/p) * sum_{t != 0} e(-at/p) * S(t, p); the imaginary part must vanish."""
-    if f0.lc % p == 0:
-        raise ValueError("p must not divide the leading coefficient")
-    counts = np.bincount(_values_array(_coeffs_mod(f0, p), p), minlength=p)
-    # S(t) = sum_c counts[c] e(tc/p) for every t at once, in O(p) memory.
-    s_t = np.fft.ifft(counts) * p
+    s_t = weil_sums(f0, p)
     ts = np.arange(1, p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * ((a % p) * ts % p) / p)
     val = complex(np.dot(omega, s_t[1:])) / p
@@ -257,7 +228,7 @@ class RootTable:
     K the next power of two >= p: ``polyring._horner_values`` evaluates
     them when a prime first needs a longer array, while sum |c_i| (K-1)**i
     fits int64; past that bound a row takes Horner mod p
-    (``_values_array``).  ``rho`` and ``sigma`` read the row length and
+    (``polyring._horner_mod``).  ``rho`` and ``sigma`` read the row length and
     build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through to direct
     root extraction.
 
@@ -284,7 +255,7 @@ class RootTable:
             K = 1 << (p - 1).bit_length()
             coeffs = self.f0.coeffs
             if _coeff_bound(coeffs, K - 1) > np.iinfo(np.int64).max:
-                return _values_array(_coeffs_mod(self.f0, p), p)
+                return _horner_mod(coeffs, np.arange(p, dtype=np.int64), p)
             self._values = np.concatenate(([self.f0(0)], _horner_values(coeffs, K - 1, np.int64)))
         return self._values[:p] % p
 

@@ -1,5 +1,9 @@
 """Prime generation, p-adic valuations, integer factoring, prime log-sums.
 
+Primes come from one sieve over a numpy bool array, dropped before the
+larger tuple of primes is built; SIEVE_LIMIT_MAX caps it, and the value
+passes over n = 1 .. N (polyring._horner_values) too.
+
 Everything here is exact integer arithmetic except the two floating
 log-sums, which accumulate in ascending prime order (error budget ~1e-9
 relative per 1e6 terms, so far below the 1e-4 tolerances used by tests).
@@ -31,8 +35,6 @@ SIEVE_LIMIT_MAX = 1 << 27
 FACTOR_INPUT_MAX = 1 << 128
 
 _TRIAL_DIVISION_BOUND = 3000
-
-_SEGMENT = 1 << 17
 
 # Miller-Rabin with these fixed bases is a proven primality test for all
 # n < 3.317e24 (Sorenson-Webster), which covers the 64-bit range with room.
@@ -88,36 +90,6 @@ class Factorization:
         return sorted(divs)
 
 
-def _plain_sieve(limit: int) -> bytearray:
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return flags
-
-
-def _sieve_list(limit: int) -> list[int]:
-    # Segmented: base primes to sqrt(limit), then fixed-size windows.
-    root = math.isqrt(limit)
-    base_flags = _plain_sieve(root)
-    base = [p for p in range(2, root + 1) if base_flags[p]]
-    primes = list(base)
-    low = root + 1
-    while low <= limit:
-        high = min(low + _SEGMENT - 1, limit)
-        flags = bytearray(b"\x01") * (high - low + 1)
-        for p in base:
-            start = max(p * p, (low + p - 1) // p * p)
-            if start > high:
-                continue
-            flags[start - low :: p] = b"\x00" * ((high - start) // p + 1)
-        primes.extend(n for n in range(low, high + 1) if flags[n - low])
-        low = high + 1
-    return primes
-
-
 _shared_table: PrimeTable | None = None
 
 
@@ -130,7 +102,14 @@ def sieve_primes(limit: int) -> PrimeTable:
     global _shared_table
     if _shared_table is not None and _shared_table.limit >= limit:
         return PrimeTable(limit, _shared_table.upto(limit))
-    table = PrimeTable(limit, tuple(_sieve_list(limit)))
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    primes = np.flatnonzero(flags)
+    del flags
+    table = PrimeTable(limit, tuple(map(int, primes)))
     _shared_table = table
     return table
 

@@ -32,12 +32,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from . import ntkernel
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,26 @@ def _coeff_bound(coeffs: tuple[int, ...], N: int) -> int:
 
 def _horner_values(coeffs: tuple[int, ...], N: int, dtype: type) -> np.ndarray:
     """[f(1), ..., f(N)] by one Horner pass over the array 1..N, in dtype:
-    np.int64 only when _coeff_bound(coeffs, N) fits it, else object."""
+    np.int64 only when _coeff_bound(coeffs, N) fits it, else object.  N is
+    held to the sieve's budget, ntkernel.SIEVE_LIMIT_MAX, before anything is
+    allocated."""
+    if N > ntkernel.SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"N = {N} values exceed budget {ntkernel.SIEVE_LIMIT_MAX}")
     n = np.arange(1, N + 1, dtype=dtype)
     values = np.zeros_like(n)
     for c in reversed(coeffs):
         values = values * n + c
     return values
+
+
+def _horner_mod(coeffs: Sequence[int], xs: np.ndarray, p: int) -> np.ndarray:
+    """f(x) mod p for every x of the int64 array xs (entries in [0, p)), by
+    one Horner pass over the coefficients reduced mod p: every acc * x + c is
+    below p**2, so int64 holds it for p < 2**31."""
+    acc = np.zeros(xs.shape, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c % p) % p
+    return acc
 
 
 def _prem(A: IntPoly, B: IntPoly) -> IntPoly:
@@ -254,25 +268,13 @@ class _DiscFamily:
                     raise InternalConsistencyError("discriminant is not an integer polynomial in a")
         return D
 
-    def fill(self, shifts: Iterable[int]) -> bool:
-        """Read D at the shifts, in order, until D is interpolated (the first
-        d distinct shifts become the nodes, as with single calls); True once
-        it is."""
-        for a in shifts:
+    def fill(self, shifts: Iterable[int]) -> IntPoly:
+        """D, interpolated from the first d distinct shifts read, in order (as
+        with single calls), and then from a = 0, 1, ... when fewer came."""
+        for a in itertools.chain(shifts, itertools.count()):
             if self.poly is not None:
-                break
+                return self.poly
             self(a)
-        return self.poly is not None
-
-    def residues(self, v: np.ndarray, p: int) -> np.ndarray:
-        """D(a) mod p for every shift a = v mod p (v an int64 array in
-        [0, p)), by one vector Horner pass over D's coefficients reduced mod
-        p; needs D (see fill).  Every product is below p**2, so int64 holds
-        it for p < 2**31."""
-        acc = np.zeros(v.shape, dtype=np.int64)
-        for c in reversed(self.poly.coeffs):
-            acc = (acc * v + c % p) % p
-        return acc
 
 
 def _interpolate(points: list[tuple[int, int]]) -> IntPoly | None:

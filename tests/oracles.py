@@ -11,6 +11,7 @@ plus a second Delta_N from the quotient of the cofactor product by their lcm.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -45,6 +46,15 @@ def trial_factor(m: int, bound: int | None = None) -> list[tuple[int, int]]:
 
 def eval_poly(coeffs, n):
     return sum(c * n**i for i, c in enumerate(coeffs))
+
+
+def weil_sum_direct(coeffs, b: int, p: int) -> complex:
+    """S(b, p) = sum over x mod p of exp(2 pi i b f(x) / p), term by term."""
+    table = [cmath.exp(2j * math.pi * t / p) for t in range(p)]
+    total = 0j
+    for x in range(p):
+        total += table[b * eval_poly(coeffs, x) % p]
+    return total
 
 
 def sylvester_resultant(f: list[int], g: list[int]) -> int:

@@ -70,6 +70,15 @@ class TestDecompose:
         assert payload["delta"] == pytest.approx(2 * math.log(7))
         assert payload["irreducible"] is False
 
+    def test_N_above_the_value_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(polylcm.ntkernel, "SIEVE_LIMIT_MAX", 1000)
+        code, out, err = run_cli(
+            ["decompose", "--f0", "0,2,0,1", "--a", "-1", "--N", "1001"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "N = 1001 values exceed budget 1000" in err
+
     def test_trivial_N1(self, capsys):
         code, out, _ = run_cli(
             ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "1"], capsys

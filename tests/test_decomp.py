@@ -20,7 +20,12 @@ from polylcm.decomp import (
     lcm_bigint,
 )
 from polylcm.ensemble import ensemble_average
-from polylcm.errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
+from polylcm.errors import (
+    InternalConsistencyError,
+    IrreducibilityRequiredError,
+    ResourceLimitError,
+    ZeroValueError,
+)
 from polylcm.ntkernel import mertens_sum
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant, is_irreducible_over_Q
 from polylcm.valengine import build_ledgers
@@ -380,12 +385,14 @@ class TestBatchColumns:
         shifts = self._irreducible_shifts(rng, f0, 12, wide=False)
         shifts += self._irreducible_shifts(rng, f0, 4, wide=True)
         shifts.sort()
-        # A new family seen at fewer than d shifts has no Newton form yet:
-        # its batch reduces the exact D(a) instead.
+        # A new family seen at fewer than d shifts: the batch completes D's
+        # nodes from a = 0, 1, ... and reads the Newton form.
         polyring._disc_family.cache_clear()
         decomp._column_record.cache_clear()
         self._assert_columns_equal(f0, shifts[:1], 50)
-        assert polyring._disc_family(f0.coeffs).poly is None
+        family = polyring._disc_family(f0.coeffs)
+        assert family.poly is not None
+        assert list(family.nodes) == [shifts[0], *[a for a in range(d) if a != shifts[0]][: d - 1]]
         for N in (1, 2, 50, 700):
             self._assert_columns_equal(f0, shifts, N)
 
@@ -477,10 +484,32 @@ class TestBatchColumns:
         hit = {True: 0, False: 0}
         for p, v, disc in decomp._disc_masks(f0, shifts, 50):
             assert v.tolist() == [a % p for a in shifts]
-            assert disc.tolist() == (family.residues(v, p) == 0).tolist()
+            assert disc.tolist() == (polyring._horner_mod(family.poly.coeffs, v, p) == 0).tolist()
             assert disc.tolist() == [D % p == 0 for D in exact]
             hit[p < len(shifts)] += int(disc.sum())
         assert hit[True] and hit[False], hit
+
+
+class TestValueBudget:
+    # Above the sieve's budget the value pass raises before it allocates
+    # anything; the budget is lowered so that a missing guard stays small.
+    # The lowered budget also stops factor's trial-division table, so the
+    # shift x^3 + 2x + 1 is one whose irreducibility test factors nothing.
+    def test_value_pass_raises_first(self, x3_plus_2x, monkeypatch):
+        monkeypatch.setattr(ntkernel, "SIEVE_LIMIT_MAX", 1000)
+        f0, a, N = x3_plus_2x, -1, 1001
+        f = ShiftedPoly(f0, a)
+        calls = {
+            "decomposition_report": lambda: decomposition_report(f0, a, N),
+            "build_ledgers": lambda: build_ledgers(f, N),
+            "log_P": lambda: valengine.log_P(f, N),
+            "delta_N": lambda: delta_N(f0, a, N),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ResourceLimitError, match="N = 1001 values exceed budget") as err:
+                call()
+            assert err.traceback[-1].name == "_horner_values", name
+        assert valengine.log_P(f, N - 1) > 0
 
 
 class TestAboveLimit:

@@ -211,8 +211,8 @@ class TestEnsembleAverage:
             ensemble_average(x3, 10, 5, "nonsense")
 
     def test_threads_agree_with_serial(self, x3):
-        # The batched statistics split into one strided chunk per process.
-        for stat in ("bad", "b2", "cn", "dn"):
+        # Every statistic splits into one strided chunk per process.
+        for stat in ("bad", "b2", "cn", "dn", "delta", "loglratio"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 serial = ensemble_average(x3, 40, 10, stat, sampling="exhaustive", threads=1)

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from polylcm import modroots
@@ -14,11 +15,12 @@ from polylcm.modroots import (
     sigma,
     sigma_via_expsum,
     weil_sum,
+    weil_sums,
 )
 from polylcm.ntkernel import sieve_primes
-from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
+from polylcm.polyring import IntPoly, ShiftedPoly, _horner_mod, discriminant
 
-from oracles import brute_roots_mod, eval_poly
+from oracles import brute_roots_mod, eval_poly, weil_sum_direct
 
 
 def _random_monic(rng, d, span=9):
@@ -221,6 +223,19 @@ class TestWeilSum:
                 for b in range(1, p):
                     assert abs(weil_sum(f0, b, p)) <= (d - 1) * math.sqrt(p) + 1e-9
 
+    def test_matches_direct_sum(self):
+        # Every entry of the one FFT against the term-by-term sum, at b = 0,
+        # 1, p - 1 and a seeded sample.
+        rng = random.Random(8009)
+        polys = (IntPoly((0, 0, 0, 1)), IntPoly((0, 1, 0, 0, 1)), IntPoly((1, 1, 0, 0, 0, 1)))
+        for p in (7, 199, 2003, 8009):
+            for f0 in polys:
+                sums = weil_sums(f0, p)
+                for b in [0, 1, p - 1] + rng.sample(range(p), 3):
+                    want = weil_sum_direct(f0.coeffs, b, p)
+                    assert abs(sums[b] - want) < 1e-9, (f0, b, p)
+                    assert weil_sum(f0, b, p) == sums[b], (f0, b, p)
+
     def test_b_range_checked(self, x3):
         with pytest.raises(ValueError):
             weil_sum(x3, 7, 7)
@@ -366,7 +381,7 @@ class TestExactRows:
 
     @staticmethod
     def _horner_rows(f0, p):
-        return modroots._preimage_rows(modroots._values_array(modroots._coeffs_mod(f0, p), p), p)
+        return modroots._preimage_rows(_horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p), p)
 
     @staticmethod
     def _coeffs_at_bound(rng, d, N, B):

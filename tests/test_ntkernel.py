@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +37,28 @@ class TestSievePrimes:
         assert len(sieve_primes(10**6)) == 78498
 
     def test_segment_boundary_agrees_with_oracle(self):
-        # crosses the segmented region
+        # a table well past the oracle's range, read below and at its top
         table = sieve_primes(300_000)
         oracle = trial_primes(2000)
         assert table.upto(2000) == tuple(oracle)
         assert 299993 in table  # prime near the top
         assert 299997 not in table
+
+    def test_edges_match_trial_oracle(self, monkeypatch):
+        # L = q**2 and q**2 +- 1 for the primes q <= 100, where q's crossing
+        # off starts, and a seeded sample of L <= 5e4: each sieved on a fresh
+        # table, then sliced from a larger cached one.
+        top = 50_000
+        oracle = trial_primes(top)
+        rng = random.Random(2113)
+        limits = [q * q + e for q in trial_primes(100) for e in (-1, 0, 1)]
+        limits += [rng.randint(2, top) for _ in range(20)]
+        for L in limits:
+            monkeypatch.setattr(ntkernel, "_shared_table", None)
+            assert list(sieve_primes(L)) == oracle[: bisect_right(oracle, L)], L
+        sieve_primes(2 * top)
+        for L in limits:
+            assert list(sieve_primes(L)) == oracle[: bisect_right(oracle, L)], L
 
     def test_invariants(self):
         table = sieve_primes(500)
