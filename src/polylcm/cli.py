@@ -9,10 +9,11 @@ on every call, so a malformed one is a usage error for every subcommand.  The
 seed picks which shifts ensemble and theorem sample; every other command
 is exact and takes none.  --p of weil and roots must be prime.
 
-Exit codes: 0 success, 2 usage error (a ValueError, or any package error
-without a code of its own), 3 internal consistency violation (the
-decomposition identity or another exact cross-check failed), 4
-irreducibility required, 5 empty ensemble, 6 internal bound violation.
+Exit codes: 0 success, 2 usage error (a ValueError, an OSError such as an
+unwritable --out or --csv-out path, or any package error without a code of
+its own), 3 internal consistency violation (the decomposition identity or
+another exact cross-check failed), 4 irreducibility required, 5 empty
+ensemble, 6 internal bound violation.
 Each of these errors is one "error: ..." line on stderr, not a traceback.
 """
 
@@ -244,8 +245,8 @@ _DISPATCH = {
 }
 
 
-# The typed errors with an exit code of their own; every other PolylcmError
-# and every ValueError is a usage error.
+# The typed errors with an exit code of their own; every other PolylcmError,
+# every ValueError and every OSError is a usage error.
 _EXIT_CODES = {
     InternalConsistencyError: EXIT_IDENTITY,
     IrreducibilityRequiredError: EXIT_IRREDUCIBILITY,
@@ -260,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         # build_parser reads the POLYLCM_* defaults, so a malformed one is a usage error.
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (PolylcmError, ValueError) as exc:
+    except (PolylcmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
         return next(codes, EXIT_USAGE)

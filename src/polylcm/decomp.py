@@ -27,10 +27,10 @@ mod p.
 The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
 over the primes <= N for one shift and raise ZeroValueError at the first
 n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
-shifts and builds one column record of it (``_columns``): C_N, E_N, D_N,
-Bad_N and B1 for every shift, from one pass per prime p <= N
-(``_column_record``).  ``_disc_masks`` reduces every shift mod p and D(a)
-mod p: D(a) mod p depends only on a mod p, so the family's interpolated
+shifts and builds one column record of it (``_columns``): the columns of
+the batched ensemble statistics bad, b2, cn and dn, from one pass per prime
+p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p and
+D(a) mod p: D(a) mod p depends only on a mod p, so the family's interpolated
 polynomial D is evaluated by one Horner pass mod p
 (``polyring._horner_mod``) over the residues 0..p-1 and gathered when p is
 below the number of shifts, else over the shifts.  A batch that brings
@@ -46,10 +46,11 @@ keep lifting.  The record is a single-entry cache keyed by (f0, shifts, N)
 with read-only columns, so the cn, dn, bad and b2 statistics of one window
 share one pass.  Each entry has its single-shift value's bits: a term is
 built with the same float operations and added in the same ascending order
-of p, and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``.  The batch
-serves only irreducible shifts (D(a) != 0, no integer zero), as the
-ensembles admit them, and checks neither, except that the Bad_N count
-raises ZeroValueError where ``_bad_split`` would.
+of p, and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made when
+the record is built.  The batch serves only irreducible shifts (D(a) != 0,
+no integer zero), as the ensembles admit them, and checks neither, except
+that the Bad_N count raises ZeroValueError where ``_bad_split`` would.  A
+report's JSON and CSV read its dataclass fields by name.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import functools
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -236,14 +237,14 @@ def _disc_masks(
 
 
 class Columns(NamedTuple):
-    """The batched terms of one list of shifts, one read-only float64 entry
-    per shift: C_N, E_N, D_N, Bad_N and its k = 1 part B1 (B2 = bad - b1)."""
+    """The batched statistics of one list of shifts, one read-only float64
+    entry per shift, each field named as the ensemble statistic that reads
+    it: Bad_N, its k >= 2 part B2 = Bad_N - B1, C_N and D_N."""
 
-    cn: np.ndarray
-    en: np.ndarray
-    dn: np.ndarray
     bad: np.ndarray
-    b1: np.ndarray
+    b2: np.ndarray
+    cn: np.ndarray
+    dn: np.ndarray
 
 
 def _columns(f0: IntPoly, shifts: list[int], N: int) -> Columns:
@@ -255,16 +256,16 @@ def _columns(f0: IntPoly, shifts: list[int], N: int) -> Columns:
 
 @functools.lru_cache(maxsize=1)
 def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) -> Columns:
-    """C_N, E_N, D_N, Bad_N and B1 for every a in shifts, in one pass per
-    prime p <= N over all shifts at once (_disc_masks).
+    """Bad_N, B2, C_N and D_N for every a in shifts, in one pass per prime
+    p <= N over all shifts at once (_disc_masks).
 
     Each entry has the bits of its single-shift value: every term is built
     with the scalar loops' float operations (r * log_p / (p - 1),
     (r - 1) * log_p / p, hsum * log_p and hits_1 * log_p, with
     log_p = math.log(p)), and each column takes its terms in ascending p by
-    elementwise addition, a skipped term adding +0.0.  rho is gathered from
-    the RootTable's start row; primes >= BRUTE_FORCE_LIMIT ask table.rho
-    shift by shift.
+    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  rho
+    is gathered from the RootTable's start row; primes >= BRUTE_FORCE_LIMIT
+    ask table.rho shift by shift.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits
@@ -283,7 +284,7 @@ def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) 
     so D(a) != 0 and f_a has no integer zero; only the zeros that Bad_N's
     counting meets are checked."""
     n = len(shifts)
-    cn, en, dn, bad, b1 = (np.zeros(n) for _ in range(5))
+    cn, dn, bad, b1 = (np.zeros(n) for _ in range(4))
     table = _family_root_table(f0_coeffs)
     if shifts:
         bound = _coeff_bound(f0_coeffs, N) + max(map(abs, shifts))
@@ -297,7 +298,6 @@ def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) 
             r = np.diff(table.start_row(p))[v]
         else:
             r = np.array([0 if d else table.rho(s, p) for s, d in zip(shifts, disc.tolist())])
-        en += np.where(disc, log_p / p, 0.0)
         cn += np.where(disc, 0.0, r * log_p / (p - 1))
         dn += np.where(disc, 0.0, (r - 1) * log_p / p)
         live = np.flatnonzero(disc)
@@ -321,7 +321,7 @@ def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) 
         bad += hsum * log_p
     if zero_shift < n:
         raise ZeroValueError(int(np.flatnonzero(values == a[zero_shift])[0]) + 1)
-    record = Columns(cn, en, dn, bad, b1)
+    record = Columns(bad=bad, b2=bad - b1, cn=cn, dn=dn)
     for column in record:
         column.flags.writeable = False
     return record
@@ -360,45 +360,16 @@ class DecompositionReport:
         return self.identity_gap() <= rtol * max(1.0, abs(self.log_L))
 
     def to_dict(self) -> dict:
-        return {
-            "f0": list(self.f0.coeffs),
-            "a": self.a,
-            "N": self.N,
-            "log_L": self.log_L,
-            "log_P": self.log_P,
-            "bad": self.bad,
-            "delta": self.delta,
-            "c_N": self.c_N,
-            "e_N": self.e_N,
-            "d_N": self.d_N,
-            "b1": self.b1,
-            "b2": self.b2,
-            "beta_small_logsum": self.beta_small_logsum,
-            "alpha_small_nondisc_logsum": self.alpha_small_nondisc_logsum,
-            "residual": self.residual,
-            "irreducible": self.irreducible,
-        }
+        # The JSON keys are the field names; f0 goes as its coefficient list.
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"f0": list(self.f0.coeffs)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def csv_row(self) -> str:
-        cells = [
-            self.a,
-            self.N,
-            self.log_L,
-            self.log_P,
-            self.bad,
-            self.b1,
-            self.b2,
-            self.delta,
-            self.c_N,
-            self.e_N,
-            self.d_N,
-            self.residual,
-            int(self.irreducible),
-        ]
-        return ",".join(repr(c) if isinstance(c, float) else str(c) for c in cells)
+        # The cells of the fields CSV_HEADER names, in its order; a bool as 0/1.
+        cells = (getattr(self, name) for name in CSV_HEADER.split(","))
+        return ",".join(repr(c) if isinstance(c, float) else str(int(c)) for c in cells)
 
 
 def decomposition_report(

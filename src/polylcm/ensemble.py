@@ -16,11 +16,11 @@ inputs and seed produce byte-identical reports.
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
 chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
-``dn``, ``bad`` and ``b2`` are batched: each reads its column from one
-column record of the chunk (``decomp._columns``), built by one numpy pass
-per prime p <= N over all its shifts and kept, one entry only, until another
-(f0, shifts, N) is asked for, so the four statistics of one window share a
-pass.  Bad_N is counted, not lifted: the level hits
+``dn``, ``bad`` and ``b2`` are batched: ``_column_chunk`` reads each by name
+from one column record of the chunk (``decomp._columns``), built by one
+numpy pass per prime p <= N over all its shifts and kept, one entry only,
+until another (f0, shifts, N) is asked for, so the four statistics of one
+window share a pass.  Bad_N is counted, not lifted: the level hits
 #{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
 come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
 lifting its roots, which is cheaper for one shift.  The values keep the
@@ -32,6 +32,8 @@ integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
 their chunk, one report or ledger per shift.  ``covariance_sigma`` is two
 gathers: sigma(a; p) is a RootTable row length at a mod p less one, read
 for every admitted shift at once, and the products sum to an exact integer.
+An exhaustive window holds one byte or int64 per shift of [-T, T], so 2T + 1
+is held to ``ntkernel.SIEVE_LIMIT_MAX`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants, decomp, ntkernel
-from .errors import EmptyEnsembleError, WindowViolationError
+from .errors import EmptyEnsembleError, ResourceLimitError, WindowViolationError
 from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
 from .polyring import (
     IntPoly,
@@ -135,6 +137,7 @@ def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
     # mask[a + T] == 1 iff f0 - a is irreducible, for a in [-T, T].
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
+    _check_window(T)
     rec = _verdict_record(f0_coeffs)
     R = len(rec) // 2  # the record covers [-R, R]
     if T > R:
@@ -143,6 +146,12 @@ def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
         rec += _decide(f0, R + 1, T + 1)
         R = T
     return bytes(rec[R - T : R + T + 1])
+
+
+def _check_window(T: int) -> None:
+    # The 2T + 1 shifts of [-T, T] against the sieve's budget, read now.
+    if (size := 2 * T + 1) > (limit := ntkernel.SIEVE_LIMIT_MAX):
+        raise ResourceLimitError(f"2T + 1 = {size} shifts exceed budget {limit}")
 
 
 def _admitted(f0: IntPoly, T: int) -> np.ndarray:
@@ -212,25 +221,13 @@ def _quantiles(sorted_vals: np.ndarray) -> list[tuple[float, float]]:
     return out
 
 
-def _bad_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
-    return decomp._columns(f0, shifts, N).bad
-
-
-def _b2_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
-    record = decomp._columns(f0, shifts, N)
-    return record.bad - record.b1
+def _column_chunk(name: str, f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
+    # A batched statistic: the column of that name in the chunk's record.
+    return getattr(decomp._columns(f0, shifts, N), name)
 
 
 def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
     return [decomp.delta_N(f0, a, N) for a in shifts]
-
-
-def _cn_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
-    return decomp._columns(f0, shifts, N).cn
-
-
-def _dn_chunk(f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
-    return decomp._columns(f0, shifts, N).dn
 
 
 def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
@@ -238,13 +235,14 @@ def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
     return [decomp.decomposition_report(f0, a, N).log_L / denom for a in shifts]
 
 
-# Each statistic's chunk function (f0, shifts, N) -> one value per shift.
+# Each statistic's chunk function (f0, shifts, N) -> one value per shift; a
+# batched one is _column_chunk bound to its decomp.Columns field (picklable).
 _STATISTIC_CHUNKS = {
-    "bad": _bad_chunk,
-    "b2": _b2_chunk,
+    "bad": functools.partial(_column_chunk, "bad"),
+    "b2": functools.partial(_column_chunk, "b2"),
     "delta": _delta_chunk,
-    "cn": _cn_chunk,
-    "dn": _dn_chunk,
+    "cn": functools.partial(_column_chunk, "cn"),
+    "dn": functools.partial(_column_chunk, "dn"),
     "loglratio": _loglratio_chunk,
 }
 STATISTICS = tuple(_STATISTIC_CHUNKS)
@@ -289,6 +287,9 @@ def ensemble_average(
     _check_inputs(f0, T, N, 1)
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    if statistic == "loglratio" and N < 2:
+        # Its denominator (d - 1) N log N is 0 at N = 1.
+        raise ValueError(f"need N >= 2 for loglratio, got {N}")
     if sampling == "auto":
         sampling = "random" if T > RANDOM_SAMPLING_CUTOFF else "exhaustive"
     if sampling not in ("exhaustive", "random"):
@@ -360,6 +361,7 @@ def covariance_sigma(
     if p >= BRUTE_FORCE_LIMIT or q >= BRUTE_FORCE_LIMIT:
         raise ValueError("covariance reads RootTable rows: need p, q below the brute-force limit")
     every = include_reducible or T < 0  # T < 0 admits nothing
+    _check_window(T)
     admitted = np.arange(-T, T + 1, dtype=np.int64) if every else _admitted(f0, T)
     if not admitted.size:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")

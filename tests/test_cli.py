@@ -421,6 +421,57 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "5"],
+            ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "cn",
+             "--sampling", "exhaustive", "--threads", "1"],
+            ["theorem", "--f0", "0,0,0,1", "--T", "400", "--N", "25",
+             "--samples", "6", "--threads", "1"],
+        ],
+        ids=["decompose", "ensemble", "theorem"],
+    )
+    def test_unwritable_out_is_usage_error(self, argv, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_unwritable_csv_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "shifts.csv"
+        code, _, err = run_cli(
+            ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "bad",
+             "--sampling", "exhaustive", "--threads", "1", "--csv-out", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_loglratio_with_N1_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["ensemble", "--f0", "0,0,0,1", "--T", "5", "--N", "1", "--stat", "loglratio",
+             "--threads", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: need N >= 2 for loglratio, got 1\n"
+
+    def test_window_over_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(polylcm.ntkernel, "SIEVE_LIMIT_MAX", 101)
+        code, out, err = run_cli(
+            ["ensemble", "--f0", "0,0,0,1", "--T", "51", "--N", "10", "--stat", "cn",
+             "--sampling", "exhaustive", "--threads", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: 2T + 1 = 103 shifts exceed budget 101\n"
+
+    @pytest.mark.parametrize(
         "error, code",
         [
             (errors.InternalConsistencyError("paths disagree"), 3),

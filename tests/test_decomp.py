@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import warnings
 
 import pytest
 
-from polylcm import decomp, modroots, ntkernel, polyring, valengine
+from polylcm import cli, decomp, modroots, ntkernel, polyring, valengine
 from polylcm.constants import CN_SPLIT_GAP, EN_OFFSET, EN_SLOPE
 from polylcm.decomp import (
     CROSS_CHECK_LIMIT,
@@ -307,6 +308,19 @@ class TestFrozenOutputs:
         rep = decomposition_report(IntPoly(coeffs), a, N)
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
+    # The exact bytes `decompose --format csv` writes for the x3-a2 case.
+    CSV_X3_A2 = (
+        "a,N,log_L,log_P,bad,b1,b2,delta,c_N,e_N,d_N,residual,irreducible\n"
+        "2,2000,28442.069512679485,39619.1276641422,1425.9215771015745,1425.9215771015745,"
+        "0.0,875.3905811286955,5.125109077808687,0.7127776865026759,-0.6144528943884773,"
+        "-4611.814930725366,1\n"
+    )
+
+    def test_report_csv_bytes(self, capsys):
+        argv = ["decompose", "--f0", "0,0,0,1", "--a", "2", "--N", "2000", "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == self.CSV_X3_A2
+
     # ensemble_average(...).to_json() of the batched statistics, pinned from
     # the per-shift loops they replaced: x^3 at random (T = 2e5, N = 300,
     # 50 samples, default seed) and x^4 + x exhaustive (T = 1100, N = 50).
@@ -347,7 +361,7 @@ class TestFrozenOutputs:
 class TestBatchColumns:
     # The ensembles' batch path (one column record per list of shifts,
     # decomp._columns) against the single-shift path (c_N, e_N_d_N, bad_N),
-    # bit for bit.
+    # bit for bit: cn, dn, bad and b2 against C_N, D_N, Bad_N and B2.
 
     @staticmethod
     def _irreducible_shifts(rng, f0, n, wide):
@@ -362,20 +376,23 @@ class TestBatchColumns:
 
     @staticmethod
     def _splits(f0, shifts, N):
-        # (Bad_N, B1, B2) of each shift from the record, B2 as the b2
-        # statistic reads it.
+        # (Bad_N, B2) of each shift from the record.
         record = decomp._columns(f0, shifts, N)
-        b2 = record.bad - record.b1
-        return list(zip(record.bad.tolist(), record.b1.tolist(), b2.tolist()))
+        return list(zip(record.bad.tolist(), record.b2.tolist()))
+
+    @staticmethod
+    def _want_splits(f0, shifts, N):
+        return [(split.total, split.b2) for split in (bad_N(f0, a, N) for a in shifts)]
 
     @classmethod
     def _assert_columns_equal(cls, f0, shifts, N):
         record = decomp._columns(f0, shifts, N)
-        cn, en, dn = (col.tolist() for col in (record.cn, record.en, record.dn))
+        cn, dn = record.cn.tolist(), record.dn.tolist()
         bad = cls._splits(f0, shifts, N)
+        want_bad = cls._want_splits(f0, shifts, N)
         for i, a in enumerate(shifts):
-            want = (c_N(f0, a, N), *e_N_d_N(f0, a, N), *bad_N(f0, a, N))
-            got = (cn[i], en[i], dn[i], *bad[i])
+            want = (c_N(f0, a, N), e_N_d_N(f0, a, N)[1], *want_bad[i])
+            got = (cn[i], dn[i], *bad[i])
             assert [x.hex() for x in got] == [x.hex() for x in want], (f0, a, N)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -406,7 +423,7 @@ class TestBatchColumns:
     @classmethod
     def _assert_bad_equal(cls, f0, shifts, N):
         got = cls._splits(f0, shifts, N)
-        want = [bad_N(f0, a, N) for a in shifts]
+        want = cls._want_splits(f0, shifts, N)
         assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in want], (
             f0, shifts, N)
 
@@ -704,6 +721,12 @@ class TestDecompositionReport:
         assert payload["irreducible"] is True
         row = rep.csv_row()
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+    def test_dict_keys_are_field_names(self, x3):
+        rep = decomposition_report(x3, 2, 5)
+        payload = rep.to_dict()
+        assert list(payload) == [f.name for f in dataclasses.fields(rep)]
+        assert payload["f0"] == [0, 0, 0, 1]
 
     def test_json_schema(self, x3):
         import jsonschema

@@ -1,13 +1,15 @@
+import functools
 import json
 import math
 import pickle
 import random
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from polylcm import decomp, ensemble, modroots, polyring
+from polylcm import decomp, ensemble, modroots, ntkernel, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     DEFAULT_SEED,
@@ -26,6 +28,7 @@ from polylcm.ensemble import (
 from polylcm.errors import (
     DegenerateReductionError,
     EmptyEnsembleError,
+    ResourceLimitError,
     WindowViolationError,
     ZeroValueError,
 )
@@ -210,6 +213,14 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError):
             ensemble_average(x3, 10, 5, "nonsense")
 
+    @pytest.mark.parametrize("sampling", ["exhaustive", "random"])
+    def test_loglratio_with_N1_is_rejected_first(self, x3, sampling, monkeypatch):
+        # Its denominator (d - 1) N log N is 0 at N = 1; no shift is looked at.
+        for name in ("_admitted", "_sample_shifts"):
+            monkeypatch.setattr(ensemble, name, lambda *args: pytest.fail("shifts were drawn"))
+        with pytest.raises(ValueError, match="need N >= 2 for loglratio, got 1"):
+            ensemble_average(x3, 5, 1, "loglratio", sampling=sampling)
+
     def test_threads_agree_with_serial(self, x3):
         # Every statistic splits into one strided chunk per process.
         for stat in ("bad", "b2", "cn", "dn", "delta", "loglratio"):
@@ -347,10 +358,11 @@ class TestWorkerErrors:
     def test_worker_error_comes_back_whole(self):
         # x^4 + x - 2 vanishes at n = 1, so the chunk [2] raises.
         x4x = IntPoly((0, 1, 0, 0, 1))
+        cn_chunk = ensemble._STATISTIC_CHUNKS["cn"]
         with pytest.raises(ZeroValueError) as serial:
-            ensemble._cn_chunk(x4x, [2], 10)
+            cn_chunk(x4x, [2], 10)
         with pytest.raises(ZeroValueError) as worker:
-            ensemble._map_shifts(ensemble._cn_chunk, x4x, [2, 3], 10, threads=2)
+            ensemble._map_shifts(cn_chunk, x4x, [2, 3], 10, threads=2)
         assert worker.value.n == serial.value.n == 1
         assert str(worker.value) == str(serial.value)
 
@@ -451,12 +463,52 @@ class TestColumnRecord:
         ensemble_average(self.X4X, 300, 20, "cn", sampling="exhaustive")
         assert mask_passes == [20, 20]
 
+    def test_columns_are_the_batched_statistics(self):
+        # A batched statistic is _column_chunk bound to its column's name.
+        batched = {
+            name: chunk.args
+            for name, chunk in ensemble._STATISTIC_CHUNKS.items()
+            if isinstance(chunk, functools.partial) and chunk.func is ensemble._column_chunk
+        }
+        assert set(decomp.Columns._fields) == set(batched)
+        assert all(args == (name,) for name, args in batched.items())
+
     def test_columns_are_read_only(self):
         # x^4 + x - a is irreducible at a = 3, 5, 7 (reducible only at n^4 + n).
         record = decomp._columns(self.X4X, [3, 5, 7], 20)
         for column in record:
             with pytest.raises(ValueError):
                 column[0] = 1.0
+
+
+class TestWindowBudget:
+    # An exhaustive window holds a byte or an int64 per shift of [-T, T]: its
+    # 2T + 1 shifts are held to ntkernel.SIEVE_LIMIT_MAX before any is.
+    X4X = IntPoly((0, 1, 0, 0, 1))
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(ntkernel, "SIEVE_LIMIT_MAX", 101)
+
+    def test_over_budget_raises_first(self, x3):
+        calls = {
+            "reducible_count": lambda: reducible_count(self.X4X, 51),
+            "ensemble_average": lambda: ensemble_average(x3, 51, 10, "cn", sampling="exhaustive"),
+            "covariance_sigma": lambda: covariance_sigma(x3, 5, 7, 51),
+            "covariance_sigma(include_reducible)": lambda: covariance_sigma(
+                x3, 5, 7, 51, include_reducible=True
+            ),
+            "theorem_check": lambda: theorem_check(x3, 51, 10),
+        }
+        message = re.escape("2T + 1 = 103 shifts exceed budget 101")
+        for name, call in calls.items():
+            with pytest.raises(ResourceLimitError, match=message) as err:
+                call()
+            assert err.traceback[-1].name == "_check_window", name
+
+    def test_at_budget_runs(self, x3):
+        assert reducible_count(self.X4X, 50) == 4  # a = n^4 + n = 0, 2, 14, 18
+        assert ensemble_average(x3, 50, 10, "cn", sampling="exhaustive").count_total == 101
 
 
 class TestMeanRho:
