@@ -14,7 +14,8 @@ unwritable --out or --csv-out path, or any package error without a code of
 its own), 3 internal consistency violation (the decomposition identity or
 another exact cross-check failed), 4 irreducibility required, 5 empty
 ensemble, 6 internal bound violation.
-Each of these errors is one "error: ..." line on stderr, not a traceback.
+Each of these errors is one "error: ..." line on stderr, not a traceback;
+an ensemble outside the admissible window is one "warning: ..." line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import decomp, ensemble, modroots, ntkernel
 from .errors import (
@@ -164,23 +166,30 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    stats, pairs = ensemble.ensemble_average(
-        args.f0,
-        args.T,
-        args.N,
-        args.stat,
-        sampling=args.sampling,
-        seed=args.seed,
-        n_samples=args.samples,
-        threads=max(1, args.threads),
-        return_values=True,
-    )
-    _write_out(stats.to_json(), args.out)
+    with warnings.catch_warnings():
+        # The window warning is printed below as one line.
+        warnings.filterwarnings("ignore", r"\(T=\d+, N=\d+\) outside the admissible window")
+        stats, pairs = ensemble.ensemble_average(
+            args.f0,
+            args.T,
+            args.N,
+            args.stat,
+            sampling=args.sampling,
+            seed=args.seed,
+            n_samples=args.samples,
+            threads=max(1, args.threads),
+            return_values=True,
+        )
+    if message := ensemble._window_warning(args.f0, args.T, args.N):
+        print(f"warning: {message}", file=sys.stderr)
+    # The CSV is written first, so an unwritable one leaves stdout and --out
+    # untouched, and an unwritable --out leaves a complete CSV.
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fh:
             fh.write(f"a,{args.stat}\n")
             for a, v in pairs:
                 fh.write(f"{a},{v!r}\n")
+    _write_out(stats.to_json(), args.out)
     return EXIT_OK
 
 

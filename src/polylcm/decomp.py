@@ -29,28 +29,37 @@ over the primes <= N for one shift and raise ZeroValueError at the first
 n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
 shifts and builds one column record of it (``_columns``): the columns of
 the batched ensemble statistics bad, b2, cn and dn, from one pass per prime
-p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p and
-D(a) mod p: D(a) mod p depends only on a mod p, so the family's interpolated
-polynomial D is evaluated by one Horner pass mod p
-(``polyring._horner_mod``) over the residues 0..p-1 and gathered when p is
-below the number of shifts, else over the shifts.  A batch that brings
-fewer than d distinct shifts of a new family completes D's nodes from
-a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never do.
-rho is gathered from the RootTable.  Bad_N is counted instead of lifted:
+p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p
+once.  D(a) mod p, rho(a; p) and so the C_N and D_N terms depend only on
+a mod p, so for p < BRUTE_FORCE_LIMIT they are gathered at a mod p from
+the family's ``TermRows`` of p: whether p | D(r), and the two terms, for
+r = 0..p-1.  The rows are built once per (family, p), D by one Horner pass
+mod p of the family's interpolated polynomial (``polyring._horner_mod``)
+and rho from the RootTable's start row, and are kept with the family
+(``_family_term_rows``, the last 8 families).  They cost 17 bytes a
+residue: about 4.7 MB a family for N <= 2000, and at most about 250 MB a
+family (14.6M residues) once N >= BRUTE_FORCE_LIMIT, on top of the
+RootTable's 8 bytes a residue.  At p >= BRUTE_FORCE_LIMIT, D(a) mod p is
+evaluated at the shifts and rho is asked shift by shift.  A batch that
+brings fewer than d distinct shifts of a new family completes D's nodes
+from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never
+do.  Bad_N is counted instead of lifted:
 f0(1..N) is evaluated once by the ledger engine's evaluator, and at each
 discriminant prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all
-its shifts come at once from the sorted residues of those values.  Its passes over
-every prime <= N pay off over an ensemble, not for one shift (x^3 at
-N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single shifts
-keep lifting.  The record is a single-entry cache keyed by (f0, shifts, N)
-with read-only columns, so the cn, dn, bad and b2 statistics of one window
-share one pass.  Each entry has its single-shift value's bits: a term is
-built with the same float operations and added in the same ascending order
-of p, and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made when
-the record is built.  The batch serves only irreducible shifts (D(a) != 0,
-no integer zero), as the ensembles admit them, and checks neither, except
-that the Bad_N count raises ZeroValueError where ``_bad_split`` would.  A
-report's JSON and CSV read its dataclass fields by name.
+its shifts come at once from the sorted residues of those values.  Its
+passes over every prime <= N pay off over an ensemble, not for one shift
+(x^3 at N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single
+shifts keep lifting.  The record is a single-entry cache keyed by
+(f0, shifts, N), the shifts as the bytes of their int64 array (a tuple only
+when one does not fit int64), with read-only columns, so the cn, dn, bad
+and b2 statistics of one window share one pass.  Each entry has its
+single-shift value's bits: a term is built with the same float operations
+and added in the same ascending order of p, and B2 = Bad_N - B1 is one
+subtraction, as in ``BadSplit``, made when the record is built.  The batch serves only
+irreducible shifts (D(a) != 0, no integer zero), as the ensembles admit
+them, and checks neither, except that the Bad_N count raises
+ZeroValueError where ``_bad_split`` would.  A report's JSON and CSV read
+its dataclass fields by name.
 """
 
 from __future__ import annotations
@@ -212,27 +221,76 @@ def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
     return _density_sums_for(f0, a, N)[1:]
 
 
+def _shift_array(shifts: Sequence[int] | np.ndarray) -> np.ndarray:
+    # The shifts as int64, or as Python ints (dtype=object) when one does not
+    # fit int64 (random mode takes any T).
+    try:
+        return np.asarray(shifts, dtype=np.int64)
+    except OverflowError:
+        return np.array(shifts, dtype=object)
+
+
+class TermRows(NamedTuple):
+    """One family's terms at one prime p < BRUTE_FORCE_LIMIT, a float64 or
+    bool entry per residue r = 0..p-1 (17 bytes a residue): whether
+    p | D(r), and the C_N and D_N terms of every shift a = r (mod p), +0.0
+    where p | D(r).  A family's rows for every p <= N take about 4.7 MB at
+    N = 2000 and about 250 MB once N >= BRUTE_FORCE_LIMIT."""
+
+    disc: np.ndarray
+    cn: np.ndarray
+    dn: np.ndarray
+
+
+def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> TermRows:
+    # The scalar loop's float operations on the rho row of the family's
+    # RootTable, so each gathered term keeps its bits.
+    D = _disc_family(f0_coeffs).fill(()).coeffs
+    disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
+    rho = np.diff(_family_root_table(f0_coeffs).start_row(p))
+    log_p = math.log(p)
+    rows = TermRows(
+        disc=disc,
+        cn=np.where(disc, 0.0, rho * log_p / (p - 1)),
+        dn=np.where(disc, 0.0, (rho - 1) * log_p / p),
+    )
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+class _FamilyTermRows(dict):
+    # p -> TermRows of one family, each built the first time it is read.
+    def __init__(self, f0_coeffs: tuple[int, ...]):
+        super().__init__()
+        self.f0_coeffs = f0_coeffs
+
+    def __missing__(self, p: int) -> TermRows:
+        rows = self[p] = _term_rows(self.f0_coeffs, p)
+        return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _family_term_rows(f0_coeffs: tuple[int, ...]) -> _FamilyTermRows:
+    return _FamilyTermRows(f0_coeffs)
+
+
 def _disc_masks(
-    f0: IntPoly, shifts: Sequence[int], N: int
+    f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
     # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: one Horner pass mod p over the family's interpolated D, over
-    # the residues 0..p-1 and gathered at a mod p when p < len(shifts),
-    # else over the shifts themselves.
-    if N < 2 or not shifts:
+    # a mod p: below BRUTE_FORCE_LIMIT the mask is the family's disc row
+    # gathered at a mod p, above it one Horner pass mod p over the family's
+    # interpolated D at the shifts themselves.
+    if N < 2 or not len(shifts):
         return
-    D = _disc_family(f0.coeffs).fill(shifts).coeffs
-    # Shifts beyond int64 (random mode takes any T) are reduced as Python ints.
-    int64 = np.iinfo(np.int64)
-    wide = not int64.min <= min(shifts) <= max(shifts) <= int64.max
-    a = np.array(shifts, dtype=object if wide else np.int64)
+    D = _disc_family(f0.coeffs).fill(map(int, shifts)).coeffs
+    rows = _family_term_rows(f0.coeffs)
+    a = _shift_array(shifts)
     for p in ntkernel.sieve_primes(N):
         v = (a % p).astype(np.int64, copy=False)
-        if p < len(shifts):
-            disc = (_horner_mod(D, np.arange(p, dtype=np.int64), p) == 0)[v]
-        else:
-            disc = _horner_mod(D, v, p) == 0
+        disc = rows[p].disc[v] if p < BRUTE_FORCE_LIMIT else _horner_mod(D, v, p) == 0
         yield p, v, disc
 
 
@@ -247,25 +305,36 @@ class Columns(NamedTuple):
     dn: np.ndarray
 
 
-def _columns(f0: IntPoly, shifts: list[int], N: int) -> Columns:
+def _columns(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> Columns:
     """The column record of (f0, shifts, N), built by one pass over the
     primes p <= N (_column_record) and kept until another is asked for, so
-    the statistics of one window share it."""
-    return _column_record(f0.coeffs, tuple(shifts), N)
+    the statistics of one window share it.  The shifts, an int64 array or a
+    list of ints, are keyed by their int64 bytes, and by a tuple only when
+    one does not fit int64."""
+    a = _shift_array(shifts)
+    key = a.tobytes() if a.dtype == np.int64 else tuple(a.tolist())
+    return _column_record(f0.coeffs, key, N)
 
 
 @functools.lru_cache(maxsize=1)
-def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) -> Columns:
-    """Bad_N, B2, C_N and D_N for every a in shifts, in one pass per prime
-    p <= N over all shifts at once (_disc_masks).
+def _column_record(
+    f0_coeffs: tuple[int, ...], shifts_key: bytes | tuple[int, ...], N: int
+) -> Columns:
+    """Bad_N, B2, C_N and D_N for every a in the shifts (the int64 bytes
+    or the tuple of _columns' key), in one pass per prime p <= N over all
+    shifts at once (_disc_masks).
 
     Each entry has the bits of its single-shift value: every term is built
     with the scalar loops' float operations (r * log_p / (p - 1),
     (r - 1) * log_p / p, hsum * log_p and hits_1 * log_p, with
     log_p = math.log(p)), and each column takes its terms in ascending p by
-    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  rho
-    is gathered from the RootTable's start row; primes >= BRUTE_FORCE_LIMIT
-    ask table.rho shift by shift.
+    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  For
+    p < BRUTE_FORCE_LIMIT the C_N and D_N terms are gathered at a mod p from
+    the family's TermRows, built once per (family, p) and kept with the
+    family (_family_term_rows, the last 8 families): 17 bytes a residue,
+    about 4.7 MB a family for N <= 2000 and about 250 MB once
+    N >= BRUTE_FORCE_LIMIT.  Primes >= BRUTE_FORCE_LIMIT ask table.rho shift
+    by shift.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits
@@ -283,23 +352,31 @@ def _column_record(f0_coeffs: tuple[int, ...], shifts: tuple[int, ...], N: int) 
     Precondition: the shifts are irreducible, as the ensembles admit them,
     so D(a) != 0 and f_a has no integer zero; only the zeros that Bad_N's
     counting meets are checked."""
+    if isinstance(shifts_key, bytes):
+        shifts = np.frombuffer(shifts_key, dtype=np.int64)
+    else:
+        shifts = np.array(shifts_key, dtype=object)
     n = len(shifts)
     cn, dn, bad, b1 = (np.zeros(n) for _ in range(4))
     table = _family_root_table(f0_coeffs)
-    if shifts:
-        bound = _coeff_bound(f0_coeffs, N) + max(map(abs, shifts))
+    rows = _family_term_rows(f0_coeffs)
+    if n:
+        bound = _coeff_bound(f0_coeffs, N) + max(-int(shifts.min()), int(shifts.max()))
         dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
         values = _horner_values(f0_coeffs, N, dtype)
-        a = np.array(shifts, dtype=dtype)
+        a = shifts.astype(dtype, copy=False)
     zero_shift = n
     for p, v, disc in _disc_masks(IntPoly(f0_coeffs), shifts, N):
         log_p = math.log(p)
         if p < BRUTE_FORCE_LIMIT:
-            r = np.diff(table.start_row(p))[v]
+            cn += rows[p].cn[v]
+            dn += rows[p].dn[v]
         else:
-            r = np.array([0 if d else table.rho(s, p) for s, d in zip(shifts, disc.tolist())])
-        cn += np.where(disc, 0.0, r * log_p / (p - 1))
-        dn += np.where(disc, 0.0, (r - 1) * log_p / p)
+            r = np.array(
+                [0 if d else table.rho(s, p) for s, d in zip(shifts.tolist(), disc.tolist())]
+            )
+            cn += np.where(disc, 0.0, r * log_p / (p - 1))
+            dn += np.where(disc, 0.0, (r - 1) * log_p / p)
         live = np.flatnonzero(disc)
         hsum = np.zeros(n, dtype=np.int64)
         pk = p

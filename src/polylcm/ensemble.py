@@ -20,7 +20,14 @@ chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
 from one column record of the chunk (``decomp._columns``), built by one
 numpy pass per prime p <= N over all its shifts and kept, one entry only,
 until another (f0, shifts, N) is asked for, so the four statistics of one
-window share a pass.  Bad_N is counted, not lifted: the level hits
+window share a pass.  An exhaustive average hands over the admitted int64
+array as it is, and the record is keyed by its bytes; only sampled shifts
+outside int64 are keyed as a tuple.  For p < BRUTE_FORCE_LIMIT the record
+gathers each shift's C_N and D_N terms and its D(a) = 0 (mod p) mask at
+a mod p from rows kept per family and prime (``decomp.TermRows``, 17 bytes
+a residue: about 4.7 MB a family at N = 2000, about 250 MB once
+N >= BRUTE_FORCE_LIMIT), so the windows of one family build each prime's
+rows once.  Bad_N is counted, not lifted: the level hits
 #{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
 come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
 lifting its roots, which is cheaper for one shift.  The values keep the
@@ -44,6 +51,7 @@ import json
 import math
 import random
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -203,6 +211,20 @@ def _check_inputs(f0: IntPoly, T: int, N: int, least: int) -> None:
             raise ValueError(f"need {name} >= {lo}, got {value}")
 
 
+def _window_warning(f0: IntPoly, T: int, N: int) -> str | None:
+    # The warning of an average at (T, N) outside the admissible window, if
+    # any; ensemble_average warns it and the CLI prints it as one line.
+    if N < 2 or T < 3:
+        return None
+    win = WindowSpec(T, N, f0.degree)
+    if win.holds:
+        return None
+    return (
+        f"(T={T}, N={N}) outside the admissible window "
+        f"({win.lower:.1f}, {win.upper:.1f}); averaged bounds may not apply"
+    )
+
+
 def _check_samples(n_samples: int) -> None:
     # Fewer than one sample would report a non-empty ensemble as empty.
     if n_samples < 1:
@@ -221,18 +243,20 @@ def _quantiles(sorted_vals: np.ndarray) -> list[tuple[float, float]]:
     return out
 
 
-def _column_chunk(name: str, f0: IntPoly, shifts: list[int], N: int) -> np.ndarray:
+def _column_chunk(
+    name: str, f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int
+) -> np.ndarray:
     # A batched statistic: the column of that name in the chunk's record.
     return getattr(decomp._columns(f0, shifts, N), name)
 
 
-def _delta_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
-    return [decomp.delta_N(f0, a, N) for a in shifts]
+def _delta_chunk(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> list[float]:
+    return [decomp.delta_N(f0, a, N) for a in map(int, shifts)]
 
 
-def _loglratio_chunk(f0: IntPoly, shifts: list[int], N: int) -> list[float]:
+def _loglratio_chunk(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> list[float]:
     denom = (f0.degree - 1) * N * math.log(N)
-    return [decomp.decomposition_report(f0, a, N).log_L / denom for a in shifts]
+    return [decomp.decomposition_report(f0, a, N).log_L / denom for a in map(int, shifts)]
 
 
 # Each statistic's chunk function (f0, shifts, N) -> one value per shift; a
@@ -254,7 +278,9 @@ def _theorem_rows(f0: IntPoly, shifts: list[int], N: int) -> list[tuple[float, .
     return [(rep.log_L, rep.c_N, rep.bad, rep.delta) for rep in reports]
 
 
-def _map_shifts(chunk_fn, f0: IntPoly, ordered: list[int], N: int, threads: int) -> np.ndarray:
+def _map_shifts(
+    chunk_fn, f0: IntPoly, ordered: Sequence[int] | np.ndarray, N: int, threads: int
+) -> np.ndarray:
     """One float64 row per shift of ordered (ascending), in that order, from
     chunk_fn(f0, shifts, N) over ascending chunks: all in-process, or one
     strided chunk per worker process.  A value depends on its shift alone,
@@ -296,21 +322,14 @@ def ensemble_average(
         raise ValueError(f"sampling must be exhaustive/random/auto, got {sampling!r}")
     if sampling == "random":
         _check_samples(n_samples)
-    d = f0.degree
-    if N >= 2 and T >= 3:
-        win = WindowSpec(T, N, d)
-        if not win.holds:
-            warnings.warn(
-                f"(T={T}, N={N}) outside the admissible window "
-                f"({win.lower:.1f}, {win.upper:.1f}); averaged bounds may not apply",
-                stacklevel=2,
-            )
+    if message := _window_warning(f0, T, N):
+        warnings.warn(message, stacklevel=2)
     if sampling == "exhaustive":
-        shifts = _admitted(f0, T).tolist()
+        shifts = _admitted(f0, T)
         count_total = 2 * T + 1
     else:
         shifts, count_total = _sample_shifts(f0, T, n_samples, seed)
-    if not shifts:
+    if not len(shifts):
         raise EmptyEnsembleError(f"no irreducible shifts for |a| <= {T}")
 
     values = _map_shifts(_STATISTIC_CHUNKS[statistic], f0, shifts, N, threads)
@@ -334,7 +353,7 @@ def ensemble_average(
         f0_coeffs=f0.coeffs,
     )
     if return_values:
-        return stats, list(zip(shifts, values.tolist()))
+        return stats, list(zip(map(int, shifts), values.tolist()))
     return stats
 
 

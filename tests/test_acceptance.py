@@ -40,7 +40,7 @@ from polylcm.constants import (
     REDUCIBLE_SQRT_FACTOR,
     VAR_CN_FACTOR,
 )
-from polylcm.decomp import _column_record
+from polylcm.decomp import _column_record, _family_term_rows
 from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import _family_root_table
@@ -62,7 +62,9 @@ X4 = IntPoly((0, 0, 0, 0, 1))
 COV_PAIRS = ((11, 13), (17, 19), (11, 31))
 
 # Every cache in the package; criterion 11 clears each before it reruns.
-PACKAGE_CACHES = (_verdict_record, _disc_family, _family_root_table, _column_record)
+PACKAGE_CACHES = (
+    _verdict_record, _disc_family, _family_root_table, _family_term_rows, _column_record
+)
 
 
 def check(name, ok, detail="", elapsed=None, budget=None):

@@ -4,11 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import polylcm
-from polylcm import cli, errors
+from polylcm import cli, ensemble, errors
 
 
 def run_cli(argv, capsys):
@@ -244,6 +245,47 @@ class TestEnsembleCmd:
         code, _, _ = run_cli(argv + ["--T", "50", "--sampling", "exhaustive"], capsys)
         assert code == 0
 
+    def test_outside_window_is_one_warning_line(self):
+        # The library warns; the command prints one "warning: ..." line, no
+        # warning source line, and the result as usual.
+        argv = ["ensemble", "--f0", "0,0,1", "--T", "50", "--N", "5", "--stat", "cn",
+                "--sampling", "exhaustive", "--threads", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylcm.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["statistic"] == "cn"
+        assert proc.stderr == (
+            "warning: (T=50, N=5) outside the admissible window (50.0, 12.8);"
+            " averaged bounds may not apply\n"
+        )
+
+    def test_other_warnings_pass_through(self, capsys, monkeypatch):
+        # Only the window warning is turned into a line; any other warning
+        # reaches the warnings filters as it is.
+        average = ensemble.ensemble_average
+
+        def warning_average(*args, **kwargs):
+            warnings.warn("another warning", RuntimeWarning)
+            return average(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ensemble_average", warning_average)
+        argv = ["ensemble", "--f0", "0,0,1", "--T", "50", "--N", "5", "--stat", "cn",
+                "--sampling", "exhaustive", "--threads", "1"]
+        with pytest.warns(RuntimeWarning, match="another warning"):
+            code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err.count("\n") == 1 and err.startswith("warning: (T=50, N=5) outside")
+
+    def test_inside_window_prints_no_warning(self, capsys):
+        code, _, err = run_cli(
+            ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "cn",
+             "--sampling", "exhaustive", "--threads", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+
     def test_byte_identical_repeat(self, capsys):
         argv = ["ensemble", "--f0", "0,0,0,1", "--T", "30000", "--N", "40",
                 "--stat", "bad", "--seed", "99", "--samples", "20", "--threads", "1"]
@@ -440,15 +482,34 @@ class TestExitCodes:
         assert str(path) in err
 
     def test_unwritable_csv_out_is_usage_error(self, capsys, tmp_path):
+        # The CSV is written before any other result: no stats on stdout,
+        # and no --out file.
         path = tmp_path / "missing" / "shifts.csv"
-        code, _, err = run_cli(
-            ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "bad",
-             "--sampling", "exhaustive", "--threads", "1", "--csv-out", str(path)],
-            capsys,
-        )
+        argv = ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "bad",
+                "--sampling", "exhaustive", "--threads", "1", "--csv-out", str(path)]
+        code, out, err = run_cli(argv, capsys)
         assert code == 2
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+        stats = tmp_path / "stats.json"
+        assert run_cli([*argv, "--out", str(stats)], capsys)[:2] == (2, "")
+        assert not stats.exists()
+
+    def test_unwritable_out_leaves_a_complete_csv(self, capsys, tmp_path):
+        # An --out that cannot be written fails after the CSV is complete,
+        # not with an empty or truncated one.
+        argv = ["ensemble", "--f0", "0,0,0,1", "--T", "20", "--N", "5", "--stat", "bad",
+                "--sampling", "exhaustive", "--threads", "1"]
+        code, _, _ = run_cli([*argv, "--csv-out", str(tmp_path / "want.csv")], capsys)
+        assert code == 0
+        path = tmp_path / "shifts.csv"
+        path.write_text("old\n", encoding="utf-8")
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run_cli([*argv, "--csv-out", str(path), "--out", str(out)], capsys)
+        assert code == 2
+        assert str(out) in err
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_loglratio_with_N1_is_usage_error(self, capsys):
         code, out, err = run_cli(

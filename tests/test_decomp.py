@@ -507,6 +507,33 @@ class TestBatchColumns:
         assert hit[True] and hit[False], hit
 
 
+class TestTermRowLimit:
+    # Below BRUTE_FORCE_LIMIT the record gathers the family's TermRows at
+    # a mod p (the disc mask and the C_N and D_N terms); from there on it
+    # evaluates D at the shifts and asks table.rho shift by shift.  The
+    # limit is lowered so that primes <= 60 take both paths.
+    @pytest.fixture
+    def limit(self, monkeypatch):
+        monkeypatch.setattr(decomp, "BRUTE_FORCE_LIMIT", 20)
+        decomp._column_record.cache_clear()
+        yield decomp.BRUTE_FORCE_LIMIT
+        decomp._column_record.cache_clear()
+
+    def test_masks_match_the_exact_discriminant(self, limit):
+        f0 = IntPoly((3, -2, 0, 1, 1))
+        shifts = TestBatchColumns._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
+        exact = [disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs)) for a in shifts]
+        hit = {True: 0, False: 0}
+        for p, v, disc in decomp._disc_masks(f0, shifts, 60):
+            assert disc.tolist() == [D % p == 0 for D in exact]
+            hit[p < limit] += int(disc.sum())
+        assert hit[True] and hit[False], hit
+
+    def test_columns_equal_single_shift_terms(self, x3_plus_2x, limit):
+        shifts = TestBatchColumns._irreducible_shifts(random.Random(20), x3_plus_2x, 40, wide=False)
+        TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts, 60)
+
+
 class TestValueBudget:
     # Above the sieve's budget the value pass raises before it allocates
     # anything; the budget is lowered so that a missing guard stays small.

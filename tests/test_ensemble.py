@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polylcm import decomp, ensemble, modroots, ntkernel, polyring
+from polylcm import bad_N, c_N, decomp, e_N_d_N, ensemble, modroots, ntkernel, polyring
 from polylcm.constants import COV_SIGMA_FACTOR
 from polylcm.ensemble import (
     DEFAULT_SEED,
@@ -479,6 +479,64 @@ class TestColumnRecord:
         for column in record:
             with pytest.raises(ValueError):
                 column[0] = 1.0
+
+
+class TestTermRows:
+    # Below len(shifts) the record gathers each prime's C_N, D_N and disc
+    # terms at a mod p from rows kept per family (decomp._family_term_rows).
+    WINDOWS = ((1100, 50), (1000, 47), (1100, 50))
+    FAMILIES = (IntPoly((0, 1, 0, 0, 1)), IntPoly((1, 1, 0, 2)))  # x^4 + x, 2x^3 + x + 1
+
+    @pytest.mark.parametrize("f0", FAMILIES, ids=["monic", "non-monic"])
+    def test_windows_equal_single_shift_terms(self, f0):
+        # Rows built for one window are read again by the next ones.
+        decomp._family_term_rows.cache_clear()
+        for T, N in self.WINDOWS:
+            shifts = ensemble._admitted(f0, T)
+            record = decomp._columns(f0, shifts, N)
+            want = [(c_N(f0, a, N), e_N_d_N(f0, a, N)[1], *bad_N(f0, a, N)[::2])
+                    for a in shifts.tolist()]
+            got = zip(record.cn.tolist(), record.dn.tolist(), record.bad.tolist(),
+                      record.b2.tolist())
+            assert [[x.hex() for x in row] for row in got] == [
+                [x.hex() for x in row] for row in want
+            ], (f0, T, N)
+
+    def test_one_build_per_family_and_prime(self, monkeypatch):
+        builds = []
+        build = decomp._term_rows
+        monkeypatch.setattr(
+            decomp, "_term_rows", lambda coeffs, p: builds.append((coeffs, p)) or build(coeffs, p)
+        )
+        decomp._family_term_rows.cache_clear()
+        decomp._column_record.cache_clear()
+        for f0 in self.FAMILIES:
+            for T, N in self.WINDOWS:
+                for stat in ("cn", "dn", "bad", "b2"):
+                    ensemble_average(f0, T, N, stat, sampling="exhaustive")
+        want = [(f0.coeffs, p) for f0 in self.FAMILIES for p in ntkernel.sieve_primes(50)]
+        assert builds == want
+
+    def test_return_values_shifts_are_ints(self):
+        f0 = self.FAMILIES[0]
+        for T, kw in ((1100, {"sampling": "exhaustive"}),
+                      (10**25, {"sampling": "random", "n_samples": 20})):
+            for threads in (1, 2):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    _, pairs = ensemble_average(
+                        f0, T, 50, "cn", threads=threads, return_values=True, **kw
+                    )
+                assert all(type(a) is int for a, _ in pairs), (T, threads)
+
+    def test_threads_give_the_same_json(self):
+        f0 = self.FAMILIES[0]
+        for stat in ("cn", "dn", "bad", "b2"):
+            serial, parallel = (
+                ensemble_average(f0, 1100, 50, stat, sampling="exhaustive", threads=threads)
+                for threads in (1, 2)
+            )
+            assert serial.to_json() == parallel.to_json(), stat
 
 
 class TestWindowBudget:
