@@ -5,9 +5,11 @@ shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
 are irreducible from one verdict record per family, shared by every count,
 average and covariance: it covers [-T, T] for the largest T asked so far,
 grows when a larger T arrives and is sliced for smaller ones, so each shift
-is decided once.  The shifts a growth adds are decided together by
-``polyring.irreducible_shifts`` when f0 is monic and not a binomial, else
-one by one by ``is_irreducible_over_Q``.  Random mode draws distinct shifts
+is decided once.  The shifts a growth adds are decided together when f0 is
+monic: by ``polyring.irreducible_shifts``, whose pattern rows are kept per
+family, or for a binomial x^d + c by listing the shifts Capelli's criterion
+makes reducible (``polyring._binomial_shifts``); else one by one by
+``is_irreducible_over_Q``.  Random mode draws distinct shifts
 with a seeded generator, deciding them one at a time, and rejects reducible
 ones; the seed picks the sample and nothing else.  Aggregation is an ordered
 reduction over one float64 array of the values in ascending a, so identical
@@ -63,6 +65,7 @@ from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
 from .polyring import (
     IntPoly,
     ShiftedPoly,
+    _binomial_shifts,
     _family_discriminant,
     irreducible_shifts,
     is_irreducible_over_Q,
@@ -176,9 +179,11 @@ def _verdict_record(f0_coeffs: tuple[int, ...]) -> bytearray:
 
 def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:
     # Irreducibility verdicts for the shifts a in [lo, hi): one family batch
-    # when f0 is monic and not a binomial, else one decision per shift.
-    if f0.is_monic and f0.degree >= 2 and any(f0.coeffs[1:-1]):
-        return irreducible_shifts(f0, lo, hi)
+    # when f0 is monic (by Capelli's criterion for a binomial x^d + c), else
+    # one decision per shift.
+    if f0.is_monic and f0.degree >= 2:
+        batch = irreducible_shifts if any(f0.coeffs[1:-1]) else _binomial_shifts
+        return batch(f0, lo, hi)
     return bytes(_is_irreducible_shift(f0, a) for a in range(lo, hi))
 
 

@@ -21,9 +21,16 @@ is_irreducible_over_Q runs the pipeline on one polynomial.  The family batch
 irreducible_shifts decides a range of shifts f0 - a of a monic, non-binomial
 f0 at once, with the same verdicts: stage 1 is one scan of f0(n) over
 Fujiwara's root bound (a rational root of a monic shift is an integer n with
-f0(n) = a), D(a) comes from the family's discriminant polynomial, and stage 2
-reads the pattern of f0 - a mod p from a table keyed by a mod p, built once
-per residue class.  Stages 2 and 3 are one helper that both paths share.
+f0(n) = a), and stage 2 is one numpy pass per pattern prime over the shifts
+still undecided, each keeping its own count of primes used and candidate
+bits.  It gathers the subset sums of the pattern of f0 - a mod p at a mod p
+from rows kept per family (the last 8), each entry built the first time a
+window meets its residue.  For monic f0 - a, p | D(a) exactly where that
+pattern is None, so the rows also skip those primes, and D(a) = 0 is exact
+once the product of the primes so skipped exceeds a bound on |D(a)| over the
+range.  Stage 3 is one helper both paths share.  _binomial_shifts decides a
+range of shifts of a monic binomial x^d + c by listing the few reducible
+ones stage 0 names.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -366,6 +373,33 @@ def _binomial_irreducible(d: int, c: int) -> bool:
     return True
 
 
+def _binomial_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
+    # Byte i is 1 iff f0 - (lo + i) is irreducible over Q, for a in [lo, hi)
+    # and f0 = x^d + c, d >= 2: _binomial_irreducible's verdicts for x^d - m,
+    # m = a - c, found by listing the few reducible m instead of testing each
+    # (the t-th powers for the primes t | d, and -4 b^4 when 4 | d).
+    d, c = f0.degree, f0.coeffs[0]
+    u, v = lo - c, hi - c  # m ranges over [u, v)
+    reducible = set()
+    for t in set(ntkernel.factor(d).primes()):
+        reducible.update(_powers_in(t, max(u, 0), v))
+        if t % 2:
+            reducible.update(-m for m in _powers_in(t, max(1 - v, 0), 1 - u))
+    if d % 4 == 0:
+        reducible.update(-4 * s for s in _powers_in(4, max(-v // 4 + 1, 0), -u // 4 + 1))
+    out = bytearray(b"\x01" * max(hi - lo, 0))
+    for m in reducible:
+        out[m + c - lo] = 0
+    return bytes(out)
+
+
+def _powers_in(t: int, u: int, v: int) -> list[int]:
+    # Every b**t in [u, v), for 0 <= u and integers b >= 0.
+    if u >= v:
+        return []
+    return [b**t for b in range(_ceil_root(u, t), _integer_nth_root(v - 1, t) + 1)]
+
+
 def _has_rational_root(f: IntPoly) -> bool:
     # f primitive with f(0) != 0.
     c0 = abs(f.coeffs[0])
@@ -544,33 +578,39 @@ def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) ->
     disc = discriminant(f) if _disc is None else _disc()
     if disc == 0:
         return False  # repeated factor
-    return _patterns_then_kronecker(f, disc, partial(_degree_pattern_mod_p, f))
+    return _patterns_then_kronecker(f, disc)
 
 
-def _patterns_then_kronecker(
-    f: PolyLike, disc: int, pattern: Callable[[int], list[int] | None]
-) -> bool:
+def _patterns_then_kronecker(f: IntPoly, disc: int) -> bool:
     # Stages 2 and 3 for f of degree >= 4 with no rational root and
-    # disc(f) = disc != 0; pattern(p) is _degree_pattern_mod_p(f, p), which
-    # is None where p | lc(f).  Bit k of candidates stands for a possible
-    # factor of degree k, 2 <= k <= d/2.
+    # disc(f) = disc != 0.  Bit k of candidates stands for a possible factor
+    # of degree k, 2 <= k <= d/2.
     d = f.degree
-    candidates = (1 << (d // 2 + 1)) - 4
+    candidates = _all_candidates(d)
     used = 0
     for p in _PATTERN_PRIMES:
         if used >= _PATTERN_PRIME_COUNT or not candidates:
             break
         if disc % p == 0:
             continue
-        degrees = pattern(p)
+        degrees = _degree_pattern_mod_p(f, p)
         if degrees is None:
             continue
         used += 1
         if degrees == [d]:
             return True
         candidates &= _subset_sums(degrees)
-    f = as_poly(f)
-    survivors = [k for k in range(2, d // 2 + 1) if candidates >> k & 1]
+    return _no_factor_among(f, candidates)
+
+
+def _all_candidates(d: int) -> int:
+    # Bits 2 .. d // 2: every factor degree stage 2 has yet to rule out.
+    return (1 << (d // 2 + 1)) - 4
+
+
+def _no_factor_among(f: IntPoly, candidates: int) -> bool:
+    # Stage 3: f has no factor of any degree k whose bit is set.
+    survivors = [k for k in range(2, f.degree // 2 + 1) if candidates >> k & 1]
     return not any(_kronecker_has_factor_of_degree(f, k) for k in survivors)
 
 
@@ -587,26 +627,84 @@ def irreducible_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
     d = f0.degree
     if not f0.is_monic or d < 2 or not any(f0.coeffs[1:d]):
         raise ValueError("irreducible_shifts needs a monic, non-binomial f0 of degree >= 2")
-    rooted = _integer_root_shifts(f0, lo, hi)
-    patterns: dict[tuple[int, int], list[int] | None] = {}  # (p, a mod p) -> pattern
+    out = np.ones(max(hi - lo, 0), np.uint8)
+    out[[a - lo for a in _integer_root_shifts(f0, lo, hi)]] = 0
+    offsets = np.flatnonzero(out)
+    if d >= 4 and offsets.size:
+        out[offsets] = _shift_patterns_then_kronecker(f0, lo, hi, offsets)
+    return out.tobytes()
 
-    def pattern(a: int, p: int) -> list[int] | None:
-        key = (p, a % p)
-        if key not in patterns:
-            patterns[key] = _degree_pattern_mod_p(ShiftedPoly(f0, key[1]).to_poly(), p)
-        return patterns[key]
 
-    out = bytearray(max(hi - lo, 0))
-    for a in range(lo, hi):
-        if a in rooted:
-            continue
-        if d <= 3:
-            out[a - lo] = 1
-            continue
-        disc = _family_discriminant(f0, a)
-        if disc:
-            out[a - lo] = _patterns_then_kronecker(ShiftedPoly(f0, a), disc, partial(pattern, a))
-    return bytes(out)
+def _shift_patterns_then_kronecker(
+    f0: IntPoly, lo: int, hi: int, offsets: np.ndarray
+) -> np.ndarray:
+    # Stages 2 and 3 for the shifts a = lo + i, i in offsets, of f0 (monic,
+    # degree >= 4) with no rational root: _patterns_then_kronecker's rules
+    # in its prime order, one numpy pass per prime over the shifts still
+    # undecided, each keeping its own used count and candidate bits.  For
+    # monic f0 - a, p | D(a) exactly where its image mod p is not squarefree,
+    # that is where the pattern row reads 0, so the row alone skips those
+    # primes.  A shift no prime could use has p | D(a) at every prime so far;
+    # once their product exceeds the bound on |D(a)| over the range, D(a) = 0
+    # exactly: the shift is reducible, and its candidates read -1.
+    d = f0.degree
+    D = _disc_family(f0.coeffs).fill(range(lo, hi))
+    bound = _coeff_bound(D.coeffs, max(abs(lo), abs(hi - 1)))
+    rows = _family_pattern_rows(f0.coeffs)
+    candidates = np.full(len(offsets), _all_candidates(d), _pattern_dtype(d))
+    used = np.zeros(len(offsets), np.int64)
+    live = np.arange(len(offsets))
+    product = 1
+    for p in _PATTERN_PRIMES:
+        if not live.size:
+            break
+        bits = _pattern_bits(f0, rows, p, (lo % p + offsets[live]) % p)
+        usable = bits != 0
+        hit = live[usable]
+        used[hit] += 1
+        candidates[hit] &= bits[usable]
+        product *= p
+        if product > bound:
+            candidates[live[used[live] == 0]] = -1
+        live = live[(used[live] < _PATTERN_PRIME_COUNT) & (candidates[live] > 0)]
+    verdicts = (candidates == 0).astype(np.uint8)
+    # Survivors of every prime go to the Kronecker search, which is complete.
+    for i in np.flatnonzero(candidates > 0).tolist():
+        f = ShiftedPoly(f0, lo + int(offsets[i])).to_poly()
+        verdicts[i] = _no_factor_among(f, int(candidates[i]))
+    return verdicts
+
+
+def _pattern_dtype(d: int) -> type:
+    # Subset-sum bits 0 .. d // 2 fit int64 up to degree 125.
+    return np.int64 if d // 2 < 63 else object
+
+
+@lru_cache(maxsize=8)
+def _family_pattern_rows(f0_coeffs: tuple[int, ...]) -> dict[int, np.ndarray]:
+    # One family's pattern rows, filled as residues are met: rows[p][r] holds
+    # the subset sums of the factor-degree pattern of f0 - r mod p, bits
+    # 0 .. d // 2, with 0 where the pattern is None and -1 until built.  An
+    # irreducible image [d] reads 1 and so clears every candidate bit, which
+    # certifies the shift as _patterns_then_kronecker's early return does.
+    return {}
+
+
+def _pattern_bits(f0: IntPoly, rows: dict[int, np.ndarray], p: int, r: np.ndarray) -> np.ndarray:
+    # The row of p gathered at the residues r, after building its entries at
+    # the residues it has not met.  A bool mask marks them (np.unique would
+    # import numpy.ma).
+    row = rows.get(p)
+    if row is None:
+        row = rows[p] = np.full(p, -1, _pattern_dtype(f0.degree))
+    new = np.zeros(p, bool)
+    new[r] = True
+    new &= row < 0
+    low_bits = (1 << (f0.degree // 2 + 1)) - 1
+    for s in np.flatnonzero(new).tolist():
+        pattern = _degree_pattern_mod_p(ShiftedPoly(f0, s).to_poly(), p)
+        row[s] = 0 if pattern is None else _subset_sums(pattern) & low_bits
+    return row[r]
 
 
 def _integer_root_shifts(f0: IntPoly, lo: int, hi: int) -> set[int]:

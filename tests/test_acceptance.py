@@ -45,7 +45,7 @@ from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import _family_root_table
 from polylcm.ntkernel import divisor_logsum, divisor_logsum_table
-from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family
+from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family, _family_pattern_rows
 from polylcm.valengine import _abs_values
 
 from oracles import kronecker_irreducible, lcm_chain
@@ -63,7 +63,12 @@ COV_PAIRS = ((11, 13), (17, 19), (11, 31))
 
 # Every cache in the package; criterion 11 clears each before it reruns.
 PACKAGE_CACHES = (
-    _verdict_record, _disc_family, _family_root_table, _family_term_rows, _column_record
+    _verdict_record,
+    _disc_family,
+    _family_pattern_rows,
+    _family_root_table,
+    _family_term_rows,
+    _column_record,
 )
 
 

@@ -490,10 +490,11 @@ class TestBatchColumns:
             assert err.value.n == want.value.n == n, shifts
 
     def test_gathered_masks_match_the_exact_discriminant(self):
-        # Below len(shifts), _disc_masks evaluates D mod p over the residues
-        # 0..p-1 once and gathers at a mod p; from there on it evaluates at
-        # the shifts.  Either way the mask is the Newton form's at a mod p,
-        # and p | D(a) for the exact D(a).
+        # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _disc_masks gathers
+        # the family's disc row (D mod p over the residues 0..p-1, built
+        # once) at a mod p.  The mask is the Newton form's at a mod p, and
+        # p | D(a) for the exact D(a); hit asks that some shift is masked
+        # both below and from len(shifts) on.
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
         family = polyring._disc_family(f0.coeffs)

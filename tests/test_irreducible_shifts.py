@@ -2,9 +2,15 @@
 ``is_irreducible_over_Q``: over a range of shifts their verdicts must agree
 byte for byte, for random monic families and for the inputs each batch stage
 is there for (integer roots far out, D(a) = 0, reducible shifts with no
-rational root).  ``ensemble._decide`` keeps one decision per shift for the
-families the batch does not take, with the same verdicts and errors.
-hypothesis is test-only."""
+rational root), including windows grown piece by piece over the pattern
+rows a family keeps.  ``ensemble._decide`` decides monic binomials by
+Capelli's criterion and keeps one decision per shift for the non-monic
+families, with the same verdicts and errors.  hypothesis is test-only."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +43,17 @@ def _assert_batch_matches(f0, lo, hi):
     assert irreducible_shifts(f0, lo, hi) == _one_by_one(f0, lo, hi), (f0.coeffs, lo, hi)
 
 
+def _assert_pieces_match(f0, lo, mid, hi):
+    # [lo, hi) decided whole, and as [lo, mid) and [mid, hi) in either
+    # order, each over the pattern rows the pieces before it left behind.
+    whole = _one_by_one(f0, lo, hi)
+    for first, second in (((lo, mid), (mid, hi)), ((mid, hi), (lo, mid))):
+        polyring._family_pattern_rows.cache_clear()
+        pieces = {first: irreducible_shifts(f0, *first), second: irreducible_shifts(f0, *second)}
+        assert pieces[(lo, mid)] + pieces[(mid, hi)] == whole, (f0.coeffs, first)
+        assert irreducible_shifts(f0, lo, hi) == whole, (f0.coeffs, first)
+
+
 @st.composite
 def monic_family(draw, degrees=(2, 8), span=20):
     d = draw(st.integers(*degrees))
@@ -50,6 +67,81 @@ def monic_family(draw, degrees=(2, 8), span=20):
 @given(f0=monic_family(), lo=st.integers(-300, 300), width=st.integers(0, 40))
 def test_random_monic_families(f0, lo, width):
     _assert_batch_matches(f0, lo, lo + width)
+
+
+@SETTINGS
+@given(
+    f0=monic_family(degrees=(4, 8)),
+    lo=st.integers(-300, 300),
+    first=st.integers(0, 30),
+    second=st.integers(0, 30),
+)
+def test_pieces_of_a_window_join_to_it(f0, lo, first, second):
+    _assert_pieces_match(f0, lo, lo + first, lo + first + second)
+
+
+def test_x4_plus_x_grows_like_the_bench_record():
+    # The verdict record of x^4 + x grows from [-200, 200] to [-1053, 1053]
+    # one side at a time.
+    f0 = IntPoly((0, 1, 0, 0, 1))
+    _assert_pieces_match(f0, -200, 201, 1054)
+    _assert_pieces_match(f0, -1053, -200, 201)
+
+
+def test_pattern_rows_build_each_residue_once(monkeypatch):
+    # Every (p, a mod p) the window meets is built once, and a window whose
+    # shifts were all decided before builds no pattern at all.
+    calls = []
+    pattern = polyring._degree_pattern_mod_p
+    monkeypatch.setattr(
+        polyring, "_degree_pattern_mod_p", lambda f, p: calls.append(p) or pattern(f, p)
+    )
+    f0 = IntPoly((3, -2, 0, 1, 1))
+    polyring._family_pattern_rows.cache_clear()
+    whole = irreducible_shifts(f0, -300, 301)
+    rows = polyring._family_pattern_rows(f0.coeffs)
+    assert len(calls) == sum(int((row >= 0).sum()) for row in rows.values()) > 0
+    built = len(calls)
+    part = irreducible_shifts(f0, -250, -50)
+    assert len(calls) == built
+    assert part == whole[50:250]
+    monkeypatch.undo()
+    assert whole == _one_by_one(f0, -300, 301)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(3, -2, 0, 1, 1), (0, 1, 0, 0, 1), (0, 0, 2, 0, 1), (1, 0, -3, 0, 0, 1)]
+)
+def test_a_pattern_row_reads_zero_exactly_where_p_divides_D(coeffs):
+    # The batch skips a prime where the row reads 0, that is where the
+    # pattern of f0 - r mod p is None; for monic f0 that is where p | D(r).
+    f0 = IntPoly(coeffs)
+    for p in polyring._PATTERN_PRIMES[:12]:
+        for r in range(p):
+            unusable = polyring._degree_pattern_mod_p(ShiftedPoly(f0, r).to_poly(), p) is None
+            assert unusable == (polyring._family_discriminant(f0, r) % p == 0), (coeffs, p, r)
+
+
+def test_a_zero_discriminant_ends_the_prime_walk():
+    # (x^2 + 1)^2 = f0 + 1 has no rational root and D(-1) = 0, so every
+    # prime skips it; once their product exceeds the bound on |D| over the
+    # window the shift is settled, long before the primes run out.
+    f0 = IntPoly((0, 0, 2, 0, 1))
+    polyring._family_pattern_rows.cache_clear()
+    assert irreducible_shifts(f0, -1, 0) == b"\x00"
+    assert len(polyring._family_pattern_rows(f0.coeffs)) < 10
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 1, 0, 1), (4, 0, -5, 0, 1)])
+def test_biquadratic_windows_reach_kronecker(coeffs):
+    # x^4 + x^2 - a and x^4 - 5x^2 + 4 - a split into quadratics without a
+    # rational root at many shifts, so their windows lean on stage 3.
+    _assert_batch_matches(IntPoly(coeffs), -60, 61)
+
+
+def test_a_window_above_int64():
+    f0 = IntPoly((0, 1, 0, 0, 1))
+    _assert_batch_matches(f0, 10**20, 10**20 + 30)
 
 
 @SETTINGS
@@ -134,6 +226,26 @@ def test_decide_matches_one_by_one(coeffs):
     assert ensemble._decide(f0, -70, 71) == _one_by_one(f0, -70, 71)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_decide_matches_one_by_one_on_binomials(d):
+    # x^d + c - a for shifts around a = c, where f0 - a = x^d, and around
+    # perfect powers far out.
+    for c in (-17, -4, -1, 0, 1, 3, 64):
+        f0 = IntPoly((c,) + (0,) * (d - 1) + (1,))
+        for lo in (c - 40, 5**d + c - 20, -(7**d) + c - 20):
+            assert ensemble._decide(f0, lo, lo + 41) == _one_by_one(f0, lo, lo + 41), (d, c, lo)
+
+
+def test_decide_finds_x4_plus_4b4():
+    # x^4 + 4b^4 = (x^2 + 2bx + 2b^2)(x^2 - 2bx + 2b^2): the shifts
+    # a = 3 - 4b^4 of x^4 + 3 are reducible, though -4b^4 is no power.
+    f0 = IntPoly((3, 0, 0, 0, 1))
+    verdicts = ensemble._decide(f0, -2600, 3)
+    assert verdicts == _one_by_one(f0, -2600, 3)
+    reducible = [a for a in range(-2600, 3) if not verdicts[a + 2600]]
+    assert reducible == [3 - 4 * b**4 for b in (5, 4, 3, 2, 1)]
+
+
 def test_decide_keeps_the_non_primitive_error():
     # 2x^3 + 4x - a is not primitive at even a; the per-shift test refuses it.
     f0 = IntPoly((0, 4, 0, 2))
@@ -141,3 +253,19 @@ def test_decide_keeps_the_non_primitive_error():
         is_irreducible_over_Q(f0)
     with pytest.raises(ValueError, match="requires a primitive polynomial"):
         ensemble._decide(f0, -3, 3)
+
+
+def test_the_bench_warm_up_does_not_import_numpy_ma():
+    # x4-sweep's warm-up, reducible_count(x^4 + x, 200), in a fresh
+    # interpreter: np.unique would import numpy.ma lazily, a cost the
+    # warm-up would carry.
+    src = str(Path(polyring.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from polylcm.ensemble import reducible_count\n"
+        "from polylcm.polyring import IntPoly\n"
+        "reducible_count(IntPoly((0, 1, 0, 0, 1)), 200)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
