@@ -26,20 +26,23 @@ mod p.
 
 The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
 over the primes <= N for one shift and raise ZeroValueError at the first
-n <= N with f_a(n) = 0.  The ensembles' batch path takes a whole list of
-shifts and builds one column record of it (``_columns``): the columns of
-the batched ensemble statistics bad, b2, cn and dn, from one pass per prime
-p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p
+n <= N with f_a(n) = 0.  A report scans the family's ``RootTable`` once
+(``RootTable.roots_upto``): the same (p, root) pairs feed the ledger sieve
+and C_N, E_N and D_N, where rho(a; p) is the number of roots at p; ``c_N``
+and ``e_N_d_N`` scan once each.  The ensembles' batch path takes a whole
+list of shifts and builds one column record of it (``_columns``): the
+columns of the batched ensemble statistics bad, b2, cn and dn, from one
+pass per prime p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p
 once.  D(a) mod p, rho(a; p) and so the C_N and D_N terms depend only on
 a mod p, so for p < BRUTE_FORCE_LIMIT they are gathered at a mod p from
 the family's ``TermRows`` of p: whether p | D(r), and the two terms, for
 r = 0..p-1.  The rows are built once per (family, p), D by one Horner pass
 mod p of the family's interpolated polynomial (``polyring._horner_mod``)
-and rho from the RootTable's start row, and are kept with the family
+and rho from the RootTable's rho row, and are kept with the family
 (``_family_term_rows``, the last 8 families).  They cost 17 bytes a
 residue: about 4.7 MB a family for N <= 2000, and at most about 250 MB a
 family (14.6M residues) once N >= BRUTE_FORCE_LIMIT, on top of the
-RootTable's 8 bytes a residue.  At p >= BRUTE_FORCE_LIMIT, D(a) mod p is
+RootTable's 2 bytes a residue.  At p >= BRUTE_FORCE_LIMIT, D(a) mod p is
 evaluated at the shifts and rho is asked shift by shift.  A batch that
 brings fewer than d distinct shifts of a new family completes D's nodes
 from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never
@@ -183,16 +186,19 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
     return total
 
 
-def _density_sums(table: RootTable, a: int, N: int, D: int) -> tuple[float, float, float]:
-    # (C_N, E_N, D_N) in one ascending pass over the primes p <= N.
+def _density_sums(N: int, root_primes: np.ndarray, D: int) -> tuple[float, float, float]:
+    # (C_N, E_N, D_N) in one ascending pass over the primes p <= N, with
+    # rho(a; p) the number of times p occurs in the shift's root scan.
     cn = en = dn = 0.0
     if N >= 2:
+        primes, counts = np.unique(root_primes, return_counts=True)
+        rho = dict(zip(primes.tolist(), counts.tolist()))
         for p in ntkernel.sieve_primes(N):
             log_p = math.log(p)
             if D % p == 0:
                 en += log_p / p
                 continue
-            r = table.rho(a, p)
+            r = rho.get(p, 0)
             if r:
                 cn += r * log_p / (p - 1)
             if r != 1:
@@ -205,7 +211,8 @@ def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]
     if D == 0:
         raise ValueError("discriminant is zero")
     _check_no_zero(f0, a, N)
-    return _density_sums(_family_root_table(f0.coeffs), a, N, D)
+    root_primes = _family_root_table(f0.coeffs).roots_upto(a, N)[0]
+    return _density_sums(N, root_primes, D)
 
 
 def c_N(f0: IntPoly, a: int, N: int) -> float:
@@ -234,8 +241,10 @@ class TermRows(NamedTuple):
     """One family's terms at one prime p < BRUTE_FORCE_LIMIT, a float64 or
     bool entry per residue r = 0..p-1 (17 bytes a residue): whether
     p | D(r), and the C_N and D_N terms of every shift a = r (mod p), +0.0
-    where p | D(r).  A family's rows for every p <= N take about 4.7 MB at
-    N = 2000 and about 250 MB once N >= BRUTE_FORCE_LIMIT."""
+    where p | D(r), the terms read from the family RootTable's rho row.  A
+    family's rows for every p <= N take about 4.7 MB at N = 2000 and about
+    250 MB once N >= BRUTE_FORCE_LIMIT, beside the RootTable's 2 bytes a
+    residue."""
 
     disc: np.ndarray
     cn: np.ndarray
@@ -243,11 +252,11 @@ class TermRows(NamedTuple):
 
 
 def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> TermRows:
-    # The scalar loop's float operations on the rho row of the family's
-    # RootTable, so each gathered term keeps its bits.
+    # The scalar loop's float operations on the family RootTable's rho row,
+    # so each gathered term keeps its bits.
     D = _disc_family(f0_coeffs).fill(()).coeffs
     disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
-    rho = np.diff(_family_root_table(f0_coeffs).start_row(p))
+    rho = _family_root_table(f0_coeffs).rho_row(p)
     log_p = math.log(p)
     rows = TermRows(
         disc=disc,
@@ -472,8 +481,9 @@ def decomposition_report(
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     table = _root_table_for(f0, root_table)
-    values = valengine._abs_values(f, N)
-    alpha, beta, _ = build_ledgers(f, N, root_table=table, _values=values)
+    values = valengine._abs_value_array(f, N)
+    scan = table.roots_upto(a, N)
+    alpha, beta, _ = build_ledgers(f, N, _values=values, _roots=scan)
     if N <= CROSS_CHECK_LIMIT:
         L = lcm_bigint(f, N)
         if beta.product() != L:
@@ -484,7 +494,7 @@ def decomposition_report(
         log_L = ntkernel._plain_sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
         log_L += ntkernel._plain_sum(map(math.log, beta.rest))
 
-    log_p = ntkernel._plain_sum(map(math.log, values))
+    log_p = ntkernel._plain_sum(map(math.log, values.tolist()))
     bad, b1, b2 = _bad_split(table, a, N, _disc_primes(D, N))
     delta = _delta_from_ledgers(alpha, beta, N)
     # Both ledgers key the same primes; the sums take p <= N ascending.
@@ -496,7 +506,7 @@ def decomposition_report(
         if D % p:
             alpha_small_nondisc += alpha.factored[p] * math.log(p)
 
-    cn, en, dn = _density_sums(table, a, N, D)
+    cn, en, dn = _density_sums(N, scan[0], D)
 
     d = f0.degree
     residual = log_L - (d * N * math.log(N) - bad - delta - N * cn) if N >= 2 else log_L

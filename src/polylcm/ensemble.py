@@ -39,10 +39,11 @@ and the moments keep the bits of list loops.  The batch assumes what
 admission guarantees, that every shift is irreducible (D(a) != 0 and no
 integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
 their chunk, one report or ledger per shift.  ``covariance_sigma`` is two
-gathers: sigma(a; p) is a RootTable row length at a mod p less one, read
-for every admitted shift at once, and the products sum to an exact integer.
-An exhaustive window holds one byte or int64 per shift of [-T, T], so 2T + 1
-is held to ``ntkernel.SIEVE_LIMIT_MAX`` before anything is allocated.
+gathers: sigma(a; p) is the family RootTable's rho row (a bincount of p's
+residues) at a mod p less one, read for every admitted shift at once, and
+the products sum to an exact integer.  An exhaustive window holds one
+byte or int64 per shift of [-T, T], so 2T + 1 is held to
+``ntkernel.SIEVE_LIMIT_MAX`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ def covariance_sigma(
 ) -> float:
     """Average of sigma(a;p) * sigma(a;q) over irreducible |a| <= T, by
     direct enumeration: sigma depends on a mod p, so each factor is one
-    gather of the RootTable's row lengths at the admitted shifts mod p.
+    gather of the RootTable's rho row at the admitted shifts mod p.
     include_reducible drops the filter, exposing the exact cancellation over
     complete residue systems mod pq."""
     for r in (p, q):
@@ -390,7 +391,7 @@ def covariance_sigma(
     if not admitted.size:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")
     table = _family_root_table(f0.coeffs)
-    sp, sq = (np.diff(table.start_row(r))[admitted % r] - 1 for r in (p, q))
+    sp, sq = (table.rho_row(r)[admitted % r] - 1 for r in (p, q))
     # An exact integer sum, so the one float division is the only rounding.
     return int((sp * sq).sum()) / admitted.size
 

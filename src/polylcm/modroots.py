@@ -8,6 +8,9 @@ O(d^2 log p) per prime instead of O(p).  Its draws are seeded by the str
 "p:coeffs", which Python hashes with SHA-512 under any PYTHONHASHSEED, and
 whatever it draws, it returns the complete sorted root set: no output
 depends on a seed.  weil_sums gives every S(t, p) from one FFT.
+
+A family's ``RootTable`` keeps f0(x) mod p for every x < p < 2**14 in one
+int16 row, and finds every root mod every p <= N of one shift in one scan.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import functools
 import itertools
 import math
 import random
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateReductionError, InternalConsistencyError
-from .ntkernel import is_prime
+from .ntkernel import is_prime, sieve_primes
 from .polyring import (
     IntPoly,
     PolyLike,
@@ -216,21 +218,25 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
 
 
 class RootTable:
-    """Lazy per-prime preimage map f0(x) mod p -> x; serves roots, rho and
-    sigma for every shift a at lookup cost.
+    """One family's residues f0(x) mod p, serving roots, rho and sigma for
+    every shift a, and every root mod p <= N of one shift in one scan.
 
-    Each prime p < BRUTE_FORCE_LIMIT gets two compact ``array("i")`` rows in
-    CSR (compressed sparse row) form: ``xs`` holds 0 .. p-1 stably sorted by
-    f0(x) mod p, and ``start[v]:start[v + 1]`` is the slice of ``xs`` with
-    f0(x) = v mod p, ascending.  That is 8 bytes per residue; the build is
-    O(p) per prime (a bincount and a radix argsort), paid once per (f0, p).
-    A row's residues are the table's exact int64 values f0(0 .. K-1) mod p,
-    K the next power of two >= p: ``polyring._horner_values`` evaluates
-    them when a prime first needs a longer array, while sum |c_i| (K-1)**i
-    fits int64; past that bound a row takes Horner mod p
-    (``polyring._horner_mod``).  ``rho`` and ``sigma`` read the row length and
-    build no tuple.  Primes >= BRUTE_FORCE_LIMIT fall through to direct
-    root extraction.
+    The residue row is one int16 array, 2 bytes a residue: f0(x) mod p for
+    x = 0 .. p-1, concatenated over the primes p < BRUTE_FORCE_LIMIT in
+    ascending order, so the roots of f0 - a mod p are the x of p's segment
+    whose entry is a mod p, and a shift that makes f0 - a vanish mod p reads
+    all p residues.  The row grows to the largest bound asked, at least
+    doubling the bound it covers, so the primes are never added one at a
+    time.  A growth gathers the table's exact int64 values f0(0 .. K-1), K
+    the next power of two >= its largest prime (``polyring._horner_values``,
+    grown while sum |c_i| (K-1)**i fits int64), at the concatenated x and
+    takes them mod the repeated p; past that bound it runs Horner mod p over
+    the same arrays.  Either pass goes in chunks of about ``_CHUNK``
+    residues.
+
+    ``roots_upto`` compares the row with a mod p once for every prime
+    <= N; ``roots``, ``rho`` and ``rho_row`` read one segment.  Primes
+    >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``).
 
     A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``,
     ``valengine`` and ``ensemble`` read it unless a caller passes its own
@@ -238,64 +244,127 @@ class RootTable:
 
     def __init__(self, f0: IntPoly):
         self.f0 = f0
-        self._tables: dict[int, tuple[array, array]] = {}
+        self._row = np.zeros(0, dtype=np.int16)
+        # The primes of the row and where their segments start (one more
+        # entry: the row's length).
+        self._primes = np.zeros(0, dtype=np.int64)
+        self._starts = np.zeros(1, dtype=np.int64)
+        self._top = 1  # every prime <= _top has its segment
         self._values = np.zeros(0, dtype=np.int64)
 
-    def _rows(self, p: int) -> tuple[array, array]:
-        rows = self._tables.get(p)
-        if rows is None:
-            rows = self._tables[p] = _preimage_rows(self._residues(p), p)
-        return rows
-
-    def _residues(self, p: int) -> np.ndarray:
-        # f0(x) mod p for x = 0 .. p-1.  The exact array holds fewer than 2p
-        # entries for the largest p built, and _coeff_bound(f0, K - 1)
-        # bounds every Horner partial sum over it.
-        if p > len(self._values):
-            K = 1 << (p - 1).bit_length()
-            coeffs = self.f0.coeffs
-            if _coeff_bound(coeffs, K - 1) > np.iinfo(np.int64).max:
-                return _horner_mod(coeffs, np.arange(p, dtype=np.int64), p)
+    def _grow(self, n: int) -> None:
+        # Extend the row to every prime <= min(n, BRUTE_FORCE_LIMIT - 1).
+        n = min(n, BRUTE_FORCE_LIMIT - 1)
+        if n <= self._top:
+            return
+        self._top = min(max(n, 2 * self._top), BRUTE_FORCE_LIMIT - 1)
+        new = sieve_primes(self._top).primes[len(self._primes) :]
+        if not new:
+            return
+        K = 1 << (new[-1] - 1).bit_length()
+        coeffs = self.f0.coeffs
+        exact = _coeff_bound(coeffs, K - 1) <= np.iinfo(np.int64).max
+        if exact and K > len(self._values):
             self._values = np.concatenate(([self.f0(0)], _horner_values(coeffs, K - 1, np.int64)))
-        return self._values[:p] % p
+        row = np.empty(len(self._row) + sum(new), dtype=np.int16)
+        row[: len(self._row)] = self._row
+        at = len(self._row)
+        for run in _runs(new):
+            ps = np.array(run, dtype=np.int64)
+            mods = np.repeat(ps, ps)
+            if exact:
+                res = np.concatenate([self._values[:p] for p in run]) % mods
+            else:
+                x = np.concatenate([np.arange(p, dtype=np.int64) for p in run])
+                res = np.zeros(len(x), dtype=np.int64)
+                for c in reversed(coeffs):
+                    res = (res * x + np.repeat(_mod_primes(c, ps), ps)) % mods
+            row[at : at + len(res)] = res
+            at += len(res)
+        self._row = row
+        added = np.array(new, dtype=np.int64)  # each prime's segment has p entries
+        self._starts = np.concatenate((self._starts, self._starts[-1] + np.cumsum(added)))
+        self._primes = np.concatenate((self._primes, added))
+
+    def _segment(self, p: int) -> np.ndarray:
+        # f0(x) mod p for x = 0 .. p-1, p a prime below BRUTE_FORCE_LIMIT.
+        self._grow(p)
+        i = int(np.searchsorted(self._primes, p))
+        if i == len(self._primes) or self._primes[i] != p:
+            raise ValueError(f"p must be prime, got {p}")
+        return self._row[self._starts[i] : self._starts[i + 1]]
+
+    def roots_upto(self, a: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every (p, r) with p <= N prime and f0(r) = a (mod p), 0 <= r < p,
+        as two int64 arrays sorted by p and then by r: one comparison of the
+        row with a mod p below BRUTE_FORCE_LIMIT, one ``roots_mod_p`` call
+        per prime above it."""
+        self._grow(N)
+        k = int(np.searchsorted(self._primes, N, "right"))
+        primes, starts = self._primes[:k], self._starts[: k + 1]
+        wanted = np.repeat(_mod_primes(a, primes).astype(np.int16), primes)
+        hits = np.flatnonzero(self._row[: starts[-1]] == wanted)
+        at = np.searchsorted(starts, hits, "right") - 1
+        ps, rs = primes[at], hits - starts[at]
+        if N >= BRUTE_FORCE_LIMIT:
+            fa = ShiftedPoly(self.f0, a).to_poly()
+            big = [(p, r) for p in sieve_primes(N).primes[k:] for r in _large_roots(fa, p)]
+            if big:
+                bp, br = np.array(big, dtype=np.int64).T
+                ps, rs = np.concatenate((ps, bp)), np.concatenate((rs, br))
+        return ps, rs
 
     def roots(self, a: int, p: int) -> tuple[int, ...]:
         if p >= BRUTE_FORCE_LIMIT:
-            return roots_mod_p(ShiftedPoly(self.f0, a), p).roots
-        start, xs = self._rows(p)
-        v = a % p
-        return tuple(xs[start[v] : start[v + 1]])
+            return _large_roots(ShiftedPoly(self.f0, a).to_poly(), p)
+        return tuple(np.flatnonzero(self._segment(p) == a % p).tolist())
 
     def rho(self, a: int, p: int) -> int:
-        # The hot lookup: a built prime costs one dict probe and two reads.
-        rows = self._tables.get(p)
-        if rows is None:
-            if p >= BRUTE_FORCE_LIMIT:
-                return roots_mod_p(ShiftedPoly(self.f0, a), p).count
-            rows = self._rows(p)
-        start = rows[0]
-        v = a % p
-        return start[v + 1] - start[v]
+        return len(self.roots(a, p))
 
     def sigma(self, a: int, p: int) -> int:
         return self.rho(a, p) - 1
 
-    def start_row(self, p: int) -> np.ndarray:
-        """The ``start`` row of p < BRUTE_FORCE_LIMIT as a numpy view, no
-        copy: rho(a; p) = row[a % p + 1] - row[a % p], for a whole array of
-        shifts in one gather."""
-        return np.frombuffer(self._rows(p)[0], dtype=np.intc)
+    def rho_row(self, p: int) -> np.ndarray:
+        """rho(a; p) for a = 0 .. p-1, p < BRUTE_FORCE_LIMIT: the bincount of
+        p's segment, so a whole array of shifts reads rho at a mod p in one
+        gather."""
+        return np.bincount(self._segment(p), minlength=p)
 
 
-def _preimage_rows(vals: np.ndarray, p: int) -> tuple[array, array]:
-    # (start, xs) of RootTable for p < BRUTE_FORCE_LIMIT from vals = f0(x)
-    # mod p, x = 0 .. p-1.  They fit int16, where numpy's stable argsort is
-    # a radix sort.  The cumsum runs in the int64 of the counts: cast into
-    # an intc output inside it, it takes twice as long.
-    start = np.zeros(p + 1, dtype=np.intc)
-    start[1:] = np.bincount(vals, minlength=p).cumsum()
-    xs = np.argsort(vals.astype(np.int16), kind="stable").astype(np.intc)
-    return array("i", start.tobytes()), array("i", xs.tobytes())
+# The residues one growth step computes at a time, so its int64
+# temporaries stay near 0.5 MB however far the row grows.
+_CHUNK = 1 << 16
+
+
+def _runs(primes: tuple[int, ...]) -> Iterator[list[int]]:
+    # The primes in consecutive runs of about _CHUNK residues each.
+    run: list[int] = []
+    size = 0
+    for p in primes:
+        run.append(p)
+        size += p
+        if size >= _CHUNK:
+            yield run
+            run, size = [], 0
+    if run:
+        yield run
+
+
+def _mod_primes(c: int, primes: np.ndarray) -> np.ndarray:
+    # c mod p for each p of the int64 array primes, also for c outside int64.
+    if -(2**63) <= c < 2**63:
+        return np.int64(c) % primes
+    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+
+
+def _large_roots(fa: IntPoly, p: int) -> tuple[int, ...]:
+    # The roots of fa mod p >= BRUTE_FORCE_LIMIT; every residue where fa
+    # vanishes mod p.
+    try:
+        return roots_mod_p(fa, p).roots
+    except DegenerateReductionError:
+        return tuple(range(p))
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,30 +3,35 @@
 alpha_p = total p-adic valuation of the product of the values;
 beta_p  = maximum valuation among the values (the exponent of p in the lcm).
 
-Each value |f_a(n)| is evaluated once, with the zero check (``_abs_values``):
-one numpy Horner pass in int64 when B = sum |c_i(f_a)| N**i fits, every
-partial sum being bounded by B, else in exact Python ints
-(``polyring._horner_values``, which ``decomp._column_record`` and the
-``RootTable`` rows also read).  The ledgers and the log P sum read that one
-list.  Small primes (p <= N) are handled by root-sieving: the n with
-p | f_a(n) lie in the residue classes of the roots of f_a mod p, read from
-the family's ``RootTable``, so only those positions are ever divided.
-Whatever is left of each value afterwards is a cofactor with all prime
-factors > N.  One batch GCD over these cofactors gives g_i = gcd(c_i,
-prod_{j != i} c_j) for every cofactor.  It builds the balanced pairwise
-product tree (``_product_tree``, which ``ValuationLedger.product()`` also
-takes) and walks it down by sibling gcds: each node's h = gcd(node, product
-of the leaves outside it) comes from its parent's h times gcd(left, right),
-since for every prime q, min(v_q(child), v_q(h) + v_q(sibling)) is
-unchanged when the sibling is replaced by gcd(left, right).  No node is
-divided by another.  A prime of c_i divides g_i exactly when another
-cofactor holds it, so only g_i is factored: a g_i > 1 and <= N^2 is prime
-(its primes all exceed N), a larger one goes to ``is_prime``, and only a
-composite g_i goes to ``factor``.  What is left of
-c_i after its shared primes, the whole c_i when g_i = 1, shares no prime:
-its primes have alpha_p = beta_p, so the ledgers keep it unfactored, and
-the report reads it through ``product()`` up to the cross-check limit and
-by its log above it.
+Each value |f_a(n)| is evaluated once, with the zero check
+(``_abs_value_array``): one numpy Horner pass in int64 when B = sum
+|c_i(f_a)| N**i fits, every partial sum being bounded by B, else in exact
+Python ints (``polyring._horner_values``, which ``decomp._column_record``
+and the ``RootTable`` rows also read).  The ledgers and the log P sum read
+that one array.  Small primes (p <= N) are handled by root-sieving
+(``_root_sieve``): the n with p | f_a(n) lie in the residue classes of the
+roots of f_a mod p, and every (p, root) pair with p <= N comes from one
+scan of the family's ``RootTable`` (``RootTable.roots_upto``), so only
+those positions are ever divided.  The sieve is array work over all
+positions at once, on the int64 values (dtype=object past int64): one
+divide loop finds each position's valuation e, alpha_p and beta_p are the
+sum and the max of e over p's positions, and each value is divided by the
+p**e of its positions.  Whatever is left of each value afterwards is a
+cofactor with all prime factors > N.  One batch GCD over these cofactors
+gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  It builds the
+balanced pairwise product tree (``_product_tree``, which
+``ValuationLedger.product()`` also takes) and walks it down by sibling
+gcds: each node's h = gcd(node, product of the leaves outside it) comes
+from its parent's h times gcd(left, right), since for every prime q,
+min(v_q(child), v_q(h) + v_q(sibling)) is unchanged when the sibling is
+replaced by gcd(left, right).  No node is divided by another.  A prime of
+c_i divides g_i exactly when another cofactor holds it, so only g_i is
+factored: a g_i > 1 and <= N^2 is prime (its primes all exceed N), a larger
+one goes to ``is_prime``, and only a composite g_i goes to ``factor``.
+What is left of c_i after its shared primes, the whole c_i when g_i = 1,
+shares no prime: its primes have alpha_p = beta_p, so the ledgers keep it
+unfactored, and the report reads it through ``product()`` up to the
+cross-check limit and by its log above it.
 
 ``alpha_p``, ``beta_p`` and ``alpha_approx_residual`` at a single prime lift
 the roots mod p level by level instead (``_level_hits``), evaluating no
@@ -124,41 +129,23 @@ def build_ledgers(
     N: int,
     root_table: RootTable | None = None,
     *,
-    _values: list[int] | None = None,
+    _values: np.ndarray | None = None,
+    _roots: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
     """The (alpha, beta) ledgers of f on [1, N] (see ``ValuationLedger``),
     plus the cofactor list (one per n: the part of |f(n)| left after
     removing primes <= N).  Only the shared primes of the cofactors are
     factored (``_split_shared``).  The roots mod p come from root_table when
     it belongs to f's family, else from the family's shared table.
-    ``_values`` is the caller's ``_abs_values(f, N)``; it is not modified."""
+    ``_values`` is the caller's ``_abs_value_array(f, N)``, not modified,
+    and ``_roots`` its ``roots_upto(f.shift, N)`` scan of that table."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    values = _abs_values(f, N) if _values is None else list(_values)
-    alpha: dict[int, int] = {}
-    beta: dict[int, int] = {}
-    table = _root_table_for(f.base, root_table)
-    if N >= 2:
-        for p in ntkernel.sieve_primes(N):
-            roots = table.roots(f.shift, p)
-            tot = 0
-            mx = 0
-            for r in roots:
-                start = r if r >= 1 else p
-                for n in range(start, N + 1, p):
-                    v = values[n - 1]
-                    e = 0
-                    while v % p == 0:
-                        v //= p
-                        e += 1
-                    values[n - 1] = v
-                    tot += e
-                    if e > mx:
-                        mx = e
-            if tot:
-                alpha[p] = tot
-                beta[p] = mx
-    cofactors = values
+    values = _abs_value_array(f, N) if _values is None else _values.copy()
+    if _roots is None:
+        _roots = _root_table_for(f.base, root_table).roots_upto(f.shift, N)
+    alpha, beta = _root_sieve(values, N, *_roots)
+    cofactors = values.tolist()
     big = [v for v in cofactors if v > 1]
     rest = []
     for v, g in zip(big, _shared_gcds(big)):
@@ -172,6 +159,40 @@ def build_ledgers(
             rest.append(v)
     unshared = tuple(rest)
     return ValuationLedger(alpha, unshared), ValuationLedger(beta, unshared), cofactors
+
+
+def _root_sieve(
+    values: np.ndarray, N: int, primes: np.ndarray, roots: np.ndarray
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(alpha, beta) at the primes p <= N, ascending, from the (p, root)
+    pairs of ``RootTable.roots_upto``, sorted by p.  Every position n <= N
+    with n = root (mod p) is divided by p at once, one loop over all
+    positions, and values (|f(1)|, ..., |f(N)|, int64 or object) is left
+    holding the cofactors: each |f(n)| over the p**e of its positions.
+    alpha_p sums and beta_p maxes the e of p's positions; p is listed when
+    it has a root, and then it divides some value, as root < p <= N."""
+    if not len(primes):
+        return {}, {}
+    first = np.where(roots > 0, roots, primes)  # the least n >= 1 of each class
+    counts = (N - first) // primes + 1
+    offsets = np.cumsum(counts) - counts  # where each pair's positions begin
+    pair = np.repeat(np.arange(len(primes)), counts)
+    n = first[pair] + (np.arange(len(pair)) - offsets[pair]) * primes[pair]
+    p = primes[pair].astype(values.dtype)
+    v = values[n - 1]
+    e = np.zeros(len(n), dtype=np.int64)
+    live = np.arange(len(n))
+    while live.size:
+        live = live[v[live] % p[live] == 0]
+        v[live] //= p[live]
+        e[live] += 1
+    np.floor_divide.at(values, n - 1, p**e)
+    head = np.flatnonzero(np.diff(primes, prepend=0))  # each prime's first pair
+    heads = offsets[head]
+    ps = primes[head].tolist()
+    alpha = dict(zip(ps, np.add.reduceat(e, heads).tolist()))
+    beta = dict(zip(ps, np.maximum.reduceat(e, heads).tolist()))
+    return alpha, beta
 
 
 def _shared_gcds(cs: list[int]) -> list[int]:
@@ -217,16 +238,22 @@ def _split_shared(c: int, g: int, N: int) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(out), c
 
 
-def _abs_values(f: ShiftedPoly, N: int) -> list[int]:
-    """[|f(1)|, ..., |f(N)|] as Python ints; raises ZeroValueError at the
-    first f(n) = 0."""
+def _abs_value_array(f: ShiftedPoly, N: int) -> np.ndarray:
+    """|f(1)|, ..., |f(N)| as one int64 array while the coefficient bound
+    fits, else dtype=object; raises ZeroValueError at the first f(n) = 0."""
     coeffs = f.to_poly().coeffs
     fits = _coeff_bound(coeffs, N) <= np.iinfo(np.int64).max
     values = _horner_values(coeffs, N, np.int64 if fits else object)
     zeros = np.flatnonzero(values == 0)
     if zeros.size:
         raise ZeroValueError(int(zeros[0]) + 1)
-    return np.abs(values).tolist()
+    return np.abs(values)
+
+
+def _abs_values(f: ShiftedPoly, N: int) -> list[int]:
+    """[|f(1)|, ..., |f(N)|] as Python ints; raises ZeroValueError at the
+    first f(n) = 0."""
+    return _abs_value_array(f, N).tolist()
 
 
 def log_P(f: ShiftedPoly, N: int) -> float:

@@ -631,20 +631,47 @@ class TestDecompositionReport:
         assert rep.irreducible and rep.identity_ok()
         assert len(calls) <= 1
 
-    def test_cold_family_one_table_build(self, monkeypatch):
-        # Reports without a caller's table share the family's RootTable, so
-        # a second shift of the family builds no preimage rows again.
+    def test_cold_family_one_table_build(self):
+        # Reports without a caller's table share the family's RootTable: the
+        # first grows its residue row to the primes <= N in one step, and a
+        # second shift of the family grows nothing.
         f0 = IntPoly((3, -4, 0, 2, 0, 1))  # x^5 + 2x^3 - 4x + 3
-        builds = []
-        build = modroots._preimage_rows
-        monkeypatch.setattr(
-            modroots, "_preimage_rows", lambda c, p: builds.append(p) or build(c, p)
-        )
         modroots._family_root_table.cache_clear()
         N = 150
-        for a in (1, 5):
-            assert decomposition_report(f0, a, N).identity_ok()
-        assert builds == list(ntkernel.sieve_primes(N))
+        assert decomposition_report(f0, 1, N).identity_ok()
+        table = modroots._family_root_table(f0.coeffs)
+        row = table._row
+        assert table._primes.tolist() == list(ntkernel.sieve_primes(N))
+        assert decomposition_report(f0, 5, N).identity_ok()
+        assert table._row is row
+
+    def test_one_root_scan_per_call(self, x3, x3_plus_2x, monkeypatch):
+        # The report's ledger sieve and its C_N/E_N/D_N sums read one scan of
+        # the roots mod every p <= N; c_N and e_N_d_N make one scan each.
+        scans = []
+        scan = modroots.RootTable.roots_upto
+        monkeypatch.setattr(
+            modroots.RootTable, "roots_upto", lambda t, a, N: scans.append((a, N)) or scan(t, a, N)
+        )
+        for f0, a, N in ((x3, 2, 300), (x3_plus_2x, 7, 120)):
+            scans.clear()
+            decomposition_report(f0, a, N)
+            assert scans == [(a, N)], (f0, a, N)
+            for term in (c_N, e_N_d_N):
+                scans.clear()
+                term(f0, a, N)
+                assert scans == [(a, N)], (term.__name__, f0, a, N)
+
+    def test_one_root_search_per_large_prime(self, x3, monkeypatch):
+        # Above BRUTE_FORCE_LIMIT the report asks roots_mod_p once per prime;
+        # the discriminant primes of x^3 - 98766 are 2, 3, 31 and 59.
+        calls = []
+        find = modroots.roots_mod_p
+        monkeypatch.setattr(modroots, "roots_mod_p", lambda f, p: calls.append(p) or find(f, p))
+        N = 17000
+        assert decomposition_report(x3, 98766, N).identity_ok()
+        top = ntkernel.sieve_primes(N).primes
+        assert calls == [p for p in top if p >= modroots.BRUTE_FORCE_LIMIT]
 
     def test_bad_split_matches_bad_N(self, x3, x3_plus_2x):
         # Bad and B1 of the report against trial division of every value at

@@ -407,17 +407,18 @@ class TestCovarianceSigma:
 
     def test_one_table_build_per_family(self, monkeypatch):
         # Every covariance of a family reads its shared RootTable, so the
-        # p = 11 preimage rows are built once for three calls.
+        # residues of each prime, p = 11 included, are computed once for
+        # three calls; a rho row is one bincount of a prime's segment.
         x4x = IntPoly((0, 1, 0, 0, 1))
         builds = []
-        build = modroots._preimage_rows
+        runs = modroots._runs
         monkeypatch.setattr(
-            modroots, "_preimage_rows", lambda c, p: builds.append(p) or build(c, p)
+            modroots, "_runs", lambda primes: builds.extend(primes) or runs(primes)
         )
         modroots._family_root_table.cache_clear()
         for q in (13, 17, 31):
             covariance_sigma(x4x, 11, q, 200)
-        assert builds == [11, 13, 17, 31]
+        assert builds == list(ntkernel.sieve_primes(max(builds))) and builds[-1] >= 31
 
     @pytest.mark.parametrize("include_reducible", [False, True])
     @pytest.mark.parametrize("seed", [31, 32, 33])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -358,30 +359,115 @@ class TestRootTable:
         assert table.roots(4, 7) == () and table.rho(4, 7) == 0
 
     def test_memory_is_compact(self, x3):
-        # Every x^3 table up to 2000 is two int rows per prime, about 2.4 MB
-        # at peak; the per-prime dict of tuples it replaced peaked at 26 MB.
+        # The x^3 table up to 2000 is one int16 residue row, 2 bytes for
+        # each of its 277,050 residues; grown in chunks, it peaks under
+        # 3 MB.  The CSR rows it replaced took 8 bytes a residue and about
+        # 2.4 MB at peak, and the per-prime dict of tuples before them 26 MB.
         primes = sieve_primes(2000).primes
         tracemalloc.start()
         try:
             table = RootTable(x3)
+            table.roots_upto(1, 2000)
             for p in primes:
                 table.rho(1, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20, peak
+        assert sum(primes) == 277_050
+        assert table._row.dtype == np.int16 and table._row.size == 277_050
+        assert peak < 3 * 2**20, peak
+
+
+class TestRootScan:
+    # RootTable.roots_upto against roots_mod_p at every prime p <= N, with
+    # every residue where f0 - a vanishes mod p.
+
+    @staticmethod
+    def _direct(f0, a, N):
+        pairs = []
+        for p in sieve_primes(max(N, 2)).upto(N):
+            try:
+                roots = roots_mod_p(ShiftedPoly(f0, a), p).roots
+            except DegenerateReductionError:
+                roots = range(p)
+            pairs += [(p, r) for r in roots]
+        return pairs
+
+    @staticmethod
+    def _scan(table, a, N):
+        primes, roots = table.roots_upto(a, N)
+        assert primes.dtype == roots.dtype == np.int64
+        return list(zip(primes.tolist(), roots.tolist()))
+
+    def test_matches_roots_mod_p_on_random_families(self):
+        # The families and shifts of TestRootTable's hypothesis test, each
+        # table scanned at several N so that it grows between scans.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        big = 2**63 + 12345
+        coeff = st.integers(-30, 30) | st.integers(-(2**70), 2**70)
+        leading = st.sampled_from((1, -1, 2, -3, 5, -12, big, -big))
+        shift = st.integers(-50, 50) | st.integers(-(10**12), 10**12)
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(
+            d=st.integers(2, 8),
+            data=st.data(),
+            shifts=st.lists(shift, min_size=1, max_size=4),
+            x0=st.integers(-(10**6), 10**6),
+            bounds=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+        )
+        def check(d, data, shifts, x0, bounds):
+            lower = data.draw(st.lists(coeff, min_size=d, max_size=d))
+            f0 = IntPoly(tuple(lower) + (data.draw(leading),))
+            table = RootTable(f0)
+            for a, N in zip(shifts + [f0(x0)], itertools.cycle(bounds)):
+                assert self._scan(table, a, N) == self._direct(f0, a, N), (f0, a, N)
+
+        check()
+
+    def test_degenerate_shifts(self):
+        # 7x^3 + 14x + 3 - a vanishes mod 7 when a = 3 (mod 7), and
+        # 16411 (x^3 + x) + 5 - a mod 16411 when a = 5 (mod 16411): both
+        # scans list every residue there, as roots does.
+        f0 = IntPoly((3, 14, 0, 7))
+        table = RootTable(f0)
+        for a in (3, 10, -4, 7 * 10**12 + 3, 4):
+            assert self._scan(table, a, 60) == self._direct(f0, a, 60), a
+        assert [r for p, r in self._scan(table, 3, 60) if p == 7] == list(range(7))
+        big = IntPoly((5, 16411, 0, 16411))
+        table = RootTable(big)
+        pairs = self._scan(table, 5 - 2 * 16411, 16411)
+        assert [r for p, r in pairs if p == 16411] == list(range(16411))
+        assert table.roots(5, 16411) == tuple(range(16411)) and table.rho(5, 16411) == 16411
+        assert pairs == self._direct(big, 5 - 2 * 16411, 16411)
+
+    def test_shifts_beyond_int64(self):
+        # a mod p is taken in Python ints when a does not fit int64.
+        f0 = IntPoly((1, -2, 0, 1))
+        table = RootTable(f0)
+        for a in (2**63, -(2**63) - 1, 2**64 + 3, -(3**50), f0(2**40)):
+            assert self._scan(table, a, 300) == self._direct(f0, a, 300), a
+
+    def test_crossing_brute_force_limit(self, x3_plus_2x):
+        # Above BRUTE_FORCE_LIMIT every prime's roots come from roots_mod_p.
+        N = BRUTE_FORCE_LIMIT + 120
+        table = RootTable(x3_plus_2x)
+        for a in (7, -123456789):
+            assert self._scan(table, a, N) == self._direct(x3_plus_2x, a, N), a
+        assert table._primes[-1] == sieve_primes(BRUTE_FORCE_LIMIT).primes[-1]
 
 
 class TestExactRows:
-    # A row's residues are read from f0(0 .. K-1), kept in int64, while
-    # sum |c_i| (K-1)**i fits, K the next power of two >= p; past that
-    # bound they come from Horner mod p.  Either way the row is the one
-    # that Horner mod p gives.
+    # A row segment's residues are read from f0(0 .. K-1), kept in int64,
+    # while sum |c_i| (K-1)**i fits, K the next power of two >= the largest
+    # prime of the growth; past that bound they come from Horner mod p.
+    # Either way the segment is the one that Horner mod p gives.
     TARGETS = [2**63 - 2, 2**63 - 1, 2**63]
 
     @staticmethod
-    def _horner_rows(f0, p):
-        return modroots._preimage_rows(_horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p), p)
+    def _horner_row(f0, p):
+        return _horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p).tolist()
 
     @staticmethod
     def _coeffs_at_bound(rng, d, N, B):
@@ -408,7 +494,9 @@ class TestExactRows:
             for cs in (coeffs, same, tuple(-c for c in same)):
                 f0 = IntPoly(cs)
                 table = RootTable(f0)
-                assert table._rows(p) == self._horner_rows(f0, p), (cs, p)
+                # A fresh table grows to p itself, its largest prime.
+                assert table._segment(p).tolist() == self._horner_row(f0, p), (cs, p)
+                assert table._primes[-1] == p
                 exact = table._values.tolist()
                 if B <= 2**63 - 1:
                     assert exact == [eval_poly(cs, x) for x in range(K)], (cs, p)
@@ -424,11 +512,11 @@ class TestExactRows:
             f0 = IntPoly(tuple(rng.randint(-9, 9) for _ in range(6)) + (rng.choice((9, -12)),))
             table = RootTable(f0)
             primes = [p for p in sieve_primes(1000).primes if rng.random() < 0.3]
-            top = 0
             for p in primes + primes[::-1][:5]:
-                assert table._rows(p) == self._horner_rows(f0, p), (f0, p)
-                top = max(top, p)
-                assert len(table._values) <= 2 * top, (f0, p)
+                assert table._segment(p).tolist() == self._horner_row(f0, p), (f0, p)
+                assert len(table._values) <= 2 * table._primes[-1], (f0, p)
             K = len(table._values)
-            assert K == 512
+            assert K == 512 and table._primes[-1] > K
             assert table._values.tolist() == [f0(x) for x in range(K)]
+            for p in table._primes.tolist():
+                assert table._segment(p).tolist() == self._horner_row(f0, p), (f0, p)

@@ -222,6 +222,58 @@ class TestLedgers:
         assert prime_map(a1) == prime_map(a2)
 
 
+class TestRootSieve:
+    # The array sieve's alpha, beta and cofactors against trial division of
+    # every value by every prime <= N.
+
+    @staticmethod
+    def _check(f, N):
+        values = valengine._abs_value_array(f, N)
+        alpha, beta = valengine._root_sieve(values, N, *RootTable(f.base).roots_upto(f.shift, N))
+        direct = [abs(v) for v in _values(f, N)]
+        primes = [p for p in trial_primes(N) if any(v % p == 0 for v in direct)]
+        assert list(alpha) == list(beta) == primes, (f, N)
+        for p in primes:
+            assert alpha[p] == alpha_direct(direct, p), (f, N, p)
+            assert beta[p] == beta_direct(direct, p), (f, N, p)
+        cofactors = []
+        for v in direct:
+            for p in primes:
+                while v % p == 0:
+                    v //= p
+            cofactors.append(v)
+        assert values.tolist() == cofactors, (f, N)
+        return values, beta
+
+    def test_int64_values(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            f = _random_shift(rng, dmin=2, dmax=6)
+            N = rng.randint(1, 300)
+            if 0 in _values(f, N):
+                continue
+            assert self._check(f, N)[0].dtype == np.int64
+
+    def test_values_past_int64(self):
+        rng = random.Random(4343)
+        for _ in range(8):
+            d = rng.randint(5, 8)
+            f0 = IntPoly(tuple(rng.randint(-(10**12), 10**12) for _ in range(d)) + (3,))
+            f = ShiftedPoly(f0, rng.randint(-100, 100))
+            if 0 in _values(f, 200):
+                continue
+            assert self._check(f, 200)[0].dtype == object
+
+    @pytest.mark.parametrize("k", [58, 62, 63, 90])
+    def test_deep_2_adic_valuations(self, x3, k):
+        # x^3 - a with f(3) = 27 - a = 2**k: one value holds 2**k, and every
+        # n = 3 (mod 2**j) holds at least 2**j.  From k = 63 the bound
+        # 300**3 + |a| is past int64.
+        values, beta = self._check(ShiftedPoly(x3, 27 - 2**k), 300)
+        assert beta[2] == k
+        assert values.dtype == (np.int64 if k <= 62 else object)
+
+
 class TestBatchGcd:
     POOL = trial_primes(3000)[300:]  # primes in (1987, 3000]
 
