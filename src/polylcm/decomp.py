@@ -11,8 +11,8 @@ the identity to 1e-6 relative; up to CROSS_CHECK_LIMIT the big-integer
 lcm engine (a balanced pairwise math.lcm tree over the values) is also run
 and compared bit-for-bit against the ledger product.  The report evaluates
 each value once, by the ledger engine's numpy Horner pass
-(``valengine._abs_values``), and hands that list to the ledgers and the
-log P sum; the lcm engine evaluates the values again by its own plain-int
+(``valengine._abs_value_array``), and hands that array to the ledgers and
+the log P sum; the lcm engine evaluates the values again by its own plain-int
 Horner loop, so a fault in the int64 pass fails the gate.  Float sums are
 added one term at a time (``ntkernel._plain_sum``), so their bits do not
 depend on the interpreter's sum().  A ledger holds only its prime-keyed
@@ -34,16 +34,13 @@ list of shifts and builds one column record of it (``_columns``): the
 columns of the batched ensemble statistics bad, b2, cn and dn, from one
 pass per prime p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p
 once.  D(a) mod p, rho(a; p) and so the C_N and D_N terms depend only on
-a mod p, so for p < BRUTE_FORCE_LIMIT they are gathered at a mod p from
-the family's ``TermRows`` of p: whether p | D(r), and the two terms, for
-r = 0..p-1.  The rows are built once per (family, p), D by one Horner pass
-mod p of the family's interpolated polynomial (``polyring._horner_mod``)
-and rho from the RootTable's rho row, and are kept with the family
-(``_family_term_rows``, the last 8 families).  They cost 17 bytes a
-residue: about 4.7 MB a family for N <= 2000, and at most about 250 MB a
-family (14.6M residues) once N >= BRUTE_FORCE_LIMIT, on top of the
-RootTable's 2 bytes a residue.  At p >= BRUTE_FORCE_LIMIT, D(a) mod p is
-evaluated at the shifts and rho is asked shift by shift.  A batch that
+a mod p, so for p < BRUTE_FORCE_LIMIT they are read from the family's
+term row of p (``_term_rows``: rho(r; p) + 1, or 0 where p | D(r), for
+r = 0..p-1), built once per (family, p) and kept with the family
+(``_family_term_rows``, the last 8 families), through two lookups per
+prime built for each record (``_term_lookups``).  At p >= BRUTE_FORCE_LIMIT,
+D(a) mod p is evaluated at the shifts and the same entry is built shift by
+shift from table.rho.  A batch that
 brings fewer than d distinct shifts of a new family completes D's nodes
 from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never
 do.  Bad_N is counted instead of lifted:
@@ -237,44 +234,42 @@ def _shift_array(shifts: Sequence[int] | np.ndarray) -> np.ndarray:
         return np.array(shifts, dtype=object)
 
 
-class TermRows(NamedTuple):
-    """One family's terms at one prime p < BRUTE_FORCE_LIMIT, a float64 or
-    bool entry per residue r = 0..p-1 (17 bytes a residue): whether
-    p | D(r), and the C_N and D_N terms of every shift a = r (mod p), +0.0
-    where p | D(r), the terms read from the family RootTable's rho row.  A
-    family's rows for every p <= N take about 4.7 MB at N = 2000 and about
-    250 MB once N >= BRUTE_FORCE_LIMIT, beside the RootTable's 2 bytes a
-    residue."""
-
-    disc: np.ndarray
-    cn: np.ndarray
-    dn: np.ndarray
-
-
-def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> TermRows:
-    # The scalar loop's float operations on the family RootTable's rho row,
-    # so each gathered term keeps its bits.
+def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> np.ndarray:
+    """One family's term row at a prime p < BRUTE_FORCE_LIMIT: for each
+    residue r = 0..p-1, rho(r; p) + 1 from the family RootTable's rho row,
+    or 0 where p | D(r), so a shift a reads its C_N and D_N terms at
+    a mod p.  Where p does not divide D(r), rho(r; p) <= d, so the entries
+    fit the smallest unsigned dtype holding d + 1: one byte a residue up to
+    degree 254.  A family's rows for every p <= N take about 0.28 MB at
+    N = 2000 and about 14.6 MB (14.6M residues) once N >= BRUTE_FORCE_LIMIT,
+    beside the RootTable's 2 bytes a residue."""
     D = _disc_family(f0_coeffs).fill(()).coeffs
     disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
     rho = _family_root_table(f0_coeffs).rho_row(p)
-    log_p = math.log(p)
-    rows = TermRows(
-        disc=disc,
-        cn=np.where(disc, 0.0, rho * log_p / (p - 1)),
-        dn=np.where(disc, 0.0, (rho - 1) * log_p / p),
-    )
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+    row = np.where(disc, 0, rho + 1).astype(np.min_scalar_type(len(f0_coeffs)))
+    row.flags.writeable = False
+    return row
+
+
+def _term_lookups(primes: Sequence[int], d: int) -> tuple[np.ndarray, np.ndarray]:
+    # The C_N and D_N terms of a degree-d family, one row per prime and one
+    # column per term-row entry: +0.0 at entry 0, and at entry rho + 1 the
+    # scalar loop's rho * log_p / (p - 1) and (rho - 1) * log_p / p with
+    # log_p = math.log(p), so every gathered term keeps its bits.
+    p = np.array(primes, dtype=np.float64)[:, None]
+    log_p = np.array([math.log(q) for q in primes])[:, None]
+    rho = np.arange(d + 1, dtype=np.float64)
+    zero = np.zeros((len(primes), 1))
+    return np.hstack((zero, rho * log_p / (p - 1))), np.hstack((zero, (rho - 1) * log_p / p))
 
 
 class _FamilyTermRows(dict):
-    # p -> TermRows of one family, each built the first time it is read.
+    # p -> term row of one family, each built the first time it is read.
     def __init__(self, f0_coeffs: tuple[int, ...]):
         super().__init__()
         self.f0_coeffs = f0_coeffs
 
-    def __missing__(self, p: int) -> TermRows:
+    def __missing__(self, p: int) -> np.ndarray:
         rows = self[p] = _term_rows(self.f0_coeffs, p)
         return rows
 
@@ -289,9 +284,9 @@ def _disc_masks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
     # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: below BRUTE_FORCE_LIMIT the mask is the family's disc row
-    # gathered at a mod p, above it one Horner pass mod p over the family's
-    # interpolated D at the shifts themselves.
+    # a mod p: below BRUTE_FORCE_LIMIT the mask is where the family's term
+    # row is 0, gathered at a mod p, above it one Horner pass mod p over the
+    # family's interpolated D at the shifts themselves.
     if N < 2 or not len(shifts):
         return
     D = _disc_family(f0.coeffs).fill(map(int, shifts)).coeffs
@@ -299,7 +294,7 @@ def _disc_masks(
     a = _shift_array(shifts)
     for p in ntkernel.sieve_primes(N):
         v = (a % p).astype(np.int64, copy=False)
-        disc = rows[p].disc[v] if p < BRUTE_FORCE_LIMIT else _horner_mod(D, v, p) == 0
+        disc = (rows[p] == 0)[v] if p < BRUTE_FORCE_LIMIT else _horner_mod(D, v, p) == 0
         yield p, v, disc
 
 
@@ -337,13 +332,12 @@ def _column_record(
     with the scalar loops' float operations (r * log_p / (p - 1),
     (r - 1) * log_p / p, hsum * log_p and hits_1 * log_p, with
     log_p = math.log(p)), and each column takes its terms in ascending p by
-    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  For
-    p < BRUTE_FORCE_LIMIT the C_N and D_N terms are gathered at a mod p from
-    the family's TermRows, built once per (family, p) and kept with the
-    family (_family_term_rows, the last 8 families): 17 bytes a residue,
-    about 4.7 MB a family for N <= 2000 and about 250 MB once
-    N >= BRUTE_FORCE_LIMIT.  Primes >= BRUTE_FORCE_LIMIT ask table.rho shift
-    by shift.
+    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  The
+    C_N and D_N terms are read from the record's lookups (_term_lookups) at
+    each shift's term-row entry: for p < BRUTE_FORCE_LIMIT the lookups are
+    expanded over the family's term row of p (_term_rows) and gathered at
+    a mod p; from there on the entry is built shift by shift, 0 where
+    p | D(a), else table.rho + 1.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits
@@ -375,17 +369,19 @@ def _column_record(
         values = _horner_values(f0_coeffs, N, dtype)
         a = shifts.astype(dtype, copy=False)
     zero_shift = n
-    for p, v, disc in _disc_masks(IntPoly(f0_coeffs), shifts, N):
+    primes = ntkernel.sieve_primes(N) if N >= 2 else ()
+    masks = _disc_masks(IntPoly(f0_coeffs), shifts, N)
+    for (p, v, disc), cn_at, dn_at in zip(masks, *_term_lookups(primes, len(f0_coeffs) - 1)):
         log_p = math.log(p)
         if p < BRUTE_FORCE_LIMIT:
-            cn += rows[p].cn[v]
-            dn += rows[p].dn[v]
+            # The terms of p's residues, gathered at a mod p.
+            cn_at, dn_at, at = cn_at[rows[p]], dn_at[rows[p]], v
         else:
-            r = np.array(
-                [0 if d else table.rho(s, p) for s, d in zip(shifts.tolist(), disc.tolist())]
+            at = np.array(
+                [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())]
             )
-            cn += np.where(disc, 0.0, r * log_p / (p - 1))
-            dn += np.where(disc, 0.0, (r - 1) * log_p / p)
+        cn += cn_at[at]
+        dn += dn_at[at]
         live = np.flatnonzero(disc)
         hsum = np.zeros(n, dtype=np.int64)
         pk = p

@@ -25,11 +25,10 @@ until another (f0, shifts, N) is asked for, so the four statistics of one
 window share a pass.  An exhaustive average hands over the admitted int64
 array as it is, and the record is keyed by its bytes; only sampled shifts
 outside int64 are keyed as a tuple.  For p < BRUTE_FORCE_LIMIT the record
-gathers each shift's C_N and D_N terms and its D(a) = 0 (mod p) mask at
-a mod p from rows kept per family and prime (``decomp.TermRows``, 17 bytes
-a residue: about 4.7 MB a family at N = 2000, about 250 MB once
-N >= BRUTE_FORCE_LIMIT), so the windows of one family build each prime's
-rows once.  Bad_N is counted, not lifted: the level hits
+reads each shift's C_N and D_N terms and its D(a) = 0 (mod p) mask at
+a mod p from term rows kept per family and prime (``decomp._term_rows``
+states their format and cost), so the windows of one family build each
+prime's row once.  Bad_N is counted, not lifted: the level hits
 #{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
 come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
 lifting its roots, which is cheaper for one shift.  The values keep the

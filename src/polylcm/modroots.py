@@ -288,6 +288,8 @@ class RootTable:
 
     def _segment(self, p: int) -> np.ndarray:
         # f0(x) mod p for x = 0 .. p-1, p a prime below BRUTE_FORCE_LIMIT.
+        if p >= BRUTE_FORCE_LIMIT:
+            raise ValueError(f"p must be below BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}, got {p}")
         self._grow(p)
         i = int(np.searchsorted(self._primes, p))
         if i == len(self._primes) or self._primes[i] != p:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from polylcm import cli, decomp, modroots, ntkernel, polyring, valengine
@@ -491,10 +493,10 @@ class TestBatchColumns:
 
     def test_gathered_masks_match_the_exact_discriminant(self):
         # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _disc_masks gathers
-        # the family's disc row (D mod p over the residues 0..p-1, built
-        # once) at a mod p.  The mask is the Newton form's at a mod p, and
-        # p | D(a) for the exact D(a); hit asks that some shift is masked
-        # both below and from len(shifts) on.
+        # the zeros of the family's term row (built once over the residues
+        # 0..p-1) at a mod p.  The mask is the Newton form's at a mod p, and
+        # p | D(a) for the exact D(a); hit asks that some shift is masked at
+        # primes both below and from len(shifts) on, all of them gathered.
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
         family = polyring._disc_family(f0.coeffs)
@@ -509,10 +511,10 @@ class TestBatchColumns:
 
 
 class TestTermRowLimit:
-    # Below BRUTE_FORCE_LIMIT the record gathers the family's TermRows at
-    # a mod p (the disc mask and the C_N and D_N terms); from there on it
+    # Below BRUTE_FORCE_LIMIT the record reads the disc mask and the C_N and
+    # D_N terms at a mod p from the family's term row; from there on it
     # evaluates D at the shifts and asks table.rho shift by shift.  The
-    # limit is lowered so that primes <= 60 take both paths.
+    # limit is lowered so that primes <= 60 take both sides.
     @pytest.fixture
     def limit(self, monkeypatch):
         monkeypatch.setattr(decomp, "BRUTE_FORCE_LIMIT", 20)
@@ -533,6 +535,50 @@ class TestTermRowLimit:
     def test_columns_equal_single_shift_terms(self, x3_plus_2x, limit):
         shifts = TestBatchColumns._irreducible_shifts(random.Random(20), x3_plus_2x, 40, wide=False)
         TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts, 60)
+
+
+class TestTermRowFormat:
+    # A family's kept term rows take one byte a residue, and the record's
+    # C_N and D_N lookups hold the scalar loop's terms bit for bit.
+    FAMILIES = (IntPoly((0, 1, 0, 0, 1)), IntPoly((1, 1, 0, 2)))  # x^4 + x, 2x^3 + x + 1
+
+    def test_rows_keep_at_most_one_and_a_half_bytes_a_residue(self):
+        # Every row of x^4 + x for N = 2^14 + 100: 14.6M residues.  The
+        # family's RootTable and D are grown first, so only the rows count.
+        f0 = self.FAMILIES[0]
+        limit = modroots.BRUTE_FORCE_LIMIT
+        primes = ntkernel.sieve_primes(limit + 100).upto(limit - 1)
+        modroots._family_root_table(f0.coeffs).rho_row(primes[-1])
+        polyring._disc_family(f0.coeffs).fill(())
+        decomp._family_term_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = decomp._family_term_rows(f0.coeffs)
+            for p in primes:
+                rows[p]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(primes) and sum(primes) == 14_584_641
+        assert kept <= 1.5 * sum(primes), kept
+
+    @pytest.mark.parametrize("f0", FAMILIES, ids=["monic", "non-monic"])
+    def test_lookups_equal_the_scalar_terms(self, f0, monkeypatch):
+        # Entry k + 1 of p's lookups against _density_sums at p alone (the
+        # sieve patched to yield only p) with rho = k roots at p and p not
+        # dividing D = 1; entry 0 against D = p.
+        primes = ntkernel.sieve_primes(modroots.BRUTE_FORCE_LIMIT).primes
+        d = f0.degree
+        cn, dn = decomp._term_lookups(primes, d)
+        assert cn.shape == dn.shape == (len(primes), d + 2)
+        assert decomp._term_rows(f0.coeffs, 7).dtype == np.uint8
+        monkeypatch.setattr(ntkernel, "sieve_primes", lambda N: (N,))
+        for i, p in enumerate(primes):
+            want = [decomp._density_sums(p, np.full(k, p), 1) for k in range(d + 1)]
+            want = [decomp._density_sums(p, np.full(0, p), p), *want]
+            got = [(c.hex(), t.hex()) for c, t in zip(cn[i].tolist(), dn[i].tolist())]
+            assert got == [(c.hex(), t.hex()) for c, _, t in want], p
 
 
 class TestValueBudget:

@@ -483,8 +483,9 @@ class TestColumnRecord:
 
 
 class TestTermRows:
-    # Below len(shifts) the record gathers each prime's C_N, D_N and disc
-    # terms at a mod p from rows kept per family (decomp._family_term_rows).
+    # Below BRUTE_FORCE_LIMIT the record reads each prime's disc mask and
+    # C_N and D_N terms at a mod p from the term rows kept per family
+    # (decomp._family_term_rows).
     WINDOWS = ((1100, 50), (1000, 47), (1100, 50))
     FAMILIES = (IntPoly((0, 1, 0, 0, 1)), IntPoly((1, 1, 0, 2)))  # x^4 + x, 2x^3 + x + 1
 

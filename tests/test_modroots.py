@@ -18,7 +18,7 @@ from polylcm.modroots import (
     weil_sum,
     weil_sums,
 )
-from polylcm.ntkernel import sieve_primes
+from polylcm.ntkernel import is_prime, sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, _horner_mod, discriminant
 
 from oracles import brute_roots_mod, eval_poly, weil_sum_direct
@@ -376,6 +376,18 @@ class TestRootTable:
         assert sum(primes) == 277_050
         assert table._row.dtype == np.int16 and table._row.size == 277_050
         assert peak < 3 * 2**20, peak
+
+    def test_row_prime_above_the_limit_names_the_limit(self, x3):
+        # The residue row holds the primes below BRUTE_FORCE_LIMIT only, so a
+        # prime above it is refused by that limit, not as a composite.
+        table = RootTable(x3)
+        assert is_prime(16411) and 16411 > BRUTE_FORCE_LIMIT
+        with pytest.raises(ValueError, match="BRUTE_FORCE_LIMIT") as err:
+            table.rho_row(16411)
+        assert "16411" in str(err.value) and "prime" not in str(err.value)
+        with pytest.raises(ValueError, match="must be prime"):
+            table.rho_row(16383)
+        assert table.rho_row(16381).sum() == 16381
 
 
 class TestRootScan:
