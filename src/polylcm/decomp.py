@@ -32,20 +32,19 @@ and C_N, E_N and D_N, where rho(a; p) is the number of roots at p; ``c_N``
 and ``e_N_d_N`` scan once each.  The ensembles' batch path takes a whole
 list of shifts and builds one column record of it (``_columns``): the
 columns of the batched ensemble statistics bad, b2, cn and dn, from one
-pass per prime p <= N (``_column_record``).  ``_disc_masks`` reduces every shift mod p
-once.  D(a) mod p, rho(a; p) and so the C_N and D_N terms depend only on
-a mod p, so for p < BRUTE_FORCE_LIMIT they are read from the family's
-term row of p (``_term_rows``: rho(r; p) + 1, or 0 where p | D(r), for
-r = 0..p-1), built once per (family, p) and kept with the family
-(``_family_term_rows``, the last 8 families), through two lookups per
-prime built for each record (``_term_lookups``).  At p >= BRUTE_FORCE_LIMIT,
-D(a) mod p is evaluated at the shifts and the same entry is built shift by
-shift from table.rho.  A batch that
-brings fewer than d distinct shifts of a new family completes D's nodes
-from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and reports never
-do.  Bad_N is counted instead of lifted:
-f0(1..N) is evaluated once by the ledger engine's evaluator, and at each
-discriminant prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all
+pass per prime p <= N (``_column_record``).  Each pass reads one index
+per shift (``_term_index``): rho(a; p) + 1, or 0 where p | D(a), which
+picks the shift's C_N and D_N terms from two lookups per prime built for
+each record (``_term_lookups``) and whose zeros are Bad_N's shifts at p.
+For p < BRUTE_FORCE_LIMIT the index is read at a mod p from the family's
+term row of p (``_term_rows``), built once per (family, p) and kept with
+the family (``_family_term_rows``, the last 8 families); from there on
+D(a) mod p is evaluated at the shifts and rho asked shift by shift.
+A batch that brings fewer than d distinct shifts of a new family completes
+D's nodes from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and
+reports never do.  Bad_N is counted instead of lifted: f0(1..N) is
+evaluated once by the ledger engine's evaluator, and at each discriminant
+prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all
 its shifts come at once from the sorted residues of those values.  Its
 passes over every prime <= N pay off over an ensemble, not for one shift
 (x^3 at N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single
@@ -67,7 +66,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -166,8 +165,7 @@ def _bad_split(table: RootTable, a: int, N: int, disc_primes: list[int]) -> BadS
 
 def delta_N(f0: IntPoly, a: int, N: int) -> float:
     """Delta_N(a) = sum over p > N of (alpha_p - beta_p) log p."""
-    table = _family_root_table(f0.coeffs)
-    alpha, beta, _ = build_ledgers(ShiftedPoly(f0, a), N, root_table=table)
+    alpha, beta, _ = build_ledgers(ShiftedPoly(f0, a), N)
     return _delta_from_ledgers(alpha, beta, N)
 
 
@@ -225,15 +223,6 @@ def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
     return _density_sums_for(f0, a, N)[1:]
 
 
-def _shift_array(shifts: Sequence[int] | np.ndarray) -> np.ndarray:
-    # The shifts as int64, or as Python ints (dtype=object) when one does not
-    # fit int64 (random mode takes any T).
-    try:
-        return np.asarray(shifts, dtype=np.int64)
-    except OverflowError:
-        return np.array(shifts, dtype=object)
-
-
 def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> np.ndarray:
     """One family's term row at a prime p < BRUTE_FORCE_LIMIT: for each
     residue r = 0..p-1, rho(r; p) + 1 from the family RootTable's rho row,
@@ -279,23 +268,24 @@ def _family_term_rows(f0_coeffs: tuple[int, ...]) -> _FamilyTermRows:
     return _FamilyTermRows(f0_coeffs)
 
 
-def _disc_masks(
-    f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    # (p, a mod p, D(a) = 0 mod p) over the shifts, as int64 and bool
-    # arrays, for each prime p <= N ascending.  D(a) mod p depends only on
-    # a mod p: below BRUTE_FORCE_LIMIT the mask is where the family's term
-    # row is 0, gathered at a mod p, above it one Horner pass mod p over the
-    # family's interpolated D at the shifts themselves.
-    if N < 2 or not len(shifts):
-        return
-    D = _disc_family(f0.coeffs).fill(map(int, shifts)).coeffs
-    rows = _family_term_rows(f0.coeffs)
-    a = _shift_array(shifts)
-    for p in ntkernel.sieve_primes(N):
-        v = (a % p).astype(np.int64, copy=False)
-        disc = (rows[p] == 0)[v] if p < BRUTE_FORCE_LIMIT else _horner_mod(D, v, p) == 0
-        yield p, v, disc
+def _term_index(
+    f0_coeffs: tuple[int, ...], D: tuple[int, ...], shifts: np.ndarray, p: int
+) -> np.ndarray:
+    # Each shift's term-row entry at p as intp: rho(a; p) + 1, or 0 where
+    # p | D(a), with D the family's interpolated discriminant coefficients
+    # and the shifts an int64 or object array.  Below BRUTE_FORCE_LIMIT the
+    # entry is read from the family's term row at a mod p, from there on it
+    # is built shift by shift: one Horner pass of D mod p, then table.rho
+    # where p does not divide D(a).
+    v = (shifts % p).astype(np.int64, copy=False)
+    if p < BRUTE_FORCE_LIMIT:
+        return _family_term_rows(f0_coeffs)[p][v].astype(np.intp)
+    disc = _horner_mod(D, v, p) == 0
+    table = _family_root_table(f0_coeffs)
+    return np.array(
+        [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())],
+        dtype=np.intp,
+    )
 
 
 class Columns(NamedTuple):
@@ -314,9 +304,11 @@ def _columns(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> Columns
     primes p <= N (_column_record) and kept until another is asked for, so
     the statistics of one window share it.  The shifts, an int64 array or a
     list of ints, are keyed by their int64 bytes, and by a tuple only when
-    one does not fit int64."""
-    a = _shift_array(shifts)
-    key = a.tobytes() if a.dtype == np.int64 else tuple(a.tolist())
+    one does not fit int64 (random mode takes any T)."""
+    try:
+        key = np.asarray(shifts, dtype=np.int64).tobytes()
+    except OverflowError:
+        key = tuple(map(int, shifts))
     return _column_record(f0.coeffs, key, N)
 
 
@@ -326,7 +318,7 @@ def _column_record(
 ) -> Columns:
     """Bad_N, B2, C_N and D_N for every a in the shifts (the int64 bytes
     or the tuple of _columns' key), in one pass per prime p <= N over all
-    shifts at once (_disc_masks).
+    shifts at once.
 
     Each entry has the bits of its single-shift value: every term is built
     with the scalar loops' float operations (r * log_p / (p - 1),
@@ -334,10 +326,9 @@ def _column_record(
     log_p = math.log(p)), and each column takes its terms in ascending p by
     elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  The
     C_N and D_N terms are read from the record's lookups (_term_lookups) at
-    each shift's term-row entry: for p < BRUTE_FORCE_LIMIT the lookups are
-    expanded over the family's term row of p (_term_rows) and gathered at
-    a mod p; from there on the entry is built shift by shift, 0 where
-    p | D(a), else table.rho + 1.
+    each shift's entry (_term_index), which is 0 exactly where p | D(a).
+    A prime costs O(len(shifts)) beside its Bad_N levels: nothing is
+    expanded over p's residues.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits
@@ -361,28 +352,22 @@ def _column_record(
         shifts = np.array(shifts_key, dtype=object)
     n = len(shifts)
     cn, dn, bad, b1 = (np.zeros(n) for _ in range(4))
-    table = _family_root_table(f0_coeffs)
-    rows = _family_term_rows(f0_coeffs)
     if n:
         bound = _coeff_bound(f0_coeffs, N) + max(-int(shifts.min()), int(shifts.max()))
         dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
         values = _horner_values(f0_coeffs, N, dtype)
         a = shifts.astype(dtype, copy=False)
     zero_shift = n
-    primes = ntkernel.sieve_primes(N) if N >= 2 else ()
-    masks = _disc_masks(IntPoly(f0_coeffs), shifts, N)
-    for (p, v, disc), cn_at, dn_at in zip(masks, *_term_lookups(primes, len(f0_coeffs) - 1)):
+    primes = ntkernel.sieve_primes(N) if n and N >= 2 else ()
+    if primes:
+        # D's nodes are the shifts, read before any term row fills them.
+        D = _disc_family(f0_coeffs).fill(map(int, shifts)).coeffs
+    for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
         log_p = math.log(p)
-        if p < BRUTE_FORCE_LIMIT:
-            # The terms of p's residues, gathered at a mod p.
-            cn_at, dn_at, at = cn_at[rows[p]], dn_at[rows[p]], v
-        else:
-            at = np.array(
-                [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())]
-            )
+        at = _term_index(f0_coeffs, D, shifts, p)
         cn += cn_at[at]
         dn += dn_at[at]
-        live = np.flatnonzero(disc)
+        live = np.flatnonzero(at == 0)
         hsum = np.zeros(n, dtype=np.int64)
         pk = p
         while live.size:

@@ -24,17 +24,10 @@ numpy pass per prime p <= N over all its shifts and kept, one entry only,
 until another (f0, shifts, N) is asked for, so the four statistics of one
 window share a pass.  An exhaustive average hands over the admitted int64
 array as it is, and the record is keyed by its bytes; only sampled shifts
-outside int64 are keyed as a tuple.  For p < BRUTE_FORCE_LIMIT the record
-reads each shift's C_N and D_N terms and its D(a) = 0 (mod p) mask at
-a mod p from term rows kept per family and prime (``decomp._term_rows``
-states their format and cost), so the windows of one family build each
-prime's row once.  Bad_N is counted, not lifted: the level hits
-#{n <= N : f0(n) = a (mod p**k)} of every shift at a discriminant prime
-come from the sorted residues of f0(1..N), while a single ``bad_N`` keeps
-lifting its roots, which is cheaper for one shift.  The values keep the
-bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``: each term is built
-with the same float operations and added in the same ascending order of p,
-and the moments keep the bits of list loops.  The batch assumes what
+outside int64 are keyed as a tuple.  How the record reads each prime's
+terms and counts Bad_N is stated once, at ``decomp._columns``.  The values
+keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``, and the
+moments keep the bits of list loops.  The batch assumes what
 admission guarantees, that every shift is irreducible (D(a) != 0 and no
 integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
 their chunk, one report or ledger per shift.  ``covariance_sigma`` is two

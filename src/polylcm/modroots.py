@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateReductionError, InternalConsistencyError
+from . import ntkernel
+from .errors import DegenerateReductionError, InternalConsistencyError, ResourceLimitError
 from .ntkernel import is_prime, sieve_primes
 from .polyring import (
     IntPoly,
@@ -178,11 +179,15 @@ def roots_mod_pk(f: PolyLike, p: int, k: int) -> RootSetModPk:
 def weil_sums(f0: IntPoly, p: int) -> np.ndarray:
     """S(t, p) = sum over x mod p of exp(2 pi i t f0(x) / p) for every t in
     0 .. p-1, p prime, f0 monic: one FFT of the counts #{x : f0(x) = c mod p},
-    as S(t) = sum_c counts[c] e(tc/p), in O(p) memory."""
+    as S(t) = sum_c counts[c] e(tc/p), in O(p) memory.  p is held to the
+    sieve's budget, ntkernel.SIEVE_LIMIT_MAX, before anything is allocated
+    (the budget is below 2**31, where _horner_mod's int64 products hold)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not f0.is_monic:
         raise ValueError("weil sums require a monic polynomial")
+    if p > ntkernel.SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"p = {p} residues exceed budget {ntkernel.SIEVE_LIMIT_MAX}")
     counts = np.bincount(_horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p), minlength=p)
     return np.fft.ifft(counts) * p
 

@@ -386,6 +386,13 @@ class TestWeilCmd:
         assert code == 0
         assert "warning" in err
 
+    def test_over_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(polylcm.ntkernel, "SIEVE_LIMIT_MAX", 100)
+        code, out, err = run_cli(["weil", "--f0", "0,0,0,1", "--p", "101", "--all-b"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: p = 101 residues exceed budget 100\n"
+
 
 class TestRootsCmd:
     def test_lift(self, capsys):

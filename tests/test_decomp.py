@@ -492,20 +492,26 @@ class TestBatchColumns:
             assert err.value.n == want.value.n == n, shifts
 
     def test_gathered_masks_match_the_exact_discriminant(self):
-        # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _disc_masks gathers
-        # the zeros of the family's term row (built once over the residues
-        # 0..p-1) at a mod p.  The mask is the Newton form's at a mod p, and
-        # p | D(a) for the exact D(a); hit asks that some shift is masked at
-        # primes both below and from len(shifts) on, all of them gathered.
+        # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _term_index gathers
+        # the family's term row (built once over the residues 0..p-1) at
+        # a mod p.  Its zeros are the Newton form's at a mod p, and p | D(a)
+        # for the exact D(a); elsewhere it is table.rho + 1.  hit asks that
+        # some shift is masked at primes both below and from len(shifts) on,
+        # all of them gathered.
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
-        family = polyring._disc_family(f0.coeffs)
-        exact = [disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs)) for a in shifts]
+        D = polyring._disc_family(f0.coeffs).fill(shifts).coeffs
+        table = modroots._family_root_table(f0.coeffs)
+        a = np.array(shifts, dtype=np.int64)
+        exact = [disc_via_sylvester(list(ShiftedPoly(f0, s).to_poly().coeffs)) for s in shifts]
         hit = {True: 0, False: 0}
-        for p, v, disc in decomp._disc_masks(f0, shifts, 50):
-            assert v.tolist() == [a % p for a in shifts]
-            assert disc.tolist() == (polyring._horner_mod(family.poly.coeffs, v, p) == 0).tolist()
-            assert disc.tolist() == [D % p == 0 for D in exact]
+        for p in ntkernel.sieve_primes(50):
+            at = decomp._term_index(f0.coeffs, D, a, p)
+            assert at.dtype == np.intp
+            disc = at == 0
+            assert disc.tolist() == (polyring._horner_mod(D, a % p, p) == 0).tolist()
+            assert disc.tolist() == [E % p == 0 for E in exact]
+            assert at.tolist() == [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts, disc)]
             hit[p < len(shifts)] += int(disc.sum())
         assert hit[True] and hit[False], hit
 
@@ -525,16 +531,24 @@ class TestTermRowLimit:
     def test_masks_match_the_exact_discriminant(self, limit):
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = TestBatchColumns._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
-        exact = [disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs)) for a in shifts]
+        D = polyring._disc_family(f0.coeffs).fill(shifts).coeffs
+        a = np.array(shifts, dtype=np.int64)
+        exact = [disc_via_sylvester(list(ShiftedPoly(f0, s).to_poly().coeffs)) for s in shifts]
         hit = {True: 0, False: 0}
-        for p, v, disc in decomp._disc_masks(f0, shifts, 60):
-            assert disc.tolist() == [D % p == 0 for D in exact]
+        for p in ntkernel.sieve_primes(60):
+            disc = decomp._term_index(f0.coeffs, D, a, p) == 0
+            assert disc.tolist() == [E % p == 0 for E in exact]
             hit[p < limit] += int(disc.sum())
         assert hit[True] and hit[False], hit
 
     def test_columns_equal_single_shift_terms(self, x3_plus_2x, limit):
         shifts = TestBatchColumns._irreducible_shifts(random.Random(20), x3_plus_2x, 40, wide=False)
         TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts, 60)
+        # With shifts past int64 the batch holds Python ints (dtype=object),
+        # so a mod p and table.rho run on big shifts on both sides of the limit.
+        big = [10**25 + a for a in shifts]
+        assert all(is_irreducible_over_Q(ShiftedPoly(x3_plus_2x, a).to_poly()) for a in big)
+        TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts + big, 60)
 
 
 class TestTermRowFormat:

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polylcm import modroots
-from polylcm.errors import DegenerateReductionError
+from polylcm import modroots, ntkernel
+from polylcm.errors import DegenerateReductionError, ResourceLimitError
 from polylcm.modroots import (
     BRUTE_FORCE_LIMIT,
     RootTable,
@@ -244,6 +244,21 @@ class TestWeilSum:
     def test_prime_p_required(self, x3):
         with pytest.raises(ValueError, match="prime"):
             weil_sum(x3, 1, 9)
+
+    def test_over_budget_raises_first(self, x3, monkeypatch):
+        # weil_sums holds one int64 per residue, so p is held to the sieve's
+        # budget before anything is allocated; the budget is lowered so that
+        # a missing guard stays small.
+        monkeypatch.setattr(ntkernel, "SIEVE_LIMIT_MAX", 100)
+        calls = (
+            lambda: weil_sums(x3, 101),
+            lambda: weil_sum(x3, 1, 101),
+            lambda: sigma_via_expsum(x3, 1, 101),
+        )
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="p = 101 residues exceed budget 100"):
+                call()
+        assert weil_sums(x3, 97).shape == (97,)
 
 
 class TestSigmaViaExpsum:
