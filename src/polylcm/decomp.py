@@ -21,8 +21,9 @@ prime-keyed part (log L above the limit adds the logs of the unshared
 parts), so the unshared parts are never factored.
 Discriminant primes <= N are found by divisibility tests, not by factoring D.
 For one shift, Bad_N has one path (``_bad_split``), shared by ``bad_N`` and
-the report: one lifting pass per discriminant prime from the family's roots
-mod p.
+the report: one lifting pass per discriminant prime from the roots mod p its
+caller reads from the family's ``RootTable``; the report takes those of a
+prime >= BRUTE_FORCE_LIMIT from its root scan, so none is searched twice.
 
 The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
 over the primes <= N for one shift and raise ZeroValueError at the first
@@ -40,25 +41,23 @@ For p < BRUTE_FORCE_LIMIT the index is read at a mod p from the family's
 term row of p (``_term_rows``), built once per (family, p) and kept with
 the family (``_family_term_rows``, the last 8 families); from there on
 D(a) mod p is evaluated at the shifts and rho asked shift by shift.
-A batch that brings fewer than d distinct shifts of a new family completes
-D's nodes from a = 0, 1, ... (``_DiscFamily.fill``); single shifts and
-reports never do.  Bad_N is counted instead of lifted: f0(1..N) is
-evaluated once by the ledger engine's evaluator, and at each discriminant
-prime p the level hits #{n <= N : f0(n) = a (mod p**k)} of all
-its shifts come at once from the sorted residues of those values.  Its
-passes over every prime <= N pay off over an ensemble, not for one shift
-(x^3 at N = 2000: 4.1 ms as a batch of one, 0.08 ms by lifting), so single
-shifts keep lifting.  The record is a single-entry cache keyed by
-(f0, shifts, N), the shifts as the bytes of their int64 array (a tuple only
-when one does not fit int64), with read-only columns, so the cn, dn, bad
-and b2 statistics of one window share one pass.  Each entry has its
-single-shift value's bits: a term is built with the same float operations
-and added in the same ascending order of p, and B2 = Bad_N - B1 is one
-subtraction, as in ``BadSplit``, made when the record is built.  The batch serves only
-irreducible shifts (D(a) != 0, no integer zero), as the ensembles admit
-them, and checks neither, except that the Bad_N count raises
-ZeroValueError where ``_bad_split`` would.  A report's JSON and CSV read
-its dataclass fields by name.
+Bad_N is counted instead of lifted: f0(1..N) is evaluated once by the
+ledger engine's evaluator, and at each discriminant prime p the level hits
+#{n <= N : f0(n) = a (mod p**k)} of all its shifts come at once from the
+sorted residues of those values.  Its passes over every prime <= N pay off
+over an ensemble, not for one shift (x^3 at N = 2000: 4.1 ms as a batch of
+one, 0.08 ms by lifting), so single shifts keep lifting.  The record is a
+single-entry cache keyed by (f0, shifts, N), the shifts as the bytes of
+their int64 array (a tuple only when one does not fit int64), with
+read-only columns, so the cn, dn, bad and b2 statistics of one window share
+one pass.  Each entry has its single-shift value's bits: a term is built
+with the same float operations and added in the same ascending order of p,
+and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made when the
+record is built.  The batch serves only irreducible shifts (D(a) != 0, no
+integer zero), as the ensembles admit them, and checks neither: the Bad_N
+count raises ZeroValueError only where a zero n <= N meets a discriminant
+prime p <= N of its shift.  A report's JSON and CSV read its dataclass
+fields by name.
 """
 
 from __future__ import annotations
@@ -147,17 +146,17 @@ def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     the first n <= N with f_a(n) = 0."""
     disc_primes = _disc_primes(_family_discriminant(f0, a), N)
     _check_no_zero(f0, a, N)
-    return _bad_split(_family_root_table(f0.coeffs), a, N, disc_primes)
+    roots = _family_root_table(f0.coeffs).roots
+    return _bad_split(ShiftedPoly(f0, a).to_poly(), N, [(p, roots(a, p)) for p in disc_primes])
 
 
-def _bad_split(table: RootTable, a: int, N: int, disc_primes: list[int]) -> BadSplit:
-    # Bad_N of table.f0 - a over its ascending discriminant primes <= N.  One
-    # lifting pass per prime from the table's roots mod p: alpha_p is the
-    # sum of the level hits, and the k = 1 count is the first of them.
-    fa = ShiftedPoly(table.f0, a).to_poly()
+def _bad_split(fa: IntPoly, N: int, disc_roots: list[tuple[int, tuple[int, ...]]]) -> BadSplit:
+    # Bad_N of fa from (p, the roots of fa mod p) at its ascending
+    # discriminant primes p <= N.  One lifting pass per prime: alpha_p is
+    # the sum of the level hits, and the k = 1 count is the first of them.
     total = b1 = 0.0
-    for p in disc_primes:
-        hits = list(_level_hits(fa, N, p, table.roots(a, p)))
+    for p, roots in disc_roots:
+        hits = list(_level_hits(fa, N, p, roots))
         total += sum(hits) * math.log(p)
         b1 += (hits[0] if hits else 0) * math.log(p)
     return BadSplit(total, b1, total - b1)
@@ -232,7 +231,7 @@ def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> np.ndarray:
     degree 254.  A family's rows for every p <= N take about 0.28 MB at
     N = 2000 and about 14.6 MB (14.6M residues) once N >= BRUTE_FORCE_LIMIT,
     beside the RootTable's 2 bytes a residue."""
-    D = _disc_family(f0_coeffs).fill(()).coeffs
+    D = _disc_family(f0_coeffs).fill().coeffs
     disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
     rho = _family_root_table(f0_coeffs).rho_row(p)
     row = np.where(disc, 0, rho + 1).astype(np.min_scalar_type(len(f0_coeffs)))
@@ -268,19 +267,16 @@ def _family_term_rows(f0_coeffs: tuple[int, ...]) -> _FamilyTermRows:
     return _FamilyTermRows(f0_coeffs)
 
 
-def _term_index(
-    f0_coeffs: tuple[int, ...], D: tuple[int, ...], shifts: np.ndarray, p: int
-) -> np.ndarray:
+def _term_index(f0_coeffs: tuple[int, ...], shifts: np.ndarray, p: int) -> np.ndarray:
     # Each shift's term-row entry at p as intp: rho(a; p) + 1, or 0 where
-    # p | D(a), with D the family's interpolated discriminant coefficients
-    # and the shifts an int64 or object array.  Below BRUTE_FORCE_LIMIT the
-    # entry is read from the family's term row at a mod p, from there on it
-    # is built shift by shift: one Horner pass of D mod p, then table.rho
-    # where p does not divide D(a).
+    # p | D(a), the shifts an int64 or object array.  Below BRUTE_FORCE_LIMIT
+    # the entry is read from the family's term row at a mod p, from there on
+    # it is built shift by shift: one Horner pass of the family's
+    # interpolated D mod p, then table.rho where p does not divide D(a).
     v = (shifts % p).astype(np.int64, copy=False)
     if p < BRUTE_FORCE_LIMIT:
         return _family_term_rows(f0_coeffs)[p][v].astype(np.intp)
-    disc = _horner_mod(D, v, p) == 0
+    disc = _horner_mod(_disc_family(f0_coeffs).fill().coeffs, v, p) == 0
     table = _family_root_table(f0_coeffs)
     return np.array(
         [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())],
@@ -344,8 +340,10 @@ def _column_record(
     its first zero, as _bad_split would.
 
     Precondition: the shifts are irreducible, as the ensembles admit them,
-    so D(a) != 0 and f_a has no integer zero; only the zeros that Bad_N's
-    counting meets are checked."""
+    so D(a) != 0 and f_a has no integer zero.  Only the zeros that Bad_N's
+    counting meets are checked, those of shifts with a discriminant prime
+    p <= N; a shift with a zero and no such prime gets values where the
+    single-shift terms raise."""
     if isinstance(shifts_key, bytes):
         shifts = np.frombuffer(shifts_key, dtype=np.int64)
     else:
@@ -359,12 +357,9 @@ def _column_record(
         a = shifts.astype(dtype, copy=False)
     zero_shift = n
     primes = ntkernel.sieve_primes(N) if n and N >= 2 else ()
-    if primes:
-        # D's nodes are the shifts, read before any term row fills them.
-        D = _disc_family(f0_coeffs).fill(map(int, shifts)).coeffs
     for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
         log_p = math.log(p)
-        at = _term_index(f0_coeffs, D, shifts, p)
+        at = _term_index(f0_coeffs, shifts, p)
         cn += cn_at[at]
         dn += dn_at[at]
         live = np.flatnonzero(at == 0)
@@ -476,7 +471,13 @@ def decomposition_report(
         log_L += ntkernel._plain_sum(map(math.log, beta.rest))
 
     log_p = ntkernel._plain_sum(map(math.log, values.tolist()))
-    bad, b1, b2 = _bad_split(table, a, N, _disc_primes(D, N))
+    # A discriminant prime's roots: a segment read of the table below the
+    # limit, from there on the scan's, which a second roots_mod_p would repeat.
+    disc_roots = [
+        (p, table.roots(a, p) if p < BRUTE_FORCE_LIMIT else tuple(scan[1][scan[0] == p].tolist()))
+        for p in _disc_primes(D, N)
+    ]
+    bad, b1, b2 = _bad_split(fa, N, disc_roots)
     delta = _delta_from_ledgers(alpha, beta, N)
     # Both ledgers key the same primes; the sums take p <= N ascending.
     beta_small = alpha_small_nondisc = 0.0

@@ -7,7 +7,8 @@ and then evaluated), and exact irreducibility over Q (complete for degree
 stage 3 below.
 
 Irreducibility pipeline (all stages exact; no probabilistic answers):
-  stage 0  binomial criterion for x^d - c (perfect-power / -4b^4 test)
+  stage 0  Capelli's criterion for a binomial x^d + c: the family listing
+           of _binomial_shifts at the one shift a = 0
   stage 1  rational-root search (settles degree <= 3 outright)
   stage 2  factor-degree patterns modulo primes not dividing lc*disc;
            an irreducible image, or incompatible subset sums, certify
@@ -30,7 +31,7 @@ pattern is None, so the rows also skip those primes, and D(a) = 0 is exact
 once the product of the primes so skipped exceeds a bound on |D(a)| over the
 range.  Stage 3 is one helper both paths share.  _binomial_shifts decides a
 range of shifts of a monic binomial x^d + c by listing the few reducible
-ones stage 0 names.
+ones Capelli's criterion names; stage 0 is that listing for a range of one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -275,10 +276,10 @@ class _DiscFamily:
                     raise InternalConsistencyError("discriminant is not an integer polynomial in a")
         return D
 
-    def fill(self, shifts: Iterable[int]) -> IntPoly:
-        """D, interpolated from the first d distinct shifts read, in order (as
-        with single calls), and then from a = 0, 1, ... when fewer came."""
-        for a in itertools.chain(shifts, itertools.count()):
+    def fill(self) -> IntPoly:
+        """D, interpolated from the nodes computed so far, completed from
+        a = 0, 1, ...  D is unique, so the nodes do not change it."""
+        for a in itertools.count():
             if self.poly is not None:
                 return self.poly
             self(a)
@@ -349,35 +350,11 @@ def _integer_nth_root(n: int, k: int) -> int:
     return r
 
 
-def _perfect_power_root(c: int, t: int) -> int | None:
-    # b with b**t == c, or None.
-    if c == 0:
-        return 0
-    if t % 2 == 0 and c < 0:
-        return None
-    r = _integer_nth_root(abs(c), t)
-    if r**t != abs(c):
-        return None
-    return -r if c < 0 else r
-
-
-def _binomial_irreducible(d: int, c: int) -> bool:
-    # Capelli: x^d - c irreducible over Q iff c is not a p-th power for any
-    # prime p | d, and (when 4 | d) c != -4 b^4.
-    for t in set(ntkernel.factor(d).primes()):
-        if _perfect_power_root(c, t) is not None:
-            return False
-    if d % 4 == 0:
-        if c < 0 and (-c) % 4 == 0 and _perfect_power_root((-c) // 4, 4) is not None:
-            return False
-    return True
-
-
 def _binomial_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
     # Byte i is 1 iff f0 - (lo + i) is irreducible over Q, for a in [lo, hi)
-    # and f0 = x^d + c, d >= 2: _binomial_irreducible's verdicts for x^d - m,
-    # m = a - c, found by listing the few reducible m instead of testing each
-    # (the t-th powers for the primes t | d, and -4 b^4 when 4 | d).
+    # and f0 = x^d + c, d >= 2.  By Capelli, x^d - m (m = a - c) is
+    # irreducible iff m is no t-th power for any prime t | d and, when 4 | d,
+    # m != -4 b^4; the few reducible m are listed instead of testing each.
     d, c = f0.degree, f0.coeffs[0]
     u, v = lo - c, hi - c  # m ranges over [u, v)
     reducible = set()
@@ -570,7 +547,7 @@ def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) ->
     if f.coeffs[0] == 0:
         return False  # x divides
     if f.lc == 1 and all(c == 0 for c in f.coeffs[1:d]):
-        return _binomial_irreducible(d, -f.coeffs[0])
+        return _binomial_shifts(f, 0, 1) == b"\x01"  # f itself at shift 0
     if _has_rational_root(f):
         return False
     if d <= 3:
@@ -648,7 +625,7 @@ def _shift_patterns_then_kronecker(
     # once their product exceeds the bound on |D(a)| over the range, D(a) = 0
     # exactly: the shift is reducible, and its candidates read -1.
     d = f0.degree
-    D = _disc_family(f0.coeffs).fill(range(lo, hi))
+    D = _disc_family(f0.coeffs).fill()
     bound = _coeff_bound(D.coeffs, max(abs(lo), abs(hi - 1)))
     rows = _family_pattern_rows(f0.coeffs)
     candidates = np.full(len(offsets), _all_candidates(d), _pattern_dtype(d))

@@ -71,6 +71,16 @@ class TestDecompose:
         assert payload["delta"] == pytest.approx(2 * math.log(7))
         assert payload["irreducible"] is False
 
+    def test_zero_discriminant_with_flag_is_usage_error(self, capsys):
+        # x^3 - 0 passes the flag but has D = 0: no term is defined.
+        code, out, err = run_cli(
+            ["decompose", "--f0", "0,0,0,1", "--a", "0", "--N", "6", "--allow-reducible"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: discriminant is zero; decomposition terms undefined\n"
+
     def test_N_above_the_value_budget_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(polylcm.ntkernel, "SIEVE_LIMIT_MAX", 1000)
         code, out, err = run_cli(

@@ -231,6 +231,11 @@ class TestCNAndSplit:
         en, _ = e_N_d_N(f0, 0, 50)
         assert en == 0.0
 
+    def test_zero_disc_rejected(self, x3):
+        for term in (c_N, e_N_d_N):
+            with pytest.raises(ValueError, match="discriminant is zero"):
+                term(x3, 0, 10)
+
     def test_zero_value_raises(self, x3):
         # x^3 - 8 vanishes at 2; x(x - 3)(x - 5) has f(0) = 0, so every n is
         # evaluated, and its first zero n >= 1 is 3.
@@ -404,14 +409,14 @@ class TestBatchColumns:
         shifts = self._irreducible_shifts(rng, f0, 12, wide=False)
         shifts += self._irreducible_shifts(rng, f0, 4, wide=True)
         shifts.sort()
-        # A new family seen at fewer than d shifts: the batch completes D's
-        # nodes from a = 0, 1, ... and reads the Newton form.
+        # A new family seen first by a batch: D's nodes are a = 0 .. d - 1,
+        # whatever the shifts, and the batch reads the Newton form.
         polyring._disc_family.cache_clear()
         decomp._column_record.cache_clear()
         self._assert_columns_equal(f0, shifts[:1], 50)
         family = polyring._disc_family(f0.coeffs)
         assert family.poly is not None
-        assert list(family.nodes) == [shifts[0], *[a for a in range(d) if a != shifts[0]][: d - 1]]
+        assert list(family.nodes) == list(range(d))
         for N in (1, 2, 50, 700):
             self._assert_columns_equal(f0, shifts, N)
 
@@ -479,8 +484,9 @@ class TestBatchColumns:
 
     def test_bad_zero_value_raises(self, x3):
         # Outside the precondition: f_8(2) = 0 and f_27(3) = 0.  The batch
-        # raises where the per-shift path does, at the first shift in order
-        # with a zero, naming its first zero.
+        # raises only where a zero meets a discriminant prime <= N, here
+        # 3 | D(a) = -27a^2: at the first shift in order with a zero, naming
+        # its first zero, as the per-shift path does.
         with pytest.raises(ZeroValueError) as err:
             decomp._columns(x3, [8], 5)
         assert err.value.n == 2
@@ -500,13 +506,13 @@ class TestBatchColumns:
         # all of them gathered.
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
-        D = polyring._disc_family(f0.coeffs).fill(shifts).coeffs
+        D = polyring._disc_family(f0.coeffs).fill().coeffs
         table = modroots._family_root_table(f0.coeffs)
         a = np.array(shifts, dtype=np.int64)
         exact = [disc_via_sylvester(list(ShiftedPoly(f0, s).to_poly().coeffs)) for s in shifts]
         hit = {True: 0, False: 0}
         for p in ntkernel.sieve_primes(50):
-            at = decomp._term_index(f0.coeffs, D, a, p)
+            at = decomp._term_index(f0.coeffs, a, p)
             assert at.dtype == np.intp
             disc = at == 0
             assert disc.tolist() == (polyring._horner_mod(D, a % p, p) == 0).tolist()
@@ -531,12 +537,13 @@ class TestTermRowLimit:
     def test_masks_match_the_exact_discriminant(self, limit):
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = TestBatchColumns._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
-        D = polyring._disc_family(f0.coeffs).fill(shifts).coeffs
+        # Above the limit _term_index reads D from the family, filled or not.
+        polyring._disc_family.cache_clear()
         a = np.array(shifts, dtype=np.int64)
         exact = [disc_via_sylvester(list(ShiftedPoly(f0, s).to_poly().coeffs)) for s in shifts]
         hit = {True: 0, False: 0}
         for p in ntkernel.sieve_primes(60):
-            disc = decomp._term_index(f0.coeffs, D, a, p) == 0
+            disc = decomp._term_index(f0.coeffs, a, p) == 0
             assert disc.tolist() == [E % p == 0 for E in exact]
             hit[p < limit] += int(disc.sum())
         assert hit[True] and hit[False], hit
@@ -563,7 +570,7 @@ class TestTermRowFormat:
         limit = modroots.BRUTE_FORCE_LIMIT
         primes = ntkernel.sieve_primes(limit + 100).upto(limit - 1)
         modroots._family_root_table(f0.coeffs).rho_row(primes[-1])
-        polyring._disc_family(f0.coeffs).fill(())
+        polyring._disc_family(f0.coeffs).fill()
         decomp._family_term_rows.cache_clear()
         tracemalloc.start()
         try:
@@ -723,15 +730,18 @@ class TestDecompositionReport:
                 assert scans == [(a, N)], (term.__name__, f0, a, N)
 
     def test_one_root_search_per_large_prime(self, x3, monkeypatch):
-        # Above BRUTE_FORCE_LIMIT the report asks roots_mod_p once per prime;
-        # the discriminant primes of x^3 - 98766 are 2, 3, 31 and 59.
+        # Above BRUTE_FORCE_LIMIT the report asks roots_mod_p once per prime.
+        # The discriminant primes of x^3 - 98766 are 2, 3, 31 and 59; those
+        # of x^3 - 16411 are 3 and 16411 >= BRUTE_FORCE_LIMIT, whose roots
+        # Bad_N takes from the report's scan.
         calls = []
         find = modroots.roots_mod_p
         monkeypatch.setattr(modroots, "roots_mod_p", lambda f, p: calls.append(p) or find(f, p))
-        N = 17000
-        assert decomposition_report(x3, 98766, N).identity_ok()
-        top = ntkernel.sieve_primes(N).primes
-        assert calls == [p for p in top if p >= modroots.BRUTE_FORCE_LIMIT]
+        for a, N in ((98766, 17000), (16411, 16500)):
+            calls.clear()
+            assert decomposition_report(x3, a, N).identity_ok()
+            top = ntkernel.sieve_primes(N).primes
+            assert calls == [p for p in top if p >= modroots.BRUTE_FORCE_LIMIT], (a, N)
 
     def test_bad_split_matches_bad_N(self, x3, x3_plus_2x):
         # Bad and B1 of the report against trial division of every value at
@@ -801,6 +811,11 @@ class TestDecompositionReport:
         rep = decomposition_report(x3, -1, 6, allow_reducible=True)
         assert not rep.irreducible
         assert rep.delta == pytest.approx(2 * math.log(7))
+
+    def test_zero_disc_rejected_when_reducible_allowed(self, x3):
+        # x^3 is reducible with D = 0; the flag admits it, the terms cannot.
+        with pytest.raises(ValueError, match="discriminant is zero"):
+            decomposition_report(x3, 0, 10, allow_reducible=True)
 
     def test_N_equals_1(self, x3):
         rep = decomposition_report(x3, 2, 1)

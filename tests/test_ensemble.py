@@ -383,6 +383,13 @@ class TestCovarianceSigma:
         with pytest.raises(ValueError, match="p must be prime"):
             covariance_sigma(x4x, p, q, 100)
 
+    def test_primes_from_brute_force_limit_rejected(self, x3):
+        # 16411 is the first prime above BRUTE_FORCE_LIMIT = 2^14, which has
+        # no RootTable row.
+        for p, q in ((16411, 5), (5, 16411)):
+            with pytest.raises(ValueError, match="below the brute-force limit"):
+                covariance_sigma(x3, p, q, 100)
+
     def test_degenerate_T1_bounded(self, x3, x3_plus_2x):
         v = covariance_sigma(x3_plus_2x, 7, 13, 1)
         assert abs(v) <= (3 - 1) ** 2
@@ -573,6 +580,10 @@ class TestMeanRho:
     def test_reducible_rejected(self, x3):
         with pytest.raises(ValueError):
             mean_rho(x3, 100)
+
+    def test_x_below_two_rejected(self, x2_plus_1):
+        with pytest.raises(ValueError, match="x must be >= 2"):
+            mean_rho(x2_plus_1, 1)
 
 
 class TestWindowAndTheorem:

@@ -5,7 +5,9 @@ is there for (integer roots far out, D(a) = 0, reducible shifts with no
 rational root), including windows grown piece by piece over the pattern
 rows a family keeps.  ``ensemble._decide`` decides monic binomials by
 Capelli's criterion and keeps one decision per shift for the non-monic
-families, with the same verdicts and errors.  hypothesis is test-only."""
+families, with the same verdicts and errors; its listing, which
+``is_irreducible_over_Q`` also reads, is checked against sympy's
+factorisation over Q.  hypothesis and sympy are test-only."""
 
 import os
 import subprocess
@@ -234,6 +236,26 @@ def test_decide_matches_one_by_one_on_binomials(d):
         f0 = IntPoly((c,) + (0,) * (d - 1) + (1,))
         for lo in (c - 40, 5**d + c - 20, -(7**d) + c - 20):
             assert ensemble._decide(f0, lo, lo + 41) == _one_by_one(f0, lo, lo + 41), (d, c, lo)
+
+
+def test_binomial_verdicts_match_sympy():
+    # Capelli's criterion against sympy's factorisation over Q, an
+    # independent implementation, on x^d - m with m within 1 of +-b^t, t a
+    # prime dividing d, and of -4b^4, b < 6: each m both alone, as
+    # is_irreducible_over_Q decides it, and inside a window of the family x^d.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(2, 13):
+        f0 = IntPoly((0,) * d + (1,))
+        near = {-4 * b**4 for b in range(6)}
+        near |= {s * b**t for t in sympy.primefactors(d) for b in range(6) for s in (1, -1)}
+        for v in sorted(near):
+            window = polyring._binomial_shifts(f0, v - 1, v + 2)
+            for m, in_window in zip((v - 1, v, v + 1), window):
+                _, factors = sympy.factor_list(x**d - m)
+                want = len(factors) == 1 and factors[0][1] == 1
+                alone = is_irreducible_over_Q(ShiftedPoly(f0, m).to_poly())
+                assert alone == bool(in_window) == want, (d, m)
 
 
 def test_decide_finds_x4_plus_4b4():
