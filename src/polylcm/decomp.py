@@ -12,14 +12,18 @@ lcm engine (a balanced pairwise math.lcm tree over the values) is also run
 and compared bit-for-bit against the ledger product.  The report evaluates
 each value once, by the ledger engine's numpy Horner pass
 (``valengine._abs_value_array``), and hands that array to the ledgers and
-the log P sum; the lcm engine evaluates the values again by its own plain-int
-Horner loop, so a fault in the int64 pass fails the gate.  Float sums are
+the log P sum; the lcm engine evaluates the values again in plain ints of
+its own (Horner at n = 1..d+1, then d running sums over their forward
+differences), so a fault in the int64 pass fails the gate.  Float sums are
 added one term at a time (``ntkernel._plain_sum``), so their bits do not
 depend on the interpreter's sum().  A ledger holds only its prime-keyed
 part and the unshared parts of the cofactors above N; every term reads the
 prime-keyed part (log L above the limit adds the logs of the unshared
 parts), so the unshared parts are never factored.
-Discriminant primes <= N are found by divisibility tests, not by factoring D.
+Discriminant primes <= N come from one divisibility mask of D over the
+primes <= N (``_disc_mask``), not from factoring D; in a report the same
+mask feeds Bad_N's primes, the small-prime log-sums and C_N, E_N and D_N,
+each the plain sum of the scalar terms in ascending p.
 For one shift, Bad_N has one path (``_bad_split``), shared by ``bad_N`` and
 the report: one lifting pass per discriminant prime from the roots mod p its
 caller reads from the family's ``RootTable``; the report takes those of a
@@ -53,18 +57,19 @@ read-only columns, so the cn, dn, bad and b2 statistics of one window share
 one pass.  Each entry has its single-shift value's bits: a term is built
 with the same float operations and added in the same ascending order of p,
 and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made when the
-record is built.  The batch serves only irreducible shifts (D(a) != 0, no
-integer zero), as the ensembles admit them, and checks neither: the Bad_N
-count raises ZeroValueError only where a zero n <= N meets a discriminant
-prime p <= N of its shift.  A report's JSON and CSV read its dataclass
-fields by name.
+record is built.  The batch serves irreducible shifts (D(a) != 0, no
+integer zero), as the ensembles admit them; the first shift in order that
+c_N would reject raises what c_N raises.  A report's JSON and CSV read its
+dataclass fields by name.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -99,19 +104,32 @@ CSV_HEADER = "a,N,log_L,log_P,bad,b1,b2,delta,c_N,e_N,d_N,residual,irreducible"
 
 def lcm_bigint(f: ShiftedPoly, N: int) -> int:
     """Exact L_a(N) by a balanced pairwise lcm tree; the oracle engine.  It
-    evaluates the values by its own plain-int Horner loop, sharing no code
-    with the ledger engine's evaluator."""
+    evaluates the values in plain ints, sharing no code with the ledger
+    engine's evaluator: f(1..d+1) by Horner, then f(1..N) from their forward
+    differences by d running sums (the d-th difference is constant)."""
     coeffs = f.to_poly().coeffs[::-1]
-    layer = []
-    for n in range(1, N + 1):
+    d = len(coeffs) - 1
+    head = []
+    for n in range(1, min(N, d + 1) + 1):
         v = 0
         for c in coeffs:
             v = v * n + c
-        if v == 0:
-            raise ZeroValueError(n)
-        layer.append(abs(v))
+        head.append(v)
+    layer = head
+    if N > d + 1:
+        diffs = [head[0]]  # diffs[k] is the k-th forward difference at n = 1
+        for _ in range(d):
+            head = list(map(operator.sub, head[1:], head))
+            diffs.append(head[0])
+        layer = [diffs[d]] * (N - d)
+        for start in reversed(diffs[:d]):
+            layer = itertools.accumulate(layer, initial=start)
+        layer = list(layer)
+    if 0 in layer:
+        raise ZeroValueError(layer.index(0) + 1)
+    layer = list(map(abs, layer))
     while len(layer) > 1:
-        pairs = [math.lcm(x, y) for x, y in zip(layer[::2], layer[1::2])]
+        pairs = list(map(math.lcm, layer[::2], layer[1::2]))
         layer = pairs + layer[-1:] if len(layer) % 2 else pairs
     return layer[0] if layer else 1
 
@@ -122,12 +140,15 @@ class BadSplit(NamedTuple):
     b2: float
 
 
-def _disc_primes(D: int, N: int) -> list[int]:
+def _disc_mask(D: int, N: int) -> np.ndarray:
+    # p | D at each prime p <= N, ascending (ntkernel._prime_array(N)).
     if D == 0:
         raise ValueError("discriminant is zero (multiple root); Bad/C/E/D undefined")
-    if abs(D) == 1 or N < 2:
-        return []
-    return [p for p in ntkernel.sieve_primes(N) if D % p == 0]
+    return ntkernel._mod_primes(D, ntkernel._prime_array(N)) == 0
+
+
+def _disc_primes(D: int, N: int) -> list[int]:
+    return ntkernel._prime_array(N)[_disc_mask(D, N)].tolist()
 
 
 def _check_no_zero(f0: IntPoly, a: int, N: int) -> None:
@@ -180,24 +201,26 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
     return total
 
 
-def _density_sums(N: int, root_primes: np.ndarray, D: int) -> tuple[float, float, float]:
-    # (C_N, E_N, D_N) in one ascending pass over the primes p <= N, with
-    # rho(a; p) the number of times p occurs in the shift's root scan.
-    cn = en = dn = 0.0
-    if N >= 2:
-        primes, counts = np.unique(root_primes, return_counts=True)
-        rho = dict(zip(primes.tolist(), counts.tolist()))
-        for p in ntkernel.sieve_primes(N):
-            log_p = math.log(p)
-            if D % p == 0:
-                en += log_p / p
-                continue
-            r = rho.get(p, 0)
-            if r:
-                cn += r * log_p / (p - 1)
-            if r != 1:
-                dn += (r - 1) * log_p / p
-    return cn, en, dn
+def _prime_logs(N: int) -> np.ndarray:
+    # math.log(p) at each prime p <= N, ascending: the scalar terms' logs.
+    return np.fromiter(map(math.log, ntkernel._prime_array(N).tolist()), float)
+
+
+def _density_sums(
+    primes: np.ndarray, log_p: np.ndarray, disc: np.ndarray, root_primes: np.ndarray
+) -> tuple[float, float, float]:
+    # (C_N, E_N, D_N) over the ascending primes p <= N, with log_p their
+    # _prime_logs(N), disc their _disc_mask(D, N) and rho(a; p) the number of
+    # times p occurs in the shift's root scan (sorted by p).  Each is the
+    # plain sum of the scalar terms in ascending p: E_N's log_p / p where
+    # p | D, C_N's rho * log_p / (p - 1) and D_N's (rho - 1) * log_p / p
+    # elsewhere, a skipped term adding +0.0.
+    p = primes.astype(float)
+    rho = np.searchsorted(root_primes, primes, "right") - np.searchsorted(root_primes, primes)
+    cn = np.where(disc | (rho == 0), 0.0, rho * log_p / (p - 1))
+    en = np.where(disc, log_p / p, 0.0)
+    dn = np.where(disc | (rho == 1), 0.0, (rho - 1) * log_p / p)
+    return ntkernel._plain_sum(cn), ntkernel._plain_sum(en), ntkernel._plain_sum(dn)
 
 
 def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]:
@@ -206,7 +229,8 @@ def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]
         raise ValueError("discriminant is zero")
     _check_no_zero(f0, a, N)
     root_primes = _family_root_table(f0.coeffs).roots_upto(a, N)[0]
-    return _density_sums(N, root_primes, D)
+    primes = ntkernel._prime_array(N)
+    return _density_sums(primes, _prime_logs(N), _disc_mask(D, N), root_primes)
 
 
 def c_N(f0: IntPoly, a: int, N: int) -> float:
@@ -334,28 +358,30 @@ def _column_record(
     are read for all shifts still live by searchsorted in the sorted row of
     f0(1..N) mod p**k, and a shift leaves at its first level without hits.
     The values and shifts are int64 while the bound B = sum |c_i| N**i +
-    max |a| fits, else Python ints (dtype=object).  |f0(n) - a| <= B, so a
-    shift still live at a level p**k > B has f0(n) = a for some n <= N;
-    after the pass, the first such shift in order raises ZeroValueError at
-    its first zero, as _bad_split would.
+    max |a| fits, else Python ints (dtype=object).  |f0(n) - a| <= B, so
+    above B a level is hit only where f0(n) = a, and the levels stop there.
 
-    Precondition: the shifts are irreducible, as the ensembles admit them,
-    so D(a) != 0 and f_a has no integer zero.  Only the zeros that Bad_N's
-    counting meets are checked, those of shifts with a discriminant prime
-    p <= N; a shift with a zero and no such prime gets values where the
-    single-shift terms raise."""
+    The first shift in order that the single-shift terms reject raises what
+    c_N raises for it: ValueError where D(a) = 0, else ZeroValueError at its
+    first zero n <= N.  The zeros are the shifts found by searchsorted in
+    the sorted f0(1..N); D(a) = 0 is confirmed exactly for the shifts whose
+    index is 0 at every prime p <= N (every shift when N < 2)."""
     if isinstance(shifts_key, bytes):
         shifts = np.frombuffer(shifts_key, dtype=np.int64)
     else:
         shifts = np.array(shifts_key, dtype=object)
     n = len(shifts)
     cn, dn, bad, b1 = (np.zeros(n) for _ in range(4))
+    suspect = np.zeros(n, dtype=bool)  # a zero n <= N, or D(a) = 0 after the pass
     if n:
         bound = _coeff_bound(f0_coeffs, N) + max(-int(shifts.min()), int(shifts.max()))
         dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
         values = _horner_values(f0_coeffs, N, dtype)
         a = shifts.astype(dtype, copy=False)
-    zero_shift = n
+        if N >= 1:
+            ranked = np.sort(values)
+            suspect = ranked[np.searchsorted(ranked[:-1], a)] == a
+    multiple_root = np.arange(n)  # the shifts whose index is 0 at every prime so far
     primes = ntkernel.sieve_primes(N) if n and N >= 2 else ()
     for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
         log_p = math.log(p)
@@ -363,26 +389,26 @@ def _column_record(
         cn += cn_at[at]
         dn += dn_at[at]
         live = np.flatnonzero(at == 0)
+        multiple_root = multiple_root[at[multiple_root] == 0]
         hsum = np.zeros(n, dtype=np.int64)
         pk = p
-        while live.size:
-            # Above B, f0(n) = a (mod p**k) only where f0(n) = a, so the
-            # values are compared as they are (p**k may not fit int64).
-            top = pk > bound
-            row = np.sort(values if top else values % pk)
-            res = a[live] if top else a[live] % pk
+        while live.size and pk <= bound:
+            row = np.sort(values % pk)
+            res = a[live] % pk
             hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
-            if top:
-                zero_shift = min([zero_shift, *live[hits > 0].tolist()])
-                break
             if pk == p:
                 b1[live] += hits * log_p
             hsum[live] += hits
             live = live[hits > 0]
             pk *= p
         bad += hsum * log_p
-    if zero_shift < n:
-        raise ZeroValueError(int(np.flatnonzero(values == a[zero_shift])[0]) + 1)
+    suspect[multiple_root] = True
+    for i in np.flatnonzero(suspect).tolist():
+        if _family_discriminant(IntPoly(f0_coeffs), int(shifts[i])) == 0:
+            raise ValueError("discriminant is zero")
+        zeros = np.flatnonzero(values == a[i])
+        if zeros.size:
+            raise ZeroValueError(int(zeros[0]) + 1)
     record = Columns(bad=bad, b2=bad - b1, cn=cn, dn=dn)
     for column in record:
         column.flags.writeable = False
@@ -471,24 +497,28 @@ def decomposition_report(
         log_L += ntkernel._plain_sum(map(math.log, beta.rest))
 
     log_p = ntkernel._plain_sum(map(math.log, values.tolist()))
+    # One divisibility mask of D over the primes p <= N serves Bad_N, the
+    # small-prime sums and C_N, E_N, D_N.
+    primes = ntkernel._prime_array(N)
+    disc = _disc_mask(D, N)
+    prime_logs = _prime_logs(N)
     # A discriminant prime's roots: a segment read of the table below the
     # limit, from there on the scan's, which a second roots_mod_p would repeat.
     disc_roots = [
         (p, table.roots(a, p) if p < BRUTE_FORCE_LIMIT else tuple(scan[1][scan[0] == p].tolist()))
-        for p in _disc_primes(D, N)
+        for p in primes[disc].tolist()
     ]
     bad, b1, b2 = _bad_split(fa, N, disc_roots)
     delta = _delta_from_ledgers(alpha, beta, N)
-    # Both ledgers key the same primes; the sums take p <= N ascending.
-    beta_small = alpha_small_nondisc = 0.0
-    for p in sorted(beta.factored):
-        if p > N:
-            break
-        beta_small += beta.factored[p] * math.log(p)
-        if D % p:
-            alpha_small_nondisc += alpha.factored[p] * math.log(p)
+    # Both ledgers key the same primes; the sums take every p <= N ascending,
+    # a prime that divides no value adding 0 * log p = +0.0.
+    ps = primes.tolist()
+    beta_e = np.fromiter(map(beta.factored.get, ps, itertools.repeat(0)), float, len(ps))
+    alpha_e = np.fromiter(map(alpha.factored.get, ps, itertools.repeat(0)), float, len(ps))
+    beta_small = ntkernel._plain_sum(beta_e * prime_logs)
+    alpha_small_nondisc = ntkernel._plain_sum(np.where(disc, 0.0, alpha_e * prime_logs))
 
-    cn, en, dn = _density_sums(N, scan[0], D)
+    cn, en, dn = _density_sums(primes, prime_logs, disc, scan[0])
 
     d = f0.degree
     residual = log_L - (d * N * math.log(N) - bad - delta - N * cn) if N >= 2 else log_L

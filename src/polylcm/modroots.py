@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ntkernel
 from .errors import DegenerateReductionError, InternalConsistencyError, ResourceLimitError
-from .ntkernel import is_prime, sieve_primes
+from .ntkernel import _mod_primes, is_prime, sieve_primes
 from .polyring import (
     IntPoly,
     PolyLike,
@@ -356,13 +356,6 @@ def _runs(primes: tuple[int, ...]) -> Iterator[list[int]]:
             run, size = [], 0
     if run:
         yield run
-
-
-def _mod_primes(c: int, primes: np.ndarray) -> np.ndarray:
-    # c mod p for each p of the int64 array primes, also for c outside int64.
-    if -(2**63) <= c < 2**63:
-        return np.int64(c) % primes
-    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
 
 
 def _large_roots(fa: IntPoly, p: int) -> tuple[int, ...]:

@@ -2,22 +2,26 @@
 
 Primes come from one sieve over a numpy bool array, dropped before the
 larger tuple of primes is built; SIEVE_LIMIT_MAX caps it, and the value
-passes over n = 1 .. N (polyring._horner_values) too.
+passes over n = 1 .. N (polyring._horner_values) too.  ``_prime_array``
+keeps them as int64 arrays too (the last 8 limits), which ``_mod_primes``
+reduces an integer by.
 
 Everything here is exact integer arithmetic except the two floating
 log-sums, which accumulate in ascending prime order (error budget ~1e-9
 relative per 1e6 terms, so far below the 1e-4 tolerances used by tests).
 
-Factoring strategy: trial division by primes <= 3000, then Brent-cycle
-Pollard rho, which finds the factors above 3000 faster than a longer
-trial-division loop does; each factor's primality is decided by
-Miller-Rabin (deterministic below 3.317e24) or, above that bound, by the
-BPSW probable-prime test, which is not a proof.  Inputs are capped at
-|m| < 2**128; sequence values at desk scale stay well below.
+Factoring strategy: trial division by the primes p <= min(isqrt(n), 1e5)
+in one numpy pass (``_mod_primes``: n mod p for every p at once, by Horner
+over n's 32-bit limbs in int64), so a leftover below 1e10 is prime by the
+bound alone; then Brent-cycle Pollard rho on what is left, each factor's
+primality decided by Miller-Rabin (deterministic below 3.317e24) or, above
+that bound, by the BPSW probable-prime test, which is not a proof.  Inputs
+are capped at |m| < 2**128; sequence values at desk scale stay well below.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -34,7 +38,7 @@ SIEVE_LIMIT_MAX = 1 << 27
 
 FACTOR_INPUT_MAX = 1 << 128
 
-_TRIAL_DIVISION_BOUND = 3000
+_TRIAL_DIVISION_BOUND = 100_000
 
 # Miller-Rabin with these fixed bases is a proven primality test for all
 # n < 3.317e24 (Sorenson-Webster), which covers the 64-bit range with room.
@@ -112,6 +116,28 @@ def sieve_primes(limit: int) -> PrimeTable:
     table = PrimeTable(limit, tuple(map(int, primes)))
     _shared_table = table
     return table
+
+
+@functools.lru_cache(maxsize=8)
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes <= limit as a read-only int64 array (empty below 2)."""
+    primes = np.array(sieve_primes(limit).primes if limit >= 2 else (), dtype=np.int64)
+    primes.flags.writeable = False
+    return primes
+
+
+def _mod_primes(c: int, primes: np.ndarray) -> np.ndarray:
+    """c mod p (Python's sign) for each p of the int64 array primes, every
+    p < 2**31, also for c outside int64: Horner over |c|'s 32-bit limbs, from
+    the top, in int64, where r * 2**32 + limb < p * 2**32 <= 2**63."""
+    if -(2**63) <= c < 2**63:
+        return np.int64(c) % primes
+    m = abs(c)
+    limbs = np.frombuffer(m.to_bytes(-(-m.bit_length() // 32) * 4, "big"), ">u4").tolist()
+    r = np.zeros(len(primes), dtype=np.int64)
+    for limb in limbs:
+        r = ((r << 32) + limb) % primes
+    return r if c > 0 else -r % primes
 
 
 def nu(p: int, m: int) -> int:
@@ -256,14 +282,17 @@ def factor(m: int) -> Factorization:
     n = abs(m)
     counts: dict[int, int] = {}
     if n > 1:
-        for p in sieve_primes(_TRIAL_DIVISION_BOUND):
-            if p * p > n:
-                break
+        # One pass finds every prime p <= min(isqrt(n), bound) dividing n.
+        primes = _prime_array(_TRIAL_DIVISION_BOUND)
+        primes = primes[: np.searchsorted(primes, math.isqrt(n), "right")]
+        for p in primes[_mod_primes(n, primes) == 0].tolist():
+            e = 0
             while n % p == 0:
-                counts[p] = counts.get(p, 0) + 1
                 n //= p
-        # n has no prime factor that the loop tried, so n and each piece of
-        # it are prime when below the square of the trial bound.
+                e += 1
+            counts[p] = e
+        # n has no prime factor up to min(isqrt(|m|), bound), so n and each
+        # piece of it are prime when below the square of the trial bound.
         known_prime = _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND
         if n > 1:
             if n < known_prime or is_prime(n):

@@ -21,13 +21,15 @@ cofactor with all prime factors > N.  One batch GCD over these cofactors
 gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  It builds the
 balanced pairwise product tree (``_product_tree``, which
 ``ValuationLedger.product()`` also takes) and walks it down by sibling
-gcds: each node's h = gcd(node, product of the leaves outside it) comes
-from its parent's h times gcd(left, right), since for every prime q,
+gcds, each layer one ``map`` of ``operator.mul`` or ``math.gcd``: each
+node's h = gcd(node, product of the leaves outside it) comes from its
+parent's h times gcd(left, right), since for every prime q,
 min(v_q(child), v_q(h) + v_q(sibling)) is unchanged when the sibling is
 replaced by gcd(left, right).  No node is divided by another.  A prime of
-c_i divides g_i exactly when another cofactor holds it, so only g_i is
-factored: a g_i > 1 and <= N^2 is prime (its primes all exceed N), a larger
-one goes to ``is_prime``, and only a composite g_i goes to ``factor``.
+c_i divides g_i exactly when another cofactor holds it, so only the c_i
+with g_i > 1 are visited and only g_i is factored: a g_i > 1 and <= N^2 is
+prime (its primes all exceed N), a larger one goes to ``is_prime``, and
+only a composite g_i goes to ``factor``.
 What is left of c_i after its shared primes, the whole c_i when g_i = 1,
 shares no prime: its primes have alpha_p = beta_p, so the ledgers keep it
 unfactored, and the report reads it through ``product()`` up to the
@@ -41,7 +43,9 @@ is undefined at such n.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -70,7 +74,7 @@ class ValuationLedger:
     rest: tuple[int, ...]
 
     def product(self) -> int:
-        leaves = [p**e for p, e in self.factored.items()] + list(self.rest)
+        leaves = [*map(pow, self.factored, self.factored.values()), *self.rest]
         return _product_tree(leaves)[-1][0] if leaves else 1
 
 
@@ -80,7 +84,7 @@ def _product_tree(xs: list[int]) -> list[list[int]]:
     tree = [xs]
     while len(tree[-1]) > 1:
         layer = tree[-1]
-        pairs = [x * y for x, y in zip(layer[::2], layer[1::2])]
+        pairs = list(map(operator.mul, layer[::2], layer[1::2]))
         tree.append(pairs + layer[-1:] if len(layer) % 2 else pairs)
     return tree
 
@@ -146,18 +150,16 @@ def build_ledgers(
         _roots = _root_table_for(f.base, root_table).roots_upto(f.shift, N)
     alpha, beta = _root_sieve(values, N, *_roots)
     cofactors = values.tolist()
-    big = [v for v in cofactors if v > 1]
-    rest = []
-    for v, g in zip(big, _shared_gcds(big)):
-        if g > 1:
-            shared, v = _split_shared(v, g, N)
-            for q, e in shared:
-                alpha[q] = alpha.get(q, 0) + e
-                if e > beta.get(q, 0):
-                    beta[q] = e
-        if v > 1:
-            rest.append(v)
-    unshared = tuple(rest)
+    rest = list(filter((1).__lt__, cofactors))
+    gs = _shared_gcds(rest)
+    # Only a cofactor with g > 1 is split; rest keeps the cofactor order.
+    for i in itertools.compress(range(len(gs)), map((1).__lt__, gs)):
+        shared, rest[i] = _split_shared(rest[i], gs[i], N)
+        for q, e in shared:
+            alpha[q] = alpha.get(q, 0) + e
+            if e > beta.get(q, 0):
+                beta[q] = e
+    unshared = tuple(filter((1).__lt__, rest))
     return ValuationLedger(alpha, unshared), ValuationLedger(beta, unshared), cofactors
 
 
@@ -213,10 +215,13 @@ def _shared_gcds(cs: list[int]) -> list[int]:
     tree = _product_tree(cs)
     hs = [1]
     for layer in reversed(tree[:-1]):
-        ms = [h * math.gcd(left, right) for h, left, right in zip(hs, layer[::2], layer[1::2])]
+        lefts, rights = layer[::2], layer[1::2]
+        ms = list(map(operator.mul, hs, map(math.gcd, lefts, rights)))
         if len(layer) % 2:
             ms.append(hs[-1])
-        hs = [math.gcd(c, ms[i >> 1]) for i, c in enumerate(layer)]
+        hs = layer.copy()  # children 2j and 2j + 1 read their parent's m_j
+        hs[::2] = map(math.gcd, lefts, ms)
+        hs[1::2] = map(math.gcd, rights, ms)
     return hs if cs else []
 
 

@@ -44,7 +44,7 @@ from polylcm.decomp import _column_record, _family_term_rows
 from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import _family_root_table
-from polylcm.ntkernel import divisor_logsum, divisor_logsum_table
+from polylcm.ntkernel import _prime_array, divisor_logsum, divisor_logsum_table
 from polylcm.polyring import IntPoly, ShiftedPoly, _disc_family, _family_pattern_rows
 from polylcm.valengine import _abs_values
 
@@ -63,6 +63,7 @@ COV_PAIRS = ((11, 13), (17, 19), (11, 31))
 
 # Every cache in the package; criterion 11 clears each before it reruns.
 PACKAGE_CACHES = (
+    _prime_array,
     _verdict_record,
     _disc_family,
     _family_pattern_rows,

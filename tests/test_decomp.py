@@ -115,6 +115,38 @@ class TestLcmEngines:
             for N in (1, 2, 3, 7, 300):
                 assert lcm_bigint(f, N) == lcm_chain([f(n) for n in range(1, N + 1)]), (f, N)
 
+    def test_running_sums_equal_chain_oracle(self):
+        # Degree 1-8 families, non-monic and negative-lead ones included, at
+        # N = 1 .. d + 2 and 60 (below, at and past the d + 1 Horner values
+        # the running sums start from): the chain lcm of directly evaluated
+        # values, and ZeroValueError at the first zero, as a Horner loop over
+        # every n finds it.  A shift taken at f0(k) plants a zero at n = k.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=120, derandomize=True, deadline=None)
+        @hypothesis.given(
+            low=st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+            lead=st.integers(-6, 6).filter(bool),
+            a=st.integers(-(10**6), 10**6),
+            zero_at=st.one_of(st.none(), st.integers(1, 60)),
+        )
+        def check(low, lead, a, zero_at):
+            coeffs = [*low, lead]
+            if zero_at is not None:
+                a = eval_poly(coeffs, zero_at)
+            f = ShiftedPoly(IntPoly(tuple(coeffs)), a)
+            for N in (*range(1, len(coeffs) + 2), 60):
+                values = [eval_poly(coeffs, n) - a for n in range(1, N + 1)]
+                if 0 in values:
+                    with pytest.raises(ZeroValueError) as err:
+                        lcm_bigint(f, N)
+                    assert err.value.n == values.index(0) + 1
+                else:
+                    assert lcm_bigint(f, N) == lcm_chain(values), (coeffs, a, N)
+
+        check()
+
 
 class TestHotPath:
     def test_report_factors_only_shared_cofactors(self, x3, monkeypatch):
@@ -306,10 +338,18 @@ class TestFrozenOutputs:
          "9af40c006b9bd7acc43c0c29a7013f9c2ef65acd8da376e048cfcff62d86691d"),
         ((7, 1, -3, 0, 0, 1), 12, 700,
          "4e6363d63aefc22397b375bc44ac221493ab13548b158407878d8842258a211b"),
+        # Values past int64 (400 * 600**6 > 2**63): the object path.
+        ((5, -2, 0, 7, 0, 1, 400), 3, 600,
+         "c2898b2c21be33f8a5425813ac204f6acf19a5e8d1759856a899d6af337b2d67"),
+        # A composite shared g = 601 * 691 goes to factor.
+        ((0, 0, 0, 1), 2, 300,
+         "a7b8eacb3b4f37c3cc7ec0bb1952ce33adbfbe101bd680150d845e509129f62c"),
     ]
 
     @pytest.mark.parametrize(
-        "coeffs, a, N, digest", CASES, ids=["x3-a2", "x3-a-151515", "x3-a98765", "deg5-a12"]
+        "coeffs, a, N, digest",
+        CASES,
+        ids=["x3-a2", "x3-a-151515", "x3-a98765", "deg5-a12", "deg6-a3-object", "x3-a2-N300"],
     )
     def test_report_digest(self, coeffs, a, N, digest):
         rep = decomposition_report(IntPoly(coeffs), a, N)
@@ -484,9 +524,8 @@ class TestBatchColumns:
 
     def test_bad_zero_value_raises(self, x3):
         # Outside the precondition: f_8(2) = 0 and f_27(3) = 0.  The batch
-        # raises only where a zero meets a discriminant prime <= N, here
-        # 3 | D(a) = -27a^2: at the first shift in order with a zero, naming
-        # its first zero, as the per-shift path does.
+        # raises at the first shift in order with a zero, naming its first
+        # zero, as the per-shift path does.
         with pytest.raises(ZeroValueError) as err:
             decomp._columns(x3, [8], 5)
         assert err.value.n == 2
@@ -496,6 +535,41 @@ class TestBatchColumns:
             with pytest.raises(ZeroValueError) as err:
                 decomp._columns(x3, shifts, 5)
             assert err.value.n == want.value.n == n, shifts
+
+    @pytest.mark.parametrize(
+        "coeffs, shift, N, error",
+        [
+            ((0, -1, 1), 0, 5, ZeroValueError),  # x^2 - x: zero at n = 1, no disc prime
+            ((0, 0, 0, 1), 1, 1, ZeroValueError),  # N = 1: no prime at all
+            ((1, 0, 2, 0, 1), 0, 10, ValueError),  # (x^2 + 1)^2: D = 0, no zero
+        ],
+    )
+    def test_rejects_what_c_N_rejects(self, coeffs, shift, N, error):
+        # Outside the precondition, each shift alone and as the first bad
+        # shift among good ones: the error c_N raises, with its first zero.
+        f0 = IntPoly(coeffs)
+        with pytest.raises(error) as want:
+            c_N(f0, shift, N)
+        good = [
+            a for a in range(shift + 1, shift + 40)
+            if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())
+        ]
+        for shifts in ([shift], [*good[:3], shift, *good[3:6]]):
+            with pytest.raises(error) as got:
+                decomp._columns(f0, shifts, N)
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_first_rejected_shift_in_order(self, x3):
+        # D(0) = 0 for x^3 and f_27(3) = 0: whichever comes first raises,
+        # on the int64 and the object path alike.
+        wide = 2**70 + 1
+        for shifts, error in (([5, 0, 27], ValueError), ([5, 27, 0], ZeroValueError)):
+            for extra in ([], [wide]):
+                with pytest.raises(error):
+                    decomp._columns(x3, [*shifts, *extra], 10)
+        with pytest.raises(ZeroValueError) as err:
+            decomp._columns(x3, [wide, 5, 8, 27], 10)
+        assert err.value.n == 2
 
     def test_gathered_masks_match_the_exact_discriminant(self):
         # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _term_index gathers
@@ -558,6 +632,43 @@ class TestTermRowLimit:
         TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts + big, 60)
 
 
+class TestDensitySums:
+    # C_N, E_N and D_N as array sums against the per-prime loop they
+    # replaced, bit for bit, with D inside and outside int64.
+    @staticmethod
+    def _scalar(N, root_primes, D):
+        cn = en = dn = 0.0
+        rho = {}
+        for p in root_primes.tolist():
+            rho[p] = rho.get(p, 0) + 1
+        for p in trial_primes(N):
+            log_p = math.log(p)
+            if D % p == 0:
+                en += log_p / p
+                continue
+            r = rho.get(p, 0)
+            if r:
+                cn += r * log_p / (p - 1)
+            if r != 1:
+                dn += (r - 1) * log_p / p
+        return cn, en, dn
+
+    def test_equal_the_scalar_loop(self):
+        rng = random.Random(9090)
+        small = trial_primes(300)
+        for _ in range(40):
+            N = rng.randint(1, 1500)
+            D = rng.choice((1, -1)) * rng.randint(1, 10**6) * rng.choice((1, 2**64 + 13))
+            D *= math.prod(rng.sample(small, rng.randint(0, 8)))
+            primes = ntkernel._prime_array(N)
+            rho = [rng.choice((0, 0, 1, 2, 3)) for _ in primes]
+            root_primes = np.repeat(primes, rho)
+            disc = decomp._disc_mask(D, N)
+            got = decomp._density_sums(primes, decomp._prime_logs(N), disc, root_primes)
+            want = self._scalar(N, root_primes, D)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (N, D)
+
+
 class TestTermRowFormat:
     # A family's kept term rows take one byte a residue, and the record's
     # C_N and D_N lookups hold the scalar loop's terms bit for bit.
@@ -585,19 +696,19 @@ class TestTermRowFormat:
         assert kept <= 1.5 * sum(primes), kept
 
     @pytest.mark.parametrize("f0", FAMILIES, ids=["monic", "non-monic"])
-    def test_lookups_equal_the_scalar_terms(self, f0, monkeypatch):
-        # Entry k + 1 of p's lookups against _density_sums at p alone (the
-        # sieve patched to yield only p) with rho = k roots at p and p not
-        # dividing D = 1; entry 0 against D = p.
+    def test_lookups_equal_the_scalar_terms(self, f0):
+        # Entry k + 1 of p's lookups against _density_sums at p alone with
+        # rho = k roots at p and p not dividing D; entry 0 against p | D.
         primes = ntkernel.sieve_primes(modroots.BRUTE_FORCE_LIMIT).primes
         d = f0.degree
         cn, dn = decomp._term_lookups(primes, d)
         assert cn.shape == dn.shape == (len(primes), d + 2)
         assert decomp._term_rows(f0.coeffs, 7).dtype == np.uint8
-        monkeypatch.setattr(ntkernel, "sieve_primes", lambda N: (N,))
         for i, p in enumerate(primes):
-            want = [decomp._density_sums(p, np.full(k, p), 1) for k in range(d + 1)]
-            want = [decomp._density_sums(p, np.full(0, p), p), *want]
+            one, log_p = np.array([p]), np.array([math.log(p)])
+            off, on = np.array([False]), np.array([True])
+            want = [decomp._density_sums(one, log_p, off, np.full(k, p)) for k in range(d + 1)]
+            want = [decomp._density_sums(one, log_p, on, np.full(0, p)), *want]
             got = [(c.hex(), t.hex()) for c, t in zip(cn[i].tolist(), dn[i].tolist())]
             assert got == [(c.hex(), t.hex()) for c, _, t in want], p
 

@@ -158,6 +158,46 @@ class TestFactor:
             assert factor(m).factors == tuple(sorted(sympy.factorint(m).items())), m
 
 
+class TestTrialPass:
+    # factor's one numpy pass of trial division (n mod p for every prime
+    # p <= min(isqrt(n), bound) by Horner over 32-bit limbs) against plain
+    # Python trial division: near limb and word boundaries, on prime powers
+    # and at the bound.
+    @staticmethod
+    def _cases():
+        rng = random.Random(0x7A1)
+        cases = [(1 << 128) - 1]
+        for bits in (32, 64, 96):
+            cases += [(1 << bits) + k for k in rng.sample(range(-(10**4), 10**4), 6) if k]
+        cases += [3**80, 2**127, 99991**7, 65537**4 * 3, 10007**3 * 99991**2]
+        cases += [99991, 99991**2, 99991 * 100003, 100003**2, 7 * 99989 * 99991]
+        return cases
+
+    def test_residues_match_python_mod(self):
+        primes = ntkernel._prime_array(ntkernel._TRIAL_DIVISION_BOUND)
+        for n in [*self._cases(), 0, 1, -(2**64 + 1), -(3**100), 2**63 - 1, -(2**63)]:
+            assert ntkernel._mod_primes(n, primes).tolist() == [n % p for p in primes.tolist()], n
+
+    def test_small_primes_match_trial_division(self):
+        bound = ntkernel._TRIAL_DIVISION_BOUND
+        for n in self._cases():
+            f = factor(n)
+            assert f.product() == n and all(is_prime(p) for p in f.primes())
+            want = [(p, e) for p, e in trial_factor(n, bound) if p <= bound]
+            assert [(p, e) for p, e in f.factors if p <= bound] == want, n
+
+    def test_piece_below_bound_squared_needs_no_rho(self, monkeypatch):
+        # Pieces in [9e6, 1e10) whose primes all exceed 3000: the pass to
+        # min(isqrt(n), 1e5) leaves a prime, so rho is never called.
+        calls = []
+        rho = ntkernel._rho_brent
+        monkeypatch.setattr(ntkernel, "_rho_brent", lambda n, rng: calls.append(n) or rho(n, rng))
+        for q, r in ((3001, 3011), (7919, 104729), (30011, 30013), (99989, 99991)):
+            assert 9 * 10**6 <= q * r < 10**10
+            assert factor(q * r).factors == ((q, 1), (r, 1))
+        assert calls == []
+
+
 class TestIsPrime:
     def test_small(self):
         small = set(trial_primes(200))
