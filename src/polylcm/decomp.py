@@ -193,11 +193,10 @@ def _delta_from_ledgers(alpha: ValuationLedger, beta: ValuationLedger, N: int) -
     # A prime with alpha_p != beta_p divides two values, so it is a shared
     # prime and is in the prime-keyed part.
     total = 0.0
-    for p in sorted(alpha.factored):
-        if p > N:
-            diff = alpha.factored[p] - beta.factored.get(p, 0)
-            if diff:
-                total += diff * math.log(p)
+    for p in sorted(p for p in alpha.factored if p > N):
+        diff = alpha.factored[p] - beta.factored.get(p, 0)
+        if diff:
+            total += diff * math.log(p)
     return total
 
 

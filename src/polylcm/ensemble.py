@@ -17,12 +17,14 @@ inputs and seed produce byte-identical reports.
 
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
-chunks in worker processes; ``theorem_check`` goes through it too.  ``cn``,
-``dn``, ``bad`` and ``b2`` are batched: ``_column_chunk`` reads each by name
-from one column record of the chunk (``decomp._columns``), built by one
-numpy pass per prime p <= N over all its shifts and kept, one entry only,
-until another (f0, shifts, N) is asked for, so the four statistics of one
-window share a pass.  An exhaustive average hands over the admitted int64
+chunks in worker processes; ``theorem_check`` goes through it too.  Its
+process pool is imported on first use, so a process that only imports the
+package loads no ``multiprocessing``.  ``cn``, ``dn``, ``bad`` and ``b2``
+are batched: ``_column_chunk`` reads each by name from one column record
+of the chunk (``decomp._columns``), built by one numpy pass per prime
+p <= N over all its shifts and kept, one entry only, until another
+(f0, shifts, N) is asked for, so the four statistics of one window share a
+pass.  An exhaustive average hands over the admitted int64
 array as it is, and the record is keyed by its bytes; only sampled shifts
 outside int64 are keyed as a tuple.  How the record reads each prime's
 terms and counts Bad_N is stated once, at ``decomp._columns``.  The values
@@ -47,7 +49,6 @@ import math
 import random
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,6 +287,10 @@ def _map_shifts(
     each process reads its own family caches."""
     if threads <= 1 or len(ordered) <= 1:
         return np.asarray(chunk_fn(f0, ordered, N), dtype=float)
+    # Imported on first use: the pool loads multiprocessing and some 30
+    # modules with it, which only this branch needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [ordered[i::threads] for i in range(min(threads, len(ordered)))]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         outs = list(pool.map(chunk_fn, itertools.repeat(f0), chunks, itertools.repeat(N)))

@@ -3,8 +3,9 @@
 Covers discriminants via the subresultant form of Res(f, f') (for a shift
 family, D(a) = disc(f0 - a) is interpolated once from d subresultant values
 and then evaluated), and exact irreducibility over Q (complete for degree
-<= 10).  One exact integer interpolation, _interpolate, serves both D(a) and
-stage 3 below.
+<= 10).  The subresultant sequence runs on plain coefficient lists, and its
+pseudo-remainder _prem is the one the Kronecker stage reads.  One exact
+integer interpolation, _interpolate, serves both D(a) and stage 3 below.
 
 Irreducibility pipeline (all stages exact; no probabilistic answers):
   stage 0  Capelli's criterion for a binomial x^d + c: the family listing
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -105,22 +106,11 @@ class IntPoly:
                 out[i + j] += a * b
         return IntPoly(tuple(out))
 
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(tuple(k * c for c in self.coeffs))
-
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def content(self) -> int:
-        if self.is_zero:
-            return 0
-        return reduce(math.gcd, (abs(c) for c in self.coeffs))
-
-    def primitive_part(self) -> "IntPoly":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return IntPoly(tuple(x // c for x in self.coeffs))
+        return math.gcd(*self.coeffs)  # 0 for the zero polynomial
 
     @classmethod
     def parse(cls, text: str) -> "IntPoly":
@@ -190,54 +180,66 @@ def _horner_mod(coeffs: Sequence[int], xs: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _prem(A: IntPoly, B: IntPoly) -> IntPoly:
-    # Pseudo-remainder: lc(B)^(degA-degB+1) * A = Q*B + R with deg R < deg B.
-    dB = B.degree
-    lcB = B.lc
-    R = A
-    e = A.degree - dB + 1
-    while not R.is_zero and R.degree >= dB:
-        shift = R.degree - dB
-        S = IntPoly((0,) * shift + B.coeffs).scale(R.lc)
-        R = R.scale(lcB) - S
+def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    # Pseudo-remainder of ascending coefficient lists, A and B without
+    # trailing zeros and B nonzero: lc(B)^(deg A - deg B + 1) * A = Q*B + R
+    # with deg R < deg B.  R comes back trimmed, [] when it is zero.
+    dB = len(B) - 1
+    lcB = B[-1]
+    low = B[:-1]
+    R = list(A)
+    e = len(R) - dB  # deg A - deg B + 1
+    while len(R) > dB:
+        # R <- lcB * R - lc(R) x^(deg R - deg B) B, which cancels lc(R).
+        c = R.pop()
+        R = [lcB * x for x in R]
+        off = len(R) - dB
+        for j, y in enumerate(low):
+            R[off + j] -= c * y
+        while R and not R[-1]:
+            R.pop()
         e -= 1
     if e > 0:
-        R = R.scale(lcB**e)
+        k = lcB**e
+        R = [k * x for x in R]
     return R
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Res(f, g) by the subresultant polynomial remainder sequence."""
-    if f.is_zero or g.is_zero:
+    """Res(f, g) by the subresultant polynomial remainder sequence, run on
+    plain coefficient lists."""
+    A, B = f.coeffs, g.coeffs
+    if not A or not B:
         return 0
-    A, B = f, g
     s = 1
-    if A.degree < B.degree:
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
+    if len(A) < len(B):
+        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
             s = -1
         A, B = B, A
-    if A.degree == 0:
+    dA, dB = len(A) - 1, len(B) - 1
+    if dA == 0:
         return 1
-    ca, cb = A.content(), B.content()
-    A, B = A.primitive_part(), B.primitive_part()
-    t = ca**B.degree * cb**A.degree
-    if B.degree == 0:
-        return s * t * B.coeffs[0] ** A.degree
+    ca, cb = math.gcd(*A), math.gcd(*B)
+    A, B = [c // ca for c in A], [c // cb for c in B]
+    t = ca**dB * cb**dA
+    if dB == 0:
+        return s * t * B[0] ** dA
     g_, h = 1, 1
     while True:
-        delta = A.degree - B.degree
-        if A.degree % 2 == 1 and B.degree % 2 == 1:
+        delta = dA - dB
+        if dA % 2 == 1 and dB % 2 == 1:
             s = -s
         R = _prem(A, B)
-        if R.is_zero:
+        if not R:
             return 0  # nontrivial gcd
-        A = B
-        B = IntPoly(tuple(c // (g_ * h**delta) for c in R.coeffs))
-        g_ = A.lc
+        q = g_ * h**delta
+        A, B = B, [c // q for c in R]
+        dA, dB = dB, len(B) - 1
+        g_ = A[-1]
         h = h if delta == 0 else g_**delta // h ** (delta - 1)
-        if B.degree == 0:
+        if dB == 0:
             break
-    return s * t * (B.coeffs[0] ** A.degree // h ** (A.degree - 1))
+    return s * t * (B[0] ** dA // h ** (dA - 1))
 
 
 def discriminant(f: PolyLike) -> int:
@@ -528,7 +530,9 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
     # f over Q has one such factor, its primitive part, among the candidates.
     for combo in itertools.product(*divisor_lists):
         g = _interpolate(list(zip(xs, combo)))
-        if g is not None and 0 < g.degree <= k and f.lc % g.lc == 0 and _prem(f, g).is_zero:
+        if g is None or not 0 < g.degree <= k or f.lc % g.lc:
+            continue
+        if not _prem(f.coeffs, g.coeffs):
             return True
     return False
 

@@ -405,6 +405,53 @@ class TestFrozenOutputs:
         assert hashlib.sha256(stats.to_json().encode()).hexdigest() == digest
 
 
+class TestFrozenColdPaths:
+    # SHA-256 of the bytes a new process writes on the paths it pays for
+    # once: `decompose` JSON on one new monic family per degree 3-6
+    # (coefficients in [-9, 9], |a| <= 100, as the benchmark's cold
+    # families), with the family caches cleared so each meets its
+    # discriminant and tables cold; and ensemble JSON over two worker
+    # processes, whose pool is imported on first use.
+    DECOMPOSE_CASES = [
+        ((-2, 2, 2, 1), 96, 250,
+         "7996390ee224d6803546948841b6bc04932a630bb8a8be1ec1a84f87dd93f963"),
+        ((-1, -1, -7, 1, 1), 49, 450,
+         "13bd12b09545c1bb76a7907ae43848a75e8e55c64d0a7b2f6b5eb9e2b117027b"),
+        ((-3, 5, 5, 8, -3, 1), -20, 650,
+         "9f8a9424c99390a6f2b97a01e4bb65c0e00c71ac76412de724c8b75183890711"),
+        ((1, 7, -4, -8, -6, 2, 1), 8, 900,
+         "2d7d1923f78fe1e345a0ebed70250f83c83119f2c5b0fbd904d27837a22d0313"),
+    ]
+
+    @pytest.mark.parametrize(
+        "coeffs, a, N, digest", DECOMPOSE_CASES, ids=["deg3", "deg4", "deg5", "deg6"]
+    )
+    def test_cold_decompose_digest(self, coeffs, a, N, digest, capsys):
+        polyring._disc_family.cache_clear()
+        modroots._family_root_table.cache_clear()
+        argv = ["decompose", "--f0=" + ",".join(map(str, coeffs)), f"--a={a}", f"--N={N}"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    THREADED_CASES = [
+        ((0, 1, 0, 0, 1), 300, 30, "cn", {"sampling": "exhaustive"},
+         "18a093eb1d3387652c8894c07f8ffca213be0c733bfa83937540325f92add8dc"),
+        ((0, 0, 0, 1), 200_000, 300, "delta", {"sampling": "random", "n_samples": 30},
+         "e1543f3950f955b0babf5c38a0e50e1b3269ebe4c0418a3b3f7d7e300ea0228a"),
+    ]
+
+    @pytest.mark.parametrize(
+        "coeffs, T, N, stat, kw, digest",
+        THREADED_CASES,
+        ids=["x4x-cn-exhaustive", "x3-delta-random"],
+    )
+    def test_two_worker_ensemble_digest(self, coeffs, T, N, stat, kw, digest):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # x^3 at N = 300 is below its window
+            stats = ensemble_average(IntPoly(coeffs), T, N, stat, threads=2, **kw)
+        assert hashlib.sha256(stats.to_json().encode()).hexdigest() == digest
+
+
 class TestBatchColumns:
     # The ensembles' batch path (one column record per list of shifts,
     # decomp._columns) against the single-shift path (c_N, e_N_d_N, bad_N),
