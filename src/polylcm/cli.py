@@ -4,10 +4,11 @@ Subcommands: primes, decompose, ensemble, theorem, weil, roots.
 Polynomials are given as ascending comma-separated coefficients
 ("0,2,0,1" is x^3 + 2x).  Defaults for --seed/--threads/--samples can be
 overridden through POLYLCM_SEED / POLYLCM_THREADS / POLYLCM_SAMPLES.
-The parser is built once, at import; ``build_parser`` reads these defaults
-on every call, so a malformed one is a usage error for every subcommand.  The
-seed picks which shifts ensemble and theorem sample; every other command
-is exact and takes none.  --p of weil and roots must be prime.
+The parser is built once, on the first ``build_parser`` call, and kept;
+``build_parser`` reads these defaults on every call, so a malformed one is
+a usage error for every subcommand.  The seed picks which shifts ensemble
+and theorem sample; every other command is exact and takes none.  --p of
+weil and roots must be prime.
 
 Exit codes: 0 success, 2 usage error (a ValueError, an OSError such as an
 unwritable --out or --csv-out path, or any package error without a code of
@@ -68,17 +69,26 @@ def _write_out(text: str, path: str | None) -> None:
         print(text)
 
 
+# The parser and its sampled subparsers, built by the first build_parser call.
+_TREE: tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]] | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The module's one parser, its --seed/--threads/--samples defaults read
-    from the POLYLCM_* environment now."""
+    """The module's one parser, built on the first call, its
+    --seed/--threads/--samples defaults read from the POLYLCM_* environment
+    now."""
+    global _TREE
+    if _TREE is None:
+        _TREE = _parser_tree()
+    parser, sampled = _TREE
     defaults = {
         "samples": _env_int("SAMPLES", ensemble.DEFAULT_N_SAMPLES),
         "seed": _env_int("SEED", ensemble.DEFAULT_SEED),
         "threads": _env_int("THREADS", os.cpu_count() or 1),
     }
-    for p in _SAMPLED:
+    for p in sampled:
         p.set_defaults(**defaults)
-    return _PARSER
+    return parser
 
 
 def _parser_tree() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
@@ -261,8 +271,6 @@ _EXIT_CODES = {
     IrreducibilityRequiredError: EXIT_IRREDUCIBILITY,
     EmptyEnsembleError: EXIT_EMPTY_ENSEMBLE,
 }
-
-_PARSER, _SAMPLED = _parser_tree()
 
 
 def main(argv: list[str] | None = None) -> int:

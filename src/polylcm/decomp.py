@@ -381,7 +381,7 @@ def _column_record(
             ranked = np.sort(values)
             suspect = ranked[np.searchsorted(ranked[:-1], a)] == a
     multiple_root = np.arange(n)  # the shifts whose index is 0 at every prime so far
-    primes = ntkernel.sieve_primes(N) if n and N >= 2 else ()
+    primes = ntkernel.sieve_primes(N).primes if n and N >= 2 else ()
     for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
         log_p = math.log(p)
         at = _term_index(f0_coeffs, shifts, p)
@@ -471,11 +471,10 @@ def decomposition_report(
     root_table when it belongs to f0, else from the family's shared table."""
     f = ShiftedPoly(f0, a)
     fa = f.to_poly()
-    family_disc = functools.partial(_family_discriminant, f0, a)
-    irreducible = is_irreducible_over_Q(fa, _disc=family_disc)
+    irreducible = is_irreducible_over_Q(fa)
     if not irreducible and not allow_reducible:
         raise IrreducibilityRequiredError(f"f0 - ({a}) is reducible over Q")
-    D = family_disc()
+    D = _family_discriminant(f0, a)
     if D == 0:
         raise ValueError("discriminant is zero; decomposition terms undefined")
 

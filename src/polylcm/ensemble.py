@@ -60,7 +60,6 @@ from .polyring import (
     IntPoly,
     ShiftedPoly,
     _binomial_shifts,
-    _family_discriminant,
     irreducible_shifts,
     is_irreducible_over_Q,
 )
@@ -178,12 +177,7 @@ def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:
     if f0.is_monic and f0.degree >= 2:
         batch = irreducible_shifts if any(f0.coeffs[1:-1]) else _binomial_shifts
         return batch(f0, lo, hi)
-    return bytes(_is_irreducible_shift(f0, a) for a in range(lo, hi))
-
-
-def _is_irreducible_shift(f0: IntPoly, a: int) -> bool:
-    family_disc = functools.partial(_family_discriminant, f0, a)
-    return is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly(), _disc=family_disc)
+    return bytes(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) for a in range(lo, hi))
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:
@@ -198,7 +192,7 @@ def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list
         if a in drawn:
             continue
         drawn.add(a)
-        if _is_irreducible_shift(f0, a):
+        if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()):
             shifts.append(a)
     return sorted(shifts), len(drawn)
 

@@ -59,9 +59,6 @@ class PrimeTable:
     def __iter__(self):
         return iter(self.primes)
 
-    def __getitem__(self, i):
-        return self.primes[i]
-
     def __contains__(self, n: int) -> bool:
         i = bisect_right(self.primes, n) - 1
         return i >= 0 and self.primes[i] == n

@@ -11,28 +11,33 @@ Irreducibility pipeline (all stages exact; no probabilistic answers):
   stage 0  Capelli's criterion for a binomial x^d + c: the family listing
            of _binomial_shifts at the one shift a = 0
   stage 1  rational-root search (settles degree <= 3 outright)
-  stage 2  factor-degree patterns modulo primes not dividing lc*disc;
-           an irreducible image, or incompatible subset sums, certify
-           irreducibility
+  stage 2  factor-degree patterns modulo primes where f keeps its degree
+           and a squarefree image (p not dividing lc*disc); an irreducible
+           image, or incompatible subset sums, certify irreducibility, and
+           disc = 0, so f is reducible, once the squared product of the
+           primes it could not use exceeds Hadamard's bound on (lc*disc)^2
   stage 3  Kronecker interpolation search over the surviving factor
            degrees, pruned with a Mignotte coefficient bound: a candidate
            is the integer interpolant of divisors of f at k + 1 nodes, and
            a zero pseudo-remainder decides that it divides f over Q
 
-is_irreducible_over_Q runs the pipeline on one polynomial.  The family batch
-irreducible_shifts decides a range of shifts f0 - a of a monic, non-binomial
-f0 at once, with the same verdicts: stage 1 is one scan of f0(n) over
-Fujiwara's root bound (a rational root of a monic shift is an integer n with
-f0(n) = a), and stage 2 is one numpy pass per pattern prime over the shifts
-still undecided, each keeping its own count of primes used and candidate
-bits.  It gathers the subset sums of the pattern of f0 - a mod p at a mod p
-from rows kept per family (the last 8), each entry built the first time a
-window meets its residue.  For monic f0 - a, p | D(a) exactly where that
-pattern is None, so the rows also skip those primes, and D(a) = 0 is exact
-once the product of the primes so skipped exceeds a bound on |D(a)| over the
-range.  Stage 3 is one helper both paths share.  _binomial_shifts decides a
-range of shifts of a monic binomial x^d + c by listing the few reducible
-ones Capelli's criterion names; stage 0 is that listing for a range of one.
+is_irreducible_over_Q runs the pipeline on one polynomial; its stages 2 and
+3 are the family kernel below, with f its own family at shift 0 and pattern
+rows that are not kept, so no verdict computes a discriminant.  The family
+batch irreducible_shifts decides a range of shifts f0 - a of a monic,
+non-binomial f0 at once, with the same verdicts: stage 1 is one scan of
+f0(n) over Fujiwara's root bound (a rational root of a monic shift is an
+integer n with f0(n) = a), and stage 2 is one numpy pass per pattern prime
+over the shifts still undecided, each keeping its own count of primes used
+and candidate bits.  It gathers the subset sums of the pattern of f0 - a
+mod p at a mod p from rows kept per family (the last 8), each entry built
+the first time a window meets its residue.  Where that pattern is None,
+p | lc*D(a), so the rows also skip those primes, and D(a) = 0 is exact once
+the squared product of the primes so skipped exceeds Hadamard's bound on
+(lc*D(a))^2 = Res(f0 - a, f0')^2 over the range, which needs no D.
+_binomial_shifts decides a range of shifts of a monic binomial x^d + c by
+listing the few reducible ones Capelli's criterion names; stage 0 is that
+listing for a range of one.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -130,10 +135,6 @@ class ShiftedPoly:
 
     base: IntPoly
     shift: int
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree
 
     def __call__(self, n: int) -> int:
         return self.base(n) - self.shift
@@ -537,10 +538,8 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
     return False
 
 
-def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) -> bool:
-    """Exact irreducibility over the rationals (complete for degree <= 10).
-    _disc, when given, returns disc(f); it is called, only if the test needs
-    disc(f), instead of recomputing it."""
+def is_irreducible_over_Q(f: IntPoly) -> bool:
+    """Exact irreducibility over the rationals (complete for degree <= 10)."""
     d = f.degree
     if d < 1:
         raise ValueError("irreducibility needs degree >= 1")
@@ -556,32 +555,8 @@ def is_irreducible_over_Q(f: IntPoly, _disc: Callable[[], int] | None = None) ->
         return False
     if d <= 3:
         return True  # reducible quadratic/cubic must have a rational root
-    disc = discriminant(f) if _disc is None else _disc()
-    if disc == 0:
-        return False  # repeated factor
-    return _patterns_then_kronecker(f, disc)
-
-
-def _patterns_then_kronecker(f: IntPoly, disc: int) -> bool:
-    # Stages 2 and 3 for f of degree >= 4 with no rational root and
-    # disc(f) = disc != 0.  Bit k of candidates stands for a possible factor
-    # of degree k, 2 <= k <= d/2.
-    d = f.degree
-    candidates = _all_candidates(d)
-    used = 0
-    for p in _PATTERN_PRIMES:
-        if used >= _PATTERN_PRIME_COUNT or not candidates:
-            break
-        if disc % p == 0:
-            continue
-        degrees = _degree_pattern_mod_p(f, p)
-        if degrees is None:
-            continue
-        used += 1
-        if degrees == [d]:
-            return True
-        candidates &= _subset_sums(degrees)
-    return _no_factor_among(f, candidates)
+    # f is its own family at shift 0; its pattern rows are not kept.
+    return bool(_shift_patterns_then_kronecker(f, 0, 1, np.zeros(1, np.int64), {})[0])
 
 
 def _all_candidates(d: int) -> int:
@@ -612,26 +587,25 @@ def irreducible_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
     out[[a - lo for a in _integer_root_shifts(f0, lo, hi)]] = 0
     offsets = np.flatnonzero(out)
     if d >= 4 and offsets.size:
-        out[offsets] = _shift_patterns_then_kronecker(f0, lo, hi, offsets)
+        rows = _family_pattern_rows(f0.coeffs)
+        out[offsets] = _shift_patterns_then_kronecker(f0, lo, hi, offsets, rows)
     return out.tobytes()
 
 
 def _shift_patterns_then_kronecker(
-    f0: IntPoly, lo: int, hi: int, offsets: np.ndarray
+    f0: IntPoly, lo: int, hi: int, offsets: np.ndarray, rows: dict[int, np.ndarray]
 ) -> np.ndarray:
-    # Stages 2 and 3 for the shifts a = lo + i, i in offsets, of f0 (monic,
-    # degree >= 4) with no rational root: _patterns_then_kronecker's rules
-    # in its prime order, one numpy pass per prime over the shifts still
-    # undecided, each keeping its own used count and candidate bits.  For
-    # monic f0 - a, p | D(a) exactly where its image mod p is not squarefree,
-    # that is where the pattern row reads 0, so the row alone skips those
-    # primes.  A shift no prime could use has p | D(a) at every prime so far;
-    # once their product exceeds the bound on |D(a)| over the range, D(a) = 0
-    # exactly: the shift is reducible, and its candidates read -1.
+    # Stages 2 and 3 for the shifts a = lo + i, i in offsets, of f0 (degree
+    # >= 4) with no rational root, over the pattern rows given: one numpy
+    # pass per prime over the shifts still undecided, each keeping its own
+    # used count and candidate bits.  A row reads 0 where the pattern is
+    # None, that is where p | lc or the image is not squarefree, so at such
+    # a prime p | lc * D(a).  A shift no prime could use has every prime so
+    # far dividing lc * D(a); once their product squared exceeds Hadamard's
+    # bound on (lc * D(a))**2 over the range, D(a) = 0 exactly: the shift is
+    # reducible, and its candidates read -1.
     d = f0.degree
-    D = _disc_family(f0.coeffs).fill()
-    bound = _coeff_bound(D.coeffs, max(abs(lo), abs(hi - 1)))
-    rows = _family_pattern_rows(f0.coeffs)
+    bound = _hadamard_root(f0, lo, hi)
     candidates = np.full(len(offsets), _all_candidates(d), _pattern_dtype(d))
     used = np.zeros(len(offsets), np.int64)
     live = np.arange(len(offsets))
@@ -656,6 +630,18 @@ def _shift_patterns_then_kronecker(
     return verdicts
 
 
+def _hadamard_root(f0: IntPoly, lo: int, hi: int) -> int:
+    # isqrt of Hadamard's bound on the Sylvester matrix of (f0 - a, f0'),
+    # whose determinant Res(f0 - a, f0') is +-lc * D(a): the product of the
+    # squared norms of its d - 1 rows of f0 - a and d rows of f0' bounds
+    # (lc * D(a))**2 for every a in [lo, hi).
+    c, d = f0.coeffs, f0.degree
+    c0 = max(abs(c[0] - lo), abs(c[0] - hi + 1))
+    norm_f = c0 * c0 + sum(x * x for x in c[1:])
+    norm_g = sum((i * x) ** 2 for i, x in enumerate(c))
+    return math.isqrt(norm_f ** (d - 1) * norm_g**d)
+
+
 def _pattern_dtype(d: int) -> type:
     # Subset-sum bits 0 .. d // 2 fit int64 up to degree 125.
     return np.int64 if d // 2 < 63 else object
@@ -667,7 +653,7 @@ def _family_pattern_rows(f0_coeffs: tuple[int, ...]) -> dict[int, np.ndarray]:
     # the subset sums of the factor-degree pattern of f0 - r mod p, bits
     # 0 .. d // 2, with 0 where the pattern is None and -1 until built.  An
     # irreducible image [d] reads 1 and so clears every candidate bit, which
-    # certifies the shift as _patterns_then_kronecker's early return does.
+    # certifies the shift.
     return {}
 
 

@@ -1,7 +1,8 @@
 """A new process pays only for what it uses: importing the package and its
-CLI loads no process pool, and the one parallel path imports its pool on
-first use, with the in-process result.  Each check runs in a fresh
-interpreter, so no module an earlier test imported can hide a load."""
+CLI loads no process pool and builds no argument parser, and the one
+parallel path imports its pool on first use, with the in-process result.
+Each check runs in a fresh interpreter, so no module an earlier test
+imported can hide a load."""
 
 import json
 import os
@@ -44,3 +45,18 @@ def test_pool_on_first_use_gives_the_in_process_json():
     pooled, in_process = out.splitlines()
     assert pooled == in_process
     assert json.loads(pooled)["count_irreducible"] > 0
+
+
+def test_cli_import_builds_no_parser():
+    # The argparse tree is built by the first build_parser call, not at import.
+    out = _fresh(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import polylcm.cli\n"
+        "print(len(built))\n"
+        "parser = polylcm.cli.build_parser()\n"
+        "assert parser is polylcm.cli.build_parser() and len(built) > 1\n"
+    )
+    assert out.split() == ["0"]

@@ -7,7 +7,9 @@ rows a family keeps.  ``ensemble._decide`` decides monic binomials by
 Capelli's criterion and keeps one decision per shift for the non-monic
 families, with the same verdicts and errors; its listing, which
 ``is_irreducible_over_Q`` also reads, is checked against sympy's
-factorisation over Q.  hypothesis and sympy are test-only."""
+factorisation over Q.  The two paths share one pattern kernel, so windows
+of random monic families are also checked against sympy.  hypothesis and
+sympy are test-only."""
 
 import os
 import subprocess
@@ -69,6 +71,22 @@ def monic_family(draw, degrees=(2, 8), span=20):
 @given(f0=monic_family(), lo=st.integers(-300, 300), width=st.integers(0, 40))
 def test_random_monic_families(f0, lo, width):
     _assert_batch_matches(f0, lo, lo + width)
+
+
+@SETTINGS
+@given(f0=monic_family(), lo=st.integers(-300, 300), width=st.integers(0, 12))
+def test_random_monic_windows_match_sympy(f0, lo, width):
+    # is_irreducible_over_Q and the batch share the pattern kernel, so the
+    # windows are also checked against sympy's factorisation over Q, which
+    # shares no code with either.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = []
+    for a in range(lo, lo + width):
+        coeffs = ShiftedPoly(f0, a).to_poly().coeffs
+        _, factors = sympy.factor_list(sympy.Poly(list(reversed(coeffs)), x))
+        want.append(len(factors) == 1 and factors[0][1] == 1)
+    assert irreducible_shifts(f0, lo, lo + width) == bytes(want), (f0.coeffs, lo)
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -220,6 +221,47 @@ class TestIrreducibility:
             is_irreducible_over_Q(IntPoly((5,)))
         with pytest.raises(ValueError):
             is_irreducible_over_Q(IntPoly((2, 0, 2)))
+
+
+class TestHadamardBound:
+    """The pattern walk settles a shift no prime could use once the product
+    of its primes exceeds _hadamard_root, the isqrt of Hadamard's bound on
+    (lc * D(a))**2; every prime with an undefined pattern divides lc * D(a)."""
+
+    def test_bounds_lc_times_disc_of_random_polynomials(self):
+        rng = random.Random(9090)
+        for monic in (True, False):
+            for _ in range(60):
+                f = _random_poly(rng, rng.randint(4, 10), -15, 15, monic=monic)
+                exact = f.lc * disc_via_sylvester(list(f.coeffs))
+                assert abs(exact) <= polyring._hadamard_root(f, 0, 1), f
+
+    def test_bounds_every_shift_of_a_window(self):
+        for coeffs in ((3, -2, 0, 1, 1), (7, 1, 0, -2, 0, 3, 1), (-5, 4, 0, 1, 0, 0, 6)):
+            f0 = IntPoly(coeffs)
+            bound = polyring._hadamard_root(f0, -80, 41)
+            for a in range(-80, 41):
+                assert abs(f0.lc * polyring._family_discriminant(f0, a)) <= bound, (coeffs, a)
+
+    def test_leading_coefficient_of_the_first_six_primes(self):
+        # 30030 x^4 + x + 1 drops degree mod 2, 3, 5, 7, 11 and 13, so the
+        # walk passes a product of 30030 before its first usable prime; the
+        # bound covers those primes only because it bounds lc * D, not D.
+        f = IntPoly((1, 1, 0, 0, 30030))
+        assert f.lc == math.prod(polyring._PATTERN_PRIMES[:6])
+        assert is_irreducible_over_Q(f)
+
+    def test_no_verdict_computes_a_resultant(self, monkeypatch):
+        # (2x^2 + x + 1)^2 has D = 0 and no rational root: the walk alone
+        # finds it reducible once the product of its primes passes the bound.
+        calls = []
+        resultant = polyring.resultant
+        monkeypatch.setattr(polyring, "resultant", lambda f, g: calls.append(f) or resultant(f, g))
+        square = IntPoly((1, 1, 2)) * IntPoly((1, 1, 2))
+        assert not is_irreducible_over_Q(square)
+        assert is_irreducible_over_Q(IntPoly((3, 1, 0, -1, 0, 2, 1)))  # degree 6
+        assert not is_irreducible_over_Q(square * IntPoly((5, 0, 3)))  # degree 6, D = 0
+        assert calls == []
 
 
 # G(m, n) and C1 are the paper's objects; the package does not use them, so
