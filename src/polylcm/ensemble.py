@@ -5,15 +5,14 @@ shifts.  Exhaustive mode walks every a in [-T, T] and reads which shifts
 are irreducible from one verdict record per family, shared by every count,
 average and covariance: it covers [-T, T] for the largest T asked so far,
 grows when a larger T arrives and is sliced for smaller ones, so each shift
-is decided once.  The shifts a growth adds are decided together when f0 is
-monic: by ``polyring.irreducible_shifts``, whose pattern rows are kept per
-family, or for a binomial x^d + c by listing the shifts Capelli's criterion
-makes reducible (``polyring._binomial_shifts``); else one by one by
-``is_irreducible_over_Q``.  Random mode draws distinct shifts
-with a seeded generator, deciding them one at a time, and rejects reducible
-ones; the seed picks the sample and nothing else.  Aggregation is an ordered
-reduction over one float64 array of the values in ascending a, so identical
-inputs and seed produce byte-identical reports.
+is decided once.  The shifts a growth adds are decided together, for any
+integer family, by ``polyring.irreducible_shifts``, whose pattern rows are
+kept per family.  Random mode draws distinct shifts with a seeded
+generator, deciding them one at a time by ``is_irreducible_over_Q``, the
+same pipeline at one shift, and rejects reducible ones; the seed picks the
+sample and nothing else.  Aggregation is an ordered reduction over one
+float64 array of the values in ascending a, so identical inputs and seed
+produce byte-identical reports.
 
 Every statistic is a chunk function (f0, shifts, N) -> values, and
 ``_map_shifts`` is the one path that runs it, in-process or over strided
@@ -56,13 +55,7 @@ import numpy as np
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, ResourceLimitError, WindowViolationError
 from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
-from .polyring import (
-    IntPoly,
-    ShiftedPoly,
-    _binomial_shifts,
-    irreducible_shifts,
-    is_irreducible_over_Q,
-)
+from .polyring import IntPoly, ShiftedPoly, irreducible_shifts, is_irreducible_over_Q
 
 QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -146,8 +139,8 @@ def _irreducible_mask(f0_coeffs: tuple[int, ...], T: int) -> bytes:
     R = len(rec) // 2  # the record covers [-R, R]
     if T > R:
         f0 = IntPoly(f0_coeffs)
-        rec[:0] = _decide(f0, -T, -R)
-        rec += _decide(f0, R + 1, T + 1)
+        rec[:0] = irreducible_shifts(f0, -T, -R)
+        rec += irreducible_shifts(f0, R + 1, T + 1)
         R = T
     return bytes(rec[R - T : R + T + 1])
 
@@ -167,17 +160,7 @@ def _admitted(f0: IntPoly, T: int) -> np.ndarray:
 def _verdict_record(f0_coeffs: tuple[int, ...]) -> bytearray:
     # One family's irreducibility verdicts, starting from a = 0; the
     # bytearray grows at both ends in place as larger T arrive.
-    return bytearray(_decide(IntPoly(f0_coeffs), 0, 1))
-
-
-def _decide(f0: IntPoly, lo: int, hi: int) -> bytes:
-    # Irreducibility verdicts for the shifts a in [lo, hi): one family batch
-    # when f0 is monic (by Capelli's criterion for a binomial x^d + c), else
-    # one decision per shift.
-    if f0.is_monic and f0.degree >= 2:
-        batch = irreducible_shifts if any(f0.coeffs[1:-1]) else _binomial_shifts
-        return batch(f0, lo, hi)
-    return bytes(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()) for a in range(lo, hi))
+    return bytearray(irreducible_shifts(IntPoly(f0_coeffs), 0, 1))
 
 
 def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list[int], int]:

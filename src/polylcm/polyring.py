@@ -7,37 +7,35 @@ and then evaluated), and exact irreducibility over Q (complete for degree
 pseudo-remainder _prem is the one the Kronecker stage reads.  One exact
 integer interpolation, _interpolate, serves both D(a) and stage 3 below.
 
-Irreducibility pipeline (all stages exact; no probabilistic answers):
-  stage 0  Capelli's criterion for a binomial x^d + c: the family listing
-           of _binomial_shifts at the one shift a = 0
-  stage 1  rational-root search (settles degree <= 3 outright)
-  stage 2  factor-degree patterns modulo primes where f keeps its degree
-           and a squarefree image (p not dividing lc*disc); an irreducible
-           image, or incompatible subset sums, certify irreducibility, and
-           disc = 0, so f is reducible, once the squared product of the
-           primes it could not use exceeds Hadamard's bound on (lc*disc)^2
+Irreducibility pipeline (all stages exact; no probabilistic answers), one
+path, _verdicts, for a range of shifts f0 - a of any integer family after
+the degree and primitivity checks (shift a is primitive iff
+gcd(c_1, ..., c_d, c_0 - a) = 1, periodic in a); degree 1 is irreducible:
+  stage 0  Capelli's criterion for a monic binomial x^d + c: the few
+           reducible shifts it names are listed, not tested one by one
+  stage 1  rational roots: a root u/v of f0 - a has v | lc and lies within
+           Fujiwara's root bound, so one scan of v^d f0(u/v) over that
+           bound finds every shift with one, or, when the scan is longer,
+           a divisor test per shift; this settles degree <= 3 outright
+  stage 2  factor-degree patterns modulo primes where f0 - a keeps its
+           degree and a squarefree image (p not dividing lc*D(a)): one numpy
+           pass per pattern prime over the shifts still undecided, each
+           keeping its own count of primes used and candidate bits; an
+           irreducible image, or incompatible subset sums, certify
+           irreducibility, and D(a) = 0, so f0 - a is reducible, once the
+           squared product of the primes it could not use exceeds Hadamard's
+           bound on (lc*D(a))^2 = Res(f0 - a, f0')^2 over the range
   stage 3  Kronecker interpolation search over the surviving factor
            degrees, pruned with a Mignotte coefficient bound: a candidate
            is the integer interpolant of divisors of f at k + 1 nodes, and
            a zero pseudo-remainder decides that it divides f over Q
 
-is_irreducible_over_Q runs the pipeline on one polynomial; its stages 2 and
-3 are the family kernel below, with f its own family at shift 0 and pattern
-rows that are not kept, so no verdict computes a discriminant.  The family
-batch irreducible_shifts decides a range of shifts f0 - a of a monic,
-non-binomial f0 at once, with the same verdicts: stage 1 is one scan of
-f0(n) over Fujiwara's root bound (a rational root of a monic shift is an
-integer n with f0(n) = a), and stage 2 is one numpy pass per pattern prime
-over the shifts still undecided, each keeping its own count of primes used
-and candidate bits.  It gathers the subset sums of the pattern of f0 - a
-mod p at a mod p from rows kept per family (the last 8), each entry built
-the first time a window meets its residue.  Where that pattern is None,
-p | lc*D(a), so the rows also skip those primes, and D(a) = 0 is exact once
-the squared product of the primes so skipped exceeds Hadamard's bound on
-(lc*D(a))^2 = Res(f0 - a, f0')^2 over the range, which needs no D.
-_binomial_shifts decides a range of shifts of a monic binomial x^d + c by
-listing the few reducible ones Capelli's criterion names; stage 0 is that
-listing for a range of one.
+irreducible_shifts runs it over a window, reading the subset sums of the
+pattern of f0 - a mod p at a mod p from rows kept per family (the last 8),
+each entry built the first time a window meets its residue; a row reads 0
+where that pattern is None, that is where p | lc*D(a).  is_irreducible_over_Q
+is the same path with f its own family at shift 0 and pattern rows that are
+not kept, so no verdict computes a discriminant.
 """
 
 from __future__ import annotations
@@ -540,23 +538,8 @@ def _kronecker_has_factor_of_degree(f: IntPoly, k: int) -> bool:
 
 def is_irreducible_over_Q(f: IntPoly) -> bool:
     """Exact irreducibility over the rationals (complete for degree <= 10)."""
-    d = f.degree
-    if d < 1:
-        raise ValueError("irreducibility needs degree >= 1")
-    if not is_primitive(f):
-        raise ValueError("irreducibility test requires a primitive polynomial")
-    if d == 1:
-        return True
-    if f.coeffs[0] == 0:
-        return False  # x divides
-    if f.lc == 1 and all(c == 0 for c in f.coeffs[1:d]):
-        return _binomial_shifts(f, 0, 1) == b"\x01"  # f itself at shift 0
-    if _has_rational_root(f):
-        return False
-    if d <= 3:
-        return True  # reducible quadratic/cubic must have a rational root
     # f is its own family at shift 0; its pattern rows are not kept.
-    return bool(_shift_patterns_then_kronecker(f, 0, 1, np.zeros(1, np.int64), {})[0])
+    return bool(_verdicts(f, 0, 1, {})[0])
 
 
 def _all_candidates(d: int) -> int:
@@ -571,23 +554,37 @@ def _no_factor_among(f: IntPoly, candidates: int) -> bool:
 
 
 # A divisor test factors the constant term, which costs about as much as
-# this many evaluations of f0; stage 1 of the batch scans when cheaper.
+# this many evaluations of f0; stage 1 scans when cheaper.
 _ROOT_SCAN_PER_SHIFT = 64
 
 
 def irreducible_shifts(f0: IntPoly, lo: int, hi: int) -> bytes:
     """Byte i is 1 iff f0 - (lo + i) is irreducible over Q, for a in [lo, hi):
     the verdicts of is_irreducible_over_Q, read from family-level facts.
-    f0 must be monic of degree >= 2 and not a binomial x^d + c (every shift
-    is then primitive and goes past stage 0)."""
-    d = f0.degree
-    if not f0.is_monic or d < 2 or not any(f0.coeffs[1:d]):
-        raise ValueError("irreducible_shifts needs a monic, non-binomial f0 of degree >= 2")
+    Raises its ValueError when deg f0 < 1 or a shift in range is not
+    primitive."""
+    return _verdicts(f0, lo, hi, _family_pattern_rows(f0.coeffs))
+
+
+def _verdicts(f0: IntPoly, lo: int, hi: int, rows: dict[int, np.ndarray]) -> bytes:
+    # The pipeline for the shifts a in [lo, hi) of f0, stages 2 and 3 over
+    # the pattern rows given.  Shift a is primitive iff gcd(g, c0 - a) = 1,
+    # g the gcd of c_1 .. c_d; that has period g in a, so the first g
+    # shifts of the range settle it for all.
+    d, c = f0.degree, f0.coeffs
+    if d < 1:
+        raise ValueError("irreducibility needs degree >= 1")
+    g = math.gcd(*c[1:])
+    if any(math.gcd(g, c[0] - a) > 1 for a in range(lo, min(hi, lo + g))):
+        raise ValueError("irreducibility test requires a primitive polynomial")
+    if d == 1:
+        return b"\x01" * max(hi - lo, 0)
+    if f0.is_monic and not any(c[1:d]):
+        return _binomial_shifts(f0, lo, hi)
     out = np.ones(max(hi - lo, 0), np.uint8)
-    out[[a - lo for a in _integer_root_shifts(f0, lo, hi)]] = 0
+    out[[a - lo for a in _rational_root_shifts(f0, lo, hi)]] = 0
     offsets = np.flatnonzero(out)
-    if d >= 4 and offsets.size:
-        rows = _family_pattern_rows(f0.coeffs)
+    if d >= 4 and offsets.size:  # a reducible quadratic or cubic has a rational root
         out[offsets] = _shift_patterns_then_kronecker(f0, lo, hi, offsets, rows)
     return out.tobytes()
 
@@ -674,19 +671,28 @@ def _pattern_bits(f0: IntPoly, rows: dict[int, np.ndarray], p: int, r: np.ndarra
     return row[r]
 
 
-def _integer_root_shifts(f0: IntPoly, lo: int, hi: int) -> set[int]:
-    # The a in [lo, hi) at which monic f0 - a has a rational root, that is an
-    # integer n with f0(n) = a.  Every root of every such shift lies within
-    # Fujiwara's bound 2 max(|c_(d-i)|^(1/i), |c_0 - a|^(1/d)), so the
-    # values f0(n), |n| <= B, hold them all; a scan longer than the divisor
-    # tests it replaces gives way to them.
+def _rational_root_shifts(f0: IntPoly, lo: int, hi: int) -> set[int]:
+    # The a in [lo, hi) at which f0 - a has a rational root: u/v in lowest
+    # terms, v | lc, with f0(u/v) = a.  Every root of every such shift lies
+    # within Fujiwara's bound 2 max(|c_(d-i)/lc|^(1/i), |(c_0 - a)/lc|^(1/d)),
+    # at most B below, read from the raw |c_i| since |lc| >= 1, so the
+    # values v^d f0(u/v), |u| <= B v, hold them all; a scan longer than the
+    # divisor tests it replaces gives way to them.  lc is factored only when
+    # its own row, v = |lc|, fits that budget.
     c, d = f0.coeffs, f0.degree
     reach = abs(c[0]) + max(abs(lo), abs(hi - 1))
     B = 2 * max([_ceil_root(abs(c[d - i]), i) for i in range(1, d)] + [_ceil_root(reach, d)])
-    if 2 * B + 1 > _ROOT_SCAN_PER_SHIFT * (hi - lo):
+    budget, lc = _ROOT_SCAN_PER_SHIFT * (hi - lo), abs(c[d])
+    denoms = ntkernel.factor(lc).divisors() if 2 * B * lc < budget else [lc]
+    if sum(2 * B * v + 1 for v in denoms) > budget:
         shifts = range(lo, hi)
         return {a for a in shifts if a == c[0] or _has_rational_root(ShiftedPoly(f0, a).to_poly())}
-    return {v for v in map(f0, range(-B, B + 1)) if lo <= v < hi}
+    found = set()
+    for v in denoms:
+        scaled = IntPoly(tuple(x * v ** (d - i) for i, x in enumerate(c)))  # v^d f0(x / v)
+        vd = v**d
+        found.update(w // vd for w in map(scaled, range(-B * v, B * v + 1)) if w % vd == 0)
+    return {a for a in found if lo <= a < hi}
 
 
 def _ceil_root(n: int, k: int) -> int:

@@ -371,6 +371,10 @@ class TestFrozenOutputs:
     # ensemble_average(...).to_json() of the batched statistics, pinned from
     # the per-shift loops they replaced: x^3 at random (T = 2e5, N = 300,
     # 50 samples, default seed) and x^4 + x exhaustive (T = 1100, N = 50).
+    # The non-monic families were pinned while their exhaustive verdicts
+    # were still decided one shift at a time: 2x^3 + x + 1 (T = 300,
+    # N = 40) and 2x^4 - x^2 + 2x (T = 200, N = 30) exhaustive, and
+    # 2x^4 - x^2 + 3 at random (T = 2e5, N = 200, 30 samples).
     ENSEMBLE_CASES = [
         ("x3-random", "cn",
          "6c850c8abdf6ae7b336c7ed74710b820b1db5c0c084aea08bb7034ffd7f4b3d2"),
@@ -388,10 +392,25 @@ class TestFrozenOutputs:
          "77ab475caea91de64fef98c94cfb0e163982c79a76060ffa24ef3adf1a289d66"),
         ("x4x-exhaustive", "b2",
          "e3aa9760001ab6b85aa9e203c90e1bd85376c95a42fedb126ce662cffa7d231a"),
+        ("cubic-lc2-exhaustive", "cn",
+         "d30775ad8e72eccd747320b11235d0b2dd31f8635adb6d94e06f1691d06b8dd4"),
+        ("cubic-lc2-exhaustive", "bad",
+         "cd6de164b81bdfe8812eab561c1f635a6fe17241a698918a3a045c3e96907d07"),
+        ("quartic-lc2-exhaustive", "cn",
+         "d1de6eae1bdaf87cb9d0bb4e8f29ca1cdfd100609544802fbc1578270082adc3"),
+        ("quartic-lc2-exhaustive", "bad",
+         "c60c54ce7fdd1ea87107e9764a6197687391f2e766703a5d276c3fd8bafdcdf8"),
+        ("quartic-lc2-random", "dn",
+         "350f4c554931f07a9ee7db4cd539f0eb8bb384eb0918d2ed5de2db46dbb487cb"),
     ]
     ENSEMBLES = {
         "x3-random": ((0, 0, 0, 1), 200_000, 300, {"sampling": "random", "n_samples": 50}),
         "x4x-exhaustive": ((0, 1, 0, 0, 1), 1100, 50, {"sampling": "exhaustive"}),
+        "cubic-lc2-exhaustive": ((1, 1, 0, 2), 300, 40, {"sampling": "exhaustive"}),
+        "quartic-lc2-exhaustive": ((0, 2, -1, 0, 2), 200, 30, {"sampling": "exhaustive"}),
+        "quartic-lc2-random": (
+            (3, 0, -1, 0, 2), 200_000, 200, {"sampling": "random", "n_samples": 30}
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -400,7 +419,7 @@ class TestFrozenOutputs:
     def test_ensemble_digest(self, ensemble, stat, digest):
         coeffs, T, N, kw = self.ENSEMBLES[ensemble]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # x^3 at N = 300 is below its window
+            warnings.simplefilter("ignore")  # some (T, N) are outside their window
             stats = ensemble_average(IntPoly(coeffs), T, N, stat, **kw)
         assert hashlib.sha256(stats.to_json().encode()).hexdigest() == digest
 
@@ -844,8 +863,9 @@ class TestDecompositionReport:
             decomposition_report(x3, 2, 300)
 
     def test_cold_family_one_subresultant(self, monkeypatch):
-        # The irreducibility test and the report share one discriminant, so
-        # a family seen at one shift pays for one subresultant sequence.
+        # The irreducibility test computes no discriminant, so the one
+        # subresultant sequence a family seen at one shift pays for is the
+        # report's own _family_discriminant.
         f0 = IntPoly((7, 1, 0, -2, 0, 3, 1))
         calls = []
         resultant = polyring.resultant

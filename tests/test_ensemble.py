@@ -84,13 +84,13 @@ class TestReducibleCount:
     @pytest.fixture
     def decisions(self, monkeypatch):
         """The shift of every irreducibility decision ensemble makes (every
-        shift handed to ``_decide``, whether batched or decided one by one),
-        starting from empty family caches."""
+        shift handed to ``irreducible_shifts``), starting from empty family
+        caches."""
         calls = []
-        decide = ensemble._decide
+        decide = ensemble.irreducible_shifts
         monkeypatch.setattr(
             ensemble,
-            "_decide",
+            "irreducible_shifts",
             lambda f0, lo, hi: calls.extend(range(lo, hi)) or decide(f0, lo, hi),
         )
         _verdict_record.cache_clear()
