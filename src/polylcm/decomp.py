@@ -42,9 +42,9 @@ per shift (``_term_index``): rho(a; p) + 1, or 0 where p | D(a), which
 picks the shift's C_N and D_N terms from two lookups per prime built for
 each record (``_term_lookups``) and whose zeros are Bad_N's shifts at p.
 For p < BRUTE_FORCE_LIMIT the index is read at a mod p from the family's
-term row of p (``_term_rows``), built once per (family, p) and kept with
-the family (``_family_term_rows``, the last 8 families); from there on
-D(a) mod p is evaluated at the shifts and rho asked shift by shift.
+term row of p, built once and kept by the family's RootTable
+(``RootTable.term_row``, which states the row's format and cost); from
+there on D(a) mod p is evaluated at the shifts and rho asked shift by shift.
 Bad_N is counted instead of lifted: f0(1..N) is evaluated once by the
 ledger engine's evaluator, and at each discriminant prime p the level hits
 #{n <= N : f0(n) = a (mod p**k)} of all its shifts come at once from the
@@ -205,6 +205,13 @@ def _prime_logs(N: int) -> np.ndarray:
     return np.fromiter(map(math.log, ntkernel._prime_array(N).tolist()), float)
 
 
+def _density_terms(rho, log_p, p) -> tuple[np.ndarray, np.ndarray]:
+    # The scalar loop's C_N and D_N terms at a prime p not dividing D(a), with
+    # rho(a; p) roots and log_p = math.log(p), elementwise; a term the loop
+    # skips (rho = 0 for C_N, rho = 1 for D_N) comes out +0.0.
+    return rho * log_p / (p - 1), (rho - 1) * log_p / p
+
+
 def _density_sums(
     primes: np.ndarray, log_p: np.ndarray, disc: np.ndarray, root_primes: np.ndarray
 ) -> tuple[float, float, float]:
@@ -212,13 +219,11 @@ def _density_sums(
     # _prime_logs(N), disc their _disc_mask(D, N) and rho(a; p) the number of
     # times p occurs in the shift's root scan (sorted by p).  Each is the
     # plain sum of the scalar terms in ascending p: E_N's log_p / p where
-    # p | D, C_N's rho * log_p / (p - 1) and D_N's (rho - 1) * log_p / p
-    # elsewhere, a skipped term adding +0.0.
+    # p | D, C_N's and D_N's _density_terms elsewhere, a skipped term adding +0.0.
     p = primes.astype(float)
     rho = np.searchsorted(root_primes, primes, "right") - np.searchsorted(root_primes, primes)
-    cn = np.where(disc | (rho == 0), 0.0, rho * log_p / (p - 1))
+    cn, dn = (np.where(disc, 0.0, terms) for terms in _density_terms(rho, log_p, p))
     en = np.where(disc, log_p / p, 0.0)
-    dn = np.where(disc | (rho == 1), 0.0, (rho - 1) * log_p / p)
     return ntkernel._plain_sum(cn), ntkernel._plain_sum(en), ntkernel._plain_sum(dn)
 
 
@@ -245,62 +250,28 @@ def e_N_d_N(f0: IntPoly, a: int, N: int) -> tuple[float, float]:
     return _density_sums_for(f0, a, N)[1:]
 
 
-def _term_rows(f0_coeffs: tuple[int, ...], p: int) -> np.ndarray:
-    """One family's term row at a prime p < BRUTE_FORCE_LIMIT: for each
-    residue r = 0..p-1, rho(r; p) + 1 from the family RootTable's rho row,
-    or 0 where p | D(r), so a shift a reads its C_N and D_N terms at
-    a mod p.  Where p does not divide D(r), rho(r; p) <= d, so the entries
-    fit the smallest unsigned dtype holding d + 1: one byte a residue up to
-    degree 254.  A family's rows for every p <= N take about 0.28 MB at
-    N = 2000 and about 14.6 MB (14.6M residues) once N >= BRUTE_FORCE_LIMIT,
-    beside the RootTable's 2 bytes a residue."""
-    D = _disc_family(f0_coeffs).fill().coeffs
-    disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
-    rho = _family_root_table(f0_coeffs).rho_row(p)
-    row = np.where(disc, 0, rho + 1).astype(np.min_scalar_type(len(f0_coeffs)))
-    row.flags.writeable = False
-    return row
-
-
 def _term_lookups(primes: Sequence[int], d: int) -> tuple[np.ndarray, np.ndarray]:
     # The C_N and D_N terms of a degree-d family, one row per prime and one
     # column per term-row entry: +0.0 at entry 0, and at entry rho + 1 the
-    # scalar loop's rho * log_p / (p - 1) and (rho - 1) * log_p / p with
-    # log_p = math.log(p), so every gathered term keeps its bits.
+    # _density_terms of rho roots, so every gathered term keeps its bits.
     p = np.array(primes, dtype=np.float64)[:, None]
     log_p = np.array([math.log(q) for q in primes])[:, None]
-    rho = np.arange(d + 1, dtype=np.float64)
+    cn, dn = _density_terms(np.arange(d + 1, dtype=np.float64), log_p, p)
     zero = np.zeros((len(primes), 1))
-    return np.hstack((zero, rho * log_p / (p - 1))), np.hstack((zero, (rho - 1) * log_p / p))
-
-
-class _FamilyTermRows(dict):
-    # p -> term row of one family, each built the first time it is read.
-    def __init__(self, f0_coeffs: tuple[int, ...]):
-        super().__init__()
-        self.f0_coeffs = f0_coeffs
-
-    def __missing__(self, p: int) -> np.ndarray:
-        rows = self[p] = _term_rows(self.f0_coeffs, p)
-        return rows
-
-
-@functools.lru_cache(maxsize=8)
-def _family_term_rows(f0_coeffs: tuple[int, ...]) -> _FamilyTermRows:
-    return _FamilyTermRows(f0_coeffs)
+    return np.hstack((zero, cn)), np.hstack((zero, dn))
 
 
 def _term_index(f0_coeffs: tuple[int, ...], shifts: np.ndarray, p: int) -> np.ndarray:
     # Each shift's term-row entry at p as intp: rho(a; p) + 1, or 0 where
     # p | D(a), the shifts an int64 or object array.  Below BRUTE_FORCE_LIMIT
-    # the entry is read from the family's term row at a mod p, from there on
-    # it is built shift by shift: one Horner pass of the family's
-    # interpolated D mod p, then table.rho where p does not divide D(a).
+    # the entry is read at a mod p from the family RootTable's term_row(p);
+    # from there on it is built shift by shift: one Horner pass of the
+    # family's interpolated D mod p, then table.rho where p does not divide D(a).
     v = (shifts % p).astype(np.int64, copy=False)
-    if p < BRUTE_FORCE_LIMIT:
-        return _family_term_rows(f0_coeffs)[p][v].astype(np.intp)
-    disc = _horner_mod(_disc_family(f0_coeffs).fill().coeffs, v, p) == 0
     table = _family_root_table(f0_coeffs)
+    if p < BRUTE_FORCE_LIMIT:
+        return table.term_row(p)[v].astype(np.intp)
+    disc = _horner_mod(_disc_family(f0_coeffs).fill().coeffs, v, p) == 0
     return np.array(
         [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())],
         dtype=np.intp,

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, ResourceLimitError, WindowViolationError
-from .modroots import BRUTE_FORCE_LIMIT, _family_root_table, roots_mod_p
+from .modroots import _family_root_table, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, irreducible_shifts, is_irreducible_over_Q
 
 QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -124,9 +124,9 @@ class EnsembleStats:
 
 
 def reducible_count(f0: IntPoly, T: int) -> int:
-    """Exact number of a in [-T, T] with f0 - a reducible over Q."""
-    if not f0.is_monic or f0.degree < 2:
-        raise ValueError("reducible_count requires a monic polynomial of degree >= 2")
+    """Exact number of a in [-T, T] with f0 - a reducible over Q; deg f0 >= 2."""
+    if f0.degree < 2:
+        raise ValueError("reducible_count requires a polynomial of degree >= 2")
     return _irreducible_mask(f0.coeffs, T).count(0)
 
 
@@ -346,9 +346,10 @@ def covariance_sigma(
 ) -> float:
     """Average of sigma(a;p) * sigma(a;q) over irreducible |a| <= T, by
     direct enumeration: sigma depends on a mod p, so each factor is one
-    gather of the RootTable's rho row at the admitted shifts mod p.
-    include_reducible drops the filter, exposing the exact cancellation over
-    complete residue systems mod pq."""
+    gather of the RootTable's rho row at the admitted shifts mod p, and p and
+    q must be below modroots.BRUTE_FORCE_LIMIT.  include_reducible drops the
+    filter, exposing the exact cancellation over complete residue systems
+    mod pq."""
     for r in (p, q):
         if not ntkernel.is_prime(r):
             raise ValueError(f"p must be prime, got {r}")
@@ -357,15 +358,14 @@ def covariance_sigma(
     d = f0.degree
     if p <= d or q <= d:
         raise ValueError(f"primes must exceed the degree {d}")
-    if p >= BRUTE_FORCE_LIMIT or q >= BRUTE_FORCE_LIMIT:
-        raise ValueError("covariance reads RootTable rows: need p, q below the brute-force limit")
+    table = _family_root_table(f0.coeffs)
+    rows = [table.rho_row(r) for r in (p, q)]  # refuses p >= the brute-force limit
     every = include_reducible or T < 0  # T < 0 admits nothing
     _check_window(T)
     admitted = np.arange(-T, T + 1, dtype=np.int64) if every else _admitted(f0, T)
     if not admitted.size:
         raise EmptyEnsembleError(f"no shifts admitted for |a| <= {T}")
-    table = _family_root_table(f0.coeffs)
-    sp, sq = (table.rho_row(r)[admitted % r] - 1 for r in (p, q))
+    sp, sq = (row[admitted % r] - 1 for row, r in zip(rows, (p, q)))
     # An exact integer sum, so the one float division is the only rounding.
     return int((sp * sq).sum()) / admitted.size
 

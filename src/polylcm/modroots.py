@@ -9,8 +9,8 @@ O(d^2 log p) per prime instead of O(p).  Its draws are seeded by the str
 whatever it draws, it returns the complete sorted root set: no output
 depends on a seed.  weil_sums gives every S(t, p) from one FFT.
 
-A family's ``RootTable`` keeps f0(x) mod p for every x < p < 2**14 in one
-int16 row, and finds every root mod every p <= N of one shift in one scan.
+A family's ``RootTable`` keeps its rows mod p < 2**14 (f0(x) mod p, and the
+C_N and D_N term rows), and finds every root mod p <= N of a shift in one scan.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .polyring import (
     PolyLike,
     ShiftedPoly,
     _coeff_bound,
+    _disc_family,
     _horner_mod,
     _horner_values,
     _pm_gcd,
@@ -242,6 +243,8 @@ class RootTable:
     ``roots_upto`` compares the row with a mod p once for every prime
     <= N; ``roots``, ``rho`` and ``rho_row`` read one segment.  Primes
     >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``).
+    ``term_row`` keeps one more row per prime below the limit, the one-byte
+    C_N and D_N index, so every row a shift reads at a mod p is kept here.
 
     A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``,
     ``valengine`` and ``ensemble`` read it unless a caller passes its own
@@ -256,6 +259,7 @@ class RootTable:
         self._starts = np.zeros(1, dtype=np.int64)
         self._top = 1  # every prime <= _top has its segment
         self._values = np.zeros(0, dtype=np.int64)
+        self._term_rows: dict[int, np.ndarray] = {}
 
     def _grow(self, n: int) -> None:
         # Extend the row to every prime <= min(n, BRUTE_FORCE_LIMIT - 1).
@@ -294,7 +298,8 @@ class RootTable:
     def _segment(self, p: int) -> np.ndarray:
         # f0(x) mod p for x = 0 .. p-1, p a prime below BRUTE_FORCE_LIMIT.
         if p >= BRUTE_FORCE_LIMIT:
-            raise ValueError(f"p must be below BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}, got {p}")
+            limit = f"the brute-force limit BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}"
+            raise ValueError(f"p must be below {limit}, got {p}")
         self._grow(p)
         i = int(np.searchsorted(self._primes, p))
         if i == len(self._primes) or self._primes[i] != p:
@@ -337,6 +342,26 @@ class RootTable:
         p's segment, so a whole array of shifts reads rho at a mod p in one
         gather."""
         return np.bincount(self._segment(p), minlength=p)
+
+    def term_row(self, p: int) -> np.ndarray:
+        """The family's read-only term row at a prime p < BRUTE_FORCE_LIMIT:
+        for each residue r = 0 .. p-1, rho(r; p) + 1 from ``rho_row``, or 0
+        where p | D(r), so a shift a reads its C_N and D_N terms, and whether
+        p divides D(a), at a mod p (``decomp._term_index``).  Where p does not
+        divide D(r), rho(r; p) <= d, so the entries fit the smallest unsigned
+        dtype holding d + 1: one byte a residue up to degree 254.  Each row is
+        built on first use and kept with the table; the rows of every p <= N
+        take about 0.28 MB at N = 2000 and about 14.6 MB (14.6M residues) once
+        N >= BRUTE_FORCE_LIMIT, beside the residue row's 2 bytes a residue."""
+        row = self._term_rows.get(p)
+        if row is None:
+            rho = self.rho_row(p)
+            D = _disc_family(self.f0.coeffs).fill().coeffs
+            disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
+            row = np.where(disc, 0, rho + 1).astype(np.min_scalar_type(len(self.f0.coeffs)))
+            row.flags.writeable = False
+            self._term_rows[p] = row
+        return row
 
 
 # The residues one growth step computes at a time, so its int64

@@ -40,7 +40,7 @@ from polylcm.constants import (
     REDUCIBLE_SQRT_FACTOR,
     VAR_CN_FACTOR,
 )
-from polylcm.decomp import _column_record, _family_term_rows
+from polylcm.decomp import _column_record
 from polylcm.ensemble import _verdict_record
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import _family_root_table
@@ -68,7 +68,6 @@ PACKAGE_CACHES = (
     _disc_family,
     _family_pattern_rows,
     _family_root_table,
-    _family_term_rows,
     _column_record,
 )
 

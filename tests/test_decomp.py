@@ -746,19 +746,18 @@ class TestTermRowFormat:
         f0 = self.FAMILIES[0]
         limit = modroots.BRUTE_FORCE_LIMIT
         primes = ntkernel.sieve_primes(limit + 100).upto(limit - 1)
-        modroots._family_root_table(f0.coeffs).rho_row(primes[-1])
+        table = modroots.RootTable(f0)
+        table.rho_row(primes[-1])
         polyring._disc_family(f0.coeffs).fill()
-        decomp._family_term_rows.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            rows = decomp._family_term_rows(f0.coeffs)
-            for p in primes:
-                rows[p]
+            rows = [table.term_row(p) for p in primes]
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(rows) == len(primes) and sum(primes) == 14_584_641
+        assert all(table.term_row(p) is row for p, row in zip(primes, rows))
+        assert sum(primes) == 14_584_641
         assert kept <= 1.5 * sum(primes), kept
 
     @pytest.mark.parametrize("f0", FAMILIES, ids=["monic", "non-monic"])
@@ -769,7 +768,7 @@ class TestTermRowFormat:
         d = f0.degree
         cn, dn = decomp._term_lookups(primes, d)
         assert cn.shape == dn.shape == (len(primes), d + 2)
-        assert decomp._term_rows(f0.coeffs, 7).dtype == np.uint8
+        assert modroots.RootTable(f0).term_row(7).dtype == np.uint8
         for i, p in enumerate(primes):
             one, log_p = np.array([p]), np.array([math.log(p)])
             off, on = np.array([False]), np.array([True])

@@ -136,8 +136,17 @@ class TestReducibleCount:
             reducible_count(x4, -1)
 
     def test_monic_required(self):
+        # Any family is counted now; 2x^2 still raises, as its shift a = 0
+        # is not primitive.
         with pytest.raises(ValueError):
             reducible_count(IntPoly((0, 0, 2)), 10)
+
+    def test_non_monic_matches_kronecker_oracle(self):
+        # 2x^3 + x + 1, shift by shift against the oracle.
+        f0, T = IntPoly((1, 1, 0, 2)), 300
+        oracle = [kronecker_irreducible([1 - a, 1, 0, 2]) for a in range(-T, T + 1)]
+        assert list(_irreducible_mask(f0.coeffs, T)) == [int(v) for v in oracle]
+        assert reducible_count(f0, T) == oracle.count(False) > 0
 
 
 class TestEnsembleAverage:
@@ -483,14 +492,14 @@ class TestColumnRecord:
 class TestTermRows:
     # Below BRUTE_FORCE_LIMIT the record reads each prime's disc mask and
     # C_N and D_N terms at a mod p from the term rows kept per family
-    # (decomp._family_term_rows).
+    # (RootTable.term_row).
     WINDOWS = ((1100, 50), (1000, 47), (1100, 50))
     FAMILIES = (IntPoly((0, 1, 0, 0, 1)), IntPoly((1, 1, 0, 2)))  # x^4 + x, 2x^3 + x + 1
 
     @pytest.mark.parametrize("f0", FAMILIES, ids=["monic", "non-monic"])
     def test_windows_equal_single_shift_terms(self, f0):
         # Rows built for one window are read again by the next ones.
-        decomp._family_term_rows.cache_clear()
+        modroots._family_root_table.cache_clear()
         for T, N in self.WINDOWS:
             shifts = ensemble._admitted(f0, T)
             record = decomp._columns(f0, shifts, N)
@@ -503,12 +512,15 @@ class TestTermRows:
             ], (f0, T, N)
 
     def test_one_build_per_family_and_prime(self, monkeypatch):
+        # Each term-row build reads its prime's rho row once.
         builds = []
-        build = decomp._term_rows
+        rho_row = modroots.RootTable.rho_row
         monkeypatch.setattr(
-            decomp, "_term_rows", lambda coeffs, p: builds.append((coeffs, p)) or build(coeffs, p)
+            modroots.RootTable,
+            "rho_row",
+            lambda table, p: builds.append((table.f0.coeffs, p)) or rho_row(table, p),
         )
-        decomp._family_term_rows.cache_clear()
+        modroots._family_root_table.cache_clear()
         decomp._column_record.cache_clear()
         for f0 in self.FAMILIES:
             for T, N in self.WINDOWS:
