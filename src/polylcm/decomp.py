@@ -41,10 +41,10 @@ pass per prime p <= N (``_column_record``).  Each pass reads one index
 per shift (``_term_index``): rho(a; p) + 1, or 0 where p | D(a), which
 picks the shift's C_N and D_N terms from two lookups per prime built for
 each record (``_term_lookups``) and whose zeros are Bad_N's shifts at p.
-For p < BRUTE_FORCE_LIMIT the index is read at a mod p from the family's
-term row of p, built once and kept by the family's RootTable
-(``RootTable.term_row``, which states the row's format and cost); from
-there on D(a) mod p is evaluated at the shifts and rho asked shift by shift.
+At every prime the index is read at a mod p from the family's term row of
+p (``RootTable.term_row``, which states the row's format and cost, and
+which keeps the rows below BRUTE_FORCE_LIMIT and builds those above it
+afresh from a transient rho row), so no shift's roots are searched.
 Bad_N is counted instead of lifted: f0(1..N) is evaluated once by the
 ledger engine's evaluator, and at each discriminant prime p the level hits
 #{n <= N : f0(n) = a (mod p**k)} of all its shifts come at once from the
@@ -83,9 +83,7 @@ from .polyring import (
     IntPoly,
     ShiftedPoly,
     _coeff_bound,
-    _disc_family,
     _family_discriminant,
-    _horner_mod,
     _horner_values,
     is_irreducible_over_Q,
 )
@@ -263,19 +261,10 @@ def _term_lookups(primes: Sequence[int], d: int) -> tuple[np.ndarray, np.ndarray
 
 def _term_index(f0_coeffs: tuple[int, ...], shifts: np.ndarray, p: int) -> np.ndarray:
     # Each shift's term-row entry at p as intp: rho(a; p) + 1, or 0 where
-    # p | D(a), the shifts an int64 or object array.  Below BRUTE_FORCE_LIMIT
-    # the entry is read at a mod p from the family RootTable's term_row(p);
-    # from there on it is built shift by shift: one Horner pass of the
-    # family's interpolated D mod p, then table.rho where p does not divide D(a).
+    # p | D(a), the shifts an int64 or object array, read at a mod p from
+    # the family RootTable's term_row(p) at every prime.
     v = (shifts % p).astype(np.int64, copy=False)
-    table = _family_root_table(f0_coeffs)
-    if p < BRUTE_FORCE_LIMIT:
-        return table.term_row(p)[v].astype(np.intp)
-    disc = _horner_mod(_disc_family(f0_coeffs).fill().coeffs, v, p) == 0
-    return np.array(
-        [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts.tolist(), disc.tolist())],
-        dtype=np.intp,
-    )
+    return _family_root_table(f0_coeffs).term_row(p)[v].astype(np.intp)
 
 
 class Columns(NamedTuple):
@@ -317,8 +306,9 @@ def _column_record(
     elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  The
     C_N and D_N terms are read from the record's lookups (_term_lookups) at
     each shift's entry (_term_index), which is 0 exactly where p | D(a).
-    A prime costs O(len(shifts)) beside its Bad_N levels: nothing is
-    expanded over p's residues.
+    Below BRUTE_FORCE_LIMIT a prime whose term row is kept costs
+    O(len(shifts)) beside its Bad_N levels; from the limit on each record
+    builds the prime's row over its p residues again.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits

@@ -8,8 +8,8 @@ grows when a larger T arrives and is sliced for smaller ones, so each shift
 is decided once.  The shifts a growth adds are decided together, for any
 integer family, by ``polyring.irreducible_shifts``, whose pattern rows are
 kept per family.  Random mode draws distinct shifts with a seeded
-generator, deciding them one at a time by ``is_irreducible_over_Q``, the
-same pipeline at one shift, and rejects reducible ones; the seed picks the
+generator, deciding each drawn shift alone by ``irreducible_shifts`` over
+the same kept pattern rows, and rejects reducible ones; the seed picks the
 sample and nothing else.  Aggregation is an ordered reduction over one
 float64 array of the values in ascending a, so identical inputs and seed
 produce byte-identical reports.
@@ -33,10 +33,10 @@ admission guarantees, that every shift is irreducible (D(a) != 0 and no
 integer zero).  ``delta``, ``loglratio`` and the theorem rows loop over
 their chunk, one report or ledger per shift.  ``covariance_sigma`` is two
 gathers: sigma(a; p) is the family RootTable's rho row (a bincount of p's
-residues) at a mod p less one, read for every admitted shift at once, and
-the products sum to an exact integer.  An exhaustive window holds one
-byte or int64 per shift of [-T, T], so 2T + 1 is held to
-``ntkernel.SIEVE_LIMIT_MAX`` before anything is allocated.
+residues, at any prime the sieve's budget allows) at a mod p less one, read
+for every admitted shift at once, and the products sum to an exact integer.
+An exhaustive window holds one byte or int64 per shift of [-T, T], so
+2T + 1 is held to ``ntkernel.SIEVE_LIMIT_MAX`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from . import constants, decomp, ntkernel
 from .errors import EmptyEnsembleError, ResourceLimitError, WindowViolationError
 from .modroots import _family_root_table, roots_mod_p
-from .polyring import IntPoly, ShiftedPoly, irreducible_shifts, is_irreducible_over_Q
+from .polyring import IntPoly, irreducible_shifts, is_irreducible_over_Q
 
 QUANTILE_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -175,7 +175,7 @@ def _sample_shifts(f0: IntPoly, T: int, n_samples: int, seed: int) -> tuple[list
         if a in drawn:
             continue
         drawn.add(a)
-        if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()):
+        if irreducible_shifts(f0, a, a + 1)[0]:
             shifts.append(a)
     return sorted(shifts), len(drawn)
 
@@ -346,10 +346,11 @@ def covariance_sigma(
 ) -> float:
     """Average of sigma(a;p) * sigma(a;q) over irreducible |a| <= T, by
     direct enumeration: sigma depends on a mod p, so each factor is one
-    gather of the RootTable's rho row at the admitted shifts mod p, and p and
-    q must be below modroots.BRUTE_FORCE_LIMIT.  include_reducible drops the
-    filter, exposing the exact cancellation over complete residue systems
-    mod pq."""
+    gather of the RootTable's rho row at the admitted shifts mod p.  Any
+    primes up to ntkernel.SIEVE_LIMIT_MAX are served: a row from
+    modroots.BRUTE_FORCE_LIMIT on is built for the call and not kept.
+    include_reducible drops the filter, exposing the exact cancellation over
+    complete residue systems mod pq."""
     for r in (p, q):
         if not ntkernel.is_prime(r):
             raise ValueError(f"p must be prime, got {r}")
@@ -359,7 +360,7 @@ def covariance_sigma(
     if p <= d or q <= d:
         raise ValueError(f"primes must exceed the degree {d}")
     table = _family_root_table(f0.coeffs)
-    rows = [table.rho_row(r) for r in (p, q)]  # refuses p >= the brute-force limit
+    rows = [table.rho_row(r) for r in (p, q)]  # refuses p > ntkernel.SIEVE_LIMIT_MAX
     every = include_reducible or T < 0  # T < 0 admits nothing
     _check_window(T)
     admitted = np.arange(-T, T + 1, dtype=np.int64) if every else _admitted(f0, T)

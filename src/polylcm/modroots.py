@@ -7,10 +7,14 @@ gcd(x^p - x, f) and splits it with equal-degree splitting, so cost is
 O(d^2 log p) per prime instead of O(p).  Its draws are seeded by the str
 "p:coeffs", which Python hashes with SHA-512 under any PYTHONHASHSEED, and
 whatever it draws, it returns the complete sorted root set: no output
-depends on a seed.  weil_sums gives every S(t, p) from one FFT.
+depends on a seed.  weil_sums gives every S(t, p) from one FFT of the
+residue counts of f0 mod p (``_residue_counts``).
 
 A family's ``RootTable`` keeps its rows mod p < 2**14 (f0(x) mod p, and the
 C_N and D_N term rows), and finds every root mod p <= N of a shift in one scan.
+Its rho and term rows serve every prime up to ntkernel.SIEVE_LIMIT_MAX: from
+2**14 on they are built from the residue counts on each call and not kept,
+and this module alone decides which rows are kept.
 """
 
 from __future__ import annotations
@@ -177,20 +181,26 @@ def roots_mod_pk(f: PolyLike, p: int, k: int) -> RootSetModPk:
 # ---------------------------------------------------------------------------
 
 
-def weil_sums(f0: IntPoly, p: int) -> np.ndarray:
-    """S(t, p) = sum over x mod p of exp(2 pi i t f0(x) / p) for every t in
-    0 .. p-1, p prime, f0 monic: one FFT of the counts #{x : f0(x) = c mod p},
-    as S(t) = sum_c counts[c] e(tc/p), in O(p) memory.  p is held to the
-    sieve's budget, ntkernel.SIEVE_LIMIT_MAX, before anything is allocated
-    (the budget is below 2**31, where _horner_mod's int64 products hold)."""
+def _residue_counts(coeffs: tuple[int, ...], p: int) -> np.ndarray:
+    """#{x mod p : f(x) = c mod p} for every c in 0 .. p-1, p prime, f the
+    polynomial of coeffs: one bincount of f(0 .. p-1) mod p, in O(p) memory.
+    p is held to the sieve's budget, ntkernel.SIEVE_LIMIT_MAX, before
+    anything is allocated (the budget is below 2**31, where _horner_mod's
+    int64 products hold)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not f0.is_monic:
-        raise ValueError("weil sums require a monic polynomial")
     if p > ntkernel.SIEVE_LIMIT_MAX:
         raise ResourceLimitError(f"p = {p} residues exceed budget {ntkernel.SIEVE_LIMIT_MAX}")
-    counts = np.bincount(_horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p), minlength=p)
-    return np.fft.ifft(counts) * p
+    return np.bincount(_horner_mod(coeffs, np.arange(p, dtype=np.int64), p), minlength=p)
+
+
+def weil_sums(f0: IntPoly, p: int) -> np.ndarray:
+    """S(t, p) = sum over x mod p of exp(2 pi i t f0(x) / p) for every t in
+    0 .. p-1, p prime, f0 monic: one FFT of the counts #{x : f0(x) = c mod p}
+    (``_residue_counts``, which checks p), as S(t) = sum_c counts[c] e(tc/p)."""
+    if not f0.is_monic:
+        raise ValueError("weil sums require a monic polynomial")
+    return np.fft.ifft(_residue_counts(f0.coeffs, p)) * p
 
 
 def weil_sum(f0: IntPoly, b: int, p: int) -> complex:
@@ -242,7 +252,8 @@ class RootTable:
 
     ``roots_upto`` compares the row with a mod p once for every prime
     <= N; ``roots``, ``rho`` and ``rho_row`` read one segment.  Primes
-    >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``).
+    >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``) for
+    roots, and to a transient row of residue counts for ``rho_row``.
     ``term_row`` keeps one more row per prime below the limit, the one-byte
     C_N and D_N index, so every row a shift reads at a mod p is kept here.
 
@@ -297,9 +308,6 @@ class RootTable:
 
     def _segment(self, p: int) -> np.ndarray:
         # f0(x) mod p for x = 0 .. p-1, p a prime below BRUTE_FORCE_LIMIT.
-        if p >= BRUTE_FORCE_LIMIT:
-            limit = f"the brute-force limit BRUTE_FORCE_LIMIT = {BRUTE_FORCE_LIMIT}"
-            raise ValueError(f"p must be below {limit}, got {p}")
         self._grow(p)
         i = int(np.searchsorted(self._primes, p))
         if i == len(self._primes) or self._primes[i] != p:
@@ -338,21 +346,34 @@ class RootTable:
         return self.rho(a, p) - 1
 
     def rho_row(self, p: int) -> np.ndarray:
-        """rho(a; p) for a = 0 .. p-1, p < BRUTE_FORCE_LIMIT: the bincount of
-        p's segment, so a whole array of shifts reads rho at a mod p in one
-        gather."""
-        return np.bincount(self._segment(p), minlength=p)
+        """rho(a; p) for a = 0 .. p-1, p prime, so a whole array of shifts
+        reads rho at a mod p in one gather: the bincount of p's kept segment
+        below BRUTE_FORCE_LIMIT, and from there on a transient row, the
+        residue counts of f0 mod p (``_residue_counts``, which holds p to
+        ntkernel.SIEVE_LIMIT_MAX).  A transient row costs one Horner pass
+        over the p residues, and a term row built on it peaks near 40 bytes
+        a residue.  On a 2-vCPU host, a column record of x^4 + x at
+        N = 24000 builds the rows of its 768 primes from the limit on in
+        about 0.8 s, whether it holds 1 shift or 200.  A root search per
+        shift and prime (``roots_mod_p``) takes 0.19 s there for one shift,
+        0.62 s for four and 28 s for 200, so a batch of about five shifts or
+        fewer is slower this way (at N = 17000, of about three or fewer)."""
+        if p < BRUTE_FORCE_LIMIT:
+            return np.bincount(self._segment(p), minlength=p)
+        return _residue_counts(self.f0.coeffs, p)
 
     def term_row(self, p: int) -> np.ndarray:
-        """The family's read-only term row at a prime p < BRUTE_FORCE_LIMIT:
-        for each residue r = 0 .. p-1, rho(r; p) + 1 from ``rho_row``, or 0
-        where p | D(r), so a shift a reads its C_N and D_N terms, and whether
-        p divides D(a), at a mod p (``decomp._term_index``).  Where p does not
-        divide D(r), rho(r; p) <= d, so the entries fit the smallest unsigned
-        dtype holding d + 1: one byte a residue up to degree 254.  Each row is
-        built on first use and kept with the table; the rows of every p <= N
-        take about 0.28 MB at N = 2000 and about 14.6 MB (14.6M residues) once
-        N >= BRUTE_FORCE_LIMIT, beside the residue row's 2 bytes a residue."""
+        """The family's read-only term row at a prime p: for each residue
+        r = 0 .. p-1, rho(r; p) + 1 from ``rho_row``, or 0 where p | D(r), so
+        a shift a reads its C_N and D_N terms, and whether p divides D(a), at
+        a mod p (``decomp._term_index``).  Where p does not divide D(r),
+        rho(r; p) <= d, so the entries fit the smallest unsigned dtype
+        holding d + 1: one byte a residue up to degree 254.  A row below
+        BRUTE_FORCE_LIMIT is kept with the table once built; the rows of
+        every p <= N take about 0.28 MB at N = 2000 and about 14.6 MB (14.6M
+        residues) once N >= BRUTE_FORCE_LIMIT, beside the residue row's 2
+        bytes a residue.  From the limit on the row is built on every call
+        and not kept, like the rho row it reads."""
         row = self._term_rows.get(p)
         if row is None:
             rho = self.rho_row(p)
@@ -360,7 +381,8 @@ class RootTable:
             disc = _horner_mod(D, np.arange(p, dtype=np.int64), p) == 0
             row = np.where(disc, 0, rho + 1).astype(np.min_scalar_type(len(self.f0.coeffs)))
             row.flags.writeable = False
-            self._term_rows[p] = row
+            if p < BRUTE_FORCE_LIMIT:
+                self._term_rows[p] = row
         return row
 
 

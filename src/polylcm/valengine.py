@@ -9,17 +9,19 @@ Each value |f_a(n)| is evaluated once, with the zero check
 Python ints (``polyring._horner_values``, which ``decomp._column_record``
 and the ``RootTable`` rows also read).  The ledgers and the log P sum read
 that one array.  Small primes (p <= N) are handled by root-sieving
-(``_root_sieve``): the n with p | f_a(n) lie in the residue classes of the
-roots of f_a mod p, and every (p, root) pair with p <= N comes from one
-scan of the family's ``RootTable`` (``RootTable.roots_upto``), so only
-those positions are ever divided.  The sieve is array work over all
-positions at once, on the int64 values (dtype=object past int64): one
-divide loop finds each position's valuation e, alpha_p and beta_p are the
-sum and the max of e over p's positions, and each value is divided by the
-p**e of its positions.  Whatever is left of each value afterwards is a
-cofactor with all prime factors > N.  One batch GCD over these cofactors
-gives g_i = gcd(c_i, prod_{j != i} c_j) for every cofactor.  It builds the
-balanced pairwise product tree (``_product_tree``, which
+(``_root_sieve``): the n with p | f_a(n) lie in the residue classes of
+the roots of f_a mod p, and every (p, root) pair with p <= N comes from
+one scan of the family's ``RootTable`` (``RootTable.roots_upto``), so
+only those positions are ever divided.  The sieve is array work over all
+positions at once, on the int64 values (dtype=object past int64): each
+position is divided by p once unchecked, since its (p, root) pair proves
+p | f_a(n), and one divide loop finds the rest of its valuation e;
+alpha_p and beta_p are the sum and the max of e over p's positions, and
+each value is divided by the p**e of its positions.  Whatever is left of
+each value afterwards is a cofactor with all prime factors > N.  One
+batch GCD over these cofactors gives g_i = gcd(c_i, prod_{j != i} c_j)
+for every cofactor.  It builds the balanced pairwise product tree up to
+the root's two children (``_product_tree``, which
 ``ValuationLedger.product()`` also takes) and walks it down by sibling
 gcds, each layer one ``map`` of ``operator.mul`` or ``math.gcd``: each
 node's h = gcd(node, product of the leaves outside it) comes from its
@@ -27,9 +29,9 @@ parent's h times gcd(left, right), since for every prime q,
 min(v_q(child), v_q(h) + v_q(sibling)) is unchanged when the sibling is
 replaced by gcd(left, right).  No node is divided by another.  A prime of
 c_i divides g_i exactly when another cofactor holds it, so only the c_i
-with g_i > 1 are visited and only g_i is factored: a g_i > 1 and <= N^2 is
-prime (its primes all exceed N), a larger one goes to ``is_prime``, and
-only a composite g_i goes to ``factor``.
+with g_i > 1 are visited and only g_i is factored: a g_i > 1 and <= N^2
+is prime (its primes all exceed N), a larger one goes to ``is_prime``,
+and only a composite g_i goes to ``factor``.
 What is left of c_i after its shared primes, the whole c_i when g_i = 1,
 shares no prime: its primes have alpha_p = beta_p, so the ledgers keep it
 unfactored, and the report reads it through ``product()`` up to the
@@ -75,14 +77,16 @@ class ValuationLedger:
 
     def product(self) -> int:
         leaves = [*map(pow, self.factored, self.factored.values()), *self.rest]
-        return _product_tree(leaves)[-1][0] if leaves else 1
+        return math.prod(_product_tree(leaves)[-1])
 
 
 def _product_tree(xs: list[int]) -> list[list[int]]:
     # The layers of the balanced pairwise product tree over xs, leaves
     # first: operands of similar size, so the products stay sub-quadratic.
+    # It stops at the root's two children (at xs itself for two leaves or
+    # fewer); whoever needs the root multiplies them.
     tree = [xs]
-    while len(tree[-1]) > 1:
+    while len(tree[-1]) > 2:
         layer = tree[-1]
         pairs = list(map(operator.mul, layer[::2], layer[1::2]))
         tree.append(pairs + layer[-1:] if len(layer) % 2 else pairs)
@@ -181,8 +185,8 @@ def _root_sieve(
     pair = np.repeat(np.arange(len(primes)), counts)
     n = first[pair] + (np.arange(len(pair)) - offsets[pair]) * primes[pair]
     p = primes[pair].astype(values.dtype)
-    v = values[n - 1]
-    e = np.zeros(len(n), dtype=np.int64)
+    v = values[n - 1] // p  # p | f(n) at every position: n = root (mod p)
+    e = np.ones(len(n), dtype=np.int64)
     live = np.arange(len(n))
     while live.size:
         live = live[v[live] % p[live] == 0]
@@ -210,11 +214,10 @@ def _shared_gcds(cs: list[int]) -> list[int]:
     minimum capped by v(child), so gcd(L, R) may stand in for it.  An odd
     node carried up unpaired is its own parent, so m = h there.  No node is
     divided by another: one gcd of the two halves per node, then one gcd of
-    each child against the small m.
+    each child against the small m.  The root itself is never formed.
     """
-    tree = _product_tree(cs)
     hs = [1]
-    for layer in reversed(tree[:-1]):
+    for layer in reversed(_product_tree(cs)):
         lefts, rights = layer[::2], layer[1::2]
         ms = list(map(operator.mul, hs, map(math.gcd, lefts, rights)))
         if len(layer) % 2:
@@ -222,7 +225,7 @@ def _shared_gcds(cs: list[int]) -> list[int]:
         hs = layer.copy()  # children 2j and 2j + 1 read their parent's m_j
         hs[::2] = map(math.gcd, lefts, ms)
         hs[1::2] = map(math.gcd, rights, ms)
-    return hs if cs else []
+    return hs
 
 
 def _split_shared(c: int, g: int, N: int) -> tuple[tuple[tuple[int, int], ...], int]:

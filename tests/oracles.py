@@ -118,6 +118,15 @@ def brute_roots_mod(coeffs, modulus: int) -> list[int]:
     return [x for x in range(modulus) if eval_poly(coeffs, x) % modulus == 0]
 
 
+def residue_counts(coeffs, p: int) -> list[int]:
+    """#{x mod p : f(x) = c mod p} for c = 0 .. p-1, one evaluation per x:
+    the number of roots of f - c mod p."""
+    counts = [0] * p
+    for x in range(p):
+        counts[eval_poly(coeffs, x) % p] += 1
+    return counts
+
+
 def alpha_direct(values: list[int], p: int) -> int:
     total = 0
     for v in values:

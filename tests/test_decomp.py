@@ -527,8 +527,8 @@ class TestBatchColumns:
             self._assert_columns_equal(f0, shifts, N)
 
     def test_primes_above_brute_force_limit(self, x3_plus_2x):
-        # Primes >= BRUTE_FORCE_LIMIT have no table row; the batch asks
-        # table.rho shift by shift there, as the single-shift loop does.
+        # Primes >= BRUTE_FORCE_LIMIT have no kept row; the batch reads a
+        # transient term row there, the single-shift loop a root search.
         N = modroots.BRUTE_FORCE_LIMIT + 100
         shifts = self._irreducible_shifts(random.Random(16484), x3_plus_2x, 3, wide=False)
         self._assert_columns_equal(x3_plus_2x, shifts, N)
@@ -663,10 +663,12 @@ class TestBatchColumns:
 
 
 class TestTermRowLimit:
-    # Below BRUTE_FORCE_LIMIT the record reads the disc mask and the C_N and
-    # D_N terms at a mod p from the family's term row; from there on it
-    # evaluates D at the shifts and asks table.rho shift by shift.  The
-    # limit is lowered so that primes <= 60 take both sides.
+    # The record reads the disc mask and the C_N and D_N terms at a mod p
+    # from the family's term row at every prime.  decomp's copy of the limit,
+    # lowered here, steers only the report's discriminant-prime roots, so
+    # the record still reads kept rows at every prime <= 60; lowering
+    # modroots' limit (TestTransientTermRows) makes the primes from 20 on
+    # read transient rows.
     @pytest.fixture
     def limit(self, monkeypatch):
         monkeypatch.setattr(decomp, "BRUTE_FORCE_LIMIT", 20)
@@ -696,6 +698,83 @@ class TestTermRowLimit:
         big = [10**25 + a for a in shifts]
         assert all(is_irreducible_over_Q(ShiftedPoly(x3_plus_2x, a).to_poly()) for a in big)
         TestBatchColumns._assert_columns_equal(x3_plus_2x, shifts + big, 60)
+
+
+class TestTransientTermRows:
+    # From modroots.BRUTE_FORCE_LIMIT on, a term row is built from the
+    # residue counts on each call and not kept, and no shift's roots are
+    # searched; the single-shift terms search them (roots_mod_p), so the two
+    # paths share only the lookups.
+
+    @pytest.fixture
+    def low_limit(self, monkeypatch):
+        # Primes <= 60 take the kept rows below 20 and transient rows above.
+        def clear():
+            for cache in (decomp._column_record, modroots._family_root_table):
+                cache.cache_clear()
+
+        monkeypatch.setattr(modroots, "BRUTE_FORCE_LIMIT", 20)
+        clear()
+        yield 20
+        clear()
+
+    def test_columns_equal_single_shift_terms(self, x3_plus_2x, low_limit):
+        for f0 in (x3_plus_2x, IntPoly((1, 1, 0, 2)), IntPoly((3, -2, 0, 1, 1))):
+            shifts = TestBatchColumns._irreducible_shifts(random.Random(60), f0, 30, wide=False)
+            big = [10**25 + a for a in shifts[:5]]
+            big = [a for a in big if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())]
+            TestBatchColumns._assert_columns_equal(f0, shifts + big, 60)
+            kept = modroots._family_root_table(f0.coeffs)._term_rows
+            assert sorted(kept) == [p for p in ntkernel.sieve_primes(60) if p < low_limit], f0
+
+    @staticmethod
+    def _crossing_batch(f0, shifts):
+        # The record of shifts at N = 2^14 + 100, from cold caches.
+        for cache in (decomp._column_record, modroots._family_root_table):
+            cache.cache_clear()
+        return decomp._columns(f0, shifts, modroots.BRUTE_FORCE_LIMIT + 100)
+
+    def test_no_row_kept_from_the_limit_on(self):
+        f0 = IntPoly((0, 1, 0, 0, 1))
+        self._crossing_batch(f0, [3, -7, 11])
+        kept = modroots._family_root_table(f0.coeffs)._term_rows
+        assert sorted(kept) == list(ntkernel.sieve_primes(modroots.BRUTE_FORCE_LIMIT).primes)
+
+    def test_no_root_search(self, monkeypatch):
+        calls = []
+        find = modroots.roots_mod_p
+        monkeypatch.setattr(modroots, "roots_mod_p", lambda f, p: calls.append(p) or find(f, p))
+        self._crossing_batch(IntPoly((0, 0, 0, 1)), [2, 5, -9, 98766])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0, 1, 0, 0, 1), (0, 0, 0, 1), (1, 1, 0, 2), (1, 1, 0, 16411)],
+        ids=["x4+x", "x3", "lc-2", "lc-16411"],
+    )
+    def test_crossing_batches_equal_single_shift_terms(self, coeffs):
+        # Seeded batches across the limit: x^4 + x, x^3, and non-monic
+        # families whose leading coefficient has a prime below the limit (2)
+        # or above it (16411, where the image drops to degree 1), with
+        # shifts inside and past int64.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        N = modroots.BRUTE_FORCE_LIMIT + 60
+        f0 = IntPoly(coeffs)
+
+        @hypothesis.settings(max_examples=3, derandomize=True, deadline=None)
+        @hypothesis.given(
+            small=st.lists(st.integers(-200_000, 200_000), min_size=1, max_size=3, unique=True),
+            wide=st.lists(st.integers(1 << 63, 1 << 70), min_size=1, max_size=2, unique=True),
+        )
+        def check(small, wide):
+            shifts = sorted(
+                a for a in set(small + wide)
+                if is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly())
+            )
+            hypothesis.assume(shifts)
+            TestBatchColumns._assert_columns_equal(f0, shifts, N)
+
+        check()
 
 
 class TestDensitySums:

@@ -34,7 +34,7 @@ from polylcm.errors import (
 )
 from polylcm.polyring import IntPoly, ShiftedPoly, is_irreducible_over_Q
 
-from oracles import kronecker_irreducible, trial_factor
+from oracles import kronecker_irreducible, residue_counts, trial_factor
 
 
 def _delta_oracle(f0, a, N):
@@ -392,12 +392,17 @@ class TestCovarianceSigma:
         with pytest.raises(ValueError, match="p must be prime"):
             covariance_sigma(x4x, p, q, 100)
 
-    def test_primes_from_brute_force_limit_rejected(self, x3):
-        # 16411 is the first prime above BRUTE_FORCE_LIMIT = 2^14, which has
-        # no RootTable row.
-        for p, q in ((16411, 5), (5, 16411)):
-            with pytest.raises(ValueError, match="below the brute-force limit"):
-                covariance_sigma(x3, p, q, 100)
+    def test_primes_from_brute_force_limit_are_plain_counts(self):
+        # 16411 and 16417 are the first primes above BRUTE_FORCE_LIMIT = 2^14,
+        # whose rho rows are built for the call: each covariance of x^4 + x
+        # equals the plain residue counts', over the same admitted shifts.
+        x4x, T = IntPoly((0, 1, 0, 0, 1)), 40
+        admitted = [a for a in range(-T, T + 1) if kronecker_irreducible([-a, 1, 0, 0, 1])]
+        counts = {r: residue_counts(x4x.coeffs, r) for r in (5, 16411, 16417)}
+        for p, q in ((16411, 5), (5, 16411), (16411, 16417)):
+            products = [(counts[p][a % p] - 1) * (counts[q][a % q] - 1) for a in admitted]
+            assert any(products), (p, q)
+            assert covariance_sigma(x4x, p, q, T) == sum(products) / len(admitted), (p, q)
 
     def test_degenerate_T1_bounded(self, x3, x3_plus_2x):
         v = covariance_sigma(x3_plus_2x, 7, 13, 1)

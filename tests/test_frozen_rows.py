@@ -29,6 +29,7 @@ from polylcm.polyring import IntPoly, ShiftedPoly, is_irreducible_over_Q
 X3 = IntPoly((0, 0, 0, 1))
 X4X = IntPoly((0, 1, 0, 0, 1))
 X3_2X_1 = IntPoly((1, 2, 0, 1))
+X3_NON_MONIC = IntPoly((1, 1, 0, 2))  # 2x^3 + x + 1
 
 # Three irreducible shifts of x^3 + 2x + 1 past int64: the object path.
 BIG_SHIFTS = [10**25 + 1, 10**25 + 2, 10**25 + 4]
@@ -41,7 +42,7 @@ def _sha(text: str | bytes) -> str:
 COLUMN_CASES = [
     (X4X, lambda: _admitted(X4X, 1100), 50,
      "99a0c5617c7ed1f987b2c5343894337b641e8a9ddcd221537314b27fc07766be"),
-    # N past BRUTE_FORCE_LIMIT: the last primes take _term_index's per-shift branch.
+    # N past BRUTE_FORCE_LIMIT: the last primes read transient term rows.
     (X4X, lambda: [3, -7, 11, 20, -40], modroots.BRUTE_FORCE_LIMIT + 100,
      "93ba866e4f6c33d344538967fd62ba28c2db0a635a26b2ad1297b0cd7400372e"),
     (X3_2X_1, lambda: BIG_SHIFTS, 60,
@@ -111,17 +112,26 @@ def test_theorem_json():
 
 
 @pytest.mark.parametrize(
-    "stat, T, N, kw, digest",
+    "f0, stat, T, N, kw, digest",
     [
-        ("delta", 300, 30, {"sampling": "exhaustive"},
+        (X3, "delta", 300, 30, {"sampling": "exhaustive"},
          "417033b21463e753d0fa24df68c1210a0ba4ca8a44ed0147565f13ac936bdcf8"),
-        ("loglratio", 200_000, 500, {"sampling": "random", "n_samples": 30},
+        (X3, "loglratio", 200_000, 500, {"sampling": "random", "n_samples": 30},
          "1a962f0cfcdc4b82cc2264a83d22db60554fffc4d474638d0d512031d26e87ae"),
+        (X4X, "delta", 300, 30, {"sampling": "exhaustive"},
+         "70e7ef96a852d64631b32f873f65dd21679fd710e901f20ccab96f6dc1e38d1b"),
+        (X4X, "loglratio", 200_000, 500, {"sampling": "random", "n_samples": 30},
+         "fe2e6ff44c63aecbdd4466d4dbdb051fdb184727c5c79da245e57b91e835c0cd"),
+        (X3_NON_MONIC, "delta", 300, 30, {"sampling": "exhaustive"},
+         "fb3fe5363222b878c29b5f6f78513f63c6c99bc28d9bcdf0aa4a5d8bf2a81b69"),
+        (X3_NON_MONIC, "loglratio", 200_000, 500, {"sampling": "random", "n_samples": 30},
+         "84686b0652002ea4f327c1bb44f973482ee288dee760ce556ca7ea33a8e0399e"),
     ],
-    ids=["delta", "loglratio"],
+    ids=["delta", "loglratio", "x4x-delta", "x4x-loglratio", "non-monic-delta",
+         "non-monic-loglratio"],
 )
-def test_single_process_ensemble_json(stat, T, N, kw, digest):
+def test_single_process_ensemble_json(f0, stat, T, N, kw, digest):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # each (T, N) is inside its window
-        stats = ensemble_average(X3, T, N, stat, **kw)
+        stats = ensemble_average(f0, T, N, stat, **kw)
     assert _sha(stats.to_json()) == digest

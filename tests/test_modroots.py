@@ -21,7 +21,7 @@ from polylcm.modroots import (
 from polylcm.ntkernel import is_prime, sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, _horner_mod, discriminant
 
-from oracles import brute_roots_mod, eval_poly, weil_sum_direct
+from oracles import brute_roots_mod, eval_poly, residue_counts, weil_sum_direct
 
 
 def _random_monic(rng, d, span=9):
@@ -392,17 +392,41 @@ class TestRootTable:
         assert table._row.dtype == np.int16 and table._row.size == 277_050
         assert peak < 3 * 2**20, peak
 
-    def test_row_prime_above_the_limit_names_the_limit(self, x3):
-        # The residue row holds the primes below BRUTE_FORCE_LIMIT only, so a
-        # prime above it is refused by that limit, not as a composite.
-        table = RootTable(x3)
+    @pytest.mark.parametrize(
+        "coeffs", [(0, 0, 0, 1), (0, 1, 0, 0, 1), (1, 1, 0, 16411)],
+        ids=["x3", "x4+x", "lc-16411"],
+    )
+    def test_row_prime_above_the_limit_is_a_plain_count(self, coeffs):
+        # From BRUTE_FORCE_LIMIT on the rho row is a transient row of residue
+        # counts, equal to a plain count of f0(x) mod p; at 16411 | lc the
+        # image drops to degree 1.  Nothing of it is kept.
+        table = RootTable(IntPoly(coeffs))
         assert is_prime(16411) and 16411 > BRUTE_FORCE_LIMIT
-        with pytest.raises(ValueError, match="BRUTE_FORCE_LIMIT") as err:
-            table.rho_row(16411)
-        assert "16411" in str(err.value) and "prime" not in str(err.value)
-        with pytest.raises(ValueError, match="must be prime"):
-            table.rho_row(16383)
+        row = table.rho_row(16411)
+        assert row.tolist() == residue_counts(coeffs, 16411)
+        assert table.rho_row(16411) is not row
+        assert table._row.size == 0 and not table._term_rows
+
+    def test_row_checks_p_before_allocating(self, x3, monkeypatch):
+        # A composite is refused on both sides of the limit, and a prime
+        # above the sieve's budget before its row is allocated; the budget
+        # is lowered so that a missing guard stays small.
+        table = RootTable(x3)
+        for n in (16383, 16384, 16385, 16411 * 16417):
+            with pytest.raises(ValueError, match="must be prime"):
+                table.rho_row(n)
         assert table.rho_row(16381).sum() == 16381
+        monkeypatch.setattr(ntkernel, "SIEVE_LIMIT_MAX", 20000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="p = 20011 residues exceed") as err:
+                table.rho_row(20011)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.traceback[-1].name == "_residue_counts"
+        assert peak < 20011 * 8, peak
+        assert table.rho_row(19997).sum() == 19997
 
 
 class TestRootScan:

@@ -314,6 +314,21 @@ class TestBatchGcd:
         assert _shared_gcds([p * q, p * r, p * s, t]) == [p, p, p, 1]
         assert _shared_gcds([p * p * q, p * r, q * q * s]) == [p * q, p, q]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_trees_of_at_most_three_leaves(self, n):
+        # The product tree stops at the root's two children, which for three
+        # leaves or fewer are the leaves or one pair and a carried leaf; the
+        # gcds and the ledger's product read no root.
+        p, q, r = 2003, 2011, 2017
+        rng = random.Random(n)
+        lists = [[p, q, r][:n], [p * q, q * r, r * p][:n], [p * p, p, q][:n]]
+        lists += [[math.prod(rng.sample(self.POOL[:6], 2)) for _ in range(n)] for _ in range(20)]
+        for cs in lists:
+            gs = _shared_gcds(cs)
+            assert gs == shared_gcds(cs), cs
+            assert [g > 1 for g in gs] == shared_cofactors(cs), cs
+            assert valengine.ValuationLedger({}, tuple(cs)).product() == math.prod(cs), cs
+
     def test_matches_oracles_under_hypothesis(self):
         # Cofactors are products of prime powers from a pool that reaches
         # past 2**64; one planted prime joins the first k cofactors (k >= 3
