@@ -78,14 +78,14 @@ import numpy as np
 
 from . import ntkernel, valengine
 from .errors import InternalConsistencyError, IrreducibilityRequiredError, ZeroValueError
-from .modroots import BRUTE_FORCE_LIMIT, RootTable, _family_root_table, _root_table_for
+from .modroots import BRUTE_FORCE_LIMIT, RootTable, _family_root_table
 from .polyring import (
     IntPoly,
     ShiftedPoly,
     _coeff_bound,
     _family_discriminant,
     _horner_values,
-    is_irreducible_over_Q,
+    irreducible_shifts,
 )
 from .valengine import ValuationLedger, _level_hits, build_ledgers
 
@@ -428,11 +428,16 @@ def decomposition_report(
     root_table: RootTable | None = None,
 ) -> DecompositionReport:
     """All decomposition terms for one (f0, a, N), each by its own path,
-    with the exact ledger identity enforced.  The roots come from
-    root_table when it belongs to f0, else from the family's shared table."""
+    with the exact ledger identity enforced.  A report reads its family's
+    kept rows: the roots come from root_table when it belongs to f0, else
+    from the family's shared table, and the verdict on f0 - a is
+    ``irreducible_shifts`` at the one shift a, over the family's kept
+    pattern rows, so repeated shifts of one family reuse them
+    (``is_irreducible_over_Q`` is the one-off path, whose rows are not
+    kept)."""
     f = ShiftedPoly(f0, a)
     fa = f.to_poly()
-    irreducible = is_irreducible_over_Q(fa)
+    irreducible = bool(irreducible_shifts(f0, a, a + 1)[0])
     if not irreducible and not allow_reducible:
         raise IrreducibilityRequiredError(f"f0 - ({a}) is reducible over Q")
     D = _family_discriminant(f0, a)
@@ -441,7 +446,9 @@ def decomposition_report(
 
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    table = _root_table_for(f0, root_table)
+    table = root_table
+    if table is None or table.f0 != f0:
+        table = _family_root_table(f0.coeffs)
     values = valengine._abs_value_array(f, N)
     scan = table.roots_upto(a, N)
     alpha, beta, _ = build_ledgers(f, N, _values=values, _roots=scan)

@@ -229,13 +229,13 @@ def sigma_via_expsum(f0: IntPoly, a: int, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-residue caches (sigma and root lookups depend only on a mod p)
+# Shared per-residue caches (root lookups depend only on a mod p)
 # ---------------------------------------------------------------------------
 
 
 class RootTable:
-    """One family's residues f0(x) mod p, serving roots, rho and sigma for
-    every shift a, and every root mod p <= N of one shift in one scan.
+    """One family's residues f0(x) mod p, serving the roots of every shift
+    a mod p, and every root mod p <= N of one shift in one scan.
 
     The residue row is one int16 array, 2 bytes a residue: f0(x) mod p for
     x = 0 .. p-1, concatenated over the primes p < BRUTE_FORCE_LIMIT in
@@ -243,23 +243,24 @@ class RootTable:
     whose entry is a mod p, and a shift that makes f0 - a vanish mod p reads
     all p residues.  The row grows to the largest bound asked, at least
     doubling the bound it covers, so the primes are never added one at a
-    time.  A growth gathers the table's exact int64 values f0(0 .. K-1), K
-    the next power of two >= its largest prime (``polyring._horner_values``,
-    grown while sum |c_i| (K-1)**i fits int64), at the concatenated x and
-    takes them mod the repeated p; past that bound it runs Horner mod p over
-    the same arrays.  Either pass goes in chunks of about ``_CHUNK``
-    residues.
+    time.  Each growth evaluates f0 afresh: while sum |c_i| (K-1)**i fits
+    int64, K the next power of two >= its largest prime, it takes the exact
+    values f0(0 .. K-1) (``polyring._horner_values``) at the concatenated x
+    mod the repeated p, and past that bound it runs Horner mod p over the
+    same arrays.  Either pass goes in chunks of about ``_CHUNK`` residues.
+    The values are not kept: the bound at least doubles at each growth, so
+    a kept array would seldom cover a later one.
 
-    ``roots_upto`` compares the row with a mod p once for every prime
-    <= N; ``roots``, ``rho`` and ``rho_row`` read one segment.  Primes
-    >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``) for
+    It keeps four methods.  ``roots_upto`` compares the row with a mod p
+    once for every prime <= N; ``roots`` and ``rho_row`` read one segment.
+    Primes >= BRUTE_FORCE_LIMIT go to ``roots_mod_p`` (``_large_roots``) for
     roots, and to a transient row of residue counts for ``rho_row``.
     ``term_row`` keeps one more row per prime below the limit, the one-byte
     C_N and D_N index, so every row a shift reads at a mod p is kept here.
 
     A family's shared table is ``_family_root_table(f0.coeffs)``; ``decomp``,
-    ``valengine`` and ``ensemble`` read it unless a caller passes its own
-    (``_root_table_for``)."""
+    ``valengine`` and ``ensemble`` read it, and ``decomp``'s report reads
+    its caller's table instead when that belongs to f0."""
 
     def __init__(self, f0: IntPoly):
         self.f0 = f0
@@ -269,7 +270,6 @@ class RootTable:
         self._primes = np.zeros(0, dtype=np.int64)
         self._starts = np.zeros(1, dtype=np.int64)
         self._top = 1  # every prime <= _top has its segment
-        self._values = np.zeros(0, dtype=np.int64)
         self._term_rows: dict[int, np.ndarray] = {}
 
     def _grow(self, n: int) -> None:
@@ -284,8 +284,8 @@ class RootTable:
         K = 1 << (new[-1] - 1).bit_length()
         coeffs = self.f0.coeffs
         exact = _coeff_bound(coeffs, K - 1) <= np.iinfo(np.int64).max
-        if exact and K > len(self._values):
-            self._values = np.concatenate(([self.f0(0)], _horner_values(coeffs, K - 1, np.int64)))
+        if exact:
+            values = np.concatenate(([self.f0(0)], _horner_values(coeffs, K - 1, np.int64)))
         row = np.empty(len(self._row) + sum(new), dtype=np.int16)
         row[: len(self._row)] = self._row
         at = len(self._row)
@@ -293,7 +293,7 @@ class RootTable:
             ps = np.array(run, dtype=np.int64)
             mods = np.repeat(ps, ps)
             if exact:
-                res = np.concatenate([self._values[:p] for p in run]) % mods
+                res = np.concatenate([values[:p] for p in run]) % mods
             else:
                 x = np.concatenate([np.arange(p, dtype=np.int64) for p in run])
                 res = np.zeros(len(x), dtype=np.int64)
@@ -338,12 +338,6 @@ class RootTable:
         if p >= BRUTE_FORCE_LIMIT:
             return _large_roots(ShiftedPoly(self.f0, a).to_poly(), p)
         return tuple(np.flatnonzero(self._segment(p) == a % p).tolist())
-
-    def rho(self, a: int, p: int) -> int:
-        return len(self.roots(a, p))
-
-    def sigma(self, a: int, p: int) -> int:
-        return self.rho(a, p) - 1
 
     def rho_row(self, p: int) -> np.ndarray:
         """rho(a; p) for a = 0 .. p-1, p prime, so a whole array of shifts
@@ -418,10 +412,3 @@ def _large_roots(fa: IntPoly, p: int) -> tuple[int, ...]:
 def _family_root_table(f0_coeffs: tuple[int, ...]) -> RootTable:
     # One RootTable per family, shared by every caller without a table.
     return RootTable(IntPoly(f0_coeffs))
-
-
-def _root_table_for(f0: IntPoly, table: RootTable | None) -> RootTable:
-    """table when it belongs to f0, else the family's shared table."""
-    if table is not None and table.f0 == f0:
-        return table
-    return _family_root_table(f0.coeffs)

@@ -33,9 +33,12 @@ gcd(c_1, ..., c_d, c_0 - a) = 1, periodic in a); degree 1 is irreducible:
 irreducible_shifts runs it over a window, reading the subset sums of the
 pattern of f0 - a mod p at a mod p from rows kept per family (the last 8),
 each entry built the first time a window meets its residue; a row reads 0
-where that pattern is None, that is where p | lc*D(a).  is_irreducible_over_Q
-is the same path with f its own family at shift 0 and pattern rows that are
-not kept, so no verdict computes a discriminant.
+where that pattern is None, that is where p | lc*D(a).  Every shift of a
+family reaches its verdict this way, the ensembles' windows and draws and
+decomp's report alike (the report asks for the window [a, a + 1)), so
+repeated shifts of one family reuse its rows.  is_irreducible_over_Q is the
+one-off path: the same pipeline with f its own family at shift 0 and
+pattern rows that are not kept.  No verdict computes a discriminant.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import ntkernel
 from .errors import ZeroValueError
-from .modroots import RootTable, _lifted_levels, _root_table_for, roots_mod_p
+from .modroots import _family_root_table, _lifted_levels, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _coeff_bound, _family_discriminant, _horner_values
 
 
@@ -135,7 +135,6 @@ def beta_p(f: ShiftedPoly, N: int, p: int) -> int:
 def build_ledgers(
     f: ShiftedPoly,
     N: int,
-    root_table: RootTable | None = None,
     *,
     _values: np.ndarray | None = None,
     _roots: tuple[np.ndarray, np.ndarray] | None = None,
@@ -143,15 +142,15 @@ def build_ledgers(
     """The (alpha, beta) ledgers of f on [1, N] (see ``ValuationLedger``),
     plus the cofactor list (one per n: the part of |f(n)| left after
     removing primes <= N).  Only the shared primes of the cofactors are
-    factored (``_split_shared``).  The roots mod p come from root_table when
-    it belongs to f's family, else from the family's shared table.
-    ``_values`` is the caller's ``_abs_value_array(f, N)``, not modified,
-    and ``_roots`` its ``roots_upto(f.shift, N)`` scan of that table."""
+    factored (``_split_shared``).  The roots mod p come from the family's
+    shared table.  ``_values`` is the caller's ``_abs_value_array(f, N)``,
+    not modified, and ``_roots`` its ``roots_upto(f.shift, N)`` scan of a
+    table of f's family."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     values = _abs_value_array(f, N) if _values is None else _values.copy()
     if _roots is None:
-        _roots = _root_table_for(f.base, root_table).roots_upto(f.shift, N)
+        _roots = _family_root_table(f.base.coeffs).roots_upto(f.shift, N)
     alpha, beta = _root_sieve(values, N, *_roots)
     cofactors = values.tolist()
     rest = list(filter((1).__lt__, cofactors))

@@ -441,7 +441,7 @@ def test_seed_and_root_table_only_where_they_matter():
                 names.add(name)
     assert takes == {
         "seed": {"ensemble_average", "theorem_check"},
-        "root_table": {"decomposition_report", "build_ledgers"},
+        "root_table": {"decomposition_report"},
         "B": set(),
     }
     for flag in ("--seed", "--B"):

@@ -641,9 +641,9 @@ class TestBatchColumns:
         # Every p <= 50 is below BRUTE_FORCE_LIMIT, so _term_index gathers
         # the family's term row (built once over the residues 0..p-1) at
         # a mod p.  Its zeros are the Newton form's at a mod p, and p | D(a)
-        # for the exact D(a); elsewhere it is table.rho + 1.  hit asks that
-        # some shift is masked at primes both below and from len(shifts) on,
-        # all of them gathered.
+        # for the exact D(a); elsewhere it is the count of table.roots + 1.
+        # hit asks that some shift is masked at primes both below and from
+        # len(shifts) on, all of them gathered.
         f0 = IntPoly((3, -2, 0, 1, 1))
         shifts = self._irreducible_shifts(random.Random(2718), f0, 12, wide=False)
         D = polyring._disc_family(f0.coeffs).fill().coeffs
@@ -657,7 +657,7 @@ class TestBatchColumns:
             disc = at == 0
             assert disc.tolist() == (polyring._horner_mod(D, a % p, p) == 0).tolist()
             assert disc.tolist() == [E % p == 0 for E in exact]
-            assert at.tolist() == [0 if m else table.rho(s, p) + 1 for s, m in zip(shifts, disc)]
+            assert at.tolist() == [0 if m else len(table.roots(s, p)) + 1 for s, m in zip(shifts, disc)]
             hit[p < len(shifts)] += int(disc.sum())
         assert hit[True] and hit[False], hit
 
@@ -1072,6 +1072,77 @@ class TestDecompositionReport:
         # x^3 is reducible with D = 0; the flag admits it, the terms cannot.
         with pytest.raises(ValueError, match="discriminant is zero"):
             decomposition_report(x3, 0, 10, allow_reducible=True)
+
+    # Families and shifts each reducible over Q, with D(a) != 0 and no zero
+    # at n <= 40: rational roots m <= 0 (the shifts f0(m)), products of two
+    # quadratics (x^4 + x^3 - 2x - 4 = (x^2 - 2)(x^2 + x + 2), and
+    # 2x^4 + 7x^2 + 8 - a for a = 2, 3, 5, 12), and binomials by Capelli.
+    REDUCIBLE = [
+        ((3, -2, 0, 1, 1), [5, 15, 63, 7]),
+        ((1, 0, 2, -1, 0, 1), [-15, -197, -927]),
+        ((8, 0, 7, 0, 2), [2, 3, 5, 12]),
+        ((1, 1, 0, 0, 0, 0, 2), [1, 2, 127]),
+        ((0, 0, 0, 0, 0, 0, 1), [8, 9, -8, -1, -27]),
+        ((0, 0, 0, 0, 1), [-4, -64, 9]),
+    ]
+
+    def test_verdict_is_the_one_off_verdict_and_sympys(self):
+        # The report decides f0 - a over its family's pattern rows; the
+        # verdict must be is_irreducible_over_Q's and sympy's, on monic,
+        # non-monic and binomial families at their reducible shifts and at
+        # seeded random ones.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(3607)
+        N = 40
+        polyring._family_pattern_rows.cache_clear()
+        verdicts = []
+        for coeffs, reducible in self.REDUCIBLE:
+            f0 = IntPoly(coeffs)
+            values = {f0(n) for n in range(1, N + 1)}
+            drawn = [rng.randint(-(10**4), 10**4) for _ in range(8)]
+            for a in reducible + [a for a in drawn if a not in values]:
+                fa = ShiftedPoly(f0, a).to_poly()
+                rep = decomposition_report(f0, a, N, allow_reducible=True)
+                _, factors = sympy.factor_list(sympy.Poly(list(reversed(fa.coeffs)), x))
+                want = len(factors) == 1 and factors[0][1] == 1
+                assert type(rep.irreducible) is bool
+                assert rep.irreducible == is_irreducible_over_Q(fa) == want, (coeffs, a)
+                assert want or a in reducible, (coeffs, a)
+                verdicts.append(want)
+        assert verdicts.count(False) == sum(len(r) for _, r in self.REDUCIBLE)
+        assert verdicts.count(True) > 30
+
+    def test_non_primitive_shift_raises_the_verdicts_error(self):
+        # 2 divides 2x^3 + 4x + 1 - a for every odd a.
+        f0 = IntPoly((1, 4, 0, 2))
+        for a in (3, -1, 10**20 + 1):
+            fa = ShiftedPoly(f0, a).to_poly()
+            for call in (
+                lambda: decomposition_report(f0, a, 30),
+                lambda: decomposition_report(f0, a, 30, allow_reducible=True),
+                lambda: is_irreducible_over_Q(fa),
+            ):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == "irreducibility test requires a primitive polynomial"
+
+    def test_repeated_shift_reuses_the_family_pattern_rows(self, monkeypatch):
+        # x^4 + x^3 - 2x - 8 has no rational root, so its verdict walks
+        # factor patterns mod p; the family keeps them, and a second report
+        # of the shift walks none.
+        f0 = IntPoly((3, -2, 0, 1, 1))
+        walks = []
+        pattern = polyring._degree_pattern_mod_p
+        monkeypatch.setattr(
+            polyring, "_degree_pattern_mod_p", lambda f, p: walks.append(p) or pattern(f, p)
+        )
+        polyring._family_pattern_rows.cache_clear()
+        assert decomposition_report(f0, 11, 200).irreducible
+        assert walks
+        walks.clear()
+        assert decomposition_report(f0, 11, 400).irreducible
+        assert walks == []
 
     def test_N_equals_1(self, x3):
         rep = decomposition_report(x3, 2, 1)

@@ -283,11 +283,11 @@ class TestSigmaViaExpsum:
         table = RootTable(f0)
         for p in (5, 7, 101, 1009):  # every residue
             for a in range(p):
-                assert abs(sigma_via_expsum(f0, a, p) - table.sigma(a, p)) < 1e-6, (a, p)
+                assert abs(sigma_via_expsum(f0, a, p) - (table.rho_row(p)[a] - 1)) < 1e-6, (a, p)
         # p = 10007: a seeded sample of residues, as each call is O(p log p)
         p = 10007
         for a in [0, 1, p - 1] + rng.sample(range(p), 300):
-            assert abs(sigma_via_expsum(f0, a, p) - table.sigma(a, p)) < 1e-6, (a, p)
+            assert abs(sigma_via_expsum(f0, a, p) - (len(table.roots(a, p)) - 1)) < 1e-6, (a, p)
 
     def test_memory_is_linear_in_p(self, x3):
         p = 2003
@@ -308,8 +308,8 @@ class TestRootTable:
         for _ in range(1000):
             p = rng.choice(primes)
             a = rng.randint(-10**9, 10**9)
-            assert table.sigma(a, p) == table.sigma(a % p, p)
-            assert table.sigma(a, p) == sigma(x3, a, p).sigma
+            assert table.roots(a, p) == table.roots(a % p, p)
+            assert len(table.roots(a, p)) - 1 == sigma(x3, a, p).sigma
 
     def test_roots_match_direct(self):
         f0 = IntPoly((1, 2, 0, 1))
@@ -319,9 +319,10 @@ class TestRootTable:
                 assert table.roots(a, p) == roots_mod_p(ShiftedPoly(f0, a), p).roots
 
     def test_matches_roots_mod_p_on_random_families(self):
-        # roots, rho and sigma against direct root extraction, on seeded
-        # families of degree 2-8 (non-monic, negative leading, coefficients
-        # above 2**63), at primes from 2 to 16381 and shifts up to 1e12.
+        # roots and the rho row (rho and sigma at a mod p) against direct
+        # root extraction, on seeded families of degree 2-8 (non-monic,
+        # negative leading, coefficients above 2**63), at primes from 2 to
+        # 16381 and shifts up to 1e12.
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         big = 2**63 + 12345
@@ -351,12 +352,13 @@ class TestRootTable:
                     assert got == tuple(range(p)), (f0, a, p)
                     continue
                 assert got == want.roots, (f0, a, p)
-                assert table.rho(a, p) == len(want.roots), (f0, a, p)
-                assert type(table.rho(a, p)) is int
+                rho = table.rho_row(p)
+                assert rho[a % p] == len(want.roots), (f0, a, p)
+                assert rho.dtype.kind == "i"
                 if f0.is_monic:
-                    assert table.sigma(a, p) == sigma(f0, a, p).sigma, (f0, a, p)
+                    assert rho[a % p] - 1 == sigma(f0, a, p).sigma, (f0, a, p)
                 else:
-                    assert table.sigma(a, p) == len(want.roots) - 1, (f0, a, p)
+                    assert rho[a % p] - 1 == len(want.roots) - 1, (f0, a, p)
 
         check()
 
@@ -367,11 +369,11 @@ class TestRootTable:
         table = RootTable(f0)
         for a in (3, 10, -4, 7 * 10**12 + 3):
             assert table.roots(a, 7) == tuple(range(7))
-            assert table.rho(a, 7) == 7
-            assert table.sigma(a, 7) == 6
+            assert table.rho_row(7)[a % 7] == 7
+            assert len(table.roots(a, 7)) - 1 == 6
             with pytest.raises(DegenerateReductionError):
                 roots_mod_p(ShiftedPoly(f0, a), 7)
-        assert table.roots(4, 7) == () and table.rho(4, 7) == 0
+        assert table.roots(4, 7) == () and table.rho_row(7)[4] == 0
 
     def test_memory_is_compact(self, x3):
         # The x^3 table up to 2000 is one int16 residue row, 2 bytes for
@@ -384,7 +386,7 @@ class TestRootTable:
             table = RootTable(x3)
             table.roots_upto(1, 2000)
             for p in primes:
-                table.rho(1, p)
+                table.roots(1, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -490,7 +492,7 @@ class TestRootScan:
         table = RootTable(big)
         pairs = self._scan(table, 5 - 2 * 16411, 16411)
         assert [r for p, r in pairs if p == 16411] == list(range(16411))
-        assert table.roots(5, 16411) == tuple(range(16411)) and table.rho(5, 16411) == 16411
+        assert table.roots(5, 16411) == tuple(range(16411)) and table.rho_row(16411)[5] == 16411
         assert pairs == self._direct(big, 5 - 2 * 16411, 16411)
 
     def test_shifts_beyond_int64(self):
@@ -510,15 +512,31 @@ class TestRootScan:
 
 
 class TestExactRows:
-    # A row segment's residues are read from f0(0 .. K-1), kept in int64,
-    # while sum |c_i| (K-1)**i fits, K the next power of two >= the largest
-    # prime of the growth; past that bound they come from Horner mod p.
-    # Either way the segment is the one that Horner mod p gives.
+    # A row segment's residues are read from f0(0 .. K-1), evaluated in
+    # int64 by the growth that needs them, while sum |c_i| (K-1)**i fits, K
+    # the next power of two >= the largest prime of the growth; past that
+    # bound they come from Horner mod p.  Either way the segment is the one
+    # that Horner mod p gives.
     TARGETS = [2**63 - 2, 2**63 - 1, 2**63]
 
     @staticmethod
     def _horner_row(f0, p):
         return _horner_mod(f0.coeffs, np.arange(p, dtype=np.int64), p).tolist()
+
+    @staticmethod
+    def _exact_passes(monkeypatch):
+        # (K, f0(0 .. K-1)) of every exact pass: a growth asks
+        # _horner_values for f0(1 .. K-1) and only on the exact branch.
+        passes = []
+        horner = modroots._horner_values
+
+        def spy(coeffs, N, dtype):
+            values = horner(coeffs, N, dtype)
+            passes.append((N + 1, [coeffs[0]] + values.tolist()))
+            return values
+
+        monkeypatch.setattr(modroots, "_horner_values", spy)
+        return passes
 
     @staticmethod
     def _coeffs_at_bound(rng, d, N, B):
@@ -531,8 +549,9 @@ class TestExactRows:
         return (sign() * (room - lead * N**d), *mid, sign() * lead)
 
     @pytest.mark.parametrize("B", TARGETS, ids=["below", "at", "above"])
-    def test_rows_at_int64_boundary(self, B):
+    def test_rows_at_int64_boundary(self, B, monkeypatch):
         rng = random.Random(B)
+        passes = self._exact_passes(monkeypatch)
         primes = sieve_primes(BRUTE_FORCE_LIMIT - 1).primes
         for _ in range(16):
             d = rng.randint(2, 10)
@@ -545,29 +564,32 @@ class TestExactRows:
             for cs in (coeffs, same, tuple(-c for c in same)):
                 f0 = IntPoly(cs)
                 table = RootTable(f0)
+                passes.clear()
                 # A fresh table grows to p itself, its largest prime.
                 assert table._segment(p).tolist() == self._horner_row(f0, p), (cs, p)
                 assert table._primes[-1] == p
-                exact = table._values.tolist()
                 if B <= 2**63 - 1:
-                    assert exact == [eval_poly(cs, x) for x in range(K)], (cs, p)
+                    assert passes == [(K, [eval_poly(cs, x) for x in range(K)])], (cs, p)
                 else:
-                    assert exact == [], (cs, p)
+                    assert passes == [], (cs, p)
 
-    def test_growth_through_both_branches(self):
+    def test_growth_through_both_branches(self, monkeypatch):
         # Degree 6 with a lead of 9 or -12: the bound passes int64 between
-        # K = 512 and 1024, so one table reads both paths, and the exact
-        # array stays within twice the largest prime built.
+        # K = 512 and 1024, so one table takes both branches, the exact one
+        # last at K = 512 while the table grows past 512, and each exact
+        # pass stays within twice the largest prime built.
         rng = random.Random(606)
+        passes = self._exact_passes(monkeypatch)
         for _ in range(4):
             f0 = IntPoly(tuple(rng.randint(-9, 9) for _ in range(6)) + (rng.choice((9, -12)),))
             table = RootTable(f0)
+            passes.clear()
             primes = [p for p in sieve_primes(1000).primes if rng.random() < 0.3]
             for p in primes + primes[::-1][:5]:
                 assert table._segment(p).tolist() == self._horner_row(f0, p), (f0, p)
-                assert len(table._values) <= 2 * table._primes[-1], (f0, p)
-            K = len(table._values)
+                assert passes[-1][0] <= 2 * table._primes[-1], (f0, p)
+            K, exact = passes[-1]
             assert K == 512 and table._primes[-1] > K
-            assert table._values.tolist() == [f0(x) for x in range(K)]
+            assert exact == [f0(x) for x in range(K)]
             for p in table._primes.tolist():
                 assert table._segment(p).tolist() == self._horner_row(f0, p), (f0, p)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from polylcm.decomp import bad_N
+from polylcm.decomp import bad_N, decomposition_report
 from polylcm.errors import ZeroValueError
 from polylcm.modroots import BRUTE_FORCE_LIMIT, RootTable, roots_mod_pk
 from polylcm.ntkernel import sieve_primes
@@ -215,11 +215,9 @@ class TestLedgers:
                         assert e <= 3 * (k + 1), (a, N, p, e)
 
     def test_root_table_reuse_gives_identical_ledgers(self, x3):
-        table = RootTable(x3)
-        f = ShiftedPoly(x3, 44)
-        a1 = build_ledgers(f, 150, root_table=table)[0]
-        a2 = build_ledgers(f, 150)[0]
-        assert prime_map(a1) == prime_map(a2)
+        own = decomposition_report(x3, 44, 150, root_table=RootTable(x3))
+        shared = decomposition_report(x3, 44, 150)
+        assert own.to_json() == shared.to_json()
 
 
 class TestRootSieve:
