@@ -31,7 +31,9 @@ prime >= BRUTE_FORCE_LIMIT from its root scan, so none is searched twice.
 
 The single-shift terms (``c_N``, ``e_N_d_N``, ``bad_N``, the report) loop
 over the primes <= N for one shift and raise ZeroValueError at the first
-n <= N with f_a(n) = 0.  A report scans the family's ``RootTable`` once
+n <= N with f_a(n) = 0 from the report's evaluator
+(``valengine._abs_value_array``), after the ValueError where D(a) = 0.
+A report scans the family's ``RootTable`` once
 (``RootTable.roots_upto``): the same (p, root) pairs feed the ledger sieve
 and C_N, E_N and D_N, where rho(a; p) is the number of roots at p; ``c_N``
 and ``e_N_d_N`` scan once each.  The ensembles' batch path takes a whole
@@ -48,9 +50,11 @@ afresh from a transient rho row), so no shift's roots are searched.
 Bad_N is counted instead of lifted: f0(1..N) is evaluated once by the
 ledger engine's evaluator, and at each discriminant prime p the level hits
 #{n <= N : f0(n) = a (mod p**k)} of all its shifts come at once from the
-sorted residues of those values.  Its passes over every prime <= N pay off
-over an ensemble, not for one shift (x^3 at N = 2000: 4.1 ms as a batch of
-one, 0.08 ms by lifting), so single shifts keep lifting.  The record is a
+residues of those values: from a count row of p**k entries read at
+a mod p**k while p**k <= _LEVEL_TABLE_LIMIT, from the sorted residues above
+it.  Its passes over every prime <= N pay off over an ensemble, not for one
+shift (x^3 at N = 2000: 3.2 ms as a batch of one, 0.06 ms by lifting), so
+single shifts keep lifting.  The record is a
 single-entry cache keyed by (f0, shifts, N), the shifts as the bytes of
 their int64 array (a tuple only when one does not fit int64), with
 read-only columns, so the cn, dn, bad and b2 statistics of one window share
@@ -149,24 +153,15 @@ def _disc_primes(D: int, N: int) -> list[int]:
     return ntkernel._prime_array(N)[_disc_mask(D, N)].tolist()
 
 
-def _check_no_zero(f0: IntPoly, a: int, N: int) -> None:
-    # ZeroValueError at the first n <= N with f_a(n) = 0.  An integer zero
-    # n divides f_a(0), so only such n are evaluated (every n when f_a(0) = 0).
-    f = ShiftedPoly(f0, a)
-    c0 = f(0)
-    for n in range(1, (min(N, abs(c0)) if c0 else N) + 1):
-        if c0 % n == 0 and f(n) == 0:
-            raise ZeroValueError(n)
-
-
 def bad_N(f0: IntPoly, a: int, N: int) -> BadSplit:
     """Bad_N(a) = sum over p <= N, p | D(a) of alpha_p log p, split into the
     k = 1 part (B1) and the k >= 2 remainder (B2).  Raises ZeroValueError at
     the first n <= N with f_a(n) = 0."""
     disc_primes = _disc_primes(_family_discriminant(f0, a), N)
-    _check_no_zero(f0, a, N)
+    f = ShiftedPoly(f0, a)
+    valengine._abs_value_array(f, N)  # raises at the first zero
     roots = _family_root_table(f0.coeffs).roots
-    return _bad_split(ShiftedPoly(f0, a).to_poly(), N, [(p, roots(a, p)) for p in disc_primes])
+    return _bad_split(f.to_poly(), N, [(p, roots(a, p)) for p in disc_primes])
 
 
 def _bad_split(fa: IntPoly, N: int, disc_roots: list[tuple[int, tuple[int, ...]]]) -> BadSplit:
@@ -229,7 +224,7 @@ def _density_sums_for(f0: IntPoly, a: int, N: int) -> tuple[float, float, float]
     D = _family_discriminant(f0, a)
     if D == 0:
         raise ValueError("discriminant is zero")
-    _check_no_zero(f0, a, N)
+    valengine._abs_value_array(ShiftedPoly(f0, a), N)  # raises at the first zero
     root_primes = _family_root_table(f0.coeffs).roots_upto(a, N)[0]
     primes = ntkernel._prime_array(N)
     return _density_sums(primes, _prime_logs(N), _disc_mask(D, N), root_primes)
@@ -291,6 +286,15 @@ def _columns(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> Columns
     return _column_record(f0.coeffs, key, N)
 
 
+# _column_record counts a Bad_N level whose modulus p**k is at most this
+# from a residue-count table (one bincount of f0(1..N) mod p**k, read at
+# a mod p**k) and sorts the residues above it.  Warm records of x^4 + x and
+# 2x^3 + x + 1 (T = 1100, N = 50; fastest of 20 builds, median of 15
+# rounds) took 1.13 and 1.49 ms with every level sorted, 0.94 and 1.07 ms
+# at 4096, no less at 16384, and more at 65536, a 512 KB table a level.
+_LEVEL_TABLE_LIMIT = 4096
+
+
 @functools.lru_cache(maxsize=1)
 def _column_record(
     f0_coeffs: tuple[int, ...], shifts_key: bytes | tuple[int, ...], N: int
@@ -315,11 +319,15 @@ def _column_record(
 
         hits_k(a) = #{n <= N : f0(n) = a (mod p**k)}
 
-    are read for all shifts still live by searchsorted in the sorted row of
-    f0(1..N) mod p**k, and a shift leaves at its first level without hits.
-    The values and shifts are int64 while the bound B = sum |c_i| N**i +
-    max |a| fits, else Python ints (dtype=object).  |f0(n) - a| <= B, so
-    above B a level is hit only where f0(n) = a, and the levels stop there.
+    are read for all shifts still live, and a shift leaves at its first
+    level without hits.  A level p**k <= _LEVEL_TABLE_LIMIT reads the count
+    row np.bincount(f0(1..N) mod p**k, minlength=p**k) at a mod p**k (on
+    the object path both residues are cast to int64 first); a higher one
+    takes two searchsorted calls in the sorted row of f0(1..N) mod p**k.
+    Both give the same integers.  The values and shifts are int64 while the
+    bound B = sum |c_i| N**i + max |a| fits, else Python ints
+    (dtype=object).  |f0(n) - a| <= B, so above B a level is hit only where
+    f0(n) = a, and the levels stop there.
 
     The first shift in order that the single-shift terms reject raises what
     c_N raises for it: ValueError where D(a) = 0, else ZeroValueError at its
@@ -353,9 +361,13 @@ def _column_record(
         hsum = np.zeros(n, dtype=np.int64)
         pk = p
         while live.size and pk <= bound:
-            row = np.sort(values % pk)
             res = a[live] % pk
-            hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
+            if pk <= _LEVEL_TABLE_LIMIT:
+                counts = np.bincount((values % pk).astype(np.int64, copy=False), minlength=pk)
+                hits = counts[res.astype(np.int64, copy=False)]
+            else:
+                row = np.sort(values % pk)
+                hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
             if pk == p:
                 b1[live] += hits * log_p
             hsum[live] += hits

@@ -2,9 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +575,64 @@ class TestBatchColumns:
             self._assert_bad_equal(f0, shifts, N)
 
         check()
+
+    def test_bad_levels_either_side_of_the_table_limit(self, monkeypatch):
+        # The record counts a level p**k <= decomp._LEVEL_TABLE_LIMIT from a
+        # bincount of f0(1..N) mod p**k and sorts the residues above it.
+        # The limit is the planted prime p, so its level 1 reads the table
+        # and its deeper levels sort; shifts -1 and p**m - 1 ask for the
+        # table's last residue.  A record reaches both where a shift with
+        # p | D(a) has a hit at level 1 and p**2 is within the bound.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        small = st.integers(-12, 12)
+        both = []
+
+        @hypothesis.settings(max_examples=80, derandomize=True, deadline=None)
+        @hypothesis.given(
+            p=st.sampled_from((2, 3, 5, 7)),
+            e=st.integers(1, 4),
+            r=st.integers(-40, 40),
+            t=small.filter(bool),
+            g=st.lists(small, min_size=1, max_size=3),
+            m=st.integers(0, 4),
+            ss=st.lists(small, min_size=1, max_size=6, unique=True),
+            N=st.integers(1, 150),
+        )
+        def check(p, e, r, t, g, m, ss, N):
+            f0 = IntPoly((-r, 1)) * IntPoly((-r - p**e * t, 1)) * IntPoly((*g, 1))
+            values = {f0(n) for n in range(1, N + 1)}
+            discs = {
+                a: disc_via_sylvester(list(ShiftedPoly(f0, a).to_poly().coeffs))
+                for a in {-1, p**m - 1, *(p**m * s for s in ss)} - values
+            }
+            shifts = sorted(a for a, D in discs.items() if D)
+            hypothesis.assume(shifts)
+            monkeypatch.setattr(decomp, "_LEVEL_TABLE_LIMIT", p)
+            decomp._column_record.cache_clear()
+            self._assert_bad_equal(f0, shifts, N)
+            bound = decomp._coeff_bound(f0.coeffs, N) + max(map(abs, shifts))
+            both.append(p * p <= bound and any(
+                discs[a] % p == 0 and any((v - a) % p == 0 for v in values) for a in shifts
+            ))
+
+        check()
+        decomp._column_record.cache_clear()
+        assert sum(both) >= 10, both
+
+    def test_an_exhaustive_record_does_not_import_numpy_ma(self):
+        # An exhaustive x^4 + x bad record in a fresh interpreter: the level
+        # counts stay on bincount and searchsorted, while np.unique would
+        # import numpy.ma lazily, a cost every x4-sweep worker would carry.
+        code = (
+            "import sys\n"
+            "from polylcm.ensemble import ensemble_average\n"
+            "from polylcm.polyring import IntPoly\n"
+            "ensemble_average(IntPoly((0, 1, 0, 0, 1)), 1100, 50, 'bad', sampling='exhaustive')\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(decomp.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_bad_level_modulus_above_int64(self, x3):
         # f_a(2) = 3 * 2**64: the 2-adic levels run to 2**64, so the batch

@@ -2,11 +2,12 @@
 
 C_N, D_N, Bad_N's masks and the sigma covariances read each family's rows
 at a mod p (its RootTable and the term rows kept with it), on both sides
-of BRUTE_FORCE_LIMIT.  Each case pins the exact output such a path gives,
-as a SHA-256 or a repr: the column record's four fields, covariances,
-counts, three CLI commands' stdout, and theorem and ensemble JSON.  A
-change to where the rows are kept or how they are built must leave every
-one of them as it is.
+of BRUTE_FORCE_LIMIT, and the column record counts Bad_N's levels on both
+sides of decomp._LEVEL_TABLE_LIMIT.  Each case pins the exact output such
+a path gives, as a SHA-256 or a repr: the column record's four fields,
+covariances, counts, three CLI commands' stdout, and theorem and ensemble
+JSON.  A change to where the rows are kept or how they are built must
+leave every one of them as it is.
 """
 
 import hashlib
@@ -47,19 +48,36 @@ COLUMN_CASES = [
      "93ba866e4f6c33d344538967fd62ba28c2db0a635a26b2ad1297b0cd7400372e"),
     (X3_2X_1, lambda: BIG_SHIFTS, 60,
      "25e51cedc55626c9671b088d5d608548cda4aa4abf46ca2702193b2acc919304"),
+    (X3_NON_MONIC, lambda: _admitted(X3_NON_MONIC, 1100), 50,
+     "5f3739b53da40bbe8f68ac30cffd5795f28d37d3c911b43a7b3aaa1f2249c570"),
+]
+COLUMN_IDS = [
+    "x4x-exhaustive", "x4x-across-the-limit", "cubic-object-shifts", "non-monic-exhaustive"
 ]
 
 
-@pytest.mark.parametrize(
-    "f0, shifts, N, digest", COLUMN_CASES,
-    ids=["x4x-exhaustive", "x4x-across-the-limit", "cubic-object-shifts"],
-)
-def test_column_record_bytes(f0, shifts, N, digest):
+def _record_sha(f0, shifts, N):
     # The bytes of bad, b2, cn and dn, in that order, built from cold caches.
     for cache in (decomp._column_record, modroots._family_root_table, polyring._disc_family):
         cache.cache_clear()
-    record = decomp._columns(f0, shifts(), N)
-    assert _sha(b"".join(column.tobytes() for column in record)) == digest
+    record = decomp._columns(f0, shifts, N)
+    return _sha(b"".join(column.tobytes() for column in record))
+
+
+@pytest.mark.parametrize("f0, shifts, N, digest", COLUMN_CASES, ids=COLUMN_IDS)
+def test_column_record_bytes(f0, shifts, N, digest):
+    assert _record_sha(f0, shifts(), N) == digest
+
+
+@pytest.mark.parametrize("limit", [0, 2**16], ids=["every-level-sorted", "tables-to-2^16"])
+@pytest.mark.parametrize("f0, shifts, N, digest", COLUMN_CASES, ids=COLUMN_IDS)
+def test_column_record_bytes_either_side_of_the_level_table_limit(
+    f0, shifts, N, digest, limit, monkeypatch
+):
+    # Bad_N's levels are counted from residue-count tables up to the limit
+    # and from sorted residues above it; the same hits give the same bytes.
+    monkeypatch.setattr(decomp, "_LEVEL_TABLE_LIMIT", limit)
+    assert _record_sha(f0, shifts(), N) == digest
 
 
 def test_big_shifts_are_admissible():
