@@ -38,18 +38,22 @@ A report scans the family's ``RootTable`` once
 and C_N, E_N and D_N, where rho(a; p) is the number of roots at p; ``c_N``
 and ``e_N_d_N`` scan once each.  The ensembles' batch path takes a whole
 list of shifts and builds one column record of it (``_columns``): the
-columns of the batched ensemble statistics bad, b2, cn and dn, from one
-pass per prime p <= N (``_column_record``).  Each pass reads one index
-per shift (``_term_index``): rho(a; p) + 1, or 0 where p | D(a), which
-picks the shift's C_N and D_N terms from two lookups per prime built for
-each record (``_term_lookups``) and whose zeros are Bad_N's shifts at p.
+columns of the batched ensemble statistics bad, b2, cn and dn.  cn and dn
+come from a term pass over the primes p <= N when the record is built
+(``_column_record``), bad and b2 from a level pass on the first Bad_N
+read (``_bad_columns``), so a cn or dn read counts no level.  The term
+pass reads one index per shift and prime (``_term_index``): rho(a; p) + 1,
+or 0 where p | D(a), which picks the shift's C_N and D_N terms from two
+lookups per prime built for each record (``_term_lookups``); its zeros,
+Bad_N's shifts at p, are kept as int32 positions until the level pass.
 At every prime the index is read at a mod p from the family's term row of
 p (``RootTable.term_row``, which states the row's format and cost, and
 which keeps the rows below BRUTE_FORCE_LIMIT and builds those above it
 afresh from a transient rho row), so no shift's roots are searched.
 Bad_N is counted instead of lifted: f0(1..N) is evaluated once by the
-ledger engine's evaluator, and at each discriminant prime p the level hits
-#{n <= N : f0(n) = a (mod p**k)} of all its shifts come at once from the
+ledger engine's evaluator when the record is built, and at each
+discriminant prime p the level pass takes the level hits
+#{n <= N : f0(n) = a (mod p**k)} of all its shifts at once from the
 residues of those values: from a count row of p**k entries read at
 a mod p**k while p**k <= _LEVEL_TABLE_LIMIT, from the sorted residues above
 it.  Its passes over every prime <= N pay off over an ensemble, not for one
@@ -58,13 +62,13 @@ single shifts keep lifting.  The record is a
 single-entry cache keyed by (f0, shifts, N), the shifts as the bytes of
 their int64 array (a tuple only when one does not fit int64), with
 read-only columns, so the cn, dn, bad and b2 statistics of one window share
-one pass.  Each entry has its single-shift value's bits: a term is built
+one record.  Each entry has its single-shift value's bits: a term is built
 with the same float operations and added in the same ascending order of p,
-and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made when the
-record is built.  The batch serves irreducible shifts (D(a) != 0, no
-integer zero), as the ensembles admit them; the first shift in order that
-c_N would reject raises what c_N raises.  A report's JSON and CSV read its
-dataclass fields by name.
+and B2 = Bad_N - B1 is one subtraction, as in ``BadSplit``, made by the
+level pass.  The batch serves irreducible shifts (D(a) != 0, no integer
+zero), as the ensembles admit them; the first shift in order that c_N
+would reject raises what c_N raises, when the record is built.  A report's
+JSON and CSV read its dataclass fields by name.
 """
 
 from __future__ import annotations
@@ -262,21 +266,42 @@ def _term_index(f0_coeffs: tuple[int, ...], shifts: np.ndarray, p: int) -> np.nd
     return _family_root_table(f0_coeffs).term_row(p)[v].astype(np.intp)
 
 
-class Columns(NamedTuple):
+class Columns:
     """The batched statistics of one list of shifts, one read-only float64
     entry per shift, each field named as the ensemble statistic that reads
-    it: Bad_N, its k >= 2 part B2 = Bad_N - B1, C_N and D_N."""
+    it: Bad_N, its k >= 2 part B2 = Bad_N - B1, C_N and D_N.  cn and dn are
+    built with the record; bad and b2 by one level pass (_bad_columns) on
+    the first read of either, which then drops the positions it kept."""
 
-    bad: np.ndarray
-    b2: np.ndarray
-    cn: np.ndarray
-    dn: np.ndarray
+    _fields = ("bad", "b2", "cn", "dn")
+
+    def __init__(self, cn: np.ndarray, dn: np.ndarray, levels: tuple) -> None:
+        self.cn, self.dn = cn, dn
+        self._levels = levels  # _bad_columns' arguments until its pass runs
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
+
+    @functools.cached_property
+    def _bad_b2(self) -> tuple[np.ndarray, np.ndarray]:
+        columns = _bad_columns(*self._levels)
+        del self._levels
+        return columns
+
+    @property
+    def bad(self) -> np.ndarray:
+        return self._bad_b2[0]
+
+    @property
+    def b2(self) -> np.ndarray:
+        return self._bad_b2[1]
 
 
 def _columns(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> Columns:
-    """The column record of (f0, shifts, N), built by one pass over the
-    primes p <= N (_column_record) and kept until another is asked for, so
-    the statistics of one window share it.  The shifts, an int64 array or a
+    """The column record of (f0, shifts, N), built by a term pass over the
+    primes p <= N (_column_record), with a level pass on the first Bad_N
+    read (_bad_columns), and kept until another is asked for, so the
+    statistics of one window share it.  The shifts, an int64 array or a
     list of ints, are keyed by their int64 bytes, and by a tuple only when
     one does not fit int64 (random mode takes any T)."""
     try:
@@ -286,7 +311,7 @@ def _columns(f0: IntPoly, shifts: Sequence[int] | np.ndarray, N: int) -> Columns
     return _column_record(f0.coeffs, key, N)
 
 
-# _column_record counts a Bad_N level whose modulus p**k is at most this
+# _bad_columns counts a Bad_N level whose modulus p**k is at most this
 # from a residue-count table (one bincount of f0(1..N) mod p**k, read at
 # a mod p**k) and sorts the residues above it.  Warm records of x^4 + x and
 # 2x^3 + x + 1 (T = 1100, N = 50; fastest of 20 builds, median of 15
@@ -299,20 +324,76 @@ _LEVEL_TABLE_LIMIT = 4096
 def _column_record(
     f0_coeffs: tuple[int, ...], shifts_key: bytes | tuple[int, ...], N: int
 ) -> Columns:
-    """Bad_N, B2, C_N and D_N for every a in the shifts (the int64 bytes
-    or the tuple of _columns' key), in one pass per prime p <= N over all
-    shifts at once.
+    """C_N and D_N for every a in the shifts (the int64 bytes or the tuple
+    of _columns' key), from one term pass per prime p <= N over all shifts
+    at once, and what the level pass of Bad_N and B2 (_bad_columns) reads
+    on the first Bad_N read: the values, the shifts, the bound and each
+    discriminant prime's positions.
 
     Each entry has the bits of its single-shift value: every term is built
-    with the scalar loops' float operations (r * log_p / (p - 1),
-    (r - 1) * log_p / p, hsum * log_p and hits_1 * log_p, with
-    log_p = math.log(p)), and each column takes its terms in ascending p by
-    elementwise addition, a skipped term adding +0.0; b2 is bad - b1.  The
-    C_N and D_N terms are read from the record's lookups (_term_lookups) at
-    each shift's entry (_term_index), which is 0 exactly where p | D(a).
-    Below BRUTE_FORCE_LIMIT a prime whose term row is kept costs
-    O(len(shifts)) beside its Bad_N levels; from the limit on each record
-    builds the prime's row over its p residues again.
+    with the scalar loops' float operations (r * log_p / (p - 1) and
+    (r - 1) * log_p / p, with log_p = math.log(p)), and each column takes
+    its terms in ascending p by elementwise addition, a skipped term adding
+    +0.0.  The terms are read from the record's lookups (_term_lookups) at
+    each shift's entry (_term_index), which is 0 exactly where p | D(a);
+    those shifts are p's positions, kept as int32 (an exhaustive window has
+    at most SIEVE_LIMIT_MAX shifts).  Below BRUTE_FORCE_LIMIT a prime whose
+    term row is kept costs O(len(shifts)); from the limit on each record
+    builds the prime's row over its p residues again.  The values f0(1..N)
+    and the shifts are int64 while the bound B = sum |c_i| N**i + max |a|
+    fits, else Python ints (dtype=object).
+
+    The first shift in order that the single-shift terms reject raises what
+    c_N raises for it, when the record is built: ValueError where D(a) = 0,
+    else ZeroValueError at its first zero n <= N.  The zeros are the shifts
+    found by searchsorted in the sorted f0(1..N); D(a) = 0 is confirmed
+    exactly for the shifts whose index is 0 at every prime p <= N (every
+    shift when N < 2)."""
+    if isinstance(shifts_key, bytes):
+        shifts = np.frombuffer(shifts_key, dtype=np.int64)
+    else:
+        shifts = np.array(shifts_key, dtype=object)
+    n = len(shifts)
+    cn, dn = np.zeros(n), np.zeros(n)
+    bound, values, a = 0, None, shifts
+    suspect = np.zeros(n, dtype=bool)  # a zero n <= N, or D(a) = 0 after the pass
+    if n:
+        bound = _coeff_bound(f0_coeffs, N) + max(-int(shifts.min()), int(shifts.max()))
+        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+        values = _horner_values(f0_coeffs, N, dtype)
+        a = shifts.astype(dtype, copy=False)
+        if N >= 1:
+            ranked = np.sort(values)
+            suspect = ranked[np.searchsorted(ranked[:-1], a)] == a
+    multiple_root = np.arange(n)  # the shifts whose index is 0 at every prime so far
+    positions = []  # (p, the shifts with p | D(a)) at each discriminant prime p
+    primes = ntkernel.sieve_primes(N).primes if n and N >= 2 else ()
+    for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
+        at = _term_index(f0_coeffs, shifts, p)
+        cn += cn_at[at]
+        dn += dn_at[at]
+        disc = np.flatnonzero(at == 0)
+        if disc.size:
+            positions.append((p, disc.astype(np.int32)))
+        multiple_root = multiple_root[at[multiple_root] == 0]
+    suspect[multiple_root] = True
+    for i in np.flatnonzero(suspect).tolist():
+        if _family_discriminant(IntPoly(f0_coeffs), int(shifts[i])) == 0:
+            raise ValueError("discriminant is zero")
+        zeros = np.flatnonzero(values == a[i])
+        if zeros.size:
+            raise ZeroValueError(int(zeros[0]) + 1)
+    cn.flags.writeable = dn.flags.writeable = False
+    return Columns(cn, dn, (values, a, bound, positions))
+
+
+def _bad_columns(
+    values: np.ndarray | None, a: np.ndarray, bound: int, positions: list[tuple[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bad_N and B2 = Bad_N - B1 for every shift of a record, read-only,
+    from the values f0(1..N), the shifts a, the bound and the positions
+    that _column_record kept, one level pass per discriminant prime in
+    ascending p.
 
     Bad_N is counted from the family's values instead of lifted: at each
     discriminant prime p of a and k = 1, 2, ..., the level hits
@@ -324,67 +405,42 @@ def _column_record(
     row np.bincount(f0(1..N) mod p**k, minlength=p**k) at a mod p**k (on
     the object path both residues are cast to int64 first); a higher one
     takes two searchsorted calls in the sorted row of f0(1..N) mod p**k.
-    Both give the same integers.  The values and shifts are int64 while the
-    bound B = sum |c_i| N**i + max |a| fits, else Python ints
-    (dtype=object).  |f0(n) - a| <= B, so above B a level is hit only where
-    f0(n) = a, and the levels stop there.
-
-    The first shift in order that the single-shift terms reject raises what
-    c_N raises for it: ValueError where D(a) = 0, else ZeroValueError at its
-    first zero n <= N.  The zeros are the shifts found by searchsorted in
-    the sorted f0(1..N); D(a) = 0 is confirmed exactly for the shifts whose
-    index is 0 at every prime p <= N (every shift when N < 2)."""
-    if isinstance(shifts_key, bytes):
-        shifts = np.frombuffer(shifts_key, dtype=np.int64)
-    else:
-        shifts = np.array(shifts_key, dtype=object)
-    n = len(shifts)
-    cn, dn, bad, b1 = (np.zeros(n) for _ in range(4))
-    suspect = np.zeros(n, dtype=bool)  # a zero n <= N, or D(a) = 0 after the pass
-    if n:
-        bound = _coeff_bound(f0_coeffs, N) + max(-int(shifts.min()), int(shifts.max()))
-        dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
-        values = _horner_values(f0_coeffs, N, dtype)
-        a = shifts.astype(dtype, copy=False)
-        if N >= 1:
-            ranked = np.sort(values)
-            suspect = ranked[np.searchsorted(ranked[:-1], a)] == a
-    multiple_root = np.arange(n)  # the shifts whose index is 0 at every prime so far
-    primes = ntkernel.sieve_primes(N).primes if n and N >= 2 else ()
-    for p, cn_at, dn_at in zip(primes, *_term_lookups(primes, len(f0_coeffs) - 1)):
+    Both give the same integers.  |f0(n) - a| <= B, so above B a level is
+    hit only where f0(n) = a, and the levels stop there.  Each entry has
+    the bits of bad_N's: the terms hsum * log_p and hits_1 * log_p, with
+    log_p = math.log(p), are added in ascending p, and b2 is one
+    subtraction per shift, bad - b1."""
+    bad, b1 = np.zeros(len(a)), np.zeros(len(a))
+    for p, at in positions:
+        if p > bound:
+            break  # the positions run in ascending p
         log_p = math.log(p)
-        at = _term_index(f0_coeffs, shifts, p)
-        cn += cn_at[at]
-        dn += dn_at[at]
-        live = np.flatnonzero(at == 0)
-        multiple_root = multiple_root[at[multiple_root] == 0]
-        hsum = np.zeros(n, dtype=np.int64)
-        pk = p
+        at = at.astype(np.intp)  # one cast for the gathers below
+        a_at = a[at]
+        hsum = _level_counts(values, a_at % p, p)
+        b1[at] += hsum * log_p
+        live = np.flatnonzero(hsum)  # indices into at of the shifts still live
+        pk = p * p
         while live.size and pk <= bound:
-            res = a[live] % pk
-            if pk <= _LEVEL_TABLE_LIMIT:
-                counts = np.bincount((values % pk).astype(np.int64, copy=False), minlength=pk)
-                hits = counts[res.astype(np.int64, copy=False)]
-            else:
-                row = np.sort(values % pk)
-                hits = np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
-            if pk == p:
-                b1[live] += hits * log_p
+            hits = _level_counts(values, a_at[live] % pk, pk)
             hsum[live] += hits
             live = live[hits > 0]
             pk *= p
-        bad += hsum * log_p
-    suspect[multiple_root] = True
-    for i in np.flatnonzero(suspect).tolist():
-        if _family_discriminant(IntPoly(f0_coeffs), int(shifts[i])) == 0:
-            raise ValueError("discriminant is zero")
-        zeros = np.flatnonzero(values == a[i])
-        if zeros.size:
-            raise ZeroValueError(int(zeros[0]) + 1)
-    record = Columns(bad=bad, b2=bad - b1, cn=cn, dn=dn)
-    for column in record:
-        column.flags.writeable = False
-    return record
+        bad[at] += hsum * log_p
+    b2 = bad - b1
+    bad.flags.writeable = b2.flags.writeable = False
+    return bad, b2
+
+
+def _level_counts(values: np.ndarray, res: np.ndarray, pk: int) -> np.ndarray:
+    # #{n <= N : f0(n) = r (mod pk)} at each residue r of res, from the
+    # count row of the values mod pk up to _LEVEL_TABLE_LIMIT, from their
+    # sorted residues above it.
+    if pk <= _LEVEL_TABLE_LIMIT:
+        counts = np.bincount((values % pk).astype(np.int64, copy=False), minlength=pk)
+        return counts[res.astype(np.int64, copy=False)]
+    row = np.sort(values % pk)
+    return np.searchsorted(row, res, "right") - np.searchsorted(row, res, "left")
 
 
 @dataclass

@@ -20,11 +20,13 @@ chunks in worker processes; ``theorem_check`` goes through it too.  Its
 process pool is imported on first use, so a process that only imports the
 package loads no ``multiprocessing``.  ``cn``, ``dn``, ``bad`` and ``b2``
 are batched: ``_column_chunk`` reads each by name from one column record
-of the chunk (``decomp._columns``), built by one numpy pass per prime
-p <= N over all its shifts and kept, one entry only, until another
-(f0, shifts, N) is asked for, so the four statistics of one window share a
-pass.  An exhaustive average hands over the admitted int64
-array as it is, and the record is keyed by its bytes; only sampled shifts
+of the chunk (``decomp._columns``), kept, one entry only, until another
+(f0, shifts, N) is asked for, so the four statistics of one window share
+it.  Its cn and dn come from a term pass per prime p <= N over all its
+shifts when the record is built, and its bad and b2 from a level pass on
+the first Bad_N read, so a cn or dn average counts no level.  An
+exhaustive average hands over the admitted int64 array as it is, and the
+record is keyed by its bytes; only sampled shifts
 outside int64 are keyed as a tuple.  How the record reads each prime's
 terms and counts Bad_N is stated once, at ``decomp._columns``.  The values
 keep the bits of the single-shift ``c_N``/``e_N_d_N``/``bad_N``, and the

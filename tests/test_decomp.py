@@ -26,7 +26,7 @@ from polylcm.decomp import (
     e_N_d_N,
     lcm_bigint,
 )
-from polylcm.ensemble import ensemble_average
+from polylcm.ensemble import _admitted, ensemble_average
 from polylcm.errors import (
     InternalConsistencyError,
     IrreducibilityRequiredError,
@@ -837,6 +837,50 @@ class TestTransientTermRows:
             TestBatchColumns._assert_columns_equal(f0, shifts, N)
 
         check()
+
+
+class TestLazyBadColumns:
+    # A record builds cn and dn with itself, and bad and b2 by one level
+    # pass (decomp._bad_columns) on the first read of either, over the
+    # int32 positions kept per discriminant prime, which it then drops.
+    X4X = IntPoly((0, 1, 0, 0, 1))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        count = decomp._bad_columns
+        monkeypatch.setattr(
+            decomp, "_bad_columns", lambda *levels: calls.append(levels) or count(*levels)
+        )
+        decomp._column_record.cache_clear()
+        yield calls
+        decomp._column_record.cache_clear()
+
+    def test_cn_and_dn_reads_run_no_level_pass(self, passes):
+        for stat in ("cn", "dn"):
+            ensemble_average(self.X4X, 300, 20, stat, sampling="exhaustive")
+        record = decomp._columns(self.X4X, _admitted(self.X4X, 300), 20)
+        assert decomp._column_record.cache_info().misses == 1
+        record.cn, record.dn
+        assert passes == []
+        kept = record._levels[-1]
+        assert [p for p, _ in kept] == sorted(p for p, _ in kept)
+        assert all(at.dtype == np.int32 and at.size for _, at in kept)
+
+    @pytest.mark.parametrize("first", ["bad", "b2"])
+    def test_first_bad_read_runs_the_level_pass_once(self, passes, first):
+        shifts = _admitted(self.X4X, 300)
+        record = decomp._columns(self.X4X, shifts, 20)
+        getattr(record, first)
+        assert len(passes) == 1
+        assert not hasattr(record, "_levels")
+        for name in ("bad", "b2", "cn", "dn", first):
+            getattr(record, name)
+        assert len(list(record)) == 4
+        for stat in ("cn", "dn", "bad", "b2"):
+            ensemble_average(self.X4X, 300, 20, stat, sampling="exhaustive")
+        assert len(passes) == 1
+        assert decomp._column_record.cache_info().misses == 1
 
 
 class TestDensitySums:
