@@ -14,11 +14,19 @@ each value once, by the ledger engine's numpy Horner pass
 (``valengine._abs_value_array``), and hands that array to the ledgers and
 the log P sum; the lcm engine evaluates the values again in plain ints of
 its own (Horner at n = 1..d+1, then d running sums over their forward
-differences), so a fault in the int64 pass fails the gate.  Float sums are
-added one term at a time (``ntkernel._plain_sum``), so their bits do not
-depend on the interpreter's sum().  A ledger holds only its prime-keyed
-part and the unshared parts of the cofactors above N; every term reads the
-prime-keyed part (log L above the limit adds the logs of the unshared
+differences), so a fault in the int64 pass fails the gate.  The two
+engines share no data until the gate, so up to the limit they run on two
+cores: the report sends (f0, a, N) to the ledger engine's helper process
+right after its zero check (``valengine._request_shared``), runs the lcm
+tree and every term but the ledgers' own, and reads the ledgers last, with
+the helper's batch GCD (see ``valengine``), so the reply is usually
+waiting.  Above the limit there is nothing to overlap, and a process
+that may run on one CPU only has no second core, so neither starts a
+helper.  Float sums are added one term at a time
+(``ntkernel._plain_sum``), so their bits do not depend on the
+interpreter's sum().  A ledger holds only its prime-keyed part and the
+unshared parts of the cofactors above N; every term reads the prime-keyed
+part (log L above the limit adds the logs of the unshared
 parts), so the unshared parts are never factored.
 Discriminant primes <= N come from one divisibility mask of D over the
 primes <= N (``_disc_mask``), not from factoring D; in a report the same
@@ -518,17 +526,13 @@ def decomposition_report(
     if table is None or table.f0 != f0:
         table = _family_root_table(f0.coeffs)
     values = valengine._abs_value_array(f, N)
+    # Up to the limit the helper runs the ledgers' batch GCD (unless this
+    # process has one CPU) while this process runs the lcm oracle and every
+    # term but the ledgers' own, which are read last.
+    cross_check = N <= CROSS_CHECK_LIMIT
+    reply = valengine._request_shared(f, N) if cross_check else None
     scan = table.roots_upto(a, N)
-    alpha, beta, _ = build_ledgers(f, N, _values=values, _roots=scan)
-    if N <= CROSS_CHECK_LIMIT:
-        L = lcm_bigint(f, N)
-        if beta.product() != L:
-            raise InternalConsistencyError("ledger product != lcm tree")
-        log_L = math.log(L)
-    else:
-        # Unshared cofactor parts enter by their logs, unfactored.
-        log_L = ntkernel._plain_sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
-        log_L += ntkernel._plain_sum(map(math.log, beta.rest))
+    L = lcm_bigint(f, N) if cross_check else None
 
     log_p = ntkernel._plain_sum(map(math.log, values.tolist()))
     # One divisibility mask of D over the primes p <= N serves Bad_N, the
@@ -543,6 +547,18 @@ def decomposition_report(
         for p in primes[disc].tolist()
     ]
     bad, b1, b2 = _bad_split(fa, N, disc_roots)
+    cn, en, dn = _density_sums(primes, prime_logs, disc, scan[0])
+
+    shared = reply() if reply else None
+    alpha, beta, _ = build_ledgers(f, N, _values=values, _roots=scan, _shared=shared)
+    if cross_check:
+        if beta.product() != L:
+            raise InternalConsistencyError("ledger product != lcm tree")
+        log_L = math.log(L)
+    else:
+        # Unshared cofactor parts enter by their logs, unfactored.
+        log_L = ntkernel._plain_sum(e * math.log(p) for p, e in sorted(beta.factored.items()))
+        log_L += ntkernel._plain_sum(map(math.log, beta.rest))
     delta = _delta_from_ledgers(alpha, beta, N)
     # Both ledgers key the same primes; the sums take every p <= N ascending,
     # a prime that divides no value adding 0 * log p = +0.0.
@@ -551,8 +567,6 @@ def decomposition_report(
     alpha_e = np.fromiter(map(alpha.factored.get, ps, itertools.repeat(0)), float, len(ps))
     beta_small = ntkernel._plain_sum(beta_e * prime_logs)
     alpha_small_nondisc = ntkernel._plain_sum(np.where(disc, 0.0, alpha_e * prime_logs))
-
-    cn, en, dn = _density_sums(primes, prime_logs, disc, scan[0])
 
     d = f0.degree
     residual = log_L - (d * N * math.log(N) - bad - delta - N * cn) if N >= 2 else log_L

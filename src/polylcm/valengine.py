@@ -37,6 +37,21 @@ shares no prime: its primes have alpha_p = beta_p, so the ledgers keep it
 unfactored, and the report reads it through ``product()`` up to the
 cross-check limit and by its log above it.
 
+Where the batch GCD runs: a ``decomp.decomposition_report`` up to
+``CROSS_CHECK_LIMIT`` also runs the lcm oracle, and the two big-int halves
+share no data until the gate compares them, so the report sends (f0, a, N)
+to a helper process (``_GcdHelper``) right after its zero check.  The
+helper is a fork of the reporting process; it evaluates, root-sieves and
+batch-GCDs the cofactors by the same functions (``_shared_of``) and
+replies with the count of cofactors > 1 and the pairs (i, g_i) with
+g_i > 1, which the report hands to ``build_ledgers`` as ``_shared`` when it
+reads the ledgers, last, after the lcm oracle and its other terms.  A
+count that differs from build_ledgers' own raises InternalConsistencyError.
+Above the limit no oracle runs beside the batch GCD, and a process that
+may run on one CPU only has no second core to run it on, so neither starts
+a helper; there, in ``delta_N`` and in any direct call, build_ledgers runs
+the batch GCD in-process.
+
 ``alpha_p``, ``beta_p`` and ``alpha_approx_residual`` at a single prime lift
 the roots mod p level by level instead (``_level_hits``), evaluating no
 value.  Any vanishing value f_a(n) = 0 is a hard error: every quantity here
@@ -45,16 +60,18 @@ is undefined at such n.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import operator
-from collections.abc import Iterator
+import os
+import signal
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ntkernel
-from .errors import ZeroValueError
+from .errors import InternalConsistencyError, ZeroValueError
 from .modroots import _family_root_table, _lifted_levels, roots_mod_p
 from .polyring import IntPoly, ShiftedPoly, _coeff_bound, _family_discriminant, _horner_values
 
@@ -138,14 +155,17 @@ def build_ledgers(
     *,
     _values: np.ndarray | None = None,
     _roots: tuple[np.ndarray, np.ndarray] | None = None,
+    _shared: tuple[int, list[tuple[int, int]]] | None = None,
 ) -> tuple[ValuationLedger, ValuationLedger, list[int]]:
     """The (alpha, beta) ledgers of f on [1, N] (see ``ValuationLedger``),
     plus the cofactor list (one per n: the part of |f(n)| left after
     removing primes <= N).  Only the shared primes of the cofactors are
     factored (``_split_shared``).  The roots mod p come from the family's
     shared table.  ``_values`` is the caller's ``_abs_value_array(f, N)``,
-    not modified, and ``_roots`` its ``roots_upto(f.shift, N)`` scan of a
-    table of f's family."""
+    not modified, ``_roots`` its ``roots_upto(f.shift, N)`` scan of a
+    table of f's family, and ``_shared`` the helper's reply for (f, N)
+    (``_GcdHelper``), in place of the batch GCD here; a reply whose count
+    of cofactors > 1 is not this one's raises InternalConsistencyError."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     values = _abs_value_array(f, N) if _values is None else _values.copy()
@@ -154,10 +174,12 @@ def build_ledgers(
     alpha, beta = _root_sieve(values, N, *_roots)
     cofactors = values.tolist()
     rest = list(filter((1).__lt__, cofactors))
-    gs = _shared_gcds(rest)
+    count, pairs = _shared_pairs(rest) if _shared is None else _shared
+    if count != len(rest):
+        raise InternalConsistencyError(f"helper saw {count} cofactors > 1, not {len(rest)}")
     # Only a cofactor with g > 1 is split; rest keeps the cofactor order.
-    for i in itertools.compress(range(len(gs)), map((1).__lt__, gs)):
-        shared, rest[i] = _split_shared(rest[i], gs[i], N)
+    for i, g in pairs:
+        shared, rest[i] = _split_shared(rest[i], g, N)
         for q, e in shared:
             alpha[q] = alpha.get(q, 0) + e
             if e > beta.get(q, 0):
@@ -225,6 +247,133 @@ def _shared_gcds(cs: list[int]) -> list[int]:
         hs[::2] = map(math.gcd, lefts, ms)
         hs[1::2] = map(math.gcd, rights, ms)
     return hs
+
+
+def _shared_pairs(rest: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    # What build_ledgers reads of the batch GCD over the cofactors > 1: their
+    # count, and the (i, g_i) with g_i > 1 in ascending i.
+    gs = _shared_gcds(rest)
+    return len(rest), [(i, g) for i, g in enumerate(gs) if g > 1]
+
+
+def _shared_of(f0_coeffs: tuple[int, ...], a: int, N: int) -> tuple[int, list[tuple[int, int]]]:
+    # The helper's work for one request: build_ledgers' value pass, root
+    # sieve and batch GCD for f0 - a on [1, N], by the same functions.
+    values = _abs_value_array(ShiftedPoly(IntPoly(f0_coeffs), a), N)
+    _root_sieve(values, N, *_family_root_table(f0_coeffs).roots_upto(a, N))
+    return _shared_pairs(list(filter((1).__lt__, values.tolist())))
+
+
+class _GcdHelper:
+    """A forked process that runs ``_shared_of`` for the reports of the
+    process that started it, ``owner``, while that process runs the lcm
+    oracle.  A request (seq, f0 coefficients, a, N) is written to the pipe
+    and then announced by one post of the wake semaphore: a pipe write that
+    wakes a reader hints the kernel to run it on the writer's CPU, and
+    signalled that way some runs spent 1.5 ms a send; a semaphore post
+    carries no such hint, so the helper wakes on the idle CPU when there is
+    one.  Each reply (seq, count, pairs) echoes its request's seq, so a
+    reply left unread by a report that raised is skipped.
+
+    The helper is forked, not spawned, so it starts in milliseconds with
+    the package imported, and it runs the package as it stood then, at the
+    owner's first request: a function patched later is patched in the
+    owner only.  It is a daemon, so its owner's exit ends it, and it leaves
+    within a second of its owner being killed.  Only the owner may touch
+    it (a Process method checks the PID), so a forked pool worker starts
+    its own."""
+
+    def __init__(self) -> None:
+        # Imported on first use, so that importing the package starts no
+        # multiprocessing machinery.
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.owner = os.getpid()
+        self.closed = False
+        self._sent = 0
+        self._conn, theirs = ctx.Pipe()
+        self._wake = ctx.Semaphore(0)
+        self._process = ctx.Process(
+            target=_serve, args=(theirs, self._wake, self.owner), daemon=True
+        )
+        self._process.start()
+        theirs.close()  # the helper's end is then open in the helper alone
+
+    def request(self, f: ShiftedPoly, N: int) -> Callable[[], tuple[int, list[tuple[int, int]]]]:
+        """Send (f, N) and return the call that waits for its reply."""
+        self._sent += 1
+        seq = self._sent
+        with self._failing():
+            self._conn.send((seq, f.base.coeffs, f.shift, N))
+            self._wake.release()
+
+        def reply() -> tuple[int, list[tuple[int, int]]]:
+            with self._failing():
+                while True:
+                    got, count, pairs = self._conn.recv()
+                    if got == seq:
+                        return count, pairs
+
+        return reply
+
+    @contextlib.contextmanager
+    def _failing(self) -> Iterator[None]:
+        # A dead helper shows as a broken or closed pipe, and an interrupted
+        # send or receive leaves the pipe mid-message: either way this helper
+        # is closed, so the next request starts another.
+        try:
+            yield
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, (OSError, EOFError)):
+                raise InternalConsistencyError("the batch GCD helper process is gone") from exc
+            raise
+
+    def close(self) -> None:
+        self.closed = True
+        self._conn.close()
+        self._process.terminate()
+        self._process.join()
+
+
+def _serve(conn, wake, owner: int) -> None:
+    # The helper's loop: one reply per wake-up, until the owner is gone.
+    # An interrupt is the owner's to handle: a helper it ended would fail
+    # the owner's next report.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        if wake.acquire(timeout=1.0):
+            seq, *request = conn.recv()
+            conn.send((seq, *_shared_of(*request)))
+        elif os.getppid() != owner:
+            return
+
+
+_helper: _GcdHelper | None = None
+
+
+def _request_shared(
+    f: ShiftedPoly, N: int
+) -> Callable[[], tuple[int, list[tuple[int, int]]]] | None:
+    """Send (f, N) to this process's helper, started on first use, and
+    return the call that waits for its reply, ``build_ledgers``' ``_shared``.
+    A dead helper raises InternalConsistencyError, from here or from the
+    call, and the next request starts a new one.  A process that may run
+    on one CPU only gets None and no helper: there the helper's duplicate
+    value pass, sieve and family table would share that CPU with the
+    report (with the helper under ``taskset -c 0``, x3-N2000 ran 10% and
+    cold-families 18% fewer shifts a second)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    global _helper
+    if _helper is None or _helper.owner != os.getpid() or _helper.closed:
+        _helper = _GcdHelper()
+    return _helper.request(f, N)
 
 
 def _split_shared(c: int, g: int, N: int) -> tuple[tuple[tuple[int, int], ...], int]:

@@ -1009,6 +1009,81 @@ class TestAboveLimit:
             assert rep.delta == pytest.approx(expect, rel=1e-12, abs=0), (coeffs, a)
 
 
+@pytest.mark.skipif(
+    hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+    reason="a process on one CPU starts no helper",
+)
+class TestHelperLedgers:
+    # Up to CROSS_CHECK_LIMIT a report reads its batch GCD from the helper
+    # process; its ledgers must be those of a standalone build_ledgers.
+    FAMILIES = [(0, 0, 0, 1), (1, 1, 0, 2), (3, -2, 0, 1, 1), (-1, 0, 3, 0, 0, 2)]
+
+    @staticmethod
+    def _report_ledgers(monkeypatch, f0, a, N):
+        # The report's (alpha, beta) and whether it read a helper reply.
+        seen = []
+        build = decomp.build_ledgers
+
+        def keeping(f, N, **kw):
+            out = build(f, N, **kw)
+            seen.append((out[:2], kw["_shared"] is not None))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(decomp, "build_ledgers", keeping)
+            rep = decomposition_report(f0, a, N)
+        assert rep.identity_ok() and len(seen) == 1
+        return seen[0]
+
+    def test_report_ledgers_equal_standalone_ledgers(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=12, derandomize=True, deadline=None)
+        @hypothesis.example(coeffs=(0, 0, 0, 1), a=2, N=CROSS_CHECK_LIMIT)
+        @hypothesis.given(
+            coeffs=st.sampled_from(self.FAMILIES),
+            a=st.integers(-200_000, 200_000),
+            N=st.integers(1, CROSS_CHECK_LIMIT),
+        )
+        def check(coeffs, a, N):
+            f0 = IntPoly(coeffs)
+            hypothesis.assume(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()))
+            (alpha, beta), helped = self._report_ledgers(monkeypatch, f0, a, N)
+            ref_alpha, ref_beta, _ = build_ledgers(ShiftedPoly(f0, a), N)
+            assert helped
+            assert prime_map(alpha) == prime_map(ref_alpha)
+            assert prime_map(beta) == prime_map(ref_beta)
+
+        check()
+
+    def test_past_int64_report_ledgers_equal_standalone_ledgers(self, monkeypatch):
+        # Shifts past int64 take the object path on both sides.  Their
+        # unshared cofactor parts are too large to factor here, so the
+        # ledgers are compared entry by entry: equal ledgers have equal
+        # prime maps.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=6, derandomize=True, deadline=None)
+        @hypothesis.example(coeffs=(1, 1, 0, 2), a=(1 << 64) + 1, N=CROSS_CHECK_LIMIT)
+        @hypothesis.given(
+            coeffs=st.sampled_from(self.FAMILIES),
+            a=st.integers(1 << 63, 1 << 70) | st.integers(-(1 << 70), -(1 << 63)),
+            N=st.integers(1, CROSS_CHECK_LIMIT),
+        )
+        def check(coeffs, a, N):
+            f0 = IntPoly(coeffs)
+            hypothesis.assume(is_irreducible_over_Q(ShiftedPoly(f0, a).to_poly()))
+            ledgers, helped = self._report_ledgers(monkeypatch, f0, a, N)
+            assert helped and ledgers == tuple(build_ledgers(ShiftedPoly(f0, a), N)[:2])
+
+        check()
+
+    def test_no_helper_reply_above_the_limit(self, x3, monkeypatch):
+        assert not self._report_ledgers(monkeypatch, x3, 2, CROSS_CHECK_LIMIT + 1)[1]
+
+
 class TestDecompositionReport:
     def test_one_value_pass(self, x3, monkeypatch):
         # one pass for the ledgers and log P, one inside the lcm engine

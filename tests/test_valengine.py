@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polylcm.decomp import bad_N, decomposition_report
-from polylcm.errors import ZeroValueError
+from polylcm.errors import InternalConsistencyError, ZeroValueError
 from polylcm.modroots import BRUTE_FORCE_LIMIT, RootTable, roots_mod_pk
 from polylcm.ntkernel import sieve_primes
 from polylcm.polyring import IntPoly, ShiftedPoly, discriminant
@@ -218,6 +218,23 @@ class TestLedgers:
         own = decomposition_report(x3, 44, 150, root_table=RootTable(x3))
         shared = decomposition_report(x3, 44, 150)
         assert own.to_json() == shared.to_json()
+
+    @pytest.mark.parametrize(
+        "coeffs, a", [((0, 0, 0, 1), 2), ((1, 1, 0, 2), -5), ((0, 0, 0, 1), 1 << 64)]
+    )
+    def test_helper_reply_gives_the_in_process_ledgers(self, coeffs, a):
+        # _shared_of is the helper's work for one request; read by
+        # build_ledgers, it gives the ledgers of its own batch GCD.
+        f, N = ShiftedPoly(IntPoly(coeffs), a), 400
+        reply = valengine._shared_of(coeffs, a, N)
+        assert reply[1] and build_ledgers(f, N, _shared=reply) == build_ledgers(f, N)
+
+    def test_reply_with_another_count_raises(self, x3):
+        f, N = ShiftedPoly(x3, 2), 400
+        count, pairs = valengine._shared_of(x3.coeffs, 2, N)
+        for wrong in (count - 1, count + 1):
+            with pytest.raises(InternalConsistencyError, match="cofactors > 1"):
+                build_ledgers(f, N, _shared=(wrong, pairs))
 
 
 class TestRootSieve:
